@@ -48,7 +48,6 @@ from .sim import (
     Trajectory,
     calibrate_tracking,
     mirror_response,
-    riccati_sigma_phi,
     run_tracking,
     simulate_ou,
     simulate_trial,

@@ -1,7 +1,8 @@
 """Batch harness: config files, amplitude sweeps, bound curves, diagnostics.
 
-Config files are flat `section.key = value` text; `write-config` emits the
-canonical example with every key at its reference value.  Results are plain
+Config files are flat `section.key = value` text whose keys are those of the
+`CONFIG_KEYS` table; `write-config` emits the canonical example with every key
+at its reference value.  Results are plain
 CSV so any plotting tool can consume them.  All commands are deterministic for
 a given config and seed, independent of the worker count.
 """
@@ -13,16 +14,19 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from . import est, sim
+from .errors import require_finite
 from .model import (
     ForceParams,
     MirrorParams,
+    NominalTransferFunction,
     PriorModel,
+    TabulatedTransferFunction,
     TransferFunction,
 )
 from .probe import (
@@ -54,6 +58,7 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        require_finite(self)
         if len(self.alpha_sqs) == 0:
             raise ValueError("need at least one probe amplitude")
         if any(a <= 0 for a in self.alpha_sqs):
@@ -63,8 +68,8 @@ class ExperimentConfig:
 
     def transfer_function(self) -> TransferFunction:
         if self.tf_source == "nominal":
-            return TransferFunction.nominal(self.mirror)
-        return TransferFunction.from_csv(self.tf_source)
+            return NominalTransferFunction(self.mirror)
+        return TabulatedTransferFunction.from_csv(self.tf_source)
 
     def priors(self) -> PriorModel:
         return PriorModel(self.mirror, self.force, self.transfer_function())
@@ -86,36 +91,21 @@ class ExperimentConfig:
 def reference_config() -> ExperimentConfig:
     """Canonical operating point: the 860 nm probe on the 0.59 g PZT-mounted
     mirror driven by an Ornstein-Uhlenbeck force."""
-    mirror = MirrorParams(
-        m=5.88e-4,
-        Omega=1.76e5,
-        gamma=7.66e3,
-        k0=2.0 * math.pi / 860e-9,
-        theta=math.pi / 4.0,
-        G=6.96e7,
-        beta=2.04e-1,
-    )
-    force = ForceParams(lam=5.84e4, kappa=1.67e3)
-    simulation = sim.SimConfig(
-        dt=1e-7,
-        n_samples=10_000,
-        n_trials=300,
-        seed=424242,
-        mode=sim.MODE_LINEARIZED,
-        feedback_delay_samples=4,
-        edge_discard=1e-4,
-    )
     return ExperimentConfig(
-        mirror=mirror,
-        force=force,
-        simulation=simulation,
+        mirror=MirrorParams(
+            m=5.88e-4,
+            Omega=1.76e5,
+            gamma=7.66e3,
+            k0=2.0 * math.pi / 860e-9,
+            theta=math.pi / 4.0,
+        ),
+        force=ForceParams(lam=5.84e4, kappa=1.67e3),
+        simulation=sim.SimConfig(),
         squeezing_db=3.62,
         antisqueezing_db=6.00,
         eta_det=0.871,
         bandwidth=1.76e6,
         alpha_sqs=(1.02e6, 1.88e6, 2.87e6, 6.24e6),
-        tf_source="nominal",
-        out_dir="results",
     )
 
 
@@ -123,38 +113,64 @@ def reference_config() -> ExperimentConfig:
 # config file round trip
 
 
+def _floats(text: str) -> tuple:
+    return tuple(float(a) for a in text.split(","))
+
+
+#: Config-file key -> (ExperimentConfig attribute path, parser of the value
+#: text): the one schema of the file, iterated by write_config and read_config.
+CONFIG_KEYS = {
+    "mirror.mass": ("mirror.m", float),
+    "mirror.resonance": ("mirror.Omega", float),
+    "mirror.damping": ("mirror.gamma", float),
+    "mirror.wavenumber": ("mirror.k0", float),
+    "mirror.angle": ("mirror.theta", float),
+    "force.cutoff": ("force.lam", float),
+    "force.intensity": ("force.kappa", float),
+    "probe.squeezing_db": ("squeezing_db", float),
+    "probe.antisqueezing_db": ("antisqueezing_db", float),
+    "probe.efficiency": ("eta_det", float),
+    "probe.bandwidth": ("bandwidth", float),
+    "sim.dt": ("simulation.dt", float),
+    "sim.samples": ("simulation.n_samples", int),
+    "sim.trials": ("simulation.n_trials", int),
+    "sim.seed": ("simulation.seed", int),
+    "sim.mode": ("simulation.mode", str),
+    "sim.delay_samples": ("simulation.feedback_delay_samples", int),
+    "sim.edge_discard": ("simulation.edge_discard", float),
+    "sweep.alpha_sq": ("alpha_sqs", _floats),
+    "transfer.source": ("tf_source", str),
+    "out.dir": ("out_dir", str),
+}
+
+
+def _with_values(config: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """`config` with `values` ({attribute path: value}) applied.  One `replace`
+    per section, so each dataclass validates its final values only."""
+    sections, top = {}, {}
+    for attr, value in values.items():
+        section, _, name = attr.rpartition(".")
+        if section:
+            sections.setdefault(section, {})[name] = value
+        else:
+            top[name] = value
+    for section, fields in sections.items():
+        top[section] = replace(getattr(config, section), **fields)
+    return replace(config, **top)
+
+
 def write_config(config: ExperimentConfig, path) -> None:
-    m, f, s = config.mirror, config.force, config.simulation
-    lines = [
-        "# mirror-motion estimation experiment configuration",
-        f"mirror.mass = {m.m!r}",
-        f"mirror.resonance = {m.Omega!r}",
-        f"mirror.damping = {m.gamma!r}",
-        f"mirror.wavenumber = {m.k0!r}",
-        f"mirror.angle = {m.theta!r}",
-        f"mirror.sensitivity = {m.G!r}",
-        f"mirror.force_per_volt = {m.beta!r}",
-        f"force.cutoff = {f.lam!r}",
-        f"force.intensity = {f.kappa!r}",
-        f"probe.squeezing_db = {config.squeezing_db!r}",
-        f"probe.antisqueezing_db = {config.antisqueezing_db!r}",
-        f"probe.efficiency = {config.eta_det!r}",
-        f"probe.bandwidth = {config.bandwidth!r}",
-        f"sim.dt = {s.dt!r}",
-        f"sim.samples = {s.n_samples}",
-        f"sim.trials = {s.n_trials}",
-        f"sim.seed = {s.seed}",
-        f"sim.mode = {s.mode}",
-        f"sim.delay_samples = {s.feedback_delay_samples}",
-        f"sim.edge_discard = {s.edge_discard!r}",
-        "sweep.alpha_sq = " + ", ".join(repr(a) for a in config.alpha_sqs),
-        f"transfer.source = {config.tf_source}",
-        f"out.dir = {config.out_dir}",
-    ]
+    lines = ["# mirror-motion estimation experiment configuration"]
+    for key, (attr, _) in CONFIG_KEYS.items():
+        value = attrgetter(attr)(config)
+        text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        lines.append(f"{key} = {text}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_config(path) -> ExperimentConfig:
+    """Reference config with the file's keys applied; missing keys keep their
+    reference values."""
     raw = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -167,72 +183,31 @@ def read_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    known = {
-        "mirror.mass", "mirror.resonance", "mirror.damping", "mirror.wavenumber",
-        "mirror.angle", "mirror.sensitivity", "mirror.force_per_volt",
-        "force.cutoff", "force.intensity",
-        "probe.squeezing_db", "probe.antisqueezing_db", "probe.efficiency", "probe.bandwidth",
-        "sim.dt", "sim.samples", "sim.trials", "sim.seed", "sim.mode",
-        "sim.delay_samples", "sim.edge_discard",
-        "sweep.alpha_sq", "transfer.source", "out.dir",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-
-    base = reference_config()
-
-    def get(key, cast, fallback):
-        return cast(raw[key]) if key in raw else fallback
-
-    mirror = MirrorParams(
-        m=get("mirror.mass", float, base.mirror.m),
-        Omega=get("mirror.resonance", float, base.mirror.Omega),
-        gamma=get("mirror.damping", float, base.mirror.gamma),
-        k0=get("mirror.wavenumber", float, base.mirror.k0),
-        theta=get("mirror.angle", float, base.mirror.theta),
-        G=get("mirror.sensitivity", float, base.mirror.G),
-        beta=get("mirror.force_per_volt", float, base.mirror.beta),
-    )
-    force = ForceParams(
-        lam=get("force.cutoff", float, base.force.lam),
-        kappa=get("force.intensity", float, base.force.kappa),
-    )
-    simulation = sim.SimConfig(
-        dt=get("sim.dt", float, base.simulation.dt),
-        n_samples=get("sim.samples", int, base.simulation.n_samples),
-        n_trials=get("sim.trials", int, base.simulation.n_trials),
-        seed=get("sim.seed", int, base.simulation.seed),
-        mode=get("sim.mode", str, base.simulation.mode),
-        feedback_delay_samples=get("sim.delay_samples", int, base.simulation.feedback_delay_samples),
-        edge_discard=get("sim.edge_discard", float, base.simulation.edge_discard),
-    )
-    alphas = tuple(
-        float(a) for a in raw["sweep.alpha_sq"].split(",")
-    ) if "sweep.alpha_sq" in raw else base.alpha_sqs
-    return ExperimentConfig(
-        mirror=mirror,
-        force=force,
-        simulation=simulation,
-        squeezing_db=get("probe.squeezing_db", float, base.squeezing_db),
-        antisqueezing_db=get("probe.antisqueezing_db", float, base.antisqueezing_db),
-        eta_det=get("probe.efficiency", float, base.eta_det),
-        bandwidth=get("probe.bandwidth", float, base.bandwidth),
-        alpha_sqs=alphas,
-        tf_source=get("transfer.source", str, base.tf_source),
-        out_dir=get("out.dir", str, base.out_dir),
-    )
+    values = {}
+    for key, text in raw.items():
+        attr, parse = CONFIG_KEYS[key]
+        try:
+            values[attr] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from exc
+    return _with_values(reference_config(), values)
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
 
-def _score_trials(priors, probe, tracker, bank, cfg, trial_indices):
-    """Run trials; returns {index: payload} with None marking diverged trials."""
+def _score_trials(priors, probe, tracker, bank, cfg, trial_indices, dump_dir=None):
+    """Run trials; returns {index: payload} with None marking diverged trials.
+    With `dump_dir`, every trial is also written there as CSV."""
     results = {}
     for idx in trial_indices:
         traj = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(cfg.seed, idx))
+        if dump_dir is not None:
+            traj.to_csv(Path(dump_dir) / f"trial_{idx:04d}.csv")
         if traj.diverged:
             results[idx] = None
             continue
@@ -267,6 +242,7 @@ def run_sweep_point(
     alpha_sq: float,
     grid: est.SpectralGrid | None = None,
     workers: int = 1,
+    dump_dir=None,
 ) -> SweepPoint:
     priors = config.priors()
     cfg = config.simulation
@@ -277,8 +253,7 @@ def run_sweep_point(
         config.probe_template(kind, alpha_sq), config.force, config.mirror, cfg
     )
     tracker = sim.KalmanTracker(probe, config.force, config.mirror, cfg)
-    n_margin = sim.margin_samples(config.force, config.mirror, cfg)
-    n_total = scipy.fft.next_fast_len(cfg.n_samples + 2 * n_margin)
+    _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)
     bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
 
     indices = list(range(cfg.n_trials))
@@ -288,14 +263,14 @@ def run_sweep_point(
             parts = list(
                 pool.map(
                     _score_chunk,
-                    [(priors, probe, tracker, bank, cfg, chunk) for chunk in chunks],
+                    [(priors, probe, tracker, bank, cfg, chunk, dump_dir) for chunk in chunks],
                 )
             )
         results = {}
         for part in parts:
             results.update(part)
     else:
-        results = _score_trials(priors, probe, tracker, bank, cfg, indices)
+        results = _score_trials(priors, probe, tracker, bank, cfg, indices, dump_dir)
 
     # reduction keyed by trial index, so the outcome is pool-size independent
     kept = [results[i] for i in sorted(results) if results[i] is not None]
@@ -328,14 +303,17 @@ def _score_chunk(args):
     return _score_trials(*args)
 
 
-def cmd_sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[dict]:
-    """Full amplitude sweep; one CSV row per (variable, probe kind, amplitude)."""
+def cmd_sweep(
+    config: ExperimentConfig, out_path=None, workers: int = 1
+) -> tuple[list[dict], int]:
+    """Full amplitude sweep; one CSV row per (variable, probe kind, amplitude).
+    Returns the rows and the number of cells that failed (and wrote none)."""
     out_path = Path(out_path) if out_path else Path(config.out_dir) / "sweep.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     priors = config.priors()
     grid = est.SpectralGrid.build(priors)
 
-    rows = []
+    rows, failed = [], 0
     with open(out_path, "w") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
         for alpha_sq in config.alpha_sqs:
@@ -347,6 +325,7 @@ def cmd_sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list
                         f"sweep point (kind={kind}, alpha_sq={alpha_sq:g}) failed: {exc}",
                         file=sys.stderr,
                     )
+                    failed += 1
                     continue
                 for x in ("q", "p", "f"):
                     row = {
@@ -362,7 +341,7 @@ def cmd_sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list
                     rows.append(row)
                     fh.write(_format_row(row, SWEEP_COLUMNS) + "\n")
                     fh.flush()
-    return rows
+    return rows, failed
 
 
 def _format_row(row: dict, columns) -> str:
@@ -377,9 +356,12 @@ def _format_row(row: dict, columns) -> str:
 # bounds and diagnostics
 
 
-def cmd_bounds(config: ExperimentConfig, out_path=None, n_points: int = 25) -> list[dict]:
+def cmd_bounds(
+    config: ExperimentConfig, out_path=None, n_points: int = 25
+) -> tuple[list[dict], int]:
     """Analytic prediction curves and bounds on a dense amplitude grid (no
-    simulation).  The grid always contains the configured sweep amplitudes."""
+    simulation).  The grid always contains the configured sweep amplitudes.
+    Returns the rows and the number of amplitudes that failed."""
     out_path = Path(out_path) if out_path else Path(config.out_dir) / "bounds.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     priors = config.priors()
@@ -387,7 +369,7 @@ def cmd_bounds(config: ExperimentConfig, out_path=None, n_points: int = 25) -> l
     lo, hi = min(config.alpha_sqs), max(config.alpha_sqs)
     alphas = sorted(set(np.geomspace(lo, hi, n_points)) | set(config.alpha_sqs))
 
-    rows = []
+    rows, failed = [], 0
     with open(out_path, "w") as fh:
         fh.write(",".join(BOUNDS_COLUMNS) + "\n")
         for alpha_sq in alphas:
@@ -413,7 +395,8 @@ def cmd_bounds(config: ExperimentConfig, out_path=None, n_points: int = 25) -> l
                     fh.write(_format_row(row, BOUNDS_COLUMNS) + "\n")
             except Exception as exc:
                 print(f"bounds point alpha_sq={alpha_sq:g} failed: {exc}", file=sys.stderr)
-    return rows
+                failed += 1
+    return rows, failed
 
 
 @dataclass
@@ -483,17 +466,11 @@ def cmd_simulate(
 ) -> SweepPoint:
     """Run the Monte Carlo trials of one sweep cell, optionally dumping each
     trajectory as CSV."""
-    point = run_sweep_point(config, kind, alpha_sq)
+    dump_dir = None
     if dump_trajectories:
-        out_dir = Path(out_dir or config.out_dir) / f"trajectories_{kind}_{alpha_sq:.3e}"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        priors = config.priors()
-        cfg = config.simulation
-        tracker = sim.KalmanTracker(point.probe, config.force, config.mirror, cfg)
-        for idx in range(cfg.n_trials):
-            traj = sim.simulate_trial(priors, point.probe, tracker, cfg, sim.trial_rng(cfg.seed, idx))
-            traj.to_csv(out_dir / f"trial_{idx:04d}.csv")
-    return point
+        dump_dir = Path(out_dir or config.out_dir) / f"trajectories_{kind}_{alpha_sq:.3e}"
+        dump_dir.mkdir(parents=True, exist_ok=True)
+    return run_sweep_point(config, kind, alpha_sq, dump_dir=dump_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +479,8 @@ def cmd_simulate(
 
 def _load_config(args) -> ExperimentConfig:
     config = read_config(args.config) if args.config else reference_config()
-    s = config.simulation
-    if args.seed is not None:
-        s = replace(s, seed=args.seed)
-    if args.trials is not None:
-        s = replace(s, n_trials=args.trials)
-    config = replace(config, simulation=s)
-    if args.out is not None:
-        config = replace(config, out_dir=args.out)
-    return config
+    overrides = {"simulation.seed": args.seed, "simulation.n_trials": args.trials, "out_dir": args.out}
+    return _with_values(config, {a: v for a, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:
@@ -543,11 +513,12 @@ def main(argv=None) -> int:
         return 0
 
     config = _load_config(args)
+    failed = 0
     if args.command == "sweep":
-        rows = cmd_sweep(config, workers=args.workers)
+        rows, failed = cmd_sweep(config, workers=args.workers)
         print(f"wrote {len(rows)} rows to {Path(config.out_dir) / 'sweep.csv'}")
     elif args.command == "bounds":
-        rows = cmd_bounds(config)
+        rows, failed = cmd_bounds(config)
         print(f"wrote {len(rows)} rows to {Path(config.out_dir) / 'bounds.csv'}")
     elif args.command == "diagnose":
         print(cmd_diagnose(config))
@@ -562,7 +533,7 @@ def main(argv=None) -> int:
                 f"mmse = {point.mmse[x]:.4e}, qcrb(coh) = {point.qcrb_coh[x]:.4e}, "
                 f"qcrb(sq) = {point.qcrb_sq[x]:.4e}"
             )
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

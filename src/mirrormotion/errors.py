@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and input checks shared across the package."""
+
+import dataclasses
+import math
+import numbers
 
 
 class SingularityError(ValueError):
@@ -15,3 +19,14 @@ class GridMismatchError(ValueError):
 
 class RiccatiError(RuntimeError):
     """The steady-state Riccati solution does not exist or is not stabilizing."""
+
+
+def require_finite(obj) -> None:
+    """Reject NaN or infinite values in a dataclass's real-valued fields,
+    including the entries of tuple fields; other fields are left alone."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, numbers.Real) and not isinstance(v, numbers.Integral):
+                if not math.isfinite(v):
+                    raise ValueError(f"{field.name} must be finite, got {v!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import SingularityError, require_finite
 
 #: Variables connected by the motion functions g_ij(w).
 VAR_TAGS = ("phi", "q", "p", "f")
@@ -51,11 +51,6 @@ class MirrorParams:
     theta : float
         Reflection angle off the mirror [rad]; the phase shift per unit
         displacement is 2*k0*cos(theta).
-    G : float
-        Position detector sensitivity [V/m], kept for replaying
-        voltage-recorded data.  The simulator itself works in SI units.
-    beta : float
-        Drive calibration [N/V], same remark as for G.
     """
 
     m: float
@@ -63,10 +58,9 @@ class MirrorParams:
     gamma: float
     k0: float
     theta: float
-    G: float = 1.0
-    beta: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.m <= 0:
             raise ValueError("mass must be positive")
         if self.Omega <= 0:
@@ -77,8 +71,6 @@ class MirrorParams:
             raise ValueError("wavenumber must be positive")
         if not 0.0 <= self.theta < np.pi / 2:
             raise ValueError("reflection angle must lie in [0, pi/2)")
-        if self.G <= 0 or self.beta <= 0:
-            raise ValueError("calibration gains must be positive")
 
     @property
     def phase_gain(self) -> float:
@@ -98,6 +90,7 @@ class ForceParams:
     kappa: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.lam <= 0:
             raise ValueError("cutoff frequency must be positive")
         if self.kappa <= 0:
@@ -123,14 +116,6 @@ class TransferFunction:
 
     def __call__(self, omega):
         raise NotImplementedError
-
-    @staticmethod
-    def nominal(params: MirrorParams) -> "NominalTransferFunction":
-        return NominalTransferFunction(params)
-
-    @staticmethod
-    def from_csv(path) -> "TabulatedTransferFunction":
-        return TabulatedTransferFunction.from_csv(path)
 
 
 class NominalTransferFunction(TransferFunction):

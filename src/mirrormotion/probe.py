@@ -17,11 +17,11 @@ what the estimation bounds require.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import SingularityError, require_finite
 
 _DB = math.log(10.0) / 10.0  # dB -> natural log of a power ratio
 
@@ -49,6 +49,7 @@ class ProbeState:
     eta_det: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.alpha_sq <= 0:
             raise ValueError("photon flux must be positive")
         if not 0.0 <= self.r_m <= self.r_p:
@@ -84,9 +85,6 @@ class ProbeState:
     @property
     def is_coherent(self) -> bool:
         return self.r_m == 0.0 and self.r_p == 0.0
-
-    def with_sigma_phi(self, sigma_phi_sq: float) -> "ProbeState":
-        return replace(self, sigma_phi_sq=sigma_phi_sq)
 
     def detected_moments(self) -> tuple[float, float]:
         """(e^{2 r_p}, e^{-2 r_m}) after the detection-loss beam splitter."""

@@ -19,7 +19,7 @@ import scipy.fft
 import scipy.linalg
 import scipy.signal
 
-from .errors import RiccatiError
+from .errors import RiccatiError, require_finite
 from .model import ForceParams, MirrorParams, PriorModel, TransferFunction
 from .probe import ProbeState, measurement_noise_psd
 
@@ -48,6 +48,7 @@ class SimConfig:
     edge_discard: float = 1e-4
 
     def __post_init__(self):
+        require_finite(self)
         if self.dt <= 0:
             raise ValueError("sample period must be positive")
         if self.n_samples < 2:
@@ -81,9 +82,12 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(trial_index + 1)[-1])
 
 
-def margin_samples(force: ForceParams, params: MirrorParams, cfg: SimConfig) -> int:
-    tau = max(1.0 / force.lam, 2.0 / params.gamma if params.gamma > 0 else 0.0)
-    return int(math.ceil(PAD_CORRELATION_TIMES * tau / cfg.dt))
+def trial_geometry(force: ForceParams, params: MirrorParams, cfg: SimConfig) -> tuple[int, int]:
+    """(n_margin, n_total): samples of margin on each side of the data window,
+    and the FFT-friendly length of the whole extended grid."""
+    tau = max(force.correlation_time, 2.0 / params.gamma if params.gamma > 0 else 0.0)
+    n_margin = int(math.ceil(PAD_CORRELATION_TIMES * tau / cfg.dt))
+    return n_margin, scipy.fft.next_fast_len(cfg.n_samples + 2 * n_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +116,20 @@ def mirror_response(
     tf: TransferFunction,
     params: MirrorParams,
     cfg: SimConfig,
-    pad_time: float | None = None,
+    pad_samples: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mechanical response (q, p, phi) to a force record via FFT convolution.
 
-    The transform grid is zero-padded by `pad_time` (default ten mechanical
+    The transform grid is zero-padded by `pad_samples` (default ten mechanical
     ringdown times 2/gamma) so the circular wrap-around of the response kernel
     is suppressed; the returned arrays match the input length.
     """
     f = np.asarray(f, dtype=float)
     n = f.shape[-1]
-    if pad_time is None:
+    if pad_samples is None:
         pad_time = PAD_CORRELATION_TIMES * (2.0 / params.gamma) if params.gamma > 0 else 0.0
-    n_fft = scipy.fft.next_fast_len(n + int(math.ceil(pad_time / cfg.dt)))
+        pad_samples = int(math.ceil(pad_time / cfg.dt))
+    n_fft = scipy.fft.next_fast_len(n + pad_samples)
     omega = 2.0 * np.pi * np.fft.rfftfreq(n_fft, cfg.dt)
     g = np.asarray(tf(omega), dtype=complex)
     spectrum = g * scipy.fft.rfft(f, n_fft, axis=-1)
@@ -232,13 +237,6 @@ class KalmanTracker:
         return scipy.signal.lfilter(self._num, self._den, y)
 
 
-def riccati_sigma_phi(
-    probe: ProbeState, force: ForceParams, params: MirrorParams, cfg: SimConfig
-) -> float:
-    """Steady-state tracking MSE sigma_phi^2 from the Riccati solution."""
-    return KalmanTracker(probe, force, params, cfg).sigma_phi_sq_posterior
-
-
 def calibrate_tracking(
     probe: ProbeState,
     force: ForceParams,
@@ -256,7 +254,7 @@ def calibrate_tracking(
     state = replace(probe, sigma_phi_sq=0.0)
     value = 0.0
     for _ in range(max_iter):
-        new = riccati_sigma_phi(state, force, params, cfg)
+        new = KalmanTracker(state, force, params, cfg).sigma_phi_sq_posterior
         state = replace(state, sigma_phi_sq=new)
         if abs(new - value) <= rtol * max(new, 1e-30):
             return state
@@ -393,14 +391,9 @@ def simulate_trial(
 ) -> Trajectory:
     """Generate one force/motion/measurement trial on the extended grid."""
     cfg.validate_against(priors.force)
-    n_margin = margin_samples(priors.force, priors.params, cfg)
-    n_total = scipy.fft.next_fast_len(cfg.n_samples + 2 * n_margin)
-    pad_time = PAD_CORRELATION_TIMES * max(
-        priors.force.correlation_time,
-        2.0 / priors.params.gamma if priors.params.gamma > 0 else 0.0,
-    )
+    n_margin, n_total = trial_geometry(priors.force, priors.params, cfg)
     f = simulate_ou(priors.force, cfg, rng, n=n_total)
-    q, p, phi = mirror_response(f, priors.tf, priors.params, cfg, pad_time=pad_time)
+    q, p, phi = mirror_response(f, priors.tf, priors.params, cfg, pad_samples=n_margin)
     tracked = run_tracking(phi, probe, tracker, cfg, rng)
     t = (np.arange(n_total) - n_margin) * cfg.dt
     return Trajectory(

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from mirrormotion import est
-from mirrormotion.model import ForceParams, MirrorParams, PriorModel, TransferFunction
+from mirrormotion.model import ForceParams, MirrorParams, NominalTransferFunction, PriorModel
 from mirrormotion.probe import ProbeState
 
 # experimental constants used throughout the tests
@@ -14,8 +14,6 @@ OMEGA = 1.76e5               # rad/s mechanical resonance
 GAMMA = 7.66e3               # rad/s damping
 WAVELENGTH = 860e-9          # m
 THETA = math.pi / 4.0
-SENSITIVITY = 6.96e7         # V/m
-FORCE_PER_VOLT = 2.04e-1     # N/V
 LAMBDA = 5.84e4              # rad/s force cutoff
 KAPPA = 1.67e3               # N^2/s force intensity
 SQUEEZING_DB = 3.62
@@ -33,8 +31,6 @@ def mirror():
         gamma=GAMMA,
         k0=2.0 * math.pi / WAVELENGTH,
         theta=THETA,
-        G=SENSITIVITY,
-        beta=FORCE_PER_VOLT,
     )
 
 
@@ -45,7 +41,7 @@ def force():
 
 @pytest.fixture(scope="session")
 def priors(mirror, force):
-    return PriorModel(mirror, force, TransferFunction.nominal(mirror))
+    return PriorModel(mirror, force, NominalTransferFunction(mirror))
 
 
 @pytest.fixture(scope="session")

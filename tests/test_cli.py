@@ -1,5 +1,7 @@
 """Batch harness: config round trips, sweep/bounds/diagnose commands."""
 
+import dataclasses
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -46,6 +48,58 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config keys"):
             cli.read_config(path)
 
+    @pytest.mark.parametrize("key", ["mirror.sensitivity", "mirror.force_per_volt"])
+    def test_removed_calibration_keys_rejected(self, tmp_path, key):
+        path = tmp_path / "old.cfg"
+        path.write_text(f"{key} = 1.0\n")
+        with pytest.raises(ValueError, match="unknown config keys"):
+            cli.read_config(path)
+
+    def test_key_table_covers_every_field_once(self):
+        def leaves(obj, prefix=""):
+            for field in dataclasses.fields(obj):
+                value = getattr(obj, field.name)
+                if dataclasses.is_dataclass(value):
+                    yield from leaves(value, f"{prefix}{field.name}.")
+                else:
+                    yield prefix + field.name
+
+        attrs = [attr for attr, _ in cli.CONFIG_KEYS.values()]
+        assert sorted(attrs) == sorted(leaves(cli.reference_config()))
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "nan.cfg"
+        path.write_text("sim.dt = nan\n")
+        with pytest.raises(ValueError, match="finite"):
+            cli.read_config(path)
+
+    def test_unparsable_value_names_key(self, tmp_path):
+        path = tmp_path / "typo.cfg"
+        path.write_text("sim.samples = 10k\n")
+        with pytest.raises(ValueError, match="sim.samples"):
+            cli.read_config(path)
+
+    def test_fields_checked_after_whole_section(self, tmp_path):
+        # a shorter window with a smaller discard is valid only once both apply
+        path = tmp_path / "short.cfg"
+        path.write_text("sim.samples = 1000\nsim.edge_discard = 1e-5\n")
+        config = cli.read_config(path)
+        assert config.simulation.n_samples == 1000
+        assert config.simulation.edge_discard == 1e-5
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"squeezing_db": math.nan},
+            {"eta_det": math.inf},
+            {"bandwidth": math.nan},
+            {"alpha_sqs": (1.0e6, math.inf)},
+        ],
+    )
+    def test_non_finite_experiment_values_rejected(self, change):
+        with pytest.raises(ValueError, match="finite"):
+            replace(cli.reference_config(), **change)
+
     def test_comments_and_defaults(self, tmp_path):
         path = tmp_path / "partial.cfg"
         path.write_text("# only override the seed\nsim.seed = 7\n")
@@ -69,7 +123,8 @@ class TestConfigFile:
 
 class TestSweep:
     def test_row_cardinality_and_columns(self, tiny_config):
-        rows = cli.cmd_sweep(tiny_config)
+        rows, failed = cli.cmd_sweep(tiny_config)
+        assert failed == 0
         assert len(rows) == 3 * 2 * len(tiny_config.alpha_sqs)
         assert set(rows[0]) == set(cli.SWEEP_COLUMNS)
         csv_path = f"{tiny_config.out_dir}/sweep.csv"
@@ -94,7 +149,7 @@ class TestSweep:
 
     def test_coherent_bound_equals_mmse_at_unit_efficiency(self, tiny_config):
         config = replace(tiny_config, eta_det=1.0, alpha_sqs=(1.02e6,))
-        rows = cli.cmd_sweep(config)
+        rows, _ = cli.cmd_sweep(config)
         for row in rows:
             if row["probe"] == "coherent":
                 assert row["qcrb_coh"] == pytest.approx(row["mmse"], rel=1e-9)
@@ -119,15 +174,34 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "run_sweep_point", flaky)
         out = tmp_path / "partial.csv"
-        rows = cli.cmd_sweep(tiny_config, out_path=out)
+        rows, failed = cli.cmd_sweep(tiny_config, out_path=out)
+        assert failed == 1
         assert len(rows) == 3 * (2 * len(tiny_config.alpha_sqs) - 1)
         assert "synthetic point failure" in capsys.readouterr().err
         assert len(out.read_text().splitlines()) == 1 + len(rows)
 
+    def test_failed_point_exits_nonzero(self, tiny_config, tmp_path, monkeypatch, capsys):
+        real = cli.run_sweep_point
+
+        def flaky(config, kind, alpha_sq, grid=None, workers=1):
+            if kind == "squeezed":
+                raise RuntimeError("synthetic point failure")
+            return real(config, kind, alpha_sq, grid=grid, workers=workers)
+
+        monkeypatch.setattr(cli, "run_sweep_point", flaky)
+        cfg_path = tmp_path / "tiny.cfg"
+        cli.write_config(replace(tiny_config, alpha_sqs=(1.02e6,)), cfg_path)
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(cfg_path), "--out", str(out), "sweep"])
+        assert code == 1
+        assert "wrote 3 rows" in capsys.readouterr().out
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 3
+
 
 class TestBounds:
     def test_curves_decrease_and_cover_sweep_points(self, tiny_config):
-        rows = cli.cmd_bounds(tiny_config, n_points=9)
+        rows, failed = cli.cmd_bounds(tiny_config, n_points=9)
+        assert failed == 0
         alphas = sorted({row["alpha_sq"] for row in rows})
         for a in tiny_config.alpha_sqs:
             assert a in alphas
@@ -137,7 +211,7 @@ class TestBounds:
                 assert np.all(np.diff(curve) < 0)
 
     def test_bound_columns_match_direct_evaluation(self, tiny_config):
-        rows = cli.cmd_bounds(tiny_config, n_points=2)
+        rows, _ = cli.cmd_bounds(tiny_config, n_points=2)
         priors = tiny_config.priors()
         grid = est.SpectralGrid.build(priors)
         for row in rows:
@@ -147,9 +221,26 @@ class TestBounds:
                     est.qcrb(row["var"], priors, coh, grid), rel=1e-12
                 )
 
+    def test_failed_point_exits_nonzero(self, tiny_config, tmp_path, monkeypatch, capsys):
+        real = sim.calibrate_tracking
+        failing_alpha = tiny_config.alpha_sqs[0]
+
+        def flaky(probe, *args, **kwargs):
+            if probe.alpha_sq == failing_alpha:
+                raise RuntimeError("synthetic bounds failure")
+            return real(probe, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "calibrate_tracking", flaky)
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "bounds"]) == 1
+        assert "synthetic bounds failure" in capsys.readouterr().err
+        lines = (out / "bounds.csv").read_text().splitlines()
+        assert len(lines) > 1
+        assert not any(line.split(",")[1] == repr(failing_alpha) for line in lines[1:])
+
     def test_unit_efficiency_traces_coincide(self, tiny_config):
         config = replace(tiny_config, eta_det=1.0, alpha_sqs=(1.02e6, 6.24e6))
-        for row in cli.cmd_bounds(config, n_points=3):
+        for row in cli.cmd_bounds(config, n_points=3)[0]:
             assert row["mmse_coh"] == pytest.approx(row["qcrb_coh"], rel=1e-9)
             assert row["mmse_sq"] > row["qcrb_sq"]  # impure squeezing stays above
 

@@ -10,8 +10,8 @@ from mirrormotion.errors import SingularityError
 from mirrormotion.model import (
     ForceParams,
     MirrorParams,
+    NominalTransferFunction,
     TabulatedTransferFunction,
-    TransferFunction,
     effective_mass,
     motion_function,
     prior_psd,
@@ -53,14 +53,17 @@ class TestMirrorParams:
             {"gamma": -1.0},
             {"k0": 0.0},
             {"theta": math.pi / 2},
-            {"G": 0.0},
-            {"beta": -2.0},
+            {"m": math.nan},
+            {"Omega": math.inf},
+            {"gamma": math.nan},
+            {"k0": math.inf},
+            {"theta": math.nan},
         ],
     )
     def test_invalid_parameters(self, mirror, kwargs):
         fields = dict(
             m=mirror.m, Omega=mirror.Omega, gamma=mirror.gamma,
-            k0=mirror.k0, theta=mirror.theta, G=mirror.G, beta=mirror.beta,
+            k0=mirror.k0, theta=mirror.theta,
         )
         fields.update(kwargs)
         with pytest.raises(ValueError):
@@ -69,7 +72,7 @@ class TestMirrorParams:
 
 class TestMotionFunctions:
     def test_gqf_dc_value(self, mirror):
-        tf = TransferFunction.nominal(mirror)
+        tf = NominalTransferFunction(mirror)
         # DC spring response 1/(m Omega^2)
         assert tf(0.0) == pytest.approx(1.0 / (MASS * OMEGA**2), rel=1e-12)
         assert abs(tf(0.0)) == pytest.approx(5.49e-8, rel=1e-3)
@@ -158,12 +161,12 @@ class TestPriorPsd:
 class TestTabulatedTransferFunction:
     @pytest.fixture()
     def tabulated(self, mirror):
-        nominal = TransferFunction.nominal(mirror)
+        nominal = NominalTransferFunction(mirror)
         freqs = np.geomspace(1e3, 1e7, 4000)
         return TabulatedTransferFunction(freqs, nominal(freqs))
 
     def test_matches_nominal_inside_range(self, mirror, tabulated):
-        nominal = TransferFunction.nominal(mirror)
+        nominal = NominalTransferFunction(mirror)
         w = np.geomspace(2e3, 5e6, 200)
         assert np.allclose(tabulated(w), nominal(w), rtol=1e-4)
 
@@ -182,7 +185,7 @@ class TestTabulatedTransferFunction:
     def test_csv_round_trip(self, tabulated, tmp_path):
         path = tmp_path / "gqf.csv"
         tabulated.to_csv(path)
-        loaded = TransferFunction.from_csv(path)
+        loaded = TabulatedTransferFunction.from_csv(path)
         assert np.allclose(loaded.freqs, tabulated.freqs, rtol=1e-15)
         assert np.allclose(loaded.values, tabulated.values, rtol=1e-15)
 
@@ -204,6 +207,10 @@ class TestForceParams:
             ForceParams(lam=0.0, kappa=1.0)
         with pytest.raises(ValueError):
             ForceParams(lam=1.0, kappa=0.0)
+        with pytest.raises(ValueError):
+            ForceParams(lam=math.nan, kappa=1.0)
+        with pytest.raises(ValueError):
+            ForceParams(lam=1.0, kappa=math.inf)
 
 
 def test_prior_model_information_kernel(priors):

@@ -47,6 +47,12 @@ class TestProbeState:
             ProbeState(alpha_sq=1.0, sigma_phi_sq=1.0)
         with pytest.raises(ValueError):
             ProbeState(alpha_sq=1.0, eta_det=0.0)
+        with pytest.raises(ValueError):
+            ProbeState(alpha_sq=math.inf)
+        with pytest.raises(ValueError):
+            ProbeState(alpha_sq=1.0, r_m=0.1, r_p=math.inf)
+        with pytest.raises(ValueError):
+            ProbeState(alpha_sq=1.0, eta_det=math.nan)
 
     def test_detected_moments_ideal(self):
         p = reference_squeezed()

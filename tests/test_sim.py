@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.stats
 
 from mirrormotion import sim
-from mirrormotion.model import TabulatedTransferFunction, TransferFunction
+from mirrormotion.model import NominalTransferFunction, TabulatedTransferFunction
 from mirrormotion.probe import ProbeState, measurement_noise_psd
 
 import oracles
@@ -36,6 +36,12 @@ class TestSimConfig:
             sim.SimConfig(feedback_delay_samples=-1)
         with pytest.raises(ValueError):
             sim.SimConfig(n_samples=1000, dt=1e-7, edge_discard=1e-4)
+        with pytest.raises(ValueError):
+            sim.SimConfig(dt=math.nan)
+        with pytest.raises(ValueError):
+            sim.SimConfig(dt=math.inf)
+        with pytest.raises(ValueError):
+            sim.SimConfig(edge_discard=math.nan)
 
     def test_short_trace_rejected(self, force):
         cfg = sim.SimConfig(dt=1e-7, n_samples=1000, edge_discard=0.0)
@@ -121,7 +127,7 @@ class TestMirrorResponse:
         assert np.array_equal(phi, mirror.phase_gain * q)
 
     def test_tabulated_band_warning(self, mirror, cfg):
-        nominal = TransferFunction.nominal(mirror)
+        nominal = NominalTransferFunction(mirror)
         freqs = np.geomspace(1e3, 1e6, 500)  # far below the 3.1e7 rad/s Nyquist
         tab = TabulatedTransferFunction(freqs, nominal(freqs))
         with pytest.warns(UserWarning, match="clamping"):
@@ -148,13 +154,15 @@ class TestDiscretization:
 
 class TestRiccatiTracking:
     def test_noiseless_limit(self, mirror, force, cfg):
-        tight = sim.riccati_sigma_phi(ProbeState.coherent(1e18), force, mirror, cfg)
-        typical = sim.riccati_sigma_phi(ProbeState.coherent(1e6), force, mirror, cfg)
+        tight = sim.KalmanTracker(ProbeState.coherent(1e18), force, mirror, cfg).sigma_phi_sq_posterior
+        typical = sim.KalmanTracker(ProbeState.coherent(1e6), force, mirror, cfg).sigma_phi_sq_posterior
         assert tight < 1e-6 * typical
 
     def test_monotone_in_amplitude(self, mirror, force, cfg):
         values = [
-            sim.riccati_sigma_phi(ProbeState.coherent(a, eta_det=ETA), force, mirror, cfg)
+            sim.KalmanTracker(
+                ProbeState.coherent(a, eta_det=ETA), force, mirror, cfg
+            ).sigma_phi_sq_posterior
             for a in ALPHA_SQS
         ]
         assert np.all(np.diff(values) < 0)
@@ -165,7 +173,7 @@ class TestRiccatiTracking:
 
     def test_calibration_fixed_point(self, mirror, force, cfg):
         probe = sim.calibrate_tracking(squeezed(1.02e6), force, mirror, cfg)
-        again = sim.riccati_sigma_phi(probe, force, mirror, cfg)
+        again = sim.KalmanTracker(probe, force, mirror, cfg).sigma_phi_sq_posterior
         assert again == pytest.approx(probe.sigma_phi_sq, rel=1e-8)
         # reproduces the reported operating band of the effective factor
         assert 0.003 < probe.sigma_phi_sq < 0.011
@@ -279,9 +287,10 @@ class TestSimulateTrial:
         assert t1.data_slice.stop - t1.data_slice.start == cfg.n_samples
 
     def test_margins_cover_correlations(self, mirror, force, cfg):
-        n_margin = sim.margin_samples(force, mirror, cfg)
+        n_margin, n_total = sim.trial_geometry(force, mirror, cfg)
         tau_max = max(1.0 / LAMBDA, 2.0 / mirror.gamma)
         assert n_margin * cfg.dt >= 10.0 * tau_max
+        assert n_total >= cfg.n_samples + 2 * n_margin
 
     def test_trajectory_csv(self, mirror, force, priors, cfg, tmp_path):
         probe = ProbeState.coherent(1.02e6)
