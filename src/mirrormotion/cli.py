@@ -84,8 +84,12 @@ class ExperimentConfig:
             )
         raise ValueError(f"unknown probe kind {kind!r}")
 
-    def squeezing_bandwidth(self, probe: ProbeState) -> SqueezingBandwidth:
-        return SqueezingBandwidth.standard(probe, self.bandwidth)
+    def operating_point(self, kind: str, alpha_sq: float) -> ProbeState:
+        """Probe of `kind` at `alpha_sq` with its self-consistent tracking
+        error (`sim.calibrate_tracking` of the template)."""
+        return sim.calibrate_tracking(
+            self.probe_template(kind, alpha_sq), self.force, self.mirror, self.simulation
+        )
 
 
 def reference_config() -> ExperimentConfig:
@@ -173,8 +177,8 @@ def read_config(path) -> ExperimentConfig:
     reference values."""
     raw = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
@@ -231,7 +235,6 @@ class SweepPoint:
     mmse: dict
     qcrb_coh: dict
     qcrb_sq: dict
-    sigma_phi_sq: float
     sigma_phi_sq_emp: float = float("nan")
     n_diverged: int = 0
 
@@ -244,33 +247,28 @@ def run_sweep_point(
     workers: int = 1,
     dump_dir=None,
 ) -> SweepPoint:
+    if workers < 1:
+        raise ValueError("need at least one worker")
     priors = config.priors()
     cfg = config.simulation
     if grid is None:
         grid = est.SpectralGrid.build(priors)
 
-    probe = sim.calibrate_tracking(
-        config.probe_template(kind, alpha_sq), config.force, config.mirror, cfg
-    )
+    probe = config.operating_point(kind, alpha_sq)
     tracker = sim.KalmanTracker(probe, config.force, config.mirror, cfg)
     _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)
     bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
 
-    indices = list(range(cfg.n_trials))
+    chunks = [
+        (priors, probe, tracker, bank, cfg, range(i, cfg.n_trials, workers), dump_dir)
+        for i in range(workers)
+    ]
     if workers > 1:
-        chunks = [indices[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _score_chunk,
-                    [(priors, probe, tracker, bank, cfg, chunk, dump_dir) for chunk in chunks],
-                )
-            )
-        results = {}
-        for part in parts:
-            results.update(part)
+            parts = list(pool.map(_score_chunk, chunks))
     else:
-        results = _score_trials(priors, probe, tracker, bank, cfg, indices, dump_dir)
+        parts = [_score_chunk(chunks[0])]
+    results = {idx: payload for part in parts for idx, payload in part.items()}
 
     # reduction keyed by trial index, so the outcome is pool-size independent
     kept = [results[i] for i in sorted(results) if results[i] is not None]
@@ -293,7 +291,6 @@ def run_sweep_point(
         mmse={x: est.analytic_mmse(x, priors, probe, grid) for x in ("q", "p", "f")},
         qcrb_coh={x: est.qcrb(x, priors, coh, grid) for x in ("q", "p", "f")},
         qcrb_sq={x: est.qcrb(x, priors, sq, grid) for x in ("q", "p", "f")},
-        sigma_phi_sq=probe.sigma_phi_sq,
         sigma_phi_sq_emp=float(np.mean(sigma_emp)) if sigma_emp else float("nan"),
         n_diverged=n_diverged,
     )
@@ -303,53 +300,64 @@ def _score_chunk(args):
     return _score_trials(*args)
 
 
+def _write_table(path, columns, cells, rows_of) -> tuple[list[dict], int]:
+    """Write a CSV table one cell at a time.  `cells` are (label, cell) pairs
+    and `rows_of(cell)` builds a cell's rows in full before any is written;
+    a cell that raises is reported on stderr, writes no rows and counts as
+    failed, and the table keeps every other cell.  Returns the rows written
+    and the number of failed cells."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    rows, failed = [], 0
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for label, cell in cells:
+            try:
+                cell_rows = rows_of(cell)
+            except Exception as exc:  # report the cell, keep the partial table
+                print(f"{label} failed: {exc}", file=sys.stderr)
+                failed += 1
+                continue
+            for row in cell_rows:
+                fields = (row[col] for col in columns)
+                text = (repr(v) if isinstance(v, float) else str(v) for v in fields)
+                fh.write(",".join(text) + "\n")
+            fh.flush()
+            rows += cell_rows
+    return rows, failed
+
+
 def cmd_sweep(
     config: ExperimentConfig, out_path=None, workers: int = 1
 ) -> tuple[list[dict], int]:
     """Full amplitude sweep; one CSV row per (variable, probe kind, amplitude).
     Returns the rows and the number of cells that failed (and wrote none)."""
-    out_path = Path(out_path) if out_path else Path(config.out_dir) / "sweep.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    priors = config.priors()
-    grid = est.SpectralGrid.build(priors)
+    grid = est.SpectralGrid.build(config.priors())
 
-    rows, failed = [], 0
-    with open(out_path, "w") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for alpha_sq in config.alpha_sqs:
-            for kind in PROBE_KINDS:
-                try:
-                    point = run_sweep_point(config, kind, alpha_sq, grid=grid, workers=workers)
-                except Exception as exc:  # abort the row, keep the partial CSV
-                    print(
-                        f"sweep point (kind={kind}, alpha_sq={alpha_sq:g}) failed: {exc}",
-                        file=sys.stderr,
-                    )
-                    failed += 1
-                    continue
-                for x in ("q", "p", "f"):
-                    row = {
-                        "var": x,
-                        "probe": kind,
-                        "alpha_sq": alpha_sq,
-                        "mse_emp": point.mse[x],
-                        "mse_stderr": point.stderr[x],
-                        "mmse": point.mmse[x],
-                        "qcrb_coh": point.qcrb_coh[x],
-                        "qcrb_sq": point.qcrb_sq[x],
-                    }
-                    rows.append(row)
-                    fh.write(_format_row(row, SWEEP_COLUMNS) + "\n")
-                    fh.flush()
-    return rows, failed
+    def rows_of(cell):
+        kind, alpha_sq = cell
+        point = run_sweep_point(config, kind, alpha_sq, grid=grid, workers=workers)
+        return [
+            {
+                "var": x,
+                "probe": kind,
+                "alpha_sq": alpha_sq,
+                "mse_emp": point.mse[x],
+                "mse_stderr": point.stderr[x],
+                "mmse": point.mmse[x],
+                "qcrb_coh": point.qcrb_coh[x],
+                "qcrb_sq": point.qcrb_sq[x],
+            }
+            for x in ("q", "p", "f")
+        ]
 
-
-def _format_row(row: dict, columns) -> str:
-    out = []
-    for col in columns:
-        v = row[col]
-        out.append(repr(v) if isinstance(v, float) else str(v))
-    return ",".join(out)
+    cells = [
+        (f"sweep point (kind={kind}, alpha_sq={alpha_sq:g})", (kind, alpha_sq))
+        for alpha_sq in config.alpha_sqs
+        for kind in PROBE_KINDS
+    ]
+    out_path = out_path or Path(config.out_dir) / "sweep.csv"
+    return _write_table(out_path, SWEEP_COLUMNS, cells, rows_of)
 
 
 # ---------------------------------------------------------------------------
@@ -361,42 +369,30 @@ def cmd_bounds(
 ) -> tuple[list[dict], int]:
     """Analytic prediction curves and bounds on a dense amplitude grid (no
     simulation).  The grid always contains the configured sweep amplitudes.
-    Returns the rows and the number of amplitudes that failed."""
-    out_path = Path(out_path) if out_path else Path(config.out_dir) / "bounds.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    Returns the rows and the number of amplitudes that failed (and wrote none)."""
     priors = config.priors()
     grid = est.SpectralGrid.build(priors)
     lo, hi = min(config.alpha_sqs), max(config.alpha_sqs)
     alphas = sorted(set(np.geomspace(lo, hi, n_points)) | set(config.alpha_sqs))
 
-    rows, failed = [], 0
-    with open(out_path, "w") as fh:
-        fh.write(",".join(BOUNDS_COLUMNS) + "\n")
-        for alpha_sq in alphas:
-            try:
-                coh = sim.calibrate_tracking(
-                    config.probe_template("coherent", alpha_sq),
-                    config.force, config.mirror, config.simulation,
-                )
-                sq = sim.calibrate_tracking(
-                    config.probe_template("squeezed", alpha_sq),
-                    config.force, config.mirror, config.simulation,
-                )
-                for x in ("q", "p", "f"):
-                    row = {
-                        "var": x,
-                        "alpha_sq": float(alpha_sq),
-                        "mmse_coh": est.analytic_mmse(x, priors, coh, grid),
-                        "mmse_sq": est.analytic_mmse(x, priors, sq, grid),
-                        "qcrb_coh": est.qcrb(x, priors, coh, grid),
-                        "qcrb_sq": est.qcrb(x, priors, sq, grid),
-                    }
-                    rows.append(row)
-                    fh.write(_format_row(row, BOUNDS_COLUMNS) + "\n")
-            except Exception as exc:
-                print(f"bounds point alpha_sq={alpha_sq:g} failed: {exc}", file=sys.stderr)
-                failed += 1
-    return rows, failed
+    def rows_of(alpha_sq):
+        coh = config.operating_point("coherent", alpha_sq)
+        sq = config.operating_point("squeezed", alpha_sq)
+        return [
+            {
+                "var": x,
+                "alpha_sq": float(alpha_sq),
+                "mmse_coh": est.analytic_mmse(x, priors, coh, grid),
+                "mmse_sq": est.analytic_mmse(x, priors, sq, grid),
+                "qcrb_coh": est.qcrb(x, priors, coh, grid),
+                "qcrb_sq": est.qcrb(x, priors, sq, grid),
+            }
+            for x in ("q", "p", "f")
+        ]
+
+    cells = [(f"bounds point alpha_sq={alpha_sq:g}", alpha_sq) for alpha_sq in alphas]
+    out_path = out_path or Path(config.out_dir) / "bounds.csv"
+    return _write_table(out_path, BOUNDS_COLUMNS, cells, rows_of)
 
 
 @dataclass
@@ -413,18 +409,13 @@ class DiagnosticsPoint:
 
 
 def diagnose_point(config: ExperimentConfig, alpha_sq: float) -> DiagnosticsPoint:
-    cfg = config.simulation
-    squeezed = sim.calibrate_tracking(
-        config.probe_template("squeezed", alpha_sq), config.force, config.mirror, cfg
-    )
-    coherent = sim.calibrate_tracking(
-        config.probe_template("coherent", alpha_sq), config.force, config.mirror, cfg
-    )
+    squeezed = config.operating_point("squeezed", alpha_sq)
+    coherent = config.operating_point("coherent", alpha_sq)
     # beam-level quantities (effective factor, attainability) use the beam
     # moments before detection loss
     lossless = replace(squeezed, eta_det=1.0)
     r_eff = effective_squeezing_factor(lossless)
-    bw = config.squeezing_bandwidth(squeezed)
+    bw = SqueezingBandwidth.standard(squeezed, config.bandwidth)
     return DiagnosticsPoint(
         alpha_sq=alpha_sq,
         sigma_phi_sq=squeezed.sigma_phi_sq,
@@ -461,16 +452,16 @@ def cmd_simulate(
     config: ExperimentConfig,
     kind: str,
     alpha_sq: float,
-    out_dir=None,
     dump_trajectories: bool = False,
+    workers: int = 1,
 ) -> SweepPoint:
     """Run the Monte Carlo trials of one sweep cell, optionally dumping each
-    trajectory as CSV."""
+    trajectory as CSV under `config.out_dir`."""
     dump_dir = None
     if dump_trajectories:
-        dump_dir = Path(out_dir or config.out_dir) / f"trajectories_{kind}_{alpha_sq:.3e}"
+        dump_dir = Path(config.out_dir) / f"trajectories_{kind}_{alpha_sq:.3e}"
         dump_dir.mkdir(parents=True, exist_ok=True)
-    return run_sweep_point(config, kind, alpha_sq, dump_dir=dump_dir)
+    return run_sweep_point(config, kind, alpha_sq, workers=workers, dump_dir=dump_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +497,8 @@ def main(argv=None) -> int:
     p_cfg.add_argument("path")
 
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
 
     if args.command == "write-config":
         write_config(reference_config(), args.path)
@@ -525,7 +518,7 @@ def main(argv=None) -> int:
     elif args.command == "simulate":
         alpha_sq = args.alpha_sq if args.alpha_sq is not None else config.alpha_sqs[-1]
         point = cmd_simulate(
-            config, args.kind, alpha_sq, dump_trajectories=args.dump_trajectories
+            config, args.kind, alpha_sq, args.dump_trajectories, workers=args.workers
         )
         for x in ("q", "p", "f"):
             print(

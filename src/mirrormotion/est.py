@@ -18,6 +18,13 @@ from .errors import GridMismatchError, TailAccuracyError
 from .model import PRIOR_TAGS, PriorModel, TabulatedTransferFunction
 from .probe import ProbeState, measurement_noise_psd, photon_flux_psd_broadband
 
+#: Largest relative change of a spectral integral when its grid's omega_max is
+#: doubled; a larger change raises TailAccuracyError.
+TAIL_RTOL = 1e-3
+
+#: Doublings of omega_max SpectralGrid.build tries before giving up.
+MAX_DOUBLINGS = 60
+
 
 # ---------------------------------------------------------------------------
 # spectral quadrature
@@ -76,7 +83,6 @@ class SpectralGrid:
         omega_max: float | None = None,
         n_per_panel: int = 16,
         rtol: float = 1e-5,
-        max_doublings: int = 60,
     ) -> "SpectralGrid":
         p = priors.params
         floor = 50.0 * max(p.Omega, priors.force.lam)
@@ -86,7 +92,7 @@ class SpectralGrid:
 
         grid = _raw_grid(priors, omega_max, n_per_panel)
         ref = grid.integrate(priors.psd("f", grid.nodes))
-        for _ in range(max_doublings):
+        for _ in range(MAX_DOUBLINGS):
             bigger = grid.doubled()
             ref_new = bigger.integrate(priors.psd("f", bigger.nodes))
             if abs(ref_new - ref) <= rtol * abs(ref_new):
@@ -101,7 +107,7 @@ class SpectralGrid:
             grid, ref = bigger, ref_new
         raise TailAccuracyError(
             f"prior spectrum integral did not converge below rtol={rtol:g} "
-            f"after {max_doublings} doublings of omega_max"
+            f"after {MAX_DOUBLINGS} doublings of omega_max"
         )
 
 
@@ -115,14 +121,14 @@ def _raw_grid(priors: PriorModel, omega_max: float, n_per_panel: int) -> Spectra
     return SpectralGrid(nodes, weights, float(omega_max), priors, n_per_panel)
 
 
-def _converged_integral(fn, grid: SpectralGrid, tail_rtol: float, label: str) -> float:
+def _converged_integral(fn, grid: SpectralGrid, label: str) -> float:
     value = grid.integrate(fn(grid.nodes)) / np.pi
     bigger = grid.doubled()
     refined = bigger.integrate(fn(bigger.nodes)) / np.pi
-    if abs(refined - value) > tail_rtol * abs(refined):
+    if abs(refined - value) > TAIL_RTOL * abs(refined):
         raise TailAccuracyError(
             f"{label}: tail estimate {abs(refined - value):.3e} exceeds "
-            f"{tail_rtol:g} of the integral {refined:.3e}; increase omega_max"
+            f"{TAIL_RTOL:g} of the integral {refined:.3e}; increase omega_max"
         )
     return refined
 
@@ -131,13 +137,7 @@ def _converged_integral(fn, grid: SpectralGrid, tail_rtol: float, label: str) ->
 # analytic MSEs and bounds
 
 
-def analytic_mmse(
-    x: str,
-    priors: PriorModel,
-    probe: ProbeState,
-    grid: SpectralGrid,
-    tail_rtol: float = 1e-3,
-) -> float:
+def analytic_mmse(x: str, priors: PriorModel, probe: ProbeState, grid: SpectralGrid) -> float:
     """Minimum mean-square smoothing error for x in {q, p, f}:
     Integral dw/2pi (1/S_x + |g_phi-x|^2/S_z)^{-1}, with the integrand taken as
     0 by continuity wherever S_x vanishes."""
@@ -148,16 +148,10 @@ def analytic_mmse(
     def integrand(w):
         return priors.psd(x, w) * sz / (sz + priors.information_kernel(w))
 
-    return _converged_integral(integrand, grid, tail_rtol, f"analytic_mmse[{x}]")
+    return _converged_integral(integrand, grid, f"analytic_mmse[{x}]")
 
 
-def qcrb(
-    x: str,
-    priors: PriorModel,
-    probe: ProbeState,
-    grid: SpectralGrid,
-    tail_rtol: float = 1e-3,
-) -> float:
+def qcrb(x: str, priors: PriorModel, probe: ProbeState, grid: SpectralGrid) -> float:
     """Waveform estimation bound for x in {q, p, f}:
     Integral dw/2pi (1/S_x + |g_phi-x|^2 4 S_dI)^{-1}, using the broadband
     photon-flux spectrum of the lossless beam."""
@@ -168,19 +162,12 @@ def qcrb(
     def integrand(w):
         return priors.psd(x, w) / (1.0 + s_di4 * priors.information_kernel(w))
 
-    return _converged_integral(integrand, grid, tail_rtol, f"qcrb[{x}]")
+    return _converged_integral(integrand, grid, f"qcrb[{x}]")
 
 
-def prior_variance(
-    x: str,
-    priors: PriorModel,
-    grid: SpectralGrid,
-    tail_rtol: float = 1e-3,
-) -> float:
+def prior_variance(x: str, priors: PriorModel, grid: SpectralGrid) -> float:
     """Stationary variance of x, Integral S_x dw/2pi."""
-    return _converged_integral(
-        lambda w: priors.psd(x, w), grid, tail_rtol, f"prior_variance[{x}]"
-    )
+    return _converged_integral(lambda w: priors.psd(x, w), grid, f"prior_variance[{x}]")
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +208,13 @@ class FilterBank:
 
     n_fft: int
     dt: float
-    omega: np.ndarray
     filters: dict
 
     @classmethod
     def build(cls, n_fft: int, dt: float, priors: PriorModel, probe: ProbeState):
         omega = 2.0 * np.pi * np.fft.rfftfreq(n_fft, dt)
         filters = {x: optimal_filter(x, omega, priors, probe) for x in PRIOR_TAGS}
-        return cls(n_fft=n_fft, dt=float(dt), omega=omega, filters=filters)
+        return cls(n_fft=n_fft, dt=float(dt), filters=filters)
 
 
 def smooth(y, x: str, bank: FilterBank, cfg=None):

@@ -251,8 +251,6 @@ class BroadbandReport:
     flux_ratio: float
     bandwidth_status: str
     flux_status: str
-    bandwidth_threshold: float
-    flux_threshold: float
 
     @property
     def status(self) -> str:
@@ -263,6 +261,12 @@ class BroadbandReport:
     @property
     def ok(self) -> bool:
         return self.status != "fail"
+
+
+#: validate_broadband passes a bandwidth ratio of at least BANDWIDTH_THRESHOLD
+#: and a flux ratio of at most FLUX_THRESHOLD.
+BANDWIDTH_THRESHOLD = 10.0
+FLUX_THRESHOLD = 0.1
 
 
 def _grade(value: float, threshold: float, larger_is_better: bool) -> str:
@@ -280,21 +284,16 @@ def validate_broadband(
     Omega: float,
     lam: float,
     p: ProbeState,
-    bandwidth_threshold: float = 10.0,
-    flux_threshold: float = 0.1,
 ) -> BroadbandReport:
     """Check the broadband approximation: dw0 >> Omega, lam and xi I_sq << |alpha|^2.
 
-    Returns the two ratios graded against configurable thresholds (defaults:
-    bandwidth ratio at least 10, flux ratio at most 0.1).
+    Returns the two ratios graded against BANDWIDTH_THRESHOLD and FLUX_THRESHOLD.
     """
     bw_ratio = bw.mean / max(Omega, lam)
     flux_ratio = xi_factor(p) * mean_squeezing_flux(p, bw) / p.alpha_sq
     return BroadbandReport(
         bandwidth_ratio=bw_ratio,
         flux_ratio=flux_ratio,
-        bandwidth_status=_grade(bw_ratio, bandwidth_threshold, larger_is_better=True),
-        flux_status=_grade(flux_ratio, flux_threshold, larger_is_better=False),
-        bandwidth_threshold=bandwidth_threshold,
-        flux_threshold=flux_threshold,
+        bandwidth_status=_grade(bw_ratio, BANDWIDTH_THRESHOLD, larger_is_better=True),
+        flux_status=_grade(flux_ratio, FLUX_THRESHOLD, larger_is_better=False),
     )

@@ -29,6 +29,11 @@ MODE_NONLINEAR = "nonlinear"
 #: Margin/padding length in units of the longest correlation time.
 PAD_CORRELATION_TIMES = 10.0
 
+#: calibrate_tracking stops when sigma_phi^2 changes by at most this fraction,
+#: and fails after CALIBRATION_MAX_ITER steps.
+CALIBRATION_RTOL = 1e-10
+CALIBRATION_MAX_ITER = 60
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -116,19 +121,16 @@ def mirror_response(
     tf: TransferFunction,
     params: MirrorParams,
     cfg: SimConfig,
-    pad_samples: int | None = None,
+    pad_samples: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mechanical response (q, p, phi) to a force record via FFT convolution.
 
-    The transform grid is zero-padded by `pad_samples` (default ten mechanical
-    ringdown times 2/gamma) so the circular wrap-around of the response kernel
-    is suppressed; the returned arrays match the input length.
+    The transform grid is zero-padded by `pad_samples` (the margin of
+    `trial_geometry`) so the circular wrap-around of the response kernel is
+    suppressed; the returned arrays match the input length.
     """
     f = np.asarray(f, dtype=float)
     n = f.shape[-1]
-    if pad_samples is None:
-        pad_time = PAD_CORRELATION_TIMES * (2.0 / params.gamma) if params.gamma > 0 else 0.0
-        pad_samples = int(math.ceil(pad_time / cfg.dt))
     n_fft = scipy.fft.next_fast_len(n + pad_samples)
     omega = 2.0 * np.pi * np.fft.rfftfreq(n_fft, cfg.dt)
     g = np.asarray(tf(omega), dtype=complex)
@@ -213,10 +215,10 @@ class KalmanTracker:
         """One-step-prediction phase MSE, c^2 P_pred[q, q]."""
         return float(self.c_vec @ self.p_pred @ self.c_vec)
 
-    def sigma_phi_sq_feedback(self, delay: int | None = None) -> float:
+    def sigma_phi_sq_feedback(self) -> float:
         """Phase MSE of the feedback signal, a one-step prediction applied
-        `delay` samples late: E[(phi_k - phihat_{k-d})^2]."""
-        d = self.cfg.feedback_delay_samples if delay is None else delay
+        d = `cfg.feedback_delay_samples` samples late: E[(phi_k - phihat_{k-d})^2]."""
+        d = self.cfg.feedback_delay_samples
         sigma_x = scipy.linalg.solve_discrete_lyapunov(self.a_d, self.q_d)
         a_pow = np.linalg.matrix_power(self.a_d, d)
         drift = a_pow - np.eye(3)
@@ -242,8 +244,6 @@ def calibrate_tracking(
     force: ForceParams,
     params: MirrorParams,
     cfg: SimConfig,
-    rtol: float = 1e-10,
-    max_iter: int = 60,
 ) -> ProbeState:
     """Self-consistent operating point: sigma_phi^2 feeds the effective
     squeezing factor, which sets S_z, which feeds the Riccati solution back.
@@ -253,10 +253,10 @@ def calibrate_tracking(
     """
     state = replace(probe, sigma_phi_sq=0.0)
     value = 0.0
-    for _ in range(max_iter):
+    for _ in range(CALIBRATION_MAX_ITER):
         new = KalmanTracker(state, force, params, cfg).sigma_phi_sq_posterior
         state = replace(state, sigma_phi_sq=new)
-        if abs(new - value) <= rtol * max(new, 1e-30):
+        if abs(new - value) <= CALIBRATION_RTOL * max(new, 1e-30):
             return state
         value = new
     raise RiccatiError("tracking operating point did not converge")

@@ -37,6 +37,7 @@ class TestConfigFile:
             eta_det=1.0,
             alpha_sqs=(2.0e5, 7.7e6),
             simulation=replace(base.simulation, seed=99, mode="nonlinear"),
+            out_dir="/tmp/run#2",
         )
         path = tmp_path / "edited.cfg"
         cli.write_config(config, path)
@@ -238,6 +239,26 @@ class TestBounds:
         assert len(lines) > 1
         assert not any(line.split(",")[1] == repr(failing_alpha) for line in lines[1:])
 
+    def test_failed_integral_writes_no_rows(self, tiny_config, tmp_path, monkeypatch, capsys):
+        real = est.qcrb
+        failing_alpha = tiny_config.alpha_sqs[1]
+
+        def flaky(x, priors, probe, grid):
+            if x == "p" and probe.alpha_sq == failing_alpha:
+                raise RuntimeError("synthetic integral failure")
+            return real(x, priors, probe, grid)
+
+        monkeypatch.setattr(est, "qcrb", flaky)
+        out = tmp_path / "bounds.csv"
+        rows, failed = cli.cmd_bounds(tiny_config, out_path=out, n_points=2)
+        assert failed == 1
+        assert "synthetic integral failure" in capsys.readouterr().err
+        assert failing_alpha not in {row["alpha_sq"] for row in rows}
+        assert len(rows) == 3 * (len(tiny_config.alpha_sqs) - 1)
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + len(rows)
+        assert not any(line.split(",")[1] == repr(failing_alpha) for line in lines[1:])
+
     def test_unit_efficiency_traces_coincide(self, tiny_config):
         config = replace(tiny_config, eta_det=1.0, alpha_sqs=(1.02e6, 6.24e6))
         for row in cli.cmd_bounds(config, n_points=3)[0]:
@@ -293,6 +314,40 @@ class TestSimulateCommand:
         assert files == ["trial_0000.csv", "trial_0001.csv"]
         header = open(f"{out}/{files[0]}").readline().strip()
         assert header == "t,f,q,p,phi,phi_fb,y"
+
+    def test_workers_flag_reaches_the_pool(self, tiny_config, tmp_path, monkeypatch, capsys):
+        pools = []
+
+        class RecordingPool:
+            """Runs the pool's map in this process, recording its size."""
+
+            def __init__(self, max_workers=None):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        cfg_path = tmp_path / "tiny.cfg"
+        cli.write_config(tiny_config, cfg_path)
+        outputs = {}
+        for workers in ("1", "2"):
+            argv = ["--config", str(cfg_path), "--workers", workers, "simulate",
+                    "--kind", "coherent", "--alpha-sq", "1.02e6"]
+            assert cli.main(argv) == 0
+            outputs[workers] = capsys.readouterr().out
+        assert pools == [2]
+        assert outputs["1"] == outputs["2"]
+
+    def test_workers_below_one_rejected(self, tmp_path):
+        with pytest.raises(SystemExit):
+            cli.main(["--trials", "2", "--out", str(tmp_path), "--workers", "0", "simulate"])
 
 
 class TestMainEntry:

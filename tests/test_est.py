@@ -209,7 +209,8 @@ class TestSmoothing:
     def test_noiseless_channel_inversion(self, mirror, force, priors, smoothing_cfg):
         tight = ProbeState.coherent(1e28)
         f = sim.simulate_ou(force, smoothing_cfg, sim.trial_rng(80, 0), n=50_000)
-        q, _, phi = sim.mirror_response(f, priors.tf, mirror, smoothing_cfg)
+        pad = sim.trial_geometry(force, mirror, smoothing_cfg)[0]
+        q, _, phi = sim.mirror_response(f, priors.tf, mirror, smoothing_cfg, pad)
         bank = FilterBank.build(50_000, smoothing_cfg.dt, priors, tight)
         q_hat = smooth(phi, "q", bank)
         inner = slice(5000, -5000)

@@ -21,6 +21,12 @@ def cfg():
     return sim.SimConfig(dt=1e-7, n_samples=10_000, n_trials=4, seed=902, mode="linearized")
 
 
+@pytest.fixture(scope="module")
+def pad(mirror, force, cfg):
+    """Zero padding for mirror_response: the margin of a trial at `cfg`."""
+    return sim.trial_geometry(force, mirror, cfg)[0]
+
+
 def squeezed(alpha_sq, sigma_phi_sq=0.0):
     return ProbeState.from_db(alpha_sq, SQUEEZING_DB, ANTISQUEEZING_DB,
                               sigma_phi_sq=sigma_phi_sq, eta_det=ETA)
@@ -91,20 +97,20 @@ class TestSimulateOu:
 
 
 class TestMirrorResponse:
-    def test_static_spring_response(self, mirror, priors, cfg):
+    def test_static_spring_response(self, mirror, priors, cfg, pad):
         f0 = 2.5e-3
         n = 50_000
         f = np.full(n, f0)
-        q, _, _ = sim.mirror_response(f, priors.tf, mirror, cfg)
+        q, _, _ = sim.mirror_response(f, priors.tf, mirror, cfg, pad)
         mid = q[n // 2 : n // 2 + 5000]
         assert np.allclose(mid, f0 / (mirror.m * mirror.Omega**2), rtol=1e-3)
 
-    def test_resonant_gain(self, mirror, priors, cfg):
+    def test_resonant_gain(self, mirror, priors, cfg, pad):
         n = 80_000
         t = np.arange(n) * cfg.dt
         f0 = 1e-3
         f = f0 * np.sin(mirror.Omega * t)
-        q, _, _ = sim.mirror_response(f, priors.tf, mirror, cfg)
+        q, _, _ = sim.mirror_response(f, priors.tf, mirror, cfg, pad)
         mid = q[40_000:70_000]
         expected_rms = abs(priors.tf(mirror.Omega)) * f0 / math.sqrt(2.0)
         assert np.sqrt(np.mean(mid**2)) == pytest.approx(expected_rms, rel=1e-2)
@@ -112,26 +118,26 @@ class TestMirrorResponse:
             1.0 / (mirror.m * mirror.gamma * mirror.Omega), rel=1e-12
         )
 
-    def test_momentum_is_mass_times_velocity(self, mirror, force, priors, cfg):
+    def test_momentum_is_mass_times_velocity(self, mirror, force, priors, cfg, pad):
         f = sim.simulate_ou(force, cfg, np.random.default_rng(5), n=60_000)
-        q, p, _ = sim.mirror_response(f, priors.tf, mirror, cfg)
+        q, p, _ = sim.mirror_response(f, priors.tf, mirror, cfg, pad)
         dq = (q[2:] - q[:-2]) / (2 * cfg.dt)
         resid = p[1:-1] - mirror.m * dq
         inner = slice(2000, -2000)
         rel = np.sqrt(np.mean(resid[inner] ** 2) / np.mean(p[1:-1][inner] ** 2))
         assert rel < 5e-3
 
-    def test_phase_proportional_to_position(self, mirror, force, priors, cfg):
+    def test_phase_proportional_to_position(self, mirror, force, priors, cfg, pad):
         f = sim.simulate_ou(force, cfg, np.random.default_rng(6), n=20_000)
-        q, _, phi = sim.mirror_response(f, priors.tf, mirror, cfg)
+        q, _, phi = sim.mirror_response(f, priors.tf, mirror, cfg, pad)
         assert np.array_equal(phi, mirror.phase_gain * q)
 
-    def test_tabulated_band_warning(self, mirror, cfg):
+    def test_tabulated_band_warning(self, mirror, cfg, pad):
         nominal = NominalTransferFunction(mirror)
         freqs = np.geomspace(1e3, 1e6, 500)  # far below the 3.1e7 rad/s Nyquist
         tab = TabulatedTransferFunction(freqs, nominal(freqs))
         with pytest.warns(UserWarning, match="clamping"):
-            sim.mirror_response(np.ones(4000), tab, mirror, cfg)
+            sim.mirror_response(np.ones(4000), tab, mirror, cfg, pad)
 
 
 class TestDiscretization:
@@ -178,7 +184,7 @@ class TestRiccatiTracking:
         # reproduces the reported operating band of the effective factor
         assert 0.003 < probe.sigma_phi_sq < 0.011
 
-    def test_empirical_consistency(self, mirror, force, priors, cfg):
+    def test_empirical_consistency(self, mirror, force, priors, cfg, pad):
         cfg0 = replace(cfg, feedback_delay_samples=0)
         probe = sim.calibrate_tracking(squeezed(1.02e6), force, mirror, cfg0)
         tracker = sim.KalmanTracker(probe, force, mirror, cfg0)
@@ -186,7 +192,7 @@ class TestRiccatiTracking:
             sim.run_tracking(
                 sim.mirror_response(
                     sim.simulate_ou(force, cfg0, sim.trial_rng(21, i), n=62_500),
-                    priors.tf, mirror, cfg0,
+                    priors.tf, mirror, cfg0, pad,
                 )[2],
                 probe, tracker, cfg0, sim.trial_rng(9021, i),
             ).sigma_phi_sq
@@ -223,16 +229,16 @@ class TestRiccatiTracking:
 
 
 class TestRunTracking:
-    def test_linearized_noise_level(self, mirror, force, priors, cfg):
+    def test_linearized_noise_level(self, mirror, force, priors, cfg, pad):
         probe = ProbeState.coherent(1.02e6, eta_det=ETA)
         tracker = sim.KalmanTracker(probe, force, mirror, cfg)
         f = sim.simulate_ou(force, cfg, sim.trial_rng(50, 0), n=62_500)
-        _, _, phi = sim.mirror_response(f, priors.tf, mirror, cfg)
+        _, _, phi = sim.mirror_response(f, priors.tf, mirror, cfg, pad)
         res = sim.run_tracking(phi, probe, tracker, cfg, sim.trial_rng(51, 0))
         z = res.y - phi
         assert np.var(z) == pytest.approx(measurement_noise_psd(probe) / cfg.dt, rel=2e-2)
 
-    def test_linearized_residual_is_white(self, mirror, force, priors, cfg):
+    def test_linearized_residual_is_white(self, mirror, force, priors, cfg, pad):
         probe = ProbeState.coherent(1.02e6, eta_det=ETA)
         tracker = sim.KalmanTracker(probe, force, mirror, cfg)
         # average the autocorrelation over trials so the 3/sqrt(N) bound has
@@ -241,7 +247,7 @@ class TestRunTracking:
         n_trials = 4
         for i in range(n_trials):
             f = sim.simulate_ou(force, cfg, sim.trial_rng(52, i), n=62_500)
-            _, _, phi = sim.mirror_response(f, priors.tf, mirror, cfg)
+            _, _, phi = sim.mirror_response(f, priors.tf, mirror, cfg, pad)
             res = sim.run_tracking(phi, probe, tracker, cfg, sim.trial_rng(53, i))
             z = res.y - phi
             z = z - z.mean()
