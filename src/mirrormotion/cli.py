@@ -526,6 +526,15 @@ def main(argv=None) -> int:
                 f"mmse = {point.mmse[x]:.4e}, qcrb(coh) = {point.qcrb_coh[x]:.4e}, "
                 f"qcrb(sq) = {point.qcrb_sq[x]:.4e}"
             )
+        n_trials = config.simulation.n_trials
+        print(
+            f"trials: {n_trials} run, {n_trials - point.n_diverged} kept, "
+            f"{point.n_diverged} diverged"
+        )
+        print(
+            f"tracking sigma_phi^2: empirical feedback error = {point.sigma_phi_sq_emp:.4e} "
+            f"(kept trials), Riccati posterior = {point.probe.sigma_phi_sq:.4e}"
+        )
     return 1 if failed else 0
 
 

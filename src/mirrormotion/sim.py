@@ -12,6 +12,7 @@ wrap-around effects exp(-PAD_CORRELATION_TIMES) below the Monte Carlo noise.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +34,9 @@ PAD_CORRELATION_TIMES = 10.0
 #: and fails after CALIBRATION_MAX_ITER steps.
 CALIBRATION_RTOL = 1e-10
 CALIBRATION_MAX_ITER = 60
+
+#: Samples the nonlinear tracker converts to Python floats at a time.
+TRACKER_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,12 @@ class SimConfig:
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one trial (stable in trial count)."""
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(trial_index + 1)[-1])
+    """Independent, reproducible stream for one trial (stable in trial count).
+
+    The stream is the `trial_index`-th child of `SeedSequence(seed).spawn`,
+    built directly from its spawn key in O(1).
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial_index,)))
 
 
 def trial_geometry(force: ForceParams, params: MirrorParams, cfg: SimConfig) -> tuple[int, int]:
@@ -279,6 +287,63 @@ def _delayed(series: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _track_nonlinear(
+    phi: np.ndarray,
+    noise_scale: np.ndarray,
+    tracker: KalmanTracker,
+    d: int,
+    ep: float,
+    em: float,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Closed-loop homodyne record y, one-step predictions phi_hat and the
+    divergence flag of the nonlinear tracker, fed back d samples late.
+
+    The feedback makes every sample depend on the previous ones, so this is a
+    per-sample loop.  It runs on Python floats (the same IEEE-754 double
+    operations, in the same order, as numpy float64 scalars, several times
+    faster), converted TRACKER_BLOCK samples at a time so the number of
+    float objects alive stays bounded.
+    """
+    n = phi.shape[0]
+    y = np.empty(n)
+    phi_hat = np.empty(n)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = tracker.a_d.tolist()
+    k0, k1, k2 = tracker.gain.tolist()
+    c = float(tracker.c_vec[0])
+    ep, em = float(ep), float(em)
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+    half_pi = 0.5 * math.pi
+    x0 = x1 = x2 = 0.0
+    pending = deque([0.0] * d)  # predictions made but not yet fed back
+    diverged = False
+    for j in range(0, n, TRACKER_BLOCK):
+        block = slice(j, j + TRACKER_BLOCK)
+        ys = []
+        hats = []
+        for phi_k, w in zip(phi[block].tolist(), noise_scale[block].tolist()):
+            ph = c * x0
+            hats.append(ph)
+            pending.append(ph)
+            fb = pending.popleft()
+            delta = phi_k - fb
+            if abs(delta) > half_pi:
+                diverged = True
+            s = sin(delta)
+            co = cos(delta)
+            yk = s + w * sqrt(s * s * ep + co * co * em) + fb
+            ys.append(yk)
+            innov = yk - ph
+            x0p = x0 + k0 * innov
+            x1p = x1 + k1 * innov
+            x2p = x2 + k2 * innov
+            x0 = a00 * x0p + a01 * x1p + a02 * x2p
+            x1 = a10 * x0p + a11 * x1p + a12 * x2p
+            x2 = a20 * x0p + a21 * x1p + a22 * x2p
+        y[block] = ys
+        phi_hat[block] = hats
+    return y, phi_hat, diverged
+
+
 def run_tracking(
     phi: np.ndarray,
     probe: ProbeState,
@@ -310,34 +375,7 @@ def run_tracking(
         noise_scale = rng.normal(0.0, 1.0, n) / (
             2.0 * math.sqrt(probe.eta_det * probe.alpha_sq * cfg.dt)
         )
-        y = np.empty(n)
-        phi_hat = np.empty(n)
-        a = tracker.a_d
-        a00, a01, a02 = a[0]
-        a10, a11, a12 = a[1]
-        a20, a21, a22 = a[2]
-        k0, k1, k2 = tracker.gain
-        c = tracker.c_vec[0]
-        x0 = x1 = x2 = 0.0
-        half_pi = 0.5 * math.pi
-        for i in range(n):
-            ph = c * x0
-            phi_hat[i] = ph
-            fb = phi_hat[i - d] if i >= d else 0.0
-            delta = phi[i] - fb
-            if abs(delta) > half_pi:
-                diverged = True
-            s = math.sin(delta)
-            co = math.cos(delta)
-            yk = s + noise_scale[i] * math.sqrt(s * s * ep + co * co * em) + fb
-            y[i] = yk
-            innov = yk - ph
-            x0p = x0 + k0 * innov
-            x1p = x1 + k1 * innov
-            x2p = x2 + k2 * innov
-            x0 = a00 * x0p + a01 * x1p + a02 * x2p
-            x1 = a10 * x0p + a11 * x1p + a12 * x2p
-            x2 = a20 * x0p + a21 * x1p + a22 * x2p
+        y, phi_hat, diverged = _track_nonlinear(phi, noise_scale, tracker, d, ep, em)
         phi_fb = _delayed(phi_hat, d)
 
     start = min(tracker.settle_samples, n // 2)

@@ -1,16 +1,22 @@
-"""Independent oracles for the estimation path.
+"""Independent oracles for the estimation path and the phase tracker.
 
-Everything here works in the time domain through the state-space description
-of the mirror: stationary covariance from the continuous Lyapunov equation,
-autocovariance from the matrix exponential, and posterior MSEs from dense
-Gaussian conditioning on a finite window of samples.  No spectral densities,
-quadrature, or Wiener formulas are used, so agreement with the
+The estimation oracles work in the time domain through the state-space
+description of the mirror: stationary covariance from the continuous Lyapunov
+equation, autocovariance from the matrix exponential, and posterior MSEs from
+dense Gaussian conditioning on a finite window of samples.  No spectral
+densities, quadrature, or Wiener formulas are used, so agreement with the
 frequency-domain results validates that whole path at once.
+
+The tracker oracle is the nonlinear feedback loop written one array element
+at a time, the form the fast scalar loop of `sim.run_tracking` must match.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
 
+from mirrormotion import sim
 from mirrormotion.probe import measurement_noise_psd
 
 STATE_INDEX = {"q": 0, "p": 1, "f": 2}
@@ -81,3 +87,55 @@ def wiener_weights(x: str, mirror, force, probe, n: int, dt: float) -> np.ndarra
     estimate of x; their sum is the DC gain of the discrete smoother."""
     _, cov_xy, cov_yy = _joint_covariances(x, mirror, force, probe, n, dt)
     return scipy.linalg.solve(cov_yy, cov_xy[n // 2], assume_a="pos")
+
+
+def run_tracking_nonlinear(phi, probe, tracker, cfg, rng) -> sim.TrackingResult:
+    """Nonlinear-mode `sim.run_tracking` as a plain array-indexed loop.
+
+    This is the direct transcription of the closed-loop homodyne model, one
+    numpy element per sample; `sim.run_tracking` must reproduce it bit for bit.
+    """
+    phi = np.asarray(phi, dtype=float)
+    n = phi.shape[0]
+    d = cfg.feedback_delay_samples
+    diverged = False
+
+    ep, em = probe.detected_moments()
+    noise_scale = rng.normal(0.0, 1.0, n) / (
+        2.0 * math.sqrt(probe.eta_det * probe.alpha_sq * cfg.dt)
+    )
+    y = np.empty(n)
+    phi_hat = np.empty(n)
+    a = tracker.a_d
+    a00, a01, a02 = a[0]
+    a10, a11, a12 = a[1]
+    a20, a21, a22 = a[2]
+    k0, k1, k2 = tracker.gain
+    c = tracker.c_vec[0]
+    x0 = x1 = x2 = 0.0
+    half_pi = 0.5 * math.pi
+    for i in range(n):
+        ph = c * x0
+        phi_hat[i] = ph
+        fb = phi_hat[i - d] if i >= d else 0.0
+        delta = phi[i] - fb
+        if abs(delta) > half_pi:
+            diverged = True
+        s = math.sin(delta)
+        co = math.cos(delta)
+        yk = s + noise_scale[i] * math.sqrt(s * s * ep + co * co * em) + fb
+        y[i] = yk
+        innov = yk - ph
+        x0p = x0 + k0 * innov
+        x1p = x1 + k1 * innov
+        x2p = x2 + k2 * innov
+        x0 = a00 * x0p + a01 * x1p + a02 * x2p
+        x1 = a10 * x0p + a11 * x1p + a12 * x2p
+        x2 = a20 * x0p + a21 * x1p + a22 * x2p
+    phi_fb = sim._delayed(phi_hat, d)
+
+    start = min(tracker.settle_samples, n // 2)
+    err = phi[start:] - phi_fb[start:]
+    return sim.TrackingResult(
+        y=y, phi_fb=phi_fb, sigma_phi_sq=float(np.mean(err**2)), diverged=diverged
+    )

@@ -345,6 +345,35 @@ class TestSimulateCommand:
         assert pools == [2]
         assert outputs["1"] == outputs["2"]
 
+    def test_reports_trial_counts_and_tracking_error(
+        self, tiny_config, tmp_path, monkeypatch, capsys
+    ):
+        simulate_trial = sim.simulate_trial
+        n_trials = tiny_config.simulation.n_trials
+        calls = []
+
+        def second_trial_diverges(*args):
+            # each of the two runs below makes n_trials calls, in trial order
+            traj = simulate_trial(*args)
+            calls.append(None)
+            return replace(traj, diverged=len(calls) % n_trials == 2)
+
+        monkeypatch.setattr(sim, "simulate_trial", second_trial_diverges)
+        cfg_path = tmp_path / "tiny.cfg"
+        cli.write_config(tiny_config, cfg_path)
+        argv = ["--config", str(cfg_path), "simulate", "--kind", "coherent", "--alpha-sq", "1.02e6"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        point = cli.cmd_simulate(tiny_config, "coherent", 1.02e6)
+        assert point.n_diverged == 1
+        assert lines[3] == "trials: 3 run, 2 kept, 1 diverged"
+        assert lines[4] == (
+            f"tracking sigma_phi^2: empirical feedback error = {point.sigma_phi_sq_emp:.4e} "
+            f"(kept trials), Riccati posterior = {point.probe.sigma_phi_sq:.4e}"
+        )
+        assert math.isfinite(point.sigma_phi_sq_emp)
+        assert point.sigma_phi_sq_emp == pytest.approx(point.probe.sigma_phi_sq, rel=0.5)
+
     def test_workers_below_one_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["--trials", "2", "--out", str(tmp_path), "--workers", "0", "simulate"])

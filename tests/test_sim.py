@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from mirrormotion import sim
 from mirrormotion.model import NominalTransferFunction, TabulatedTransferFunction
@@ -53,6 +54,16 @@ class TestSimConfig:
         cfg = sim.SimConfig(dt=1e-7, n_samples=1000, edge_discard=0.0)
         with pytest.raises(ValueError, match="correlation times"):
             cfg.validate_against(force)
+
+
+class TestTrialRng:
+    @pytest.mark.parametrize("seed", [424242, 3, 0])
+    def test_matches_spawned_child(self, seed):
+        # trial_rng builds the idx-th child of SeedSequence(seed).spawn directly
+        for idx in (0, 1, 7, 149, 299, 1000):
+            spawned = np.random.SeedSequence(seed).spawn(idx + 1)[-1]
+            expected = np.random.default_rng(spawned).normal(size=1000)
+            assert np.array_equal(sim.trial_rng(seed, idx).normal(size=1000), expected)
 
 
 class TestSimulateOu:
@@ -276,8 +287,69 @@ class TestRunTracking:
         cfg_n = replace(cfg, mode="nonlinear")
         tracker = sim.KalmanTracker(probe, force, mirror, cfg_n)
         phi = np.full(5000, math.pi)  # step far outside the linear regime
-        res = sim.run_tracking(phi, probe, tracker, cfg_n, np.random.default_rng(0))
+        res = assert_tracks_like_oracle(phi, probe, tracker, cfg_n, 0)
         assert res.diverged
+
+
+@pytest.fixture(scope="module")
+def nonlinear_loop(mirror, force, priors, pad):
+    """Squeezed operating point at the top reference amplitude and a phase
+    record long enough for three tracker blocks."""
+    cfg_n = sim.SimConfig(dt=1e-7, n_samples=10_000, mode="nonlinear")
+    probe = sim.calibrate_tracking(squeezed(6.24e6), force, mirror, cfg_n)
+    tracker = sim.KalmanTracker(probe, force, mirror, cfg_n)
+    n = 3 * sim.TRACKER_BLOCK
+    f = sim.simulate_ou(force, cfg_n, sim.trial_rng(81, 0), n=n)
+    phi = sim.mirror_response(f, priors.tf, mirror, cfg_n, pad)[2]
+    return probe, tracker, cfg_n, phi
+
+
+def assert_tracks_like_oracle(phi, probe, tracker, cfg, seed):
+    fast = sim.run_tracking(phi, probe, tracker, cfg, np.random.default_rng(seed))
+    slow = oracles.run_tracking_nonlinear(phi, probe, tracker, cfg, np.random.default_rng(seed))
+    assert np.array_equal(fast.y, slow.y)
+    assert np.array_equal(fast.phi_fb, slow.phi_fb)
+    assert fast.sigma_phi_sq == slow.sigma_phi_sq
+    assert fast.diverged == slow.diverged
+    return fast
+
+
+class TestNonlinearTracker:
+    """The blocked scalar loop reproduces the array-indexed oracle bit for bit
+    (the diverging pi step: TestRunTracking.test_nonlinear_divergence_flagged)."""
+
+    @pytest.mark.parametrize("d", [0, 1, 4])
+    def test_feedback_delays(self, nonlinear_loop, d):
+        probe, tracker, cfg_n, phi = nonlinear_loop
+        cfg_d = replace(cfg_n, feedback_delay_samples=d)
+        res = assert_tracks_like_oracle(phi, probe, tracker, cfg_d, 40 + d)
+        assert not res.diverged
+
+    @pytest.mark.parametrize(
+        "n", [1, 1000, sim.TRACKER_BLOCK, 2 * sim.TRACKER_BLOCK + 777],
+        ids=["one-sample", "under-one-block", "one-block", "partial-last-block"],
+    )
+    def test_record_lengths(self, nonlinear_loop, n):
+        probe, tracker, cfg_n, phi = nonlinear_loop
+        assert_tracks_like_oracle(phi[:n], probe, tracker, cfg_n, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(0, 8),
+        full_blocks=st.integers(0, 2),
+        tail=st.integers(1, sim.TRACKER_BLOCK),
+        log_amplitude=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle_property(
+        self, nonlinear_loop, d, full_blocks, tail, log_amplitude, seed
+    ):
+        # the record's phase is ~0.17 rad rms; scaled by 10 or more it drives
+        # the loop out of lock, so both values of the divergence flag occur
+        probe, tracker, cfg_n, phi = nonlinear_loop
+        cfg_d = replace(cfg_n, feedback_delay_samples=d)
+        n = full_blocks * sim.TRACKER_BLOCK + tail
+        assert_tracks_like_oracle(10.0**log_amplitude * phi[:n], probe, tracker, cfg_d, seed)
 
 
 class TestSimulateTrial:
