@@ -25,6 +25,7 @@ from .model import (
     TabulatedTransferFunction,
     TransferFunction,
     effective_mass,
+    force_gains,
     motion_function,
     prior_psd,
 )

@@ -331,12 +331,22 @@ def cmd_sweep(
     config: ExperimentConfig, out_path=None, workers: int = 1
 ) -> tuple[list[dict], int]:
     """Full amplitude sweep; one CSV row per (variable, probe kind, amplitude).
+    A cell with diverged trials scores only the others and says so on stderr.
     Returns the rows and the number of cells that failed (and wrote none)."""
     grid = est.SpectralGrid.build(config.priors())
+
+    def label(kind, alpha_sq):
+        return f"sweep point (kind={kind}, alpha_sq={alpha_sq:g})"
 
     def rows_of(cell):
         kind, alpha_sq = cell
         point = run_sweep_point(config, kind, alpha_sq, grid=grid, workers=workers)
+        if point.n_diverged:
+            print(
+                f"{label(kind, alpha_sq)}: {point.n_diverged} of {config.simulation.n_trials} "
+                "trials diverged and were left out",
+                file=sys.stderr,
+            )
         return [
             {
                 "var": x,
@@ -352,7 +362,7 @@ def cmd_sweep(
         ]
 
     cells = [
-        (f"sweep point (kind={kind}, alpha_sq={alpha_sq:g})", (kind, alpha_sq))
+        (label(kind, alpha_sq), (kind, alpha_sq))
         for alpha_sq in config.alpha_sqs
         for kind in PROBE_KINDS
     ]

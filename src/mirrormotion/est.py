@@ -1,11 +1,12 @@
 """Offline estimation: optimal smoothing filters, analytic minimum MSEs and
 quantum bounds, FFT smoothing of measurement records, and empirical scoring.
 
-All three target variables share one information kernel
-K(w) = |g_phi-f(w)|^2 S_f(w), so every integrand and filter below is written in
-the factored form that never divides by w: the minimum-MSE integrand is
-S_x S_z / (S_z + K) and the bound integrand is S_x / (1 + 4 S_dI K).
-"""
+Everything below derives from the force-referred gains g_xf of
+`model.force_gains` and the information kernel K = |g_phi-f|^2 S_f, so nothing
+divides by w.  The minimum MSE (nu = 1/S_z) and the quantum bound
+(nu = 4 S_dI; the ratio of the two nu is `probe.attainability_gap`) are the
+one integral Integral dw/2pi S_x / (1 + nu K), and the optimal filter is
+J_x = g_xf conj(g_phi-f) S_f / (K + S_z)."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import GridMismatchError, TailAccuracyError
-from .model import PRIOR_TAGS, PriorModel, TabulatedTransferFunction
+from .model import PRIOR_TAGS, PriorModel, TabulatedTransferFunction, force_gains
 from .probe import ProbeState, measurement_noise_psd, photon_flux_psd_broadband
 
 #: Largest relative change of a spectral integral when its grid's omega_max is
@@ -24,6 +25,10 @@ TAIL_RTOL = 1e-3
 
 #: Doublings of omega_max SpectralGrid.build tries before giving up.
 MAX_DOUBLINGS = 60
+
+#: Gauss-Legendre nodes per panel; SpectralGrid.build checks that twice as
+#: many leave the reference integral unchanged.
+N_PER_PANEL = 16
 
 
 # ---------------------------------------------------------------------------
@@ -68,20 +73,18 @@ class SpectralGrid:
     weights: np.ndarray
     omega_max: float
     priors: PriorModel
-    n_per_panel: int
 
     def integrate(self, values) -> float:
         return float(self.weights @ np.asarray(values, dtype=float))
 
     def doubled(self) -> "SpectralGrid":
-        return _raw_grid(self.priors, 2.0 * self.omega_max, self.n_per_panel)
+        return _raw_grid(self.priors, 2.0 * self.omega_max, N_PER_PANEL)
 
     @classmethod
     def build(
         cls,
         priors: PriorModel,
         omega_max: float | None = None,
-        n_per_panel: int = 16,
         rtol: float = 1e-5,
     ) -> "SpectralGrid":
         p = priors.params
@@ -90,18 +93,18 @@ class SpectralGrid:
             floor = max(floor, 5.0 * priors.tf.freqs[-1])
         omega_max = floor if omega_max is None else max(omega_max, floor)
 
-        grid = _raw_grid(priors, omega_max, n_per_panel)
+        grid = _raw_grid(priors, omega_max, N_PER_PANEL)
         ref = grid.integrate(priors.psd("f", grid.nodes))
         for _ in range(MAX_DOUBLINGS):
             bigger = grid.doubled()
             ref_new = bigger.integrate(priors.psd("f", bigger.nodes))
             if abs(ref_new - ref) <= rtol * abs(ref_new):
-                fine = _raw_grid(priors, bigger.omega_max, 2 * n_per_panel)
+                fine = _raw_grid(priors, bigger.omega_max, 2 * N_PER_PANEL)
                 ref_fine = fine.integrate(priors.psd("f", fine.nodes))
                 if abs(ref_fine - ref_new) > rtol * abs(ref_fine):
                     raise TailAccuracyError(
                         "node-count doubling still moves the reference integral; "
-                        "increase n_per_panel"
+                        "increase N_PER_PANEL"
                     )
                 return bigger
             grid, ref = bigger, ref_new
@@ -118,7 +121,7 @@ def _raw_grid(priors: PriorModel, omega_max: float, n_per_panel: int) -> Spectra
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
-    return SpectralGrid(nodes, weights, float(omega_max), priors, n_per_panel)
+    return SpectralGrid(nodes, weights, float(omega_max), priors)
 
 
 def _converged_integral(fn, grid: SpectralGrid, label: str) -> float:
@@ -137,32 +140,32 @@ def _converged_integral(fn, grid: SpectralGrid, label: str) -> float:
 # analytic MSEs and bounds
 
 
-def analytic_mmse(x: str, priors: PriorModel, probe: ProbeState, grid: SpectralGrid) -> float:
-    """Minimum mean-square smoothing error for x in {q, p, f}:
-    Integral dw/2pi (1/S_x + |g_phi-x|^2/S_z)^{-1}, with the integrand taken as
-    0 by continuity wherever S_x vanishes."""
+def _information_integral(
+    x: str, priors: PriorModel, grid: SpectralGrid, nu: float, label: str
+) -> float:
+    """Integral dw/2pi S_x / (1 + nu K), K the information kernel."""
     if x not in PRIOR_TAGS:
         raise ValueError(f"unknown variable tag {x!r}")
-    sz = measurement_noise_psd(probe)
 
     def integrand(w):
-        return priors.psd(x, w) * sz / (sz + priors.information_kernel(w))
+        return priors.psd(x, w) / (1.0 + nu * priors.information_kernel(w))
 
-    return _converged_integral(integrand, grid, f"analytic_mmse[{x}]")
+    return _converged_integral(integrand, grid, f"{label}[{x}]")
+
+
+def analytic_mmse(x: str, priors: PriorModel, probe: ProbeState, grid: SpectralGrid) -> float:
+    """Minimum mean-square smoothing error for x in {q, p, f}:
+    Integral dw/2pi S_x / (1 + K/S_z)."""
+    nu = 1.0 / measurement_noise_psd(probe)
+    return _information_integral(x, priors, grid, nu, "analytic_mmse")
 
 
 def qcrb(x: str, priors: PriorModel, probe: ProbeState, grid: SpectralGrid) -> float:
     """Waveform estimation bound for x in {q, p, f}:
-    Integral dw/2pi (1/S_x + |g_phi-x|^2 4 S_dI)^{-1}, using the broadband
-    photon-flux spectrum of the lossless beam."""
-    if x not in PRIOR_TAGS:
-        raise ValueError(f"unknown variable tag {x!r}")
-    s_di4 = 4.0 * photon_flux_psd_broadband(probe)
-
-    def integrand(w):
-        return priors.psd(x, w) / (1.0 + s_di4 * priors.information_kernel(w))
-
-    return _converged_integral(integrand, grid, f"qcrb[{x}]")
+    Integral dw/2pi S_x / (1 + 4 S_dI K), using the broadband photon-flux
+    spectrum of the lossless beam."""
+    nu = 4.0 * photon_flux_psd_broadband(probe)
+    return _information_integral(x, priors, grid, nu, "qcrb")
 
 
 def prior_variance(x: str, priors: PriorModel, grid: SpectralGrid) -> float:
@@ -175,26 +178,17 @@ def prior_variance(x: str, priors: PriorModel, grid: SpectralGrid) -> float:
 
 
 def optimal_filter(x: str, omega, priors: PriorModel, probe: ProbeState):
-    """Optimal smoothing filter J_x(w) = g_phi-x^* S_x / (|g_phi-x|^2 S_x + S_z).
+    """Optimal smoothing filter J_x(w) = g_xf conj(g_phi-f) S_f / (K + S_z).
 
-    Evaluated in factored form (the momentum numerator is i c m w |g_qf|^2 S_f)
-    so no pole appears anywhere on the real axis and J_p(0) = 0 exactly.
+    No pole appears anywhere on the real axis, and J_p(0) = 0 exactly.
     """
-    w = np.asarray(omega, dtype=float)
-    sz = measurement_noise_psd(probe)
-    c = priors.params.phase_gain
-    g = np.asarray(priors.tf(w), dtype=complex)
-    sf = priors.psd("f", w)
-    den = c * c * np.abs(g) ** 2 * sf + sz
-    if x == "q":
-        num = c * np.abs(g) ** 2 * sf + 0.0j
-    elif x == "p":
-        num = 1j * c * priors.params.m * w * np.abs(g) ** 2 * sf
-    elif x == "f":
-        num = c * np.conj(g) * sf
-    else:
+    if x not in PRIOR_TAGS:
         raise ValueError(f"unknown variable tag {x!r}")
-    out = num / den
+    w = np.asarray(omega, dtype=float)
+    gains = force_gains(w, priors.tf, priors.params)
+    sf = priors.psd("f", w)
+    kernel = np.abs(gains["phi"]) ** 2 * sf
+    out = gains[x] * np.conj(gains["phi"]) * sf / (kernel + measurement_noise_psd(probe))
     return out if out.ndim else complex(out)
 
 

@@ -196,55 +196,47 @@ class TabulatedTransferFunction(TransferFunction):
         return out if out.ndim else complex(out)
 
 
-def _chain_gain(tag: str, omega, tf: TransferFunction, params: MirrorParams):
-    """Transfer from force to `tag`, i.e. g_{tag,f}(w)."""
+def force_gains(omega, tf: TransferFunction, params: MirrorParams) -> dict:
+    """Force-referred motion functions {x: g_xf(w)} for x in VAR_TAGS, from one
+    evaluation of g_qf: g_phi-f = 2 k0 cos(theta) g_qf, g_pf = i m w g_qf
+    (p = m dq/dt in the rfft convention) and g_ff = 1."""
     w = np.asarray(omega, dtype=float)
-    if tag == "f":
-        return np.ones_like(w, dtype=complex)
     g = np.asarray(tf(w), dtype=complex)
-    if tag == "q":
-        return g
-    if tag == "p":
-        # p = m dq/dt, hence g_pf = i*m*w*g_qf in the rfft convention
-        return 1j * params.m * w * g
-    if tag == "phi":
-        return params.phase_gain * g
-    raise ValueError(f"unknown variable tag {tag!r}, expected one of {VAR_TAGS}")
+    return {
+        "phi": params.phase_gain * g,
+        "q": g,
+        "p": 1j * params.m * w * g,
+        "f": np.ones_like(w, dtype=complex),
+    }
 
 
 def motion_function(i: str, j: str, omega, tf: TransferFunction, params: MirrorParams):
     """Mirror-motion function g_ij(w) relating x_i~(w) = g_ij(w) x_j~(w).
 
-    Built from the force-referred chain g_ij = g_if / g_jf, so the composition
-    rules g_ij*g_jk = g_ik and g_ji = 1/g_ij hold by construction.  Requesting
-    a value at a pole (e.g. g_qp at w = 0) raises SingularityError; quantities
-    whose poles cancel must use the factored spectral operations instead.
+    Built from the force-referred gains as g_ij = g_if / g_jf, so the
+    composition rules g_ij*g_jk = g_ik and g_ji = 1/g_ij hold by construction.
+    Requesting a value at a pole (e.g. g_qp at w = 0) raises SingularityError;
+    quantities whose poles cancel must use the force-referred gains instead.
     """
-    num = _chain_gain(i, omega, tf, params)
-    den = _chain_gain(j, omega, tf, params)
-    if np.any(den == 0):
+    if not {i, j} <= set(VAR_TAGS):
+        raise ValueError(f"unknown variable tag in g_{i}{j}, expected tags from {VAR_TAGS}")
+    gains = force_gains(omega, tf, params)
+    if np.any(gains[j] == 0):
         raise SingularityError(f"g_{i}{j} has a pole at one of the requested frequencies")
-    out = num / den
+    out = gains[i] / gains[j]
     return out if out.ndim else complex(out)
 
 
 def prior_psd(x: str, omega, force: ForceParams, tf: TransferFunction, params: MirrorParams):
-    """Prior spectral density S_x(w) for x in {f, q, p}.
-
-    S_f = kappa/(w^2 + lam^2), S_q = |g_qf|^2 S_f, S_p = (m*w)^2 |g_qf|^2 S_f.
-    The momentum spectrum is evaluated in this factored form so S_p(0) = 0
-    exactly, with no intermediate division by w.
-    """
-    w = np.asarray(omega, dtype=float)
-    sf = force.kappa / (w**2 + force.lam**2)
-    if x == "f":
-        out = sf
-    elif x == "q":
-        out = np.abs(np.asarray(tf(w), dtype=complex)) ** 2 * sf
-    elif x == "p":
-        out = (params.m * w) ** 2 * np.abs(np.asarray(tf(w), dtype=complex)) ** 2 * sf
-    else:
+    """Prior spectral density S_x(w) = |g_xf|^2 S_f for x in {f, q, p}, with
+    S_f = kappa/(w^2 + lam^2).  The momentum gain i m w g_qf carries its zero,
+    so S_p(0) = 0 exactly."""
+    if x not in PRIOR_TAGS:
         raise ValueError(f"unknown prior tag {x!r}, expected one of {PRIOR_TAGS}")
+    w = np.asarray(omega, dtype=float)
+    out = force.kappa / (w**2 + force.lam**2)
+    if x != "f":
+        out = np.abs(force_gains(w, tf, params)[x]) ** 2 * out
     return out if out.ndim else float(out)
 
 
@@ -259,11 +251,7 @@ class PriorModel:
     def psd(self, x: str, omega):
         return prior_psd(x, omega, self.force, self.tf, self.params)
 
-    def g(self, i: str, j: str, omega):
-        return motion_function(i, j, omega, self.tf, self.params)
-
     def information_kernel(self, omega):
-        """|g_phi-f(w)|^2 S_f(w) = c^2 |g_qf|^2 S_f, shared by all MSE integrands."""
+        """K(w) = |g_phi-f(w)|^2 S_f(w), shared by every MSE and bound integrand."""
         w = np.asarray(omega, dtype=float)
-        c = self.params.phase_gain
-        return c * c * np.abs(np.asarray(self.tf(w), dtype=complex)) ** 2 * self.psd("f", w)
+        return np.abs(force_gains(w, self.tf, self.params)["phi"]) ** 2 * self.psd("f", w)

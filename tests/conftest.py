@@ -3,10 +3,16 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from mirrormotion import est
 from mirrormotion.model import ForceParams, MirrorParams, NominalTransferFunction, PriorModel
 from mirrormotion.probe import ProbeState
+
+# property tests draw the same examples on every run and have no per-example
+# time limit (a spectral-grid build can take longer than the default deadline)
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 # experimental constants used throughout the tests
 MASS = 5.88e-4               # kg, mirror + PZT/3

@@ -23,6 +23,22 @@ def tiny_config(tmp_path):
     )
 
 
+@pytest.fixture()
+def second_trial_diverges(tiny_config, monkeypatch):
+    """Flag the second trial of every `tiny_config` cell as diverged: a serial
+    cell makes n_trials calls of `sim.simulate_trial`, in trial order."""
+    simulate_trial = sim.simulate_trial
+    n_trials = tiny_config.simulation.n_trials
+    calls = []
+
+    def patched(*args):
+        traj = simulate_trial(*args)
+        calls.append(None)
+        return replace(traj, diverged=len(calls) % n_trials == 2)
+
+    monkeypatch.setattr(sim, "simulate_trial", patched)
+
+
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
         config = cli.reference_config()
@@ -147,6 +163,20 @@ class TestSweep:
         cli.cmd_sweep(config, out_path=serial, workers=1)
         cli.cmd_sweep(config, out_path=pooled, workers=2)
         assert serial.read_bytes() == pooled.read_bytes()
+
+    def test_diverged_trials_reported(self, tiny_config, second_trial_diverges, capsys):
+        config = replace(tiny_config, alpha_sqs=(1.02e6,))
+        rows, failed = cli.cmd_sweep(config)
+        assert failed == 0
+        assert len(rows) == 6
+        lines = open(f"{config.out_dir}/sweep.csv").read().splitlines()
+        assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
+        assert len(lines) == 1 + len(rows)
+        assert capsys.readouterr().err.splitlines() == [
+            f"sweep point (kind={kind}, alpha_sq=1.02e+06): 1 of 3 trials diverged "
+            "and were left out"
+            for kind in cli.PROBE_KINDS
+        ]
 
     def test_coherent_bound_equals_mmse_at_unit_efficiency(self, tiny_config):
         config = replace(tiny_config, eta_det=1.0, alpha_sqs=(1.02e6,))
@@ -346,19 +376,8 @@ class TestSimulateCommand:
         assert outputs["1"] == outputs["2"]
 
     def test_reports_trial_counts_and_tracking_error(
-        self, tiny_config, tmp_path, monkeypatch, capsys
+        self, tiny_config, tmp_path, second_trial_diverges, capsys
     ):
-        simulate_trial = sim.simulate_trial
-        n_trials = tiny_config.simulation.n_trials
-        calls = []
-
-        def second_trial_diverges(*args):
-            # each of the two runs below makes n_trials calls, in trial order
-            traj = simulate_trial(*args)
-            calls.append(None)
-            return replace(traj, diverged=len(calls) % n_trials == 2)
-
-        monkeypatch.setattr(sim, "simulate_trial", second_trial_diverges)
         cfg_path = tmp_path / "tiny.cfg"
         cli.write_config(tiny_config, cfg_path)
         argv = ["--config", str(cfg_path), "simulate", "--kind", "coherent", "--alpha-sq", "1.02e6"]

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
-from mirrormotion import est, sim
+from mirrormotion import cli, est, sim
 from mirrormotion.errors import GridMismatchError, TailAccuracyError
 from mirrormotion.est import FilterBank, SpectralGrid, analytic_mmse, empirical_mse, optimal_filter, prior_variance, qcrb, smooth
+from mirrormotion.model import ForceParams, NominalTransferFunction, PriorModel
 from mirrormotion.probe import ProbeState, attainability_gap, measurement_noise_psd, photon_flux_psd_broadband
 
 import oracles
@@ -146,6 +148,80 @@ class TestQcrb:
                     mmse_int = sx * sz / (sz + k)
                     qcrb_int = sx / (1.0 + s_di4 * k)
                     assert np.all(qcrb_int <= mmse_int * (1 + 1e-9))
+
+    @settings(max_examples=25)
+    @given(
+        log_alpha_sq=st.floats(5.0, 8.0),
+        squeezing_db=st.floats(0.1, 6.0),
+        extra_antisqueezing_db=st.floats(0.0, 6.0),
+        eta_det=st.floats(0.5, 1.0),
+        sigma_phi_sq=st.floats(0.0, 0.05),
+        log_omega=st.floats(4.5, 6.0),
+        log_gamma=st.floats(2.5, 4.5),
+        log_lam=st.floats(3.5, 5.5),
+    )
+    def test_ordering_property(
+        self, mirror, log_alpha_sq, squeezing_db, extra_antisqueezing_db, eta_det,
+        sigma_phi_sq, log_omega, log_gamma, log_lam,
+    ):
+        params = replace(mirror, Omega=10.0**log_omega, gamma=10.0**log_gamma)
+        priors = PriorModel(
+            params, ForceParams(lam=10.0**log_lam, kappa=KAPPA), NominalTransferFunction(params)
+        )
+        grid = SpectralGrid.build(priors)
+        a = 10.0**log_alpha_sq
+        coh = ProbeState.coherent(a, sigma_phi_sq=sigma_phi_sq, eta_det=eta_det)
+        sq = ProbeState.from_db(
+            a, squeezing_db, squeezing_db + extra_antisqueezing_db,
+            sigma_phi_sq=sigma_phi_sq, eta_det=eta_det,
+        )
+        for x in ("q", "p", "f"):
+            qcrb_sq, qcrb_coh = qcrb(x, priors, sq, grid), qcrb(x, priors, coh, grid)
+            mmse_coh, mmse_sq = analytic_mmse(x, priors, coh, grid), analytic_mmse(x, priors, sq, grid)
+            assert qcrb_sq < qcrb_coh <= mmse_coh * (1 + 1e-9) < prior_variance(x, priors, grid)
+            assert qcrb_sq <= mmse_sq * (1 + 1e-9)
+
+
+class TestGoldenBounds:
+    """`bounds` values at the four reference amplitudes, computed with the
+    minimum-MSE integrand written as S_x S_z / (S_z + K): a refactor of the
+    spectral path may move only their last bits."""
+
+    # (alpha_sq, x): (mmse_coh, mmse_sq, qcrb_coh, qcrb_sq)
+    GOLDEN = {
+        (1020000.0, "q"): (7.24569042650811e-17, 5.2477470372326284e-17, 6.771531633470563e-17, 2.997025405175122e-17),
+        (1020000.0, "p"): (5.145462693646861e-13, 3.608490224889426e-13, 4.76451637341653e-13, 2.0804692461668686e-13),
+        (1020000.0, "f"): (0.010349452662788272, 0.008675313419303915, 0.009999708043653596, 0.00615505384714111),
+        (1880000.0, "q"): (5.2768017172294464e-17, 3.5977731811666145e-17, 4.879031437078968e-17, 1.921231396996113e-17),
+        (1880000.0, "p"): (3.629556397075728e-13, 2.4701574747536966e-13, 3.344369844660777e-13, 1.403628199634473e-13),
+        (1880000.0, "f"): (0.008703491284963179, 0.0068909332792324515, 0.008307823152421241, 0.0047311615258982705),
+        (2870000.0, "q"): (4.115080046321188e-17, 2.6836847049419297e-17, 3.772974278194372e-17, 1.379095878275712e-17),
+        (2870000.0, "p"): (2.8154162657276247e-13, 1.8811875454341684e-13, 2.586005511836439e-13, 1.0650245502413093e-13),
+        (2870000.0, "f"): (0.0074886670527785654, 0.005754111306273778, 0.007097173551931494, 0.003962198497973393),
+        (6240000.0, "q"): (2.438548584300336e-17, 1.478902196965037e-17, 2.203252753387127e-17, 7.254798178328846e-18),
+        (6240000.0, "p"): (1.7267648334299923e-13, 1.1276691740301308e-13, 1.5794621980195678e-13, 6.429649316914826e-14),
+        (6240000.0, "f"): (0.005432491152630085, 0.004106569815998359, 0.0051173007947193745, 0.002974322424308758),
+    }
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        config = cli.reference_config()
+        priors = config.priors()
+        return config, priors, SpectralGrid.build(priors)
+
+    @pytest.mark.parametrize("alpha_sq", ALPHA_SQS)
+    def test_matches_golden(self, reference, alpha_sq):
+        config, priors, grid = reference
+        coh = config.operating_point("coherent", alpha_sq)
+        sq = config.operating_point("squeezed", alpha_sq)
+        for x in ("q", "p", "f"):
+            values = (
+                analytic_mmse(x, priors, coh, grid),
+                analytic_mmse(x, priors, sq, grid),
+                qcrb(x, priors, coh, grid),
+                qcrb(x, priors, sq, grid),
+            )
+            assert values == pytest.approx(self.GOLDEN[alpha_sq, x], rel=1e-12, abs=0.0)
 
 
 class TestOptimalFilter:

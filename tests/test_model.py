@@ -5,17 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from mirrormotion import est
+from mirrormotion import est, sim
 from mirrormotion.errors import SingularityError
 from mirrormotion.model import (
+    PRIOR_TAGS,
+    VAR_TAGS,
     ForceParams,
     MirrorParams,
     NominalTransferFunction,
+    PriorModel,
     TabulatedTransferFunction,
+    TransferFunction,
     effective_mass,
+    force_gains,
     motion_function,
     prior_psd,
 )
+from mirrormotion.probe import ProbeState
 
 from conftest import KAPPA, LAMBDA, MASS, OMEGA
 
@@ -68,6 +74,45 @@ class TestMirrorParams:
         fields.update(kwargs)
         with pytest.raises(ValueError):
             MirrorParams(**fields)
+
+
+class TestForceGains:
+    def test_table_from_gqf(self, mirror, priors):
+        w = np.array([0.0, 1e4, OMEGA, 3e6])
+        g = force_gains(w, priors.tf, mirror)
+        assert tuple(g) == VAR_TAGS
+        gqf = priors.tf(w)
+        assert np.array_equal(g["q"], gqf)
+        assert np.allclose(g["phi"], mirror.phase_gain * gqf, rtol=1e-15)
+        assert np.allclose(g["p"], 1j * mirror.m * w * gqf, rtol=1e-15)
+        assert g["p"][0] == 0.0
+        assert np.array_equal(g["f"], np.ones(4))
+
+    def test_one_transfer_function_evaluation_per_call(self, mirror, force, priors):
+        calls = []
+
+        class CountingTransferFunction(TransferFunction):
+            def __call__(self, omega):
+                calls.append(np.size(omega))
+                return priors.tf(omega)
+
+        counted = PriorModel(mirror, force, CountingTransferFunction())
+        w = np.linspace(0.0, 1e6, 7)
+
+        def evaluations(fn, *args):
+            calls.clear()
+            fn(*args)
+            return len(calls)
+
+        assert evaluations(prior_psd, "f", w, force, counted.tf, mirror) == 0
+        for x in ("q", "p"):
+            assert evaluations(prior_psd, x, w, force, counted.tf, mirror) == 1
+        assert evaluations(counted.information_kernel, w) == 1
+        for x in PRIOR_TAGS:
+            assert evaluations(est.optimal_filter, x, w, counted, ProbeState.coherent(1e6)) == 1
+        cfg = sim.SimConfig()
+        assert evaluations(sim.mirror_response, np.ones(1000), counted.tf, mirror, cfg, 200) == 1
+        assert calls == [601]  # the rfft grid of next_fast_len(1200) = 1200 samples
 
 
 class TestMotionFunctions:

@@ -221,6 +221,25 @@ class TestRiccatiTracking:
         ])
         assert emp == pytest.approx(tracker.sigma_phi_sq_prediction, rel=0.05)
 
+    @pytest.mark.parametrize("mode, n_trials", [("linearized", 20), ("nonlinear", 8)])
+    def test_trials_track_with_feedback_error(self, mirror, force, priors, mode, n_trials):
+        # the squeezed operating point is calibrated on the posterior error,
+        # but the loop feeds back a prediction d samples late: the trials'
+        # error is the feedback error, about 12% above the posterior here
+        cfg_ref = sim.SimConfig(mode=mode)
+        probe = sim.calibrate_tracking(squeezed(6.24e6), force, mirror, cfg_ref)
+        tracker = sim.KalmanTracker(probe, force, mirror, cfg_ref)
+        errors = [
+            sim.simulate_trial(
+                priors, probe, tracker, cfg_ref, sim.trial_rng(cfg_ref.seed, i)
+            ).sigma_phi_sq
+            for i in range(n_trials)
+        ]
+        mean = np.mean(errors)
+        band = 3.0 * np.std(errors, ddof=1) / math.sqrt(n_trials)
+        assert abs(mean - tracker.sigma_phi_sq_feedback()) < band
+        assert abs(mean - tracker.sigma_phi_sq_posterior) > band
+
     def test_delay_penalty_is_small(self, mirror, force, priors, cfg):
         probe = sim.calibrate_tracking(squeezed(1.02e6), force, mirror, cfg)
         theory = {}
@@ -333,7 +352,7 @@ class TestNonlinearTracker:
         probe, tracker, cfg_n, phi = nonlinear_loop
         assert_tracks_like_oracle(phi[:n], probe, tracker, cfg_n, n)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         d=st.integers(0, 8),
         full_blocks=st.integers(0, 2),
