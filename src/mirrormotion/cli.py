@@ -206,7 +206,9 @@ def read_config(path) -> ExperimentConfig:
 
 def _score_trials(priors, probe, tracker, bank, cfg, trial_indices, dump_dir=None):
     """Run trials; returns {index: payload} with None marking diverged trials.
-    With `dump_dir`, every trial is also written there as CSV."""
+    Each payload's scored windows are copies, so a kept trial holds 6 x
+    `n_samples` floats, not its full-length records.  With `dump_dir`, every
+    trial is also written there as CSV."""
     results = {}
     for idx in trial_indices:
         traj = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(cfg.seed, idx))
@@ -218,7 +220,8 @@ def _score_trials(priors, probe, tracker, bank, cfg, trial_indices, dump_dir=Non
         window = traj.data_slice
         payload = {"sigma_phi_sq": traj.sigma_phi_sq}
         for x, truth in (("q", traj.q), ("p", traj.p), ("f", traj.f)):
-            payload[x] = (est.smooth(traj.y, x, bank, cfg)[window], truth[window])
+            estimate = est.smooth(traj.y, x, bank, cfg)
+            payload[x] = (estimate[window].copy(), truth[window].copy())
         results[idx] = payload
     return results
 

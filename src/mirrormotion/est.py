@@ -10,6 +10,7 @@ J_x = g_xf conj(g_phi-f) S_f / (K + S_z)."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,12 @@ class SpectralGrid:
         return float(self.weights @ np.asarray(values, dtype=float))
 
     def doubled(self) -> "SpectralGrid":
+        """The grid on [0, 2 omega_max]: built on the first call, the same
+        object on every later one."""
+        return self._doubled
+
+    @functools.cached_property
+    def _doubled(self) -> "SpectralGrid":
         return _raw_grid(self.priors, 2.0 * self.omega_max, N_PER_PANEL)
 
     @classmethod
@@ -114,8 +121,16 @@ class SpectralGrid:
         )
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], one rule per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _raw_grid(priors: PriorModel, omega_max: float, n_per_panel: int) -> SpectralGrid:
-    x, w = np.polynomial.legendre.leggauss(n_per_panel)
+    x, w = _gauss_legendre(n_per_panel)
     edges = _panel_edges(priors, omega_max)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])

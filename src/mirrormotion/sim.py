@@ -11,6 +11,7 @@ wrap-around effects exp(-PAD_CORRELATION_TIMES) below the Monte Carlo noise.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -167,6 +168,30 @@ def _discretize(a_c: np.ndarray, q_c: np.ndarray, dt: float) -> tuple[np.ndarray
     return a_d, 0.5 * (q_d + q_d.T)
 
 
+@functools.lru_cache(maxsize=64)
+def _tracker_model(
+    params: MirrorParams, force: ForceParams, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only discretized (a_d, q_d) of the tracker's state model (q, p, f).
+
+    They do not depend on the probe, so every tracker of one mirror, force
+    and sample period (all the steps of `calibrate_tracking`, every cell of
+    a sweep) shares one Van Loan exponential.
+    """
+    m = params.m
+    a_c = np.array(
+        [
+            [0.0, 1.0 / m, 0.0],
+            [-m * params.Omega**2, -params.gamma, 1.0],
+            [0.0, 0.0, -force.lam],
+        ]
+    )
+    q_c = np.diag([0.0, 0.0, force.kappa])
+    a_d, q_d = _discretize(a_c, q_c, dt)
+    a_d.flags.writeable = q_d.flags.writeable = False
+    return a_d, q_d
+
+
 class KalmanTracker:
     """Steady-state Kalman predictor of the optical phase for feedback.
 
@@ -183,16 +208,7 @@ class KalmanTracker:
         self.params = params
         self.force = force
         self.cfg = cfg
-        m, lam = params.m, force.lam
-        a_c = np.array(
-            [
-                [0.0, 1.0 / m, 0.0],
-                [-m * params.Omega**2, -params.gamma, 1.0],
-                [0.0, 0.0, -lam],
-            ]
-        )
-        q_c = np.diag([0.0, 0.0, force.kappa])
-        self.a_d, self.q_d = _discretize(a_c, q_c, cfg.dt)
+        self.a_d, self.q_d = _tracker_model(params, force, cfg.dt)
         self.c_vec = np.array([params.phase_gain, 0.0, 0.0])
         self.r = measurement_noise_psd(probe) / cfg.dt
 
@@ -210,10 +226,7 @@ class KalmanTracker:
         if rho >= 1.0:
             raise RiccatiError(f"closed-loop tracker is unstable (spectral radius {rho:.6f})")
         self._rho = rho
-        num, den = scipy.signal.ss2tf(
-            a_cl, (self.a_d @ self.gain)[:, None], self.c_vec[None, :], np.zeros((1, 1))
-        )
-        self._num, self._den = num[0], den
+        self._a_cl = a_cl
 
     @property
     def sigma_phi_sq_posterior(self) -> float:
@@ -244,9 +257,18 @@ class KalmanTracker:
         """Samples until the slowest closed-loop transient has decayed by e^-8."""
         return int(math.ceil(8.0 / -math.log(self._rho)))
 
+    @functools.cached_property
+    def _iir(self) -> tuple[np.ndarray, np.ndarray]:
+        """(numerator, denominator) of the y -> phase-prediction filter, built
+        on first use: calibration builds trackers that never filter."""
+        num, den = scipy.signal.ss2tf(
+            self._a_cl, (self.a_d @ self.gain)[:, None], self.c_vec[None, :], np.zeros((1, 1))
+        )
+        return num[0], den
+
     def predict_series(self, y: np.ndarray) -> np.ndarray:
         """Causal one-step phase predictions phihat_k from a measurement record."""
-        return scipy.signal.lfilter(self._num, self._den, y)
+        return scipy.signal.lfilter(*self._iir, y)
 
 
 def calibrate_tracking(

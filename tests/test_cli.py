@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import string
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mirrormotion import cli, est, sim
+from mirrormotion.model import ForceParams, MirrorParams
 
 from conftest import ALPHA_SQS
 
@@ -39,7 +42,50 @@ def second_trial_diverges(tiny_config, monkeypatch):
     monkeypatch.setattr(sim, "simulate_trial", patched)
 
 
+@st.composite
+def experiment_configs(draw):
+    """Valid configs with every CONFIG_KEYS value drawn (the transfer function
+    stays nominal: a tabulated source must name an existing file)."""
+    positive = st.floats(1e-12, 1e12)
+    mirror = MirrorParams(
+        m=draw(positive),
+        Omega=draw(positive),
+        gamma=draw(st.floats(0.0, 1e12)),
+        k0=draw(positive),
+        theta=draw(st.floats(0.0, math.pi / 2, exclude_max=True)),
+    )
+    n_samples, dt = draw(st.integers(2, 10**7)), draw(positive)
+    simulation = sim.SimConfig(
+        dt=dt,
+        n_samples=n_samples,
+        n_trials=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**63 - 1)),
+        mode=draw(st.sampled_from((sim.MODE_LINEARIZED, sim.MODE_NONLINEAR))),
+        feedback_delay_samples=draw(st.integers(0, 1000)),
+        edge_discard=draw(st.floats(0.0, 0.49)) * n_samples * dt,
+    )
+    real = st.floats(-1e3, 1e3)
+    return cli.ExperimentConfig(
+        mirror=mirror,
+        force=ForceParams(lam=draw(positive), kappa=draw(positive)),
+        simulation=simulation,
+        squeezing_db=draw(real),
+        antisqueezing_db=draw(real),
+        eta_det=draw(st.floats(0.0, 1.0)),
+        bandwidth=draw(positive),
+        alpha_sqs=tuple(draw(st.lists(positive, min_size=1, max_size=6))),
+        out_dir=draw(st.text(string.ascii_letters + string.digits + "/._-#=", min_size=1)),
+    )
+
+
 class TestConfigFile:
+    @settings(max_examples=50)
+    @given(config=experiment_configs())
+    def test_round_trip_property(self, tmp_path_factory, config):
+        path = tmp_path_factory.mktemp("drawn") / "drawn.cfg"
+        cli.write_config(config, path)
+        assert cli.read_config(path) == config
+
     def test_round_trip(self, tmp_path):
         config = cli.reference_config()
         path = tmp_path / "default.cfg"
@@ -227,6 +273,21 @@ class TestSweep:
         assert code == 1
         assert "wrote 3 rows" in capsys.readouterr().out
         assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 3
+
+
+class TestScoreTrials:
+    def test_payload_windows_own_their_memory(self, tiny_config):
+        config, cfg = tiny_config, tiny_config.simulation
+        priors = config.priors()
+        probe = config.operating_point("squeezed", ALPHA_SQS[0])
+        tracker = sim.KalmanTracker(probe, config.force, config.mirror, cfg)
+        _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)
+        bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
+        results = cli._score_trials(priors, probe, tracker, bank, cfg, range(2))
+        for payload in results.values():
+            arrays = [a for x in ("q", "p", "f") for a in payload[x]]
+            assert all(a.base is None for a in arrays)
+            assert sum(a.nbytes for a in arrays) == 6 * cfg.n_samples * 8
 
 
 class TestBounds:

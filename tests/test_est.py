@@ -46,6 +46,22 @@ class TestSpectralGrid:
         value2 = refined.integrate(priors.psd("f", refined.nodes))
         assert value2 == pytest.approx(value, rel=2e-5)
 
+    def test_doubled_grid_built_once(self, priors, grid):
+        twin = grid.doubled()
+        assert grid.doubled() is twin
+        fresh = est._raw_grid(priors, 2.0 * grid.omega_max, est.N_PER_PANEL)
+        assert twin.omega_max == fresh.omega_max
+        assert np.array_equal(twin.nodes, fresh.nodes)
+        assert np.array_equal(twin.weights, fresh.weights)
+
+    @pytest.mark.parametrize("n", [est.N_PER_PANEL, 2 * est.N_PER_PANEL])
+    def test_quadrature_rule_cached(self, n):
+        x, w = est._gauss_legendre(n)
+        assert est._gauss_legendre(n)[0] is x
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert not x.flags.writeable and not w.flags.writeable
+
     def test_tail_error_raised_for_short_grid(self, priors):
         stub = est._raw_grid(priors, 5.0 * LAMBDA, 16)
         with pytest.raises(TailAccuracyError):
@@ -222,6 +238,30 @@ class TestGoldenBounds:
                 qcrb(x, priors, sq, grid),
             )
             assert values == pytest.approx(self.GOLDEN[alpha_sq, x], rel=1e-12, abs=0.0)
+
+
+class TestGoldenCalibration:
+    """Self-consistent tracking errors at the four reference amplitudes,
+    pinned exactly: every bound and filter of a cell starts from them, and
+    the bounds golden above would pass a last-bit change here."""
+
+    # (kind, alpha_sq): operating_point(kind, alpha_sq).sigma_phi_sq
+    GOLDEN = {
+        ("coherent", 1020000.0): 0.012338384128017835,
+        ("coherent", 1880000.0): 0.009673554356922973,
+        ("coherent", 2870000.0): 0.008033493876040704,
+        ("coherent", 6240000.0): 0.005475579187113939,
+        ("squeezed", 1020000.0): 0.009633307380823235,
+        ("squeezed", 1880000.0): 0.007276137905336178,
+        ("squeezed", 2870000.0): 0.005872088873180453,
+        ("squeezed", 6240000.0): 0.00379154483094787,
+    }
+
+    @pytest.mark.parametrize("kind", cli.PROBE_KINDS)
+    @pytest.mark.parametrize("alpha_sq", ALPHA_SQS)
+    def test_matches_golden(self, kind, alpha_sq):
+        probe = cli.reference_config().operating_point(kind, alpha_sq)
+        assert probe.sigma_phi_sq == self.GOLDEN[kind, alpha_sq]
 
 
 class TestOptimalFilter:

@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from mirrormotion import sim
-from mirrormotion.model import NominalTransferFunction, TabulatedTransferFunction
+from mirrormotion.errors import RiccatiError
+from mirrormotion.model import ForceParams, NominalTransferFunction, TabulatedTransferFunction
 from mirrormotion.probe import ProbeState, measurement_noise_psd
 
 import oracles
@@ -168,6 +170,30 @@ class TestDiscretization:
         p_cont = oracles.stationary_covariance(mirror, force)
         assert np.allclose(p_disc, p_cont, rtol=1e-8)
 
+    def test_cache_matches_fresh_van_loan(self, mirror, force, cfg):
+        m = mirror.m
+        a_c = np.array(
+            [
+                [0.0, 1.0 / m, 0.0],
+                [-m * mirror.Omega**2, -mirror.gamma, 1.0],
+                [0.0, 0.0, -force.lam],
+            ]
+        )
+        a_d, q_d = sim._discretize(a_c, np.diag([0.0, 0.0, force.kappa]), cfg.dt)
+        tracker = sim.KalmanTracker(ProbeState.coherent(1e6), force, mirror, cfg)
+        assert np.array_equal(tracker.a_d, a_d)
+        assert np.array_equal(tracker.q_d, q_d)
+        assert not tracker.a_d.flags.writeable and not tracker.q_d.flags.writeable
+
+    def test_cache_keyed_on_model_and_period(self, mirror, force, cfg):
+        cached = sim._tracker_model(mirror, force, cfg.dt)
+        # equal but distinct parameter objects share one entry
+        twin = sim._tracker_model(replace(mirror), replace(force), cfg.dt)
+        assert twin[0] is cached[0] and twin[1] is cached[1]
+        other = sim._tracker_model(mirror, force, 2.0 * cfg.dt)
+        assert other[0] is not cached[0]
+        assert not np.array_equal(other[0], cached[0])
+
 
 class TestRiccatiTracking:
     def test_noiseless_limit(self, mirror, force, cfg):
@@ -187,6 +213,65 @@ class TestRiccatiTracking:
     def test_closed_loop_stable(self, mirror, force, cfg):
         tracker = sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
         assert tracker.settle_samples > 0  # implies spectral radius < 1
+
+    def test_unstable_closed_loop_raises_at_construction(self, mirror, force, cfg, monkeypatch):
+        # a non-stabilizing Riccati "solution": its gain over-corrects the
+        # position estimate, doubling it every step
+        def non_stabilizing(a, b, q, r):
+            c = b[0, 0]
+            return np.diag([-0.5 * r[0, 0] / c**2, 0.0, 0.0])
+
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", non_stabilizing)
+        with pytest.raises(RiccatiError, match="unstable"):
+            sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
+
+    def test_filter_built_on_first_use_matches_fresh_coefficients(self, mirror, force, cfg):
+        tracker = sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
+        a_cl = tracker.a_d @ (np.eye(3) - np.outer(tracker.gain, tracker.c_vec))
+        num, den = scipy.signal.ss2tf(
+            a_cl, (tracker.a_d @ tracker.gain)[:, None], tracker.c_vec[None, :], np.zeros((1, 1))
+        )
+        y = np.random.default_rng(5).normal(0.0, 0.1, 5000)
+        expected = scipy.signal.lfilter(num[0], den, y)
+        assert np.array_equal(tracker.predict_series(y), expected)
+        assert np.array_equal(tracker.predict_series(y), expected)  # filter reused
+
+    @settings(max_examples=25)
+    @given(
+        log_alpha_sq=st.floats(5.0, 8.0),
+        squeezing_db=st.one_of(st.none(), st.floats(0.1, 6.0)),
+        extra_antisqueezing_db=st.floats(0.0, 6.0),
+        eta_det=st.floats(0.5, 1.0),
+        d=st.integers(0, 8),
+        log_omega=st.floats(4.5, 6.0),
+        log_gamma=st.floats(2.5, 4.5),
+        log_lam=st.floats(3.5, 5.5),
+    )
+    def test_stability_property(
+        self, mirror, log_alpha_sq, squeezing_db, extra_antisqueezing_db, eta_det, d,
+        log_omega, log_gamma, log_lam,
+    ):
+        # calibrated operating points (coherent when squeezing_db is None):
+        # a stable loop, and the phase error grows from the posterior to the
+        # one-step prediction to the prediction fed back d samples late
+        params = replace(mirror, Omega=10.0**log_omega, gamma=10.0**log_gamma)
+        force = ForceParams(lam=10.0**log_lam, kappa=KAPPA)
+        cfg_d = sim.SimConfig(feedback_delay_samples=d)
+        a = 10.0**log_alpha_sq
+        if squeezing_db is None:
+            template = ProbeState.coherent(a, eta_det=eta_det)
+        else:
+            template = ProbeState.from_db(
+                a, squeezing_db, squeezing_db + extra_antisqueezing_db, eta_det=eta_det
+            )
+        probe = sim.calibrate_tracking(template, force, params, cfg_d)
+        tracker = sim.KalmanTracker(probe, force, params, cfg_d)
+        assert tracker.settle_samples > 0
+        assert (
+            tracker.sigma_phi_sq_posterior
+            <= tracker.sigma_phi_sq_prediction
+            <= tracker.sigma_phi_sq_feedback()
+        )
 
     def test_calibration_fixed_point(self, mirror, force, cfg):
         probe = sim.calibrate_tracking(squeezed(1.02e6), force, mirror, cfg)
