@@ -250,12 +250,15 @@ def run_sweep_point(
     workers: int = 1,
     dump_dir=None,
 ) -> SweepPoint:
+    """Calibrate, simulate and score one (probe kind, amplitude) cell.
+    `grid`, when given, is a `est.SpectralGrid` of `config.priors()`; the cell
+    takes its priors from it, so the bounds reuse the grid's tables."""
     if workers < 1:
         raise ValueError("need at least one worker")
-    priors = config.priors()
-    cfg = config.simulation
     if grid is None:
-        grid = est.SpectralGrid.build(priors)
+        grid = est.SpectralGrid.build(config.priors())
+    priors = grid.priors
+    cfg = config.simulation
 
     probe = config.operating_point(kind, alpha_sq)
     tracker = sim.KalmanTracker(probe, config.force, config.mirror, cfg)
@@ -267,6 +270,10 @@ def run_sweep_point(
         for i in range(workers)
     ]
     if workers > 1:
+        # the trials' filters need scipy.signal: import it once here, so the
+        # forked workers inherit it instead of each importing it again
+        import scipy.signal  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_score_chunk, chunks))
     else:
@@ -518,7 +525,10 @@ def main(argv=None) -> int:
         print(f"wrote {args.path}")
         return 0
 
-    config = _load_config(args)
+    try:
+        config = _load_config(args)
+    except (ValueError, OSError) as exc:  # a bad value or an unreadable file
+        parser.error(str(exc))
     failed = 0
     if args.command == "sweep":
         rows, failed = cmd_sweep(config, workers=args.workers)

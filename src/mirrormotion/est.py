@@ -67,7 +67,9 @@ class SpectralGrid:
 
     `integrate` approximates Integral_0^omega_max f(w) dw; the builder doubles
     omega_max until the prior force-spectrum integral (the slowest-decaying
-    integrand in the toolkit, tail ~ 1/w^2) has converged to `rtol`.
+    integrand in the toolkit, tail ~ 1/w^2) has converged to `rtol`.  The
+    integrands of every MSE and bound are built from the tables of
+    `integrands`, evaluated once per grid.
     """
 
     nodes: np.ndarray
@@ -86,6 +88,18 @@ class SpectralGrid:
     @functools.cached_property
     def _doubled(self) -> "SpectralGrid":
         return _raw_grid(self.priors, 2.0 * self.omega_max, N_PER_PANEL)
+
+    def integrands(self, priors: PriorModel) -> dict:
+        """Read-only tables of `priors` on the nodes: S_x for x in PRIOR_TAGS
+        and the information kernel K under "K".  For the grid's own priors
+        they are evaluated on the first call and reused afterwards."""
+        if priors is not self.priors:
+            return _integrand_tables(priors, self.nodes)
+        return self._tables
+
+    @functools.cached_property
+    def _tables(self) -> dict:
+        return _integrand_tables(self.priors, self.nodes)
 
     @classmethod
     def build(
@@ -129,6 +143,14 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _integrand_tables(priors: PriorModel, nodes: np.ndarray) -> dict:
+    tables = {x: priors.psd(x, nodes) for x in PRIOR_TAGS}
+    tables["K"] = priors.information_kernel(nodes)
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
+
+
 def _raw_grid(priors: PriorModel, omega_max: float, n_per_panel: int) -> SpectralGrid:
     x, w = _gauss_legendre(n_per_panel)
     edges = _panel_edges(priors, omega_max)
@@ -139,10 +161,13 @@ def _raw_grid(priors: PriorModel, omega_max: float, n_per_panel: int) -> Spectra
     return SpectralGrid(nodes, weights, float(omega_max), priors)
 
 
-def _converged_integral(fn, grid: SpectralGrid, label: str) -> float:
-    value = grid.integrate(fn(grid.nodes)) / np.pi
+def _converged_integral(integrand, grid: SpectralGrid, label: str) -> float:
+    """Integral dw/2pi of `integrand(g)`, the integrand's values on the nodes of
+    grid g, on `grid` and on its doubled twin; raises TailAccuracyError when
+    the two differ by more than TAIL_RTOL."""
+    value = grid.integrate(integrand(grid)) / np.pi
     bigger = grid.doubled()
-    refined = bigger.integrate(fn(bigger.nodes)) / np.pi
+    refined = bigger.integrate(integrand(bigger)) / np.pi
     if abs(refined - value) > TAIL_RTOL * abs(refined):
         raise TailAccuracyError(
             f"{label}: tail estimate {abs(refined - value):.3e} exceeds "
@@ -162,8 +187,9 @@ def _information_integral(
     if x not in PRIOR_TAGS:
         raise ValueError(f"unknown variable tag {x!r}")
 
-    def integrand(w):
-        return priors.psd(x, w) / (1.0 + nu * priors.information_kernel(w))
+    def integrand(g):
+        tables = g.integrands(priors)
+        return tables[x] / (1.0 + nu * tables["K"])
 
     return _converged_integral(integrand, grid, f"{label}[{x}]")
 
@@ -184,8 +210,9 @@ def qcrb(x: str, priors: PriorModel, probe: ProbeState, grid: SpectralGrid) -> f
 
 
 def prior_variance(x: str, priors: PriorModel, grid: SpectralGrid) -> float:
-    """Stationary variance of x, Integral S_x dw/2pi."""
-    return _converged_integral(lambda w: priors.psd(x, w), grid, f"prior_variance[{x}]")
+    """Stationary variance of x, Integral S_x dw/2pi: the information
+    integral with no information (nu = 0)."""
+    return _information_integral(x, priors, grid, 0.0, "prior_variance")
 
 
 # ---------------------------------------------------------------------------

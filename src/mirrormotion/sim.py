@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft
 import scipy.linalg
-import scipy.signal
 
 from .errors import RiccatiError, require_finite
 from .model import ForceParams, MirrorParams, PriorModel, TransferFunction, force_gains
@@ -87,6 +86,15 @@ class SimConfig:
             )
 
 
+def _lfilter(b, a, x) -> np.ndarray:
+    """`scipy.signal.lfilter`, imported on the first call: only a trial
+    filters, and the import costs about a second that `bounds`, `diagnose`
+    and calibration never need."""
+    import scipy.signal
+
+    return scipy.signal.lfilter(b, a, x)
+
+
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent, reproducible stream for one trial (stable in trial count).
 
@@ -122,7 +130,7 @@ def simulate_ou(
     innovation_std = math.sqrt(force.stationary_variance * (1.0 - a * a))
     drive = rng.normal(0.0, innovation_std, n)
     drive[0] = rng.normal(0.0, math.sqrt(force.stationary_variance))
-    return scipy.signal.lfilter([1.0], [1.0, -a], drive)
+    return _lfilter([1.0], [1.0, -a], drive)
 
 
 def mirror_response(
@@ -260,15 +268,16 @@ class KalmanTracker:
     @functools.cached_property
     def _iir(self) -> tuple[np.ndarray, np.ndarray]:
         """(numerator, denominator) of the y -> phase-prediction filter, built
-        on first use: calibration builds trackers that never filter."""
-        num, den = scipy.signal.ss2tf(
-            self._a_cl, (self.a_d @ self.gain)[:, None], self.c_vec[None, :], np.zeros((1, 1))
-        )
-        return num[0], den
+        on first use: calibration builds trackers that never filter.  These
+        are the characteristic polynomials `scipy.signal.ss2tf` forms for
+        (A, B, C, D) = (a_cl, a_d gain, c, 0), with the same numpy calls."""
+        den = np.poly(self._a_cl)
+        num = np.poly(self._a_cl - np.outer(self.a_d @ self.gain, self.c_vec)) - den
+        return num, den
 
     def predict_series(self, y: np.ndarray) -> np.ndarray:
         """Causal one-step phase predictions phihat_k from a measurement record."""
-        return scipy.signal.lfilter(*self._iir, y)
+        return _lfilter(*self._iir, y)
 
 
 def calibrate_tracking(

@@ -2,8 +2,13 @@
 
 import dataclasses
 import math
+import os
 import string
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,3 +501,70 @@ class TestMainEntry:
         assert code == 0
         assert "wrote 6 rows" in capsys.readouterr().out
         assert (tmp_path / "out" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--trials", "0", "diagnose"], "need at least one trial"),
+            (["--config", "{bad}", "diagnose"], "sim.trials"),
+            (["--config", "{missing}", "diagnose"], "No such file"),
+        ],
+        ids=["zero-trials", "unparsable-value", "missing-config"],
+    )
+    def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("sim.trials = abc\n")
+        paths = {"bad": bad, "missing": tmp_path / "missing.cfg"}
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([arg.format(**paths) for arg in argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("mirrormotion: error: ")
+        assert message in err.splitlines()[-1]
+
+
+def _fresh_interpreter(script: str) -> str:
+    """Run `script` in a new Python process with the package importable;
+    returns its stdout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+class TestImports:
+    """scipy.signal (about a second to import) is loaded only where a trial
+    filters a record."""
+
+    def test_analytic_commands_never_load_scipy_signal(self, tmp_path):
+        out = _fresh_interpreter(f"""
+            import sys
+            from mirrormotion import cli
+
+            config = cli.reference_config()
+            cli.cmd_bounds(config, out_path={str(tmp_path / "b.csv")!r}, n_points=2)
+            cli.cmd_diagnose(config)
+            cli.main(["write-config", {str(tmp_path / "c.cfg")!r}])
+            print("scipy.signal" in sys.modules)
+        """)
+        assert out.splitlines()[-1] == "False"
+
+    def test_pool_parent_loads_scipy_signal_before_forking(self, tmp_path):
+        out = _fresh_interpreter("""
+            import sys
+            from dataclasses import replace
+            from mirrormotion import cli
+
+            base = cli.reference_config()
+            config = replace(base, simulation=replace(
+                base.simulation, n_samples=4000, n_trials=2, edge_discard=5e-5))
+            cli.run_sweep_point(config, "coherent", 1.02e6, workers=2)
+            print("scipy.signal" in sys.modules)
+        """)
+        assert out.splitlines()[-1] == "True"

@@ -54,6 +54,19 @@ class TestSpectralGrid:
         assert np.array_equal(twin.nodes, fresh.nodes)
         assert np.array_equal(twin.weights, fresh.weights)
 
+    def test_integrand_tables_built_once(self, mirror, force, priors, grid):
+        tables = grid.integrands(priors)
+        assert grid.integrands(priors) is tables
+        for x in ("q", "p", "f"):
+            assert np.array_equal(tables[x], priors.psd(x, grid.nodes))
+        assert np.array_equal(tables["K"], priors.information_kernel(grid.nodes))
+        assert not any(t.flags.writeable for t in tables.values())
+        # a model other than the grid's own is evaluated afresh
+        broader = PriorModel(mirror, replace(force, lam=2.0 * force.lam), priors.tf)
+        other = grid.integrands(broader)
+        assert np.array_equal(other["f"], broader.psd("f", grid.nodes))
+        assert grid.integrands(priors) is tables
+
     @pytest.mark.parametrize("n", [est.N_PER_PANEL, 2 * est.N_PER_PANEL])
     def test_quadrature_rule_cached(self, n):
         x, w = est._gauss_legendre(n)
