@@ -63,8 +63,10 @@ class ExperimentConfig:
             raise ValueError("need at least one probe amplitude")
         if any(a <= 0 for a in self.alpha_sqs):
             raise ValueError("probe amplitudes must be positive")
-        if self.tf_source != "nominal" and not Path(self.tf_source).exists():
-            raise ValueError(f"transfer-function file not found: {self.tf_source}")
+        if self.tf_source != "nominal":
+            if not Path(self.tf_source).exists():
+                raise ValueError(f"transfer-function file not found: {self.tf_source}")
+            self.transfer_function()  # a malformed table raises, naming the file
 
     def transfer_function(self) -> TransferFunction:
         if self.tf_source == "nominal":
@@ -169,7 +171,9 @@ def write_config(config: ExperimentConfig, path) -> None:
         value = attrgetter(attr)(config)
         text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
         lines.append(f"{key} = {text}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def read_config(path) -> ExperimentConfig:
@@ -251,8 +255,8 @@ def run_sweep_point(
     dump_dir=None,
 ) -> SweepPoint:
     """Calibrate, simulate and score one (probe kind, amplitude) cell.
-    `grid`, when given, is a `est.SpectralGrid` of `config.priors()`; the cell
-    takes its priors from it, so the bounds reuse the grid's tables."""
+    `grid`, when given, is a `est.SpectralGrid` of `config.priors()`; the
+    trials simulate and filter the grid's own priors."""
     if workers < 1:
         raise ValueError("need at least one worker")
     if grid is None:
@@ -298,9 +302,9 @@ def run_sweep_point(
         probe=probe,
         mse=mse,
         stderr=stderr,
-        mmse={x: est.analytic_mmse(x, priors, probe, grid) for x in ("q", "p", "f")},
-        qcrb_coh={x: est.qcrb(x, priors, coh, grid) for x in ("q", "p", "f")},
-        qcrb_sq={x: est.qcrb(x, priors, sq, grid) for x in ("q", "p", "f")},
+        mmse={x: est.analytic_mmse(x, probe, grid) for x in ("q", "p", "f")},
+        qcrb_coh={x: est.qcrb(x, coh, grid) for x in ("q", "p", "f")},
+        qcrb_sq={x: est.qcrb(x, sq, grid) for x in ("q", "p", "f")},
         sigma_phi_sq_emp=float(np.mean(sigma_emp)) if sigma_emp else float("nan"),
         n_diverged=n_diverged,
     )
@@ -390,8 +394,7 @@ def cmd_bounds(
     """Analytic prediction curves and bounds on a dense amplitude grid (no
     simulation).  The grid always contains the configured sweep amplitudes.
     Returns the rows and the number of amplitudes that failed (and wrote none)."""
-    priors = config.priors()
-    grid = est.SpectralGrid.build(priors)
+    grid = est.SpectralGrid.build(config.priors())
     lo, hi = min(config.alpha_sqs), max(config.alpha_sqs)
     alphas = sorted(set(np.geomspace(lo, hi, n_points)) | set(config.alpha_sqs))
 
@@ -402,10 +405,10 @@ def cmd_bounds(
             {
                 "var": x,
                 "alpha_sq": float(alpha_sq),
-                "mmse_coh": est.analytic_mmse(x, priors, coh, grid),
-                "mmse_sq": est.analytic_mmse(x, priors, sq, grid),
-                "qcrb_coh": est.qcrb(x, priors, coh, grid),
-                "qcrb_sq": est.qcrb(x, priors, sq, grid),
+                "mmse_coh": est.analytic_mmse(x, coh, grid),
+                "mmse_sq": est.analytic_mmse(x, sq, grid),
+                "qcrb_coh": est.qcrb(x, coh, grid),
+                "qcrb_sq": est.qcrb(x, sq, grid),
             }
             for x in ("q", "p", "f")
         ]
@@ -491,6 +494,8 @@ def cmd_simulate(
 def _load_config(args) -> ExperimentConfig:
     config = read_config(args.config) if args.config else reference_config()
     overrides = {"simulation.seed": args.seed, "simulation.n_trials": args.trials, "out_dir": args.out}
+    if getattr(args, "alpha_sq", None) is not None:  # checked like a file's amplitudes
+        overrides["alpha_sqs"] = (args.alpha_sq,)
     return _with_values(config, {a: v for a, v in overrides.items() if v is not None})
 
 
@@ -521,7 +526,10 @@ def main(argv=None) -> int:
         parser.error("--workers must be at least 1")
 
     if args.command == "write-config":
-        write_config(reference_config(), args.path)
+        try:
+            write_config(reference_config(), args.path)
+        except OSError as exc:  # e.g. a parent path that is a file
+            parser.error(str(exc))
         print(f"wrote {args.path}")
         return 0
 
@@ -539,9 +547,8 @@ def main(argv=None) -> int:
     elif args.command == "diagnose":
         print(cmd_diagnose(config))
     elif args.command == "simulate":
-        alpha_sq = args.alpha_sq if args.alpha_sq is not None else config.alpha_sqs[-1]
         point = cmd_simulate(
-            config, args.kind, alpha_sq, args.dump_trajectories, workers=args.workers
+            config, args.kind, config.alpha_sqs[-1], args.dump_trajectories, workers=args.workers
         )
         for x in ("q", "p", "f"):
             print(

@@ -89,17 +89,16 @@ class SpectralGrid:
     def _doubled(self) -> "SpectralGrid":
         return _raw_grid(self.priors, 2.0 * self.omega_max, N_PER_PANEL)
 
-    def integrands(self, priors: PriorModel) -> dict:
-        """Read-only tables of `priors` on the nodes: S_x for x in PRIOR_TAGS
-        and the information kernel K under "K".  For the grid's own priors
-        they are evaluated on the first call and reused afterwards."""
-        if priors is not self.priors:
-            return _integrand_tables(priors, self.nodes)
-        return self._tables
-
     @functools.cached_property
-    def _tables(self) -> dict:
-        return _integrand_tables(self.priors, self.nodes)
+    def integrands(self) -> dict:
+        """Read-only tables of the grid's priors on its nodes: S_x for x in
+        PRIOR_TAGS and the information kernel K under "K", evaluated on the
+        first access and reused afterwards."""
+        tables = {x: self.priors.psd(x, self.nodes) for x in PRIOR_TAGS}
+        tables["K"] = self.priors.information_kernel(self.nodes)
+        for table in tables.values():
+            table.flags.writeable = False
+        return tables
 
     @classmethod
     def build(
@@ -143,14 +142,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _integrand_tables(priors: PriorModel, nodes: np.ndarray) -> dict:
-    tables = {x: priors.psd(x, nodes) for x in PRIOR_TAGS}
-    tables["K"] = priors.information_kernel(nodes)
-    for table in tables.values():
-        table.flags.writeable = False
-    return tables
-
-
 def _raw_grid(priors: PriorModel, omega_max: float, n_per_panel: int) -> SpectralGrid:
     x, w = _gauss_legendre(n_per_panel)
     edges = _panel_edges(priors, omega_max)
@@ -161,58 +152,47 @@ def _raw_grid(priors: PriorModel, omega_max: float, n_per_panel: int) -> Spectra
     return SpectralGrid(nodes, weights, float(omega_max), priors)
 
 
-def _converged_integral(integrand, grid: SpectralGrid, label: str) -> float:
-    """Integral dw/2pi of `integrand(g)`, the integrand's values on the nodes of
-    grid g, on `grid` and on its doubled twin; raises TailAccuracyError when
+# ---------------------------------------------------------------------------
+# analytic MSEs and bounds
+
+
+def _information_integral(x: str, grid: SpectralGrid, nu: float, label: str) -> float:
+    """Integral dw/2pi S_x / (1 + nu K), K the information kernel of the grid's
+    priors, on `grid` and on its doubled twin; raises TailAccuracyError when
     the two differ by more than TAIL_RTOL."""
-    value = grid.integrate(integrand(grid)) / np.pi
-    bigger = grid.doubled()
-    refined = bigger.integrate(integrand(bigger)) / np.pi
+    if x not in PRIOR_TAGS:
+        raise ValueError(f"unknown variable tag {x!r}")
+    value, refined = (
+        g.integrate(g.integrands[x] / (1.0 + nu * g.integrands["K"])) / np.pi
+        for g in (grid, grid.doubled())
+    )
     if abs(refined - value) > TAIL_RTOL * abs(refined):
         raise TailAccuracyError(
-            f"{label}: tail estimate {abs(refined - value):.3e} exceeds "
+            f"{label}[{x}]: tail estimate {abs(refined - value):.3e} exceeds "
             f"{TAIL_RTOL:g} of the integral {refined:.3e}; increase omega_max"
         )
     return refined
 
 
-# ---------------------------------------------------------------------------
-# analytic MSEs and bounds
-
-
-def _information_integral(
-    x: str, priors: PriorModel, grid: SpectralGrid, nu: float, label: str
-) -> float:
-    """Integral dw/2pi S_x / (1 + nu K), K the information kernel."""
-    if x not in PRIOR_TAGS:
-        raise ValueError(f"unknown variable tag {x!r}")
-
-    def integrand(g):
-        tables = g.integrands(priors)
-        return tables[x] / (1.0 + nu * tables["K"])
-
-    return _converged_integral(integrand, grid, f"{label}[{x}]")
-
-
-def analytic_mmse(x: str, priors: PriorModel, probe: ProbeState, grid: SpectralGrid) -> float:
-    """Minimum mean-square smoothing error for x in {q, p, f}:
-    Integral dw/2pi S_x / (1 + K/S_z)."""
+def analytic_mmse(x: str, probe: ProbeState, grid: SpectralGrid) -> float:
+    """Minimum mean-square smoothing error for x in {q, p, f} under the
+    grid's priors: Integral dw/2pi S_x / (1 + K/S_z)."""
     nu = 1.0 / measurement_noise_psd(probe)
-    return _information_integral(x, priors, grid, nu, "analytic_mmse")
+    return _information_integral(x, grid, nu, "analytic_mmse")
 
 
-def qcrb(x: str, priors: PriorModel, probe: ProbeState, grid: SpectralGrid) -> float:
-    """Waveform estimation bound for x in {q, p, f}:
+def qcrb(x: str, probe: ProbeState, grid: SpectralGrid) -> float:
+    """Waveform estimation bound for x in {q, p, f} under the grid's priors:
     Integral dw/2pi S_x / (1 + 4 S_dI K), using the broadband photon-flux
     spectrum of the lossless beam."""
     nu = 4.0 * photon_flux_psd_broadband(probe)
-    return _information_integral(x, priors, grid, nu, "qcrb")
+    return _information_integral(x, grid, nu, "qcrb")
 
 
-def prior_variance(x: str, priors: PriorModel, grid: SpectralGrid) -> float:
-    """Stationary variance of x, Integral S_x dw/2pi: the information
-    integral with no information (nu = 0)."""
-    return _information_integral(x, priors, grid, 0.0, "prior_variance")
+def prior_variance(x: str, grid: SpectralGrid) -> float:
+    """Stationary variance of x under the grid's priors, Integral S_x dw/2pi:
+    the information integral with no information (nu = 0)."""
+    return _information_integral(x, grid, 0.0, "prior_variance")
 
 
 # ---------------------------------------------------------------------------

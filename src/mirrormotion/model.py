@@ -163,13 +163,19 @@ class TabulatedTransferFunction(TransferFunction):
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedTransferFunction":
-        """Load `freq_hz,gqf_real,gqf_imag` rows (positive frequencies, m/N)."""
-        freqs, values = [], []
+        """Load `freq_hz,gqf_real,gqf_imag` rows (positive frequencies, m/N).
+        A missing column, an unparsable value or an invalid table raises
+        ValueError naming the file."""
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                freqs.append(2.0 * np.pi * float(row["freq_hz"]))
-                values.append(float(row["gqf_real"]) + 1j * float(row["gqf_imag"]))
-        return cls(np.array(freqs), np.array(values))
+            rows = list(csv.DictReader(fh))
+        try:
+            freqs = [2.0 * np.pi * float(row["freq_hz"]) for row in rows]
+            values = [float(row["gqf_real"]) + 1j * float(row["gqf_imag"]) for row in rows]
+            return cls(np.array(freqs), np.array(values))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing column {exc}") from None
+        except (TypeError, ValueError) as exc:  # TypeError: a row short of a value
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

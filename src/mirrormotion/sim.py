@@ -62,8 +62,8 @@ class SimConfig:
             raise ValueError("sample period must be positive")
         if self.n_samples < 2:
             raise ValueError("need at least two samples")
-        if self.n_trials < 1:
-            raise ValueError("need at least one trial")
+        if self.n_trials < 2:  # every command scores a standard error
+            raise ValueError("need at least two trials")
         if self.mode not in (MODE_LINEARIZED, MODE_NONLINEAR):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.feedback_delay_samples < 0:

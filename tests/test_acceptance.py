@@ -64,14 +64,14 @@ def sweep(config):
     return points
 
 
-def test_criterion_1_coherent_attainability(priors, grid):
+def test_criterion_1_coherent_attainability(grid):
     """Unit-efficiency coherent bound equals the minimum MSE to 1e-9."""
     worst = 0.0
     for alpha in ALPHA_SQS:
         probe = ProbeState.coherent(alpha)
         for x in VARS:
-            bound = est.qcrb(x, priors, probe, grid)
-            mmse = est.analytic_mmse(x, priors, probe, grid)
+            bound = est.qcrb(x, probe, grid)
+            mmse = est.analytic_mmse(x, probe, grid)
             worst = max(worst, abs(bound / mmse - 1.0))
     _report(1, "coherent-state bound attainability", worst <= 1e-9,
             f"max relative gap {worst:.2e}")
@@ -149,7 +149,7 @@ def test_criterion_5_flux_anchors():
     _report(5, "squeezing flux anchors", ok, f"xi = {xi:.4f}, xi*I_sq = {flux:.4g}/s")
 
 
-def test_criterion_6_oracle_equivalence(mirror, force, priors, grid):
+def test_criterion_6_oracle_equivalence(mirror, force, grid):
     """Frequency-domain MMSE matches dense linear-Gaussian conditioning to 3%."""
     worst = 0.0
     for alpha in (1.02e6, 6.24e6):
@@ -163,7 +163,7 @@ def test_criterion_6_oracle_equivalence(mirror, force, priors, grid):
             )
             for x in VARS:
                 oracle = oracles.posterior_mse(x, mirror, force, probe, 256, 4e-6)
-                ana = est.analytic_mmse(x, priors, probe, grid)
+                ana = est.analytic_mmse(x, probe, grid)
                 worst = max(worst, abs(ana / oracle - 1.0))
     _report(6, "finite-dimensional posterior oracle equivalence", worst <= 0.03,
             f"max deviation {worst*100:.3f}%")
@@ -194,10 +194,10 @@ def test_criterion_8_invariant_suites(priors, grid):
         kernel = priors.information_kernel(w)
         for x in VARS:
             chain = (
-                est.qcrb(x, priors, sq, grid),
-                est.qcrb(x, priors, coh, grid),
-                est.analytic_mmse(x, priors, coh, grid),
-                est.prior_variance(x, priors, grid),
+                est.qcrb(x, sq, grid),
+                est.qcrb(x, coh, grid),
+                est.analytic_mmse(x, coh, grid),
+                est.prior_variance(x, grid),
             )
             if not (chain[0] < chain[1] <= chain[2] * (1 + 1e-9) < chain[3]):
                 failures.append(f"ordering chain broken for {x} at {alpha:g}")
@@ -224,8 +224,8 @@ def test_criterion_8_invariant_suites(priors, grid):
 
     # monotonicity in probe amplitude
     for x in VARS:
-        mmse = [est.analytic_mmse(x, priors, ProbeState.coherent(a), grid) for a in ALPHA_SQS]
-        bound = [est.qcrb(x, priors, ProbeState.coherent(a), grid) for a in ALPHA_SQS]
+        mmse = [est.analytic_mmse(x, ProbeState.coherent(a), grid) for a in ALPHA_SQS]
+        bound = [est.qcrb(x, ProbeState.coherent(a), grid) for a in ALPHA_SQS]
         if not (np.all(np.diff(mmse) < 0) and np.all(np.diff(bound) < 0)):
             failures.append(f"MSE not strictly decreasing in amplitude for {x}")
 

@@ -63,7 +63,7 @@ def experiment_configs(draw):
     simulation = sim.SimConfig(
         dt=dt,
         n_samples=n_samples,
-        n_trials=draw(st.integers(1, 10**6)),
+        n_trials=draw(st.integers(2, 10**6)),
         seed=draw(st.integers(0, 2**63 - 1)),
         mode=draw(st.sampled_from((sim.MODE_LINEARIZED, sim.MODE_NONLINEAR))),
         feedback_delay_samples=draw(st.integers(0, 1000)),
@@ -236,6 +236,25 @@ class TestSweep:
             if row["probe"] == "coherent":
                 assert row["qcrb_coh"] == pytest.approx(row["mmse"], rel=1e-9)
 
+    # (probe, var): (mse_emp, mse_stderr) of `tiny_config` at alpha_sq = 6.24e6
+    GOLDEN = {
+        ("coherent", "q"): (1.783763278856457e-17, 1.194694242925292e-18),
+        ("coherent", "p"): (9.946586410393297e-14, 6.4694374081379255e-15),
+        ("coherent", "f"): (0.005397192553360959, 0.0002179269459652668),
+        ("squeezed", "q"): (1.1453318913738748e-17, 4.436462777242392e-19),
+        ("squeezed", "p"): (7.335490399140014e-14, 5.98818397083261e-15),
+        ("squeezed", "f"): (0.0041200593090726274, 0.0001010186226836683),
+    }
+
+    def test_matches_golden(self, tiny_config):
+        """The fixed-seed trial path, pinned exactly: a refactor of the
+        simulation, tracking, smoothing or scoring must not move a bit."""
+        rows, failed = cli.cmd_sweep(replace(tiny_config, alpha_sqs=(6.24e6,)))
+        assert failed == 0
+        assert {
+            (row["probe"], row["var"]): (row["mse_emp"], row["mse_stderr"]) for row in rows
+        } == self.GOLDEN
+
     def test_seed_changes_results(self, tiny_config, tmp_path):
         out1 = tmp_path / "s1.csv"
         out2 = tmp_path / "s2.csv"
@@ -309,13 +328,12 @@ class TestBounds:
 
     def test_bound_columns_match_direct_evaluation(self, tiny_config):
         rows, _ = cli.cmd_bounds(tiny_config, n_points=2)
-        priors = tiny_config.priors()
-        grid = est.SpectralGrid.build(priors)
+        grid = est.SpectralGrid.build(tiny_config.priors())
         for row in rows:
             if row["alpha_sq"] in tiny_config.alpha_sqs:
                 coh = tiny_config.probe_template("coherent", row["alpha_sq"])
                 assert row["qcrb_coh"] == pytest.approx(
-                    est.qcrb(row["var"], priors, coh, grid), rel=1e-12
+                    est.qcrb(row["var"], coh, grid), rel=1e-12
                 )
 
     def test_failed_point_exits_nonzero(self, tiny_config, tmp_path, monkeypatch, capsys):
@@ -339,10 +357,10 @@ class TestBounds:
         real = est.qcrb
         failing_alpha = tiny_config.alpha_sqs[1]
 
-        def flaky(x, priors, probe, grid):
+        def flaky(x, probe, grid):
             if x == "p" and probe.alpha_sq == failing_alpha:
                 raise RuntimeError("synthetic integral failure")
-            return real(x, priors, probe, grid)
+            return real(x, probe, grid)
 
         monkeypatch.setattr(est, "qcrb", flaky)
         out = tmp_path / "bounds.csv"
@@ -502,19 +520,39 @@ class TestMainEntry:
         assert "wrote 6 rows" in capsys.readouterr().out
         assert (tmp_path / "out" / "sweep.csv").exists()
 
+    def test_write_config_creates_parent_directories(self, tmp_path, capsys):
+        path = tmp_path / "new" / "dir" / "x.cfg"
+        assert cli.main(["write-config", str(path)]) == 0
+        assert cli.read_config(path) == cli.reference_config()
+
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--trials", "0", "diagnose"], "need at least one trial"),
+            (["--trials", "0", "diagnose"], "need at least two trials"),
+            (["--trials", "1", "diagnose"], "need at least two trials"),
             (["--config", "{bad}", "diagnose"], "sim.trials"),
             (["--config", "{missing}", "diagnose"], "No such file"),
+            (["--config", "{bad_table}", "bounds"], "gqf.csv: missing column 'gqf_imag'"),
+            (["write-config", "{bad}/x.cfg"], "File exists"),
+            (["simulate", "--alpha-sq", "-1"], "probe amplitudes must be positive"),
+            (["simulate", "--alpha-sq", "0"], "probe amplitudes must be positive"),
+            (["simulate", "--alpha-sq", "nan"], "alpha_sqs must be finite"),
+            (["simulate", "--alpha-sq", "inf"], "alpha_sqs must be finite"),
         ],
-        ids=["zero-trials", "unparsable-value", "missing-config"],
+        ids=[
+            "zero-trials", "one-trial", "unparsable-value", "missing-config",
+            "table-without-column", "config-under-a-file", "negative-amplitude",
+            "zero-amplitude", "nan-amplitude", "infinite-amplitude",
+        ],
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv, message):
         bad = tmp_path / "bad.cfg"
         bad.write_text("sim.trials = abc\n")
-        paths = {"bad": bad, "missing": tmp_path / "missing.cfg"}
+        table = tmp_path / "gqf.csv"
+        table.write_text("freq_hz,gqf_real\n1000,1e-6\n2000,1e-6\n")
+        bad_table = tmp_path / "table.cfg"
+        bad_table.write_text(f"transfer.source = {table}\n")
+        paths = {"bad": bad, "missing": tmp_path / "missing.cfg", "bad_table": bad_table}
         with pytest.raises(SystemExit) as exit_info:
             cli.main([arg.format(**paths) for arg in argv])
         assert exit_info.value.code == 2

@@ -54,18 +54,13 @@ class TestSpectralGrid:
         assert np.array_equal(twin.nodes, fresh.nodes)
         assert np.array_equal(twin.weights, fresh.weights)
 
-    def test_integrand_tables_built_once(self, mirror, force, priors, grid):
-        tables = grid.integrands(priors)
-        assert grid.integrands(priors) is tables
+    def test_integrand_tables_built_once(self, priors, grid):
+        tables = grid.integrands
+        assert grid.integrands is tables
         for x in ("q", "p", "f"):
             assert np.array_equal(tables[x], priors.psd(x, grid.nodes))
         assert np.array_equal(tables["K"], priors.information_kernel(grid.nodes))
         assert not any(t.flags.writeable for t in tables.values())
-        # a model other than the grid's own is evaluated afresh
-        broader = PriorModel(mirror, replace(force, lam=2.0 * force.lam), priors.tf)
-        other = grid.integrands(broader)
-        assert np.array_equal(other["f"], broader.psd("f", grid.nodes))
-        assert grid.integrands(priors) is tables
 
     @pytest.mark.parametrize("n", [est.N_PER_PANEL, 2 * est.N_PER_PANEL])
     def test_quadrature_rule_cached(self, n):
@@ -78,7 +73,7 @@ class TestSpectralGrid:
     def test_tail_error_raised_for_short_grid(self, priors):
         stub = est._raw_grid(priors, 5.0 * LAMBDA, 16)
         with pytest.raises(TailAccuracyError):
-            prior_variance("f", priors, stub)
+            prior_variance("f", stub)
 
 
 class TestAnalyticMmse:
@@ -90,31 +85,31 @@ class TestAnalyticMmse:
         deep = SpectralGrid.build(priors, omega_max=1e14)
         for x in ("q", "p", "f"):
             values = [
-                analytic_mmse(x, priors, ProbeState.coherent(a), deep)
+                analytic_mmse(x, ProbeState.coherent(a), deep)
                 for a in (1.02e6, 1e12, 1e18, 1e24)
             ]
             assert np.all(np.diff(values) < 0)
             assert values[-1] < 1e-3 * values[0]
 
-    def test_no_information_limit(self, priors, grid):
+    def test_no_information_limit(self, grid):
         blind = ProbeState.coherent(1e-12)
-        assert analytic_mmse("f", priors, blind, grid) == pytest.approx(
+        assert analytic_mmse("f", blind, grid) == pytest.approx(
             KAPPA / (2 * LAMBDA), rel=2e-5
         )
         for x in ("q", "p", "f"):
-            assert analytic_mmse(x, priors, blind, grid) == pytest.approx(
-                prior_variance(x, priors, grid), rel=1e-9
+            assert analytic_mmse(x, blind, grid) == pytest.approx(
+                prior_variance(x, grid), rel=1e-9
             )
 
-    def test_force_mmse_against_posterior_oracle(self, mirror, force, priors, grid):
+    def test_force_mmse_against_posterior_oracle(self, mirror, force, grid):
         probe = ProbeState.coherent(6.24e6)
         oracle = oracles.posterior_mse("f", mirror, force, probe, 256, 4e-6)
-        assert analytic_mmse("f", priors, probe, grid) == pytest.approx(oracle, rel=2e-2)
+        assert analytic_mmse("f", probe, grid) == pytest.approx(oracle, rel=2e-2)
 
-    def test_monotone_decreasing_in_amplitude(self, priors, grid):
+    def test_monotone_decreasing_in_amplitude(self, grid):
         for x in ("q", "p", "f"):
-            mmse = [analytic_mmse(x, priors, ProbeState.coherent(a), grid) for a in ALPHA_SQS]
-            bound = [qcrb(x, priors, ProbeState.coherent(a), grid) for a in ALPHA_SQS]
+            mmse = [analytic_mmse(x, ProbeState.coherent(a), grid) for a in ALPHA_SQS]
+            bound = [qcrb(x, ProbeState.coherent(a), grid) for a in ALPHA_SQS]
             assert np.all(np.diff(mmse) < 0)
             assert np.all(np.diff(bound) < 0)
 
@@ -122,29 +117,29 @@ class TestAnalyticMmse:
         fine = SpectralGrid.build(priors, rtol=1e-9)
         p_inf = oracles.stationary_covariance(mirror, force)
         for x, idx in (("q", 0), ("p", 1), ("f", 2)):
-            assert prior_variance(x, priors, fine) == pytest.approx(p_inf[idx, idx], rel=1e-7)
+            assert prior_variance(x, fine) == pytest.approx(p_inf[idx, idx], rel=1e-7)
 
 
 class TestQcrb:
-    def test_coherent_equals_mmse(self, priors, grid):
+    def test_coherent_equals_mmse(self, grid):
         for a in ALPHA_SQS:
             probe = ProbeState.coherent(a)
             for x in ("q", "p", "f"):
-                assert qcrb(x, priors, probe, grid) == pytest.approx(
-                    analytic_mmse(x, priors, probe, grid), rel=1e-9
+                assert qcrb(x, probe, grid) == pytest.approx(
+                    analytic_mmse(x, probe, grid), rel=1e-9
                 )
 
-    def test_impure_squeezed_bound_is_looser_than_mmse(self, priors, grid):
+    def test_impure_squeezed_bound_is_looser_than_mmse(self, grid):
         probe = squeezed(1.02e6)
         assert attainability_gap(probe) > 1.0
         for x in ("q", "p", "f"):
-            assert qcrb(x, priors, probe, grid) < analytic_mmse(x, priors, probe, grid)
+            assert qcrb(x, probe, grid) < analytic_mmse(x, probe, grid)
 
-    def test_squeezed_bound_below_coherent_bound(self, priors, grid):
+    def test_squeezed_bound_below_coherent_bound(self, grid):
         for a in ALPHA_SQS:
             for x in ("q", "p", "f"):
-                assert qcrb(x, priors, squeezed(a), grid) < qcrb(
-                    x, priors, ProbeState.coherent(a), grid
+                assert qcrb(x, squeezed(a), grid) < qcrb(
+                    x, ProbeState.coherent(a), grid
                 )
 
     def test_ordering_chain(self, priors, grid):
@@ -154,10 +149,10 @@ class TestQcrb:
             sq = squeezed(a)
             for x in ("q", "p", "f"):
                 chain = (
-                    qcrb(x, priors, sq, fine),
-                    qcrb(x, priors, coh, fine),
-                    analytic_mmse(x, priors, coh, fine),
-                    prior_variance(x, priors, fine),
+                    qcrb(x, sq, fine),
+                    qcrb(x, coh, fine),
+                    analytic_mmse(x, coh, fine),
+                    prior_variance(x, fine),
                 )
                 assert chain[0] < chain[1]
                 assert chain[1] <= chain[2] * (1 + 1e-12)
@@ -205,9 +200,9 @@ class TestQcrb:
             sigma_phi_sq=sigma_phi_sq, eta_det=eta_det,
         )
         for x in ("q", "p", "f"):
-            qcrb_sq, qcrb_coh = qcrb(x, priors, sq, grid), qcrb(x, priors, coh, grid)
-            mmse_coh, mmse_sq = analytic_mmse(x, priors, coh, grid), analytic_mmse(x, priors, sq, grid)
-            assert qcrb_sq < qcrb_coh <= mmse_coh * (1 + 1e-9) < prior_variance(x, priors, grid)
+            qcrb_sq, qcrb_coh = qcrb(x, sq, grid), qcrb(x, coh, grid)
+            mmse_coh, mmse_sq = analytic_mmse(x, coh, grid), analytic_mmse(x, sq, grid)
+            assert qcrb_sq < qcrb_coh <= mmse_coh * (1 + 1e-9) < prior_variance(x, grid)
             assert qcrb_sq <= mmse_sq * (1 + 1e-9)
 
 
@@ -235,20 +230,19 @@ class TestGoldenBounds:
     @pytest.fixture(scope="class")
     def reference(self):
         config = cli.reference_config()
-        priors = config.priors()
-        return config, priors, SpectralGrid.build(priors)
+        return config, SpectralGrid.build(config.priors())
 
     @pytest.mark.parametrize("alpha_sq", ALPHA_SQS)
     def test_matches_golden(self, reference, alpha_sq):
-        config, priors, grid = reference
+        config, grid = reference
         coh = config.operating_point("coherent", alpha_sq)
         sq = config.operating_point("squeezed", alpha_sq)
         for x in ("q", "p", "f"):
             values = (
-                analytic_mmse(x, priors, coh, grid),
-                analytic_mmse(x, priors, sq, grid),
-                qcrb(x, priors, coh, grid),
-                qcrb(x, priors, sq, grid),
+                analytic_mmse(x, coh, grid),
+                analytic_mmse(x, sq, grid),
+                qcrb(x, coh, grid),
+                qcrb(x, sq, grid),
             )
             assert values == pytest.approx(self.GOLDEN[alpha_sq, x], rel=1e-12, abs=0.0)
 
@@ -407,7 +401,7 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("alpha_sq", [1.02e6, 6.24e6])
     @pytest.mark.parametrize("kind", ["coherent", "squeezed"])
-    def test_posterior_mse_matches(self, mirror, force, priors, grid, alpha_sq, kind):
+    def test_posterior_mse_matches(self, mirror, force, grid, alpha_sq, kind):
         probe = (
             ProbeState.coherent(alpha_sq, eta_det=ETA)
             if kind == "coherent"
@@ -415,4 +409,4 @@ class TestOracleEquivalence:
         )
         for x in ("q", "p", "f"):
             oracle = oracles.posterior_mse(x, mirror, force, probe, 256, 4e-6)
-            assert analytic_mmse(x, priors, probe, grid) == pytest.approx(oracle, rel=3e-2)
+            assert analytic_mmse(x, probe, grid) == pytest.approx(oracle, rel=3e-2)

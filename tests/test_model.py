@@ -192,7 +192,7 @@ class TestPriorPsd:
 
     def test_parseval_ou_variance(self, priors):
         grid = est.SpectralGrid.build(priors, rtol=1e-9)
-        var = est.prior_variance("f", priors, grid)
+        var = est.prior_variance("f", grid)
         assert var == pytest.approx(KAPPA / (2.0 * LAMBDA), rel=1e-6)
 
     def test_momentum_factored_form(self, mirror, force, priors):
@@ -233,6 +233,23 @@ class TestTabulatedTransferFunction:
         loaded = TabulatedTransferFunction.from_csv(path)
         assert np.allclose(loaded.freqs, tabulated.freqs, rtol=1e-15)
         assert np.allclose(loaded.values, tabulated.values, rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("freq_hz,gqf_real\n1,2\n3,4\n", "gqf.csv: missing column 'gqf_imag'"),
+            ("freq_hz,gqf_real,gqf_imag\n1,2,3\n3,x,4\n", "gqf.csv: could not convert string to float: 'x'"),
+            ("freq_hz,gqf_real,gqf_imag\n1,2,3\n3,4\n", "gqf.csv: float() argument"),
+            ("freq_hz,gqf_real,gqf_imag\n1,2,3\n", "gqf.csv: need at least two"),
+        ],
+        ids=["missing-column", "unparsable-value", "short-row", "one-row"],
+    )
+    def test_csv_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "gqf.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc_info:
+            TabulatedTransferFunction.from_csv(path)
+        assert message in str(exc_info.value)
 
     def test_rejects_bad_tables(self):
         with pytest.raises(ValueError):
