@@ -27,7 +27,6 @@ from .model import (
     NominalTransferFunction,
     PriorModel,
     TabulatedTransferFunction,
-    TransferFunction,
 )
 from .probe import (
     ProbeState,
@@ -63,18 +62,17 @@ class ExperimentConfig:
             raise ValueError("need at least one probe amplitude")
         if any(a <= 0 for a in self.alpha_sqs):
             raise ValueError("probe amplitudes must be positive")
-        if self.tf_source != "nominal":
-            if not Path(self.tf_source).exists():
-                raise ValueError(f"transfer-function file not found: {self.tf_source}")
-            self.transfer_function()  # a malformed table raises, naming the file
-
-    def transfer_function(self) -> TransferFunction:
         if self.tf_source == "nominal":
-            return NominalTransferFunction(self.mirror)
-        return TabulatedTransferFunction.from_csv(self.tf_source)
+            tf = NominalTransferFunction(self.mirror)
+        elif Path(self.tf_source).exists():
+            tf = TabulatedTransferFunction.from_csv(self.tf_source)  # raises naming the file
+        else:
+            raise ValueError(f"transfer-function file not found: {self.tf_source}")
+        object.__setattr__(self, "_priors", PriorModel(self.mirror, self.force, tf))
 
     def priors(self) -> PriorModel:
-        return PriorModel(self.mirror, self.force, self.transfer_function())
+        """The run's one `PriorModel`, built with the config."""
+        return self._priors
 
     def probe_template(self, kind: str, alpha_sq: float) -> ProbeState:
         """Probe with sigma_phi_sq = 0; calibrate before using S_z."""
@@ -179,6 +177,11 @@ def write_config(config: ExperimentConfig, path) -> None:
 def read_config(path) -> ExperimentConfig:
     """Reference config with the file's keys applied; missing keys keep their
     reference values."""
+    return _with_values(reference_config(), _read_values(path))
+
+
+def _read_values(path) -> dict:
+    """{attribute path: parsed value} of a config file's keys."""
     raw = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -201,7 +204,7 @@ def read_config(path) -> ExperimentConfig:
             values[attr] = parse(text)
         except ValueError as exc:
             raise ValueError(f"{path}: {key}: {exc}") from exc
-    return _with_values(reference_config(), values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +227,7 @@ def _score_trials(priors, probe, tracker, bank, cfg, trial_indices, dump_dir=Non
         window = traj.data_slice
         payload = {"sigma_phi_sq": traj.sigma_phi_sq}
         for x, truth in (("q", traj.q), ("p", traj.p), ("f", traj.f)):
-            estimate = est.smooth(traj.y, x, bank, cfg)
+            estimate = est.smooth(traj.y, x, bank)
             payload[x] = (estimate[window].copy(), truth[window].copy())
         results[idx] = payload
     return results
@@ -234,8 +237,6 @@ def _score_trials(priors, probe, tracker, bank, cfg, trial_indices, dump_dir=Non
 class SweepPoint:
     """Scored results for one (probe kind, amplitude) cell."""
 
-    kind: str
-    alpha_sq: float
     probe: ProbeState
     mse: dict
     stderr: dict
@@ -264,9 +265,9 @@ def run_sweep_point(
     priors = grid.priors
     cfg = config.simulation
 
+    _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)  # fails a short trace first
     probe = config.operating_point(kind, alpha_sq)
     tracker = sim.KalmanTracker(probe, config.force, config.mirror, cfg)
-    _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)
     bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
 
     chunks = [
@@ -279,9 +280,9 @@ def run_sweep_point(
         import scipy.signal  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_score_chunk, chunks))
+            parts = list(pool.map(_score_trials, *zip(*chunks)))
     else:
-        parts = [_score_chunk(chunks[0])]
+        parts = [_score_trials(*chunks[0])]
     results = {idx: payload for part in parts for idx, payload in part.items()}
 
     # reduction keyed by trial index, so the outcome is pool-size independent
@@ -297,8 +298,6 @@ def run_sweep_point(
     coh = config.probe_template("coherent", alpha_sq)
     sq = config.probe_template("squeezed", alpha_sq)
     return SweepPoint(
-        kind=kind,
-        alpha_sq=alpha_sq,
         probe=probe,
         mse=mse,
         stderr=stderr,
@@ -310,8 +309,8 @@ def run_sweep_point(
     )
 
 
-def _score_chunk(args):
-    return _score_trials(*args)
+def _point_label(kind: str, alpha_sq: float) -> str:
+    return f"sweep point (kind={kind}, alpha_sq={alpha_sq:g})"
 
 
 def _write_table(path, columns, cells, rows_of) -> tuple[list[dict], int]:
@@ -349,16 +348,13 @@ def cmd_sweep(
     Returns the rows and the number of cells that failed (and wrote none)."""
     grid = est.SpectralGrid.build(config.priors())
 
-    def label(kind, alpha_sq):
-        return f"sweep point (kind={kind}, alpha_sq={alpha_sq:g})"
-
     def rows_of(cell):
         kind, alpha_sq = cell
         point = run_sweep_point(config, kind, alpha_sq, grid=grid, workers=workers)
         if point.n_diverged:
             print(
-                f"{label(kind, alpha_sq)}: {point.n_diverged} of {config.simulation.n_trials} "
-                "trials diverged and were left out",
+                f"{_point_label(kind, alpha_sq)}: {point.n_diverged} of "
+                f"{config.simulation.n_trials} trials diverged and were left out",
                 file=sys.stderr,
             )
         return [
@@ -376,7 +372,7 @@ def cmd_sweep(
         ]
 
     cells = [
-        (label(kind, alpha_sq), (kind, alpha_sq))
+        (_point_label(kind, alpha_sq), (kind, alpha_sq))
         for alpha_sq in config.alpha_sqs
         for kind in PROBE_KINDS
     ]
@@ -492,11 +488,14 @@ def cmd_simulate(
 
 
 def _load_config(args) -> ExperimentConfig:
-    config = read_config(args.config) if args.config else reference_config()
+    """Reference config with the file's values and then the CLI overrides
+    applied at once, so the config is built and checked once."""
+    values = _read_values(args.config) if args.config else {}
     overrides = {"simulation.seed": args.seed, "simulation.n_trials": args.trials, "out_dir": args.out}
     if getattr(args, "alpha_sq", None) is not None:  # checked like a file's amplitudes
         overrides["alpha_sqs"] = (args.alpha_sq,)
-    return _with_values(config, {a: v for a, v in overrides.items() if v is not None})
+    values.update((a, v) for a, v in overrides.items() if v is not None)
+    return _with_values(reference_config(), values)
 
 
 def main(argv=None) -> int:
@@ -547,9 +546,14 @@ def main(argv=None) -> int:
     elif args.command == "diagnose":
         print(cmd_diagnose(config))
     elif args.command == "simulate":
-        point = cmd_simulate(
-            config, args.kind, config.alpha_sqs[-1], args.dump_trajectories, workers=args.workers
-        )
+        alpha_sq = config.alpha_sqs[-1]
+        try:
+            point = cmd_simulate(
+                config, args.kind, alpha_sq, args.dump_trajectories, workers=args.workers
+            )
+        except Exception as exc:  # reported like a failed sweep cell
+            print(f"{_point_label(args.kind, alpha_sq)} failed: {exc}", file=sys.stderr)
+            return 1
         for x in ("q", "p", "f"):
             print(
                 f"{x}: mse = {point.mse[x]:.4e} +- {point.stderr[x]:.1e}, "

@@ -223,17 +223,16 @@ class FilterBank:
     """
 
     n_fft: int
-    dt: float
     filters: dict
 
     @classmethod
     def build(cls, n_fft: int, dt: float, priors: PriorModel, probe: ProbeState):
         omega = 2.0 * np.pi * np.fft.rfftfreq(n_fft, dt)
         filters = {x: optimal_filter(x, omega, priors, probe) for x in PRIOR_TAGS}
-        return cls(n_fft=n_fft, dt=float(dt), filters=filters)
+        return cls(n_fft=n_fft, filters=filters)
 
 
-def smooth(y, x: str, bank: FilterBank, cfg=None):
+def smooth(y, x: str, bank: FilterBank):
     """Apply the optimal smoother for x to measurement record(s) y.
 
     y may be one record or a (trials, samples) batch on the grid the bank was
@@ -244,10 +243,6 @@ def smooth(y, x: str, bank: FilterBank, cfg=None):
         raise GridMismatchError(
             f"record length {y.shape[-1]} does not match filter grid {bank.n_fft}"
         )
-    if cfg is not None and abs(cfg.dt - bank.dt) > 1e-12 * bank.dt:
-        raise GridMismatchError(
-            f"record sample period {cfg.dt:g} does not match filter grid {bank.dt:g}"
-        )
     return scipy.fft.irfft(scipy.fft.rfft(y, axis=-1) * bank.filters[x], n=bank.n_fft, axis=-1)
 
 
@@ -255,7 +250,7 @@ def empirical_mse(estimates, truths, cfg) -> tuple[float, float]:
     """Time-and-trial averaged squared error over the retained window.
 
     `estimates` and `truths` are (trials, samples) arrays on the data window;
-    `cfg.edge_discard` seconds are trimmed from each end before scoring (the
+    `cfg.n_edge` samples are trimmed from each end before scoring (the
     smoother needs two-sided data).  Returns (mse, standard error), the latter
     from the scatter of per-trial means.
     """
@@ -265,7 +260,7 @@ def empirical_mse(estimates, truths, cfg) -> tuple[float, float]:
         raise ValueError("estimate and truth arrays must have matching shapes")
     if e.shape[0] < 2:
         raise ValueError("need at least two trials for a standard error")
-    n_edge = int(round(cfg.edge_discard / cfg.dt))
+    n_edge = cfg.n_edge
     if e.shape[1] - 2 * n_edge <= 0:
         raise ValueError("edge discard leaves an empty scoring window")
     window = slice(n_edge, e.shape[1] - n_edge)

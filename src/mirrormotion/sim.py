@@ -44,8 +44,8 @@ class SimConfig:
     """Monte Carlo settings.
 
     `n_samples` counts only the scored data window; margins are added
-    internally.  `edge_discard` seconds are trimmed from each end of the data
-    window before scoring.
+    internally (`trial_geometry`).  `edge_discard` seconds, `n_edge` samples,
+    are trimmed from each end of the data window before scoring.
     """
 
     dt: float = 1e-7
@@ -70,20 +70,17 @@ class SimConfig:
             raise ValueError("feedback delay must be nonnegative")
         if self.edge_discard < 0:
             raise ValueError("edge discard must be nonnegative")
-        if 2.0 * self.edge_discard >= self.n_samples * self.dt:
+        try:
+            too_wide = 2 * self.n_edge >= self.n_samples
+        except OverflowError:  # edge_discard / dt beyond the float range
+            too_wide = True
+        if too_wide:
             raise ValueError("edge discard leaves no scoring window")
 
     @property
-    def duration(self) -> float:
-        return self.n_samples * self.dt
-
-    def validate_against(self, force: ForceParams) -> None:
-        """Traces must span at least 10 force correlation times."""
-        if self.duration < 10.0 / force.lam:
-            raise ValueError(
-                f"trace length {self.duration:g} s is shorter than ten force "
-                f"correlation times ({10.0 / force.lam:g} s)"
-            )
+    def n_edge(self) -> int:
+        """Samples trimmed from each end of the data window before scoring."""
+        return int(round(self.edge_discard / self.dt))
 
 
 def _lfilter(b, a, x) -> np.ndarray:
@@ -106,7 +103,14 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 def trial_geometry(force: ForceParams, params: MirrorParams, cfg: SimConfig) -> tuple[int, int]:
     """(n_margin, n_total): samples of margin on each side of the data window,
-    and the FFT-friendly length of the whole extended grid."""
+    and the FFT-friendly length of the whole extended grid.  The data window
+    must span at least ten force correlation times."""
+    duration = cfg.n_samples * cfg.dt
+    if duration < 10.0 / force.lam:
+        raise ValueError(
+            f"trace length {duration:g} s is shorter than ten force "
+            f"correlation times ({10.0 / force.lam:g} s)"
+        )
     tau = max(force.correlation_time, 2.0 / params.gamma if params.gamma > 0 else 0.0)
     n_margin = int(math.ceil(PAD_CORRELATION_TIMES * tau / cfg.dt))
     return n_margin, scipy.fft.next_fast_len(cfg.n_samples + 2 * n_margin)
@@ -116,16 +120,13 @@ def trial_geometry(force: ForceParams, params: MirrorParams, cfg: SimConfig) -> 
 # signal generation
 
 
-def simulate_ou(
-    force: ForceParams, cfg: SimConfig, rng: np.random.Generator, n: int | None = None
-) -> np.ndarray:
-    """Exact-discretization Ornstein-Uhlenbeck force samples.
+def simulate_ou(force: ForceParams, cfg: SimConfig, rng: np.random.Generator, n: int) -> np.ndarray:
+    """`n` exact-discretization Ornstein-Uhlenbeck force samples.
 
     f[k+1] = e^{-lam dt} f[k] + eps[k] with Var(eps) = kappa(1-e^{-2 lam dt})/(2 lam)
     and f[0] drawn from the stationary distribution, so every sample is exactly
     stationary at any step size.
     """
-    n = cfg.n_samples if n is None else n
     a = math.exp(-force.lam * cfg.dt)
     innovation_std = math.sqrt(force.stationary_variance * (1.0 - a * a))
     drive = rng.normal(0.0, innovation_std, n)
@@ -213,8 +214,6 @@ class KalmanTracker:
     def __init__(
         self, probe: ProbeState, force: ForceParams, params: MirrorParams, cfg: SimConfig
     ):
-        self.params = params
-        self.force = force
         self.cfg = cfg
         self.a_d, self.q_d = _tracker_model(params, force, cfg.dt)
         self.c_vec = np.array([params.phase_gain, 0.0, 0.0])
@@ -439,7 +438,6 @@ class Trajectory:
     y: np.ndarray
     data_start: int
     n_data: int
-    dt: float
     sigma_phi_sq: float = float("nan")
     diverged: bool = False
 
@@ -461,7 +459,6 @@ def simulate_trial(
     rng: np.random.Generator,
 ) -> Trajectory:
     """Generate one force/motion/measurement trial on the extended grid."""
-    cfg.validate_against(priors.force)
     n_margin, n_total = trial_geometry(priors.force, priors.params, cfg)
     f = simulate_ou(priors.force, cfg, rng, n=n_total)
     q, p, phi = mirror_response(f, priors.tf, priors.params, cfg, pad_samples=n_margin)
@@ -477,7 +474,6 @@ def simulate_trial(
         y=tracked.y,
         data_start=n_margin,
         n_data=cfg.n_samples,
-        dt=cfg.dt,
         sigma_phi_sq=tracked.sigma_phi_sq,
         diverged=tracked.diverged,
     )

@@ -15,7 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mirrormotion import cli, est, sim
-from mirrormotion.model import ForceParams, MirrorParams
+from mirrormotion.model import (
+    ForceParams,
+    MirrorParams,
+    NominalTransferFunction,
+    TabulatedTransferFunction,
+)
 
 from conftest import ALPHA_SQS
 
@@ -67,7 +72,8 @@ def experiment_configs(draw):
         seed=draw(st.integers(0, 2**63 - 1)),
         mode=draw(st.sampled_from((sim.MODE_LINEARIZED, sim.MODE_NONLINEAR))),
         feedback_delay_samples=draw(st.integers(0, 1000)),
-        edge_discard=draw(st.floats(0.0, 0.49)) * n_samples * dt,
+        # against n_samples - 1, so the edges rounded to samples leave a window
+        edge_discard=draw(st.floats(0.0, 0.49)) * (n_samples - 1) * dt,
     )
     real = st.floats(-1e3, 1e3)
     return cli.ExperimentConfig(
@@ -481,6 +487,18 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit):
             cli.main(["--trials", "2", "--out", str(tmp_path), "--workers", "0", "simulate"])
 
+    def test_failed_cell_reported_like_sweep(self, tmp_path, capsys):
+        # 1000 samples of 0.1 us span less than ten force correlation times
+        cfg_path = tmp_path / "short.cfg"
+        cfg_path.write_text("sim.samples = 1000\nsim.edge_discard = 1e-5\n")
+        argv = ["--config", str(cfg_path), "--trials", "2", "--out", str(tmp_path), "simulate"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith("sweep point (kind=squeezed, alpha_sq=6.24e+06) failed: ")
+        assert "shorter than ten force correlation times" in line
+
 
 class TestMainEntry:
     def test_write_config_and_diagnose(self, tmp_path, capsys):
@@ -520,6 +538,34 @@ class TestMainEntry:
         assert "wrote 6 rows" in capsys.readouterr().out
         assert (tmp_path / "out" / "sweep.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore:query outside tabulated transfer-function range")
+    @pytest.mark.parametrize(
+        "argv", [["bounds"], ["sweep"], ["simulate"], ["diagnose"]], ids=lambda a: a[0]
+    )
+    def test_transfer_table_read_once(self, tiny_config, tmp_path, monkeypatch, argv):
+        freqs = np.geomspace(1e3, 1e8, 2000)
+        table = tmp_path / "gqf.csv"
+        tf = NominalTransferFunction(tiny_config.mirror)
+        TabulatedTransferFunction(freqs, tf(freqs)).to_csv(table)
+        config = replace(
+            tiny_config,
+            alpha_sqs=(1.02e6,),
+            simulation=replace(tiny_config.simulation, n_trials=2),
+            tf_source=str(table),
+        )
+        cfg_path = tmp_path / "table.cfg"
+        cli.write_config(config, cfg_path)
+        reads = []
+        from_csv = TabulatedTransferFunction.from_csv
+
+        def counted(path):
+            reads.append(path)
+            return from_csv(path)
+
+        monkeypatch.setattr(TabulatedTransferFunction, "from_csv", counted)
+        assert cli.main(["--config", str(cfg_path), "--seed", "3", *argv]) == 0
+        assert reads == [str(table)]
+
     def test_write_config_creates_parent_directories(self, tmp_path, capsys):
         path = tmp_path / "new" / "dir" / "x.cfg"
         assert cli.main(["write-config", str(path)]) == 0
@@ -538,11 +584,12 @@ class TestMainEntry:
             (["simulate", "--alpha-sq", "0"], "probe amplitudes must be positive"),
             (["simulate", "--alpha-sq", "nan"], "alpha_sqs must be finite"),
             (["simulate", "--alpha-sq", "inf"], "alpha_sqs must be finite"),
+            (["--config", "{wide_edge}", "--trials", "2", "sweep"], "leaves no scoring window"),
         ],
         ids=[
             "zero-trials", "one-trial", "unparsable-value", "missing-config",
             "table-without-column", "config-under-a-file", "negative-amplitude",
-            "zero-amplitude", "nan-amplitude", "infinite-amplitude",
+            "zero-amplitude", "nan-amplitude", "infinite-amplitude", "edge-rounds-to-half-window",
         ],
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv, message):
@@ -552,7 +599,13 @@ class TestMainEntry:
         table.write_text("freq_hz,gqf_real\n1000,1e-6\n2000,1e-6\n")
         bad_table = tmp_path / "table.cfg"
         bad_table.write_text(f"transfer.source = {table}\n")
-        paths = {"bad": bad, "missing": tmp_path / "missing.cfg", "bad_table": bad_table}
+        # 1999.6 samples of edge round to 2000: half of the 4000-sample window
+        wide_edge = tmp_path / "edge.cfg"
+        wide_edge.write_text("sim.samples = 4000\nsim.edge_discard = 1.9996e-4\n")
+        paths = {
+            "bad": bad, "missing": tmp_path / "missing.cfg", "bad_table": bad_table,
+            "wide_edge": wide_edge,
+        }
         with pytest.raises(SystemExit) as exit_info:
             cli.main([arg.format(**paths) for arg in argv])
         assert exit_info.value.code == 2

@@ -360,8 +360,6 @@ class TestSmoothing:
         bank = FilterBank.build(4096, smoothing_cfg.dt, priors, ProbeState.coherent(1e6))
         with pytest.raises(GridMismatchError):
             smooth(np.zeros(4095), "q", bank)
-        with pytest.raises(GridMismatchError):
-            smooth(np.zeros(4096), "q", bank, cfg=replace(smoothing_cfg, dt=2e-7))
 
 
 class TestEmpiricalMse:

@@ -45,6 +45,8 @@ class TestSimConfig:
             sim.SimConfig(feedback_delay_samples=-1)
         with pytest.raises(ValueError):
             sim.SimConfig(n_samples=1000, dt=1e-7, edge_discard=1e-4)
+        with pytest.raises(ValueError, match="no scoring window"):
+            sim.SimConfig(dt=1e-200, edge_discard=1e200)  # edge/dt overflows
         with pytest.raises(ValueError):
             sim.SimConfig(dt=math.nan)
         with pytest.raises(ValueError):
@@ -52,10 +54,10 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             sim.SimConfig(edge_discard=math.nan)
 
-    def test_short_trace_rejected(self, force):
+    def test_short_trace_rejected(self, force, mirror):
         cfg = sim.SimConfig(dt=1e-7, n_samples=1000, edge_discard=0.0)
         with pytest.raises(ValueError, match="correlation times"):
-            cfg.validate_against(force)
+            sim.trial_geometry(force, mirror, cfg)
 
 
 class TestTrialRng:
@@ -93,8 +95,8 @@ class TestSimulateOu:
         assert p_value > 0.01
 
     def test_same_seed_bit_identical(self, force, cfg):
-        f1 = sim.simulate_ou(force, cfg, sim.trial_rng(42, 7))
-        f2 = sim.simulate_ou(force, cfg, sim.trial_rng(42, 7))
+        f1 = sim.simulate_ou(force, cfg, sim.trial_rng(42, 7), n=cfg.n_samples)
+        f2 = sim.simulate_ou(force, cfg, sim.trial_rng(42, 7), n=cfg.n_samples)
         assert np.array_equal(f1, f2)
 
     def test_distinct_trials_independent(self, force, cfg):
