@@ -16,6 +16,7 @@ from .est import (
     prior_variance,
     qcrb,
     smooth,
+    trial_mse,
 )
 from .model import (
     ForceParams,

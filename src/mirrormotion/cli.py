@@ -10,6 +10,8 @@ a given config and seed, independent of the worker count.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -39,6 +41,10 @@ from .probe import (
 SWEEP_COLUMNS = ("var", "probe", "alpha_sq", "mse_emp", "mse_stderr", "mmse", "qcrb_coh", "qcrb_sq")
 BOUNDS_COLUMNS = ("var", "alpha_sq", "mmse_coh", "mmse_sq", "qcrb_coh", "qcrb_sq")
 PROBE_KINDS = ("coherent", "squeezed")
+
+#: Trials per task of a sweep cell.  A cell keeps only four floats per kept
+#: trial; its scored windows live for one task.
+TRIALS_PER_TASK = 10
 
 
 @dataclass(frozen=True)
@@ -247,6 +253,28 @@ class SweepPoint:
     n_diverged: int = 0
 
 
+@functools.cache
+def _reuse_freed_heap() -> None:
+    """Keep the memory trials free in the C heap for the next trial.
+
+    A trial allocates and frees megabytes of sub-megabyte arrays.  With
+    glibc's starting thresholds, free() hands the top of the heap back to
+    the system after each trial and the next trial faults it in again
+    (about 1,000 minor page faults per reference trial, 14% of a serial
+    trial's time).  This sets, once per process, the thresholds glibc's own
+    adjustment tops out at: arrays up to 32 MB come from the heap, and up to
+    64 MB of free heap is kept.  Pool workers inherit the setting.  Where
+    malloc is not glibc's, this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library malloc to tune
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3  # from <malloc.h>
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+
+
 def run_sweep_point(
     config: ExperimentConfig,
     kind: str,
@@ -257,9 +285,12 @@ def run_sweep_point(
 ) -> SweepPoint:
     """Calibrate, simulate and score one (probe kind, amplitude) cell.
     `grid`, when given, is a `est.SpectralGrid` of `config.priors()`; the
-    trials simulate and filter the grid's own priors."""
+    trials simulate and filter the grid's own priors.  The trials run as
+    tasks of `TRIALS_PER_TASK`, serially or on a pool of at most `workers`
+    processes, and each task's windows are scored as the task returns."""
     if workers < 1:
         raise ValueError("need at least one worker")
+    _reuse_freed_heap()
     if grid is None:
         grid = est.SpectralGrid.build(config.priors())
     priors = grid.priors
@@ -270,30 +301,40 @@ def run_sweep_point(
     tracker = sim.KalmanTracker(probe, config.force, config.mirror, cfg)
     bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
 
-    chunks = [
-        (priors, probe, tracker, bank, cfg, range(i, cfg.n_trials, workers), dump_dir)
-        for i in range(workers)
+    trials = range(cfg.n_trials)
+    tasks = [
+        (priors, probe, tracker, bank, cfg, trials[i : i + TRIALS_PER_TASK], dump_dir)
+        for i in range(0, len(trials), TRIALS_PER_TASK)
     ]
+    scores = {}  # trial index -> (sigma_phi_sq, q, p, f errors), None if diverged
+
+    def fold(parts):
+        for part in parts:
+            for idx, payload in part.items():
+                scores[idx] = None if payload is None else (
+                    payload["sigma_phi_sq"],
+                    *(est.trial_mse(*payload[x], cfg) for x in ("q", "p", "f")),
+                )
+            part = payload = None  # this task's windows go before the next runs
+
     if workers > 1:
-        # the trials' filters need scipy.signal: import it once here, so the
-        # forked workers inherit it instead of each importing it again
-        import scipy.signal  # noqa: F401
+        # import what the trials use once here, so the forked workers inherit
+        # it instead of each importing it again
+        import scipy.fft, scipy.linalg, scipy.signal  # noqa: F401, E401
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_score_trials, *zip(*chunks)))
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            fold(pool.map(_score_trials, *zip(*tasks)))
     else:
-        parts = [_score_trials(*chunks[0])]
-    results = {idx: payload for part in parts for idx, payload in part.items()}
+        fold(map(_score_trials, *zip(*tasks)))
 
-    # reduction keyed by trial index, so the outcome is pool-size independent
-    kept = [results[i] for i in sorted(results) if results[i] is not None]
-    n_diverged = sum(1 for v in results.values() if v is None)
-    sigma_emp = [payload["sigma_phi_sq"] for payload in kept]
+    # reduction keyed by trial index, so the outcome is independent of the
+    # pool and task sizes
+    kept = [scores[i] for i in sorted(scores) if scores[i] is not None]
+    n_diverged = len(scores) - len(kept)
+    sigma_emp = [score[0] for score in kept]
     mse, stderr = {}, {}
-    for x in ("q", "p", "f"):
-        estimates = [payload[x][0] for payload in kept]
-        truths = [payload[x][1] for payload in kept]
-        mse[x], stderr[x] = est.empirical_mse(estimates, truths, cfg)
+    for k, x in enumerate(("q", "p", "f"), start=1):
+        mse[x], stderr[x] = est.empirical_mse([score[k] for score in kept])
 
     coh = config.probe_template("coherent", alpha_sq)
     sq = config.probe_template("squeezed", alpha_sq)

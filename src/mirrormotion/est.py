@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import GridMismatchError, TailAccuracyError
 from .model import PRIOR_TAGS, PriorModel, TabulatedTransferFunction, force_gains
@@ -238,6 +237,8 @@ def smooth(y, x: str, bank: FilterBank):
     y may be one record or a (trials, samples) batch on the grid the bank was
     built for; the result is the real non-causal estimate x'(t).
     """
+    import scipy.fft  # deferred: only a trial smooths, and bounds never does
+
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != bank.n_fft:
         raise GridMismatchError(
@@ -246,25 +247,32 @@ def smooth(y, x: str, bank: FilterBank):
     return scipy.fft.irfft(scipy.fft.rfft(y, axis=-1) * bank.filters[x], n=bank.n_fft, axis=-1)
 
 
-def empirical_mse(estimates, truths, cfg) -> tuple[float, float]:
-    """Time-and-trial averaged squared error over the retained window.
+def trial_mse(estimate, truth, cfg) -> float:
+    """Time-averaged squared error of one trial over its retained window.
 
-    `estimates` and `truths` are (trials, samples) arrays on the data window;
-    `cfg.n_edge` samples are trimmed from each end before scoring (the
-    smoother needs two-sided data).  Returns (mse, standard error), the latter
-    from the scatter of per-trial means.
+    `estimate` and `truth` are one trial's records on the data window (the
+    last axis); `cfg.n_edge` samples are trimmed from each end before
+    scoring (the smoother needs two-sided data).
     """
-    e = np.atleast_2d(np.asarray(estimates, dtype=float))
-    t = np.atleast_2d(np.asarray(truths, dtype=float))
+    e = np.asarray(estimate, dtype=float)
+    t = np.asarray(truth, dtype=float)
     if e.shape != t.shape:
         raise ValueError("estimate and truth arrays must have matching shapes")
-    if e.shape[0] < 2:
-        raise ValueError("need at least two trials for a standard error")
     n_edge = cfg.n_edge
-    if e.shape[1] - 2 * n_edge <= 0:
+    if e.shape[-1] - 2 * n_edge <= 0:
         raise ValueError("edge discard leaves an empty scoring window")
-    window = slice(n_edge, e.shape[1] - n_edge)
-    per_trial = np.mean((e[:, window] - t[:, window]) ** 2, axis=1)
+    window = slice(n_edge, e.shape[-1] - n_edge)
+    return float(np.mean((e[..., window] - t[..., window]) ** 2))
+
+
+def empirical_mse(per_trial) -> tuple[float, float]:
+    """Trial average of per-trial errors (`trial_mse`, in trial order).
+    Returns (mse, standard error), the latter from the scatter of the
+    per-trial values.
+    """
+    per_trial = np.asarray(per_trial, dtype=float)
+    if per_trial.size < 2:
+        raise ValueError("need at least two trials for a standard error")
     mse = float(np.mean(per_trial))
     stderr = float(np.std(per_trial, ddof=1) / np.sqrt(len(per_trial)))
     return mse, stderr

@@ -17,8 +17,6 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from .errors import RiccatiError, require_finite
 from .model import ForceParams, MirrorParams, PriorModel, TransferFunction, force_gains
@@ -83,10 +81,14 @@ class SimConfig:
         return int(round(self.edge_discard / self.dt))
 
 
+# scipy modules are imported inside the functions that use them, so importing
+# the package, building a config or a spectral grid loads none; `bounds` and
+# `diagnose` load `scipy.linalg` (calibration) but never `scipy.fft`, and
+# `scipy.signal`, about a second to import, loads only where a trial filters.
+
+
 def _lfilter(b, a, x) -> np.ndarray:
-    """`scipy.signal.lfilter`, imported on the first call: only a trial
-    filters, and the import costs about a second that `bounds`, `diagnose`
-    and calibration never need."""
+    """`scipy.signal.lfilter`, imported on the first call."""
     import scipy.signal
 
     return scipy.signal.lfilter(b, a, x)
@@ -105,6 +107,8 @@ def trial_geometry(force: ForceParams, params: MirrorParams, cfg: SimConfig) -> 
     """(n_margin, n_total): samples of margin on each side of the data window,
     and the FFT-friendly length of the whole extended grid.  The data window
     must span at least ten force correlation times."""
+    import scipy.fft
+
     duration = cfg.n_samples * cfg.dt
     if duration < 10.0 / force.lam:
         raise ValueError(
@@ -148,6 +152,8 @@ def mirror_response(
     `trial_geometry`) so the circular wrap-around of the response kernel is
     suppressed; the returned arrays match the input length.
     """
+    import scipy.fft
+
     f = np.asarray(f, dtype=float)
     n = f.shape[-1]
     n_fft = scipy.fft.next_fast_len(n + pad_samples)
@@ -166,6 +172,8 @@ def mirror_response(
 
 def _discretize(a_c: np.ndarray, q_c: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact (Van Loan) discretization of dx = A x dt + noise with intensity Q."""
+    import scipy.linalg
+
     n = a_c.shape[0]
     blk = np.zeros((2 * n, 2 * n))
     blk[:n, :n] = -a_c
@@ -214,6 +222,8 @@ class KalmanTracker:
     def __init__(
         self, probe: ProbeState, force: ForceParams, params: MirrorParams, cfg: SimConfig
     ):
+        import scipy.linalg
+
         self.cfg = cfg
         self.a_d, self.q_d = _tracker_model(params, force, cfg.dt)
         self.c_vec = np.array([params.phase_gain, 0.0, 0.0])
@@ -248,6 +258,8 @@ class KalmanTracker:
     def sigma_phi_sq_feedback(self) -> float:
         """Phase MSE of the feedback signal, a one-step prediction applied
         d = `cfg.feedback_delay_samples` samples late: E[(phi_k - phihat_{k-d})^2]."""
+        import scipy.linalg
+
         d = self.cfg.feedback_delay_samples
         sigma_x = scipy.linalg.solve_discrete_lyapunov(self.a_d, self.q_d)
         a_pow = np.linalg.matrix_power(self.a_d, d)

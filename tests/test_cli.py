@@ -3,10 +3,12 @@
 import dataclasses
 import math
 import os
+import platform
 import string
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,6 +52,26 @@ def second_trial_diverges(tiny_config, monkeypatch):
         return replace(traj, diverged=len(calls) % n_trials == 2)
 
     monkeypatch.setattr(sim, "simulate_trial", patched)
+
+
+def recording_pool(sizes):
+    """Stand-in for `ProcessPoolExecutor` that runs the pool's map in this
+    process and appends each pool's size to `sizes`."""
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    return RecordingPool
 
 
 @st.composite
@@ -213,7 +235,8 @@ class TestSweep:
         cli.cmd_sweep(tiny_config, out_path=out2)
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_worker_pool_matches_serial(self, tiny_config, tmp_path):
+    def test_worker_pool_matches_serial(self, tiny_config, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "TRIALS_PER_TASK", 1)  # so both processes run trials
         config = replace(tiny_config, alpha_sqs=(1.02e6,))
         serial = tmp_path / "serial.csv"
         pooled = tmp_path / "pooled.csv"
@@ -303,6 +326,86 @@ class TestSweep:
         assert code == 1
         assert "wrote 3 rows" in capsys.readouterr().out
         assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 3
+
+
+class TestTasks:
+    """A cell runs its trials as tasks of `cli.TRIALS_PER_TASK` and keeps only
+    each trial's scores."""
+
+    @staticmethod
+    def scored(config, grid, workers=1):
+        point = cli.run_sweep_point(config, "coherent", 1.02e6, grid=grid, workers=workers)
+        return point.mse, point.stderr, point.sigma_phi_sq_emp, point.n_diverged
+
+    def test_results_do_not_depend_on_task_size(self, tiny_config, monkeypatch):
+        grid = est.SpectralGrid.build(tiny_config.priors())
+        outcomes = []
+        for size in (1, 2, tiny_config.simulation.n_trials):
+            monkeypatch.setattr(cli, "TRIALS_PER_TASK", size)
+            outcomes += [self.scored(tiny_config, grid, workers) for workers in (1, 2)]
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+
+    def test_diverged_trial_inside_a_multi_task_cell(
+        self, tiny_config, second_trial_diverges, monkeypatch
+    ):
+        grid = est.SpectralGrid.build(tiny_config.priors())
+        outcomes = []
+        for size in (1, tiny_config.simulation.n_trials):
+            monkeypatch.setattr(cli, "TRIALS_PER_TASK", size)
+            outcomes.append(self.scored(tiny_config, grid))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][3] == 1
+
+    def test_memory_does_not_grow_with_trial_count(self, tiny_config):
+        """A cell holds one task's windows at a time, so 40 more trials raise
+        its traced peak by less than one task's payload."""
+        grid = est.SpectralGrid.build(tiny_config.priors())
+        cfg = tiny_config.simulation
+
+        def peak(n_trials):
+            config = replace(tiny_config, simulation=replace(cfg, n_trials=n_trials))
+            tracemalloc.reset_peak()
+            cli.run_sweep_point(config, "coherent", 1.02e6, grid=grid)
+            return tracemalloc.get_traced_memory()[1]
+
+        tracemalloc.start()
+        try:
+            peak(2)  # fills the caches a first cell builds
+            growth = peak(60) - peak(20)
+        finally:
+            tracemalloc.stop()
+        assert growth < cli.TRIALS_PER_TASK * 6 * cfg.n_samples * 8
+
+    def test_pool_never_larger_than_the_task_list(self, tiny_config, monkeypatch):
+        pools = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool(pools))
+        grid = est.SpectralGrid.build(tiny_config.priors())
+        for size in (tiny_config.simulation.n_trials, 2, 1):  # 1, 2 and 3 tasks
+            monkeypatch.setattr(cli, "TRIALS_PER_TASK", size)
+            self.scored(tiny_config, grid, workers=64)
+        assert pools == [1, 2, 3]
+
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
+    def test_trials_reuse_freed_heap(self):
+        """The memory one trial frees serves the next: a warm serial cell
+        faults in almost no new pages (about 1,000 per trial when glibc
+        returns the freed top of its heap to the system after every trial)."""
+        out = _fresh_interpreter("""
+            import resource
+            from dataclasses import replace
+            from mirrormotion import cli
+
+            base = cli.reference_config()
+            config = replace(base, simulation=replace(
+                base.simulation, n_samples=4000, n_trials=10, edge_discard=5e-5))
+            for _ in range(2):  # the heap grows to a cell's working set
+                cli.run_sweep_point(config, "coherent", 1.02e6)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            cli.run_sweep_point(config, "coherent", 1.02e6)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        assert int(out.splitlines()[-1]) < 50 * 10
 
 
 class TestScoreTrials:
@@ -436,24 +539,9 @@ class TestSimulateCommand:
         assert header == "t,f,q,p,phi,phi_fb,y"
 
     def test_workers_flag_reaches_the_pool(self, tiny_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "TRIALS_PER_TASK", 1)  # three tasks for two workers
         pools = []
-
-        class RecordingPool:
-            """Runs the pool's map in this process, recording its size."""
-
-            def __init__(self, max_workers=None):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool(pools))
         cfg_path = tmp_path / "tiny.cfg"
         cli.write_config(tiny_config, cfg_path)
         outputs = {}
@@ -630,8 +718,20 @@ def _fresh_interpreter(script: str) -> str:
 
 
 class TestImports:
-    """scipy.signal (about a second to import) is loaded only where a trial
-    filters a record."""
+    """scipy modules are loaded only where they are used: none for the
+    package, a config or a spectral grid, no `scipy.fft` or `scipy.signal`
+    (about a second to import) for the analytic commands, and all three in a
+    pool's parent before it forks."""
+
+    def test_import_config_and_grid_load_no_scipy(self):
+        out = _fresh_interpreter("""
+            import sys
+            from mirrormotion import cli, est
+
+            est.SpectralGrid.build(cli.reference_config().priors())
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+        assert out.splitlines()[-1] == "[]"
 
     def test_analytic_commands_never_load_scipy_signal(self, tmp_path):
         out = _fresh_interpreter(f"""
@@ -642,9 +742,9 @@ class TestImports:
             cli.cmd_bounds(config, out_path={str(tmp_path / "b.csv")!r}, n_points=2)
             cli.cmd_diagnose(config)
             cli.main(["write-config", {str(tmp_path / "c.cfg")!r}])
-            print("scipy.signal" in sys.modules)
+            print("scipy.signal" in sys.modules, "scipy.fft" in sys.modules)
         """)
-        assert out.splitlines()[-1] == "False"
+        assert out.splitlines()[-1] == "False False"
 
     def test_pool_parent_loads_scipy_signal_before_forking(self, tmp_path):
         out = _fresh_interpreter("""
@@ -652,10 +752,27 @@ class TestImports:
             from dataclasses import replace
             from mirrormotion import cli
 
+            class RecordingPool:
+                \"\"\"Notes the scipy modules loaded when the pool is made, then
+                runs its map in this process.\"\"\"
+
+                def __init__(self, max_workers=None):
+                    names = ("scipy.fft", "scipy.linalg", "scipy.signal")
+                    print(*(name in sys.modules for name in names))
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    return False
+
+                def map(self, fn, *iterables):
+                    return map(fn, *iterables)
+
+            cli.ProcessPoolExecutor = RecordingPool
             base = cli.reference_config()
             config = replace(base, simulation=replace(
                 base.simulation, n_samples=4000, n_trials=2, edge_discard=5e-5))
             cli.run_sweep_point(config, "coherent", 1.02e6, workers=2)
-            print("scipy.signal" in sys.modules)
         """)
-        assert out.splitlines()[-1] == "True"
+        assert out.splitlines()[-1] == "True True True"

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mirrormotion import cli, est, sim
 from mirrormotion.errors import GridMismatchError, TailAccuracyError
-from mirrormotion.est import FilterBank, SpectralGrid, analytic_mmse, empirical_mse, optimal_filter, prior_variance, qcrb, smooth
+from mirrormotion.est import FilterBank, SpectralGrid, analytic_mmse, empirical_mse, optimal_filter, prior_variance, qcrb, smooth, trial_mse
 from mirrormotion.model import ForceParams, NominalTransferFunction, PriorModel
 from mirrormotion.probe import ProbeState, attainability_gap, measurement_noise_psd, photon_flux_psd_broadband
 
@@ -366,9 +366,12 @@ class TestEmpiricalMse:
 
     CFG = sim.SimConfig(dt=1e-7, n_samples=10_000, seed=78, edge_discard=1e-4)
 
+    def scores(self, estimates, truths):
+        return [trial_mse(e, t, self.CFG) for e, t in zip(estimates, truths)]
+
     def test_exact_estimates(self):
         truth = np.random.default_rng(1).normal(size=(3, 10_000))
-        mse, stderr = empirical_mse(truth, truth, self.CFG)
+        mse, stderr = empirical_mse(self.scores(truth, truth))
         assert mse == 0.0
         assert stderr == 0.0
 
@@ -376,22 +379,30 @@ class TestEmpiricalMse:
         rng = np.random.default_rng(2)
         truth = np.zeros((100, 10_000))
         noisy = truth + rng.normal(size=truth.shape)
-        mse, stderr = empirical_mse(noisy, truth, self.CFG)
+        mse, stderr = empirical_mse(self.scores(noisy, truth))
         assert mse == pytest.approx(1.0, rel=5e-3)
         # stderr ~ sqrt(2/samples)/sqrt(trials) for Gaussian errors
         assert stderr == pytest.approx(math.sqrt(2.0 / 8000.0 / 100.0), rel=0.3)
 
+    def test_per_trial_means_match_batched_mean(self):
+        # each trial scored alone gives the bits of one axis=1 mean over all
+        rng = np.random.default_rng(3)
+        e, t = rng.normal(size=(2, 50, 10_000))
+        window = slice(self.CFG.n_edge, 10_000 - self.CFG.n_edge)
+        batched = np.mean((e[:, window] - t[:, window]) ** 2, axis=1)
+        assert self.scores(e, t) == batched.tolist()
+
     def test_requires_two_trials(self):
         with pytest.raises(ValueError, match="two trials"):
-            empirical_mse(np.zeros((1, 10_000)), np.zeros((1, 10_000)), self.CFG)
+            empirical_mse(self.scores(np.zeros((1, 10_000)), np.zeros((1, 10_000))))
 
     def test_empty_window_raises(self):
         with pytest.raises(ValueError, match="window"):
-            empirical_mse(np.zeros((2, 1500)), np.zeros((2, 1500)), self.CFG)
+            trial_mse(np.zeros(1500), np.zeros(1500), self.CFG)
 
     def test_mismatched_shapes(self):
         with pytest.raises(ValueError, match="matching"):
-            empirical_mse(np.zeros((2, 10_000)), np.zeros((2, 9_999)), self.CFG)
+            trial_mse(np.zeros(10_000), np.zeros(9_999), self.CFG)
 
 
 class TestOracleEquivalence:
