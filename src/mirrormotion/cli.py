@@ -44,7 +44,7 @@ PROBE_KINDS = ("coherent", "squeezed")
 
 #: Trials per task of a sweep cell.  A cell keeps only four floats per kept
 #: trial; its scored windows live for one task.
-TRIALS_PER_TASK = 10
+TRIALS_PER_TASK = 5
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,8 @@ def _reuse_freed_heap() -> None:
     (about 1,000 minor page faults per reference trial, 14% of a serial
     trial's time).  This sets, once per process, the thresholds glibc's own
     adjustment tops out at: arrays up to 32 MB come from the heap, and up to
-    64 MB of free heap is kept.  Pool workers inherit the setting.  Where
-    malloc is not glibc's, this does nothing.
+    64 MB of free heap is kept.  Pool processes call it from their
+    initializer.  Where malloc is not glibc's, this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -273,6 +273,25 @@ def _reuse_freed_heap() -> None:
     m_trim_threshold, m_mmap_threshold = -1, -3  # from <malloc.h>
     mallopt(m_mmap_threshold, 32 << 20)
     mallopt(m_trim_threshold, 64 << 20)
+
+
+#: A pool process's sweep cell: the arguments of `_score_trials` except the
+#: trial indices, `(priors, probe, tracker, bank, cfg, dump_dir)`.
+_cell = None
+
+
+def _enter_cell(*cell) -> None:
+    """Pool initializer: keep the cell this process scores, so each task
+    sends only its trial indices (a reference `FilterBank` is ~1.5 MB)."""
+    global _cell
+    _reuse_freed_heap()  # inherited under fork; spawned processes need it
+    _cell = cell
+
+
+def _score_cell_trials(trial_indices):
+    """`_score_trials` of this pool process's cell (see `_enter_cell`)."""
+    priors, probe, tracker, bank, cfg, dump_dir = _cell
+    return _score_trials(priors, probe, tracker, bank, cfg, trial_indices, dump_dir)
 
 
 def run_sweep_point(
@@ -287,7 +306,9 @@ def run_sweep_point(
     `grid`, when given, is a `est.SpectralGrid` of `config.priors()`; the
     trials simulate and filter the grid's own priors.  The trials run as
     tasks of `TRIALS_PER_TASK`, serially or on a pool of at most `workers`
-    processes, and each task's windows are scored as the task returns."""
+    processes, and each task's windows are scored as the task returns.  A
+    pool receives the cell once per process (`_enter_cell`); its tasks carry
+    only trial indices."""
     if workers < 1:
         raise ValueError("need at least one worker")
     _reuse_freed_heap()
@@ -302,10 +323,7 @@ def run_sweep_point(
     bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
 
     trials = range(cfg.n_trials)
-    tasks = [
-        (priors, probe, tracker, bank, cfg, trials[i : i + TRIALS_PER_TASK], dump_dir)
-        for i in range(0, len(trials), TRIALS_PER_TASK)
-    ]
+    tasks = [trials[i : i + TRIALS_PER_TASK] for i in range(0, len(trials), TRIALS_PER_TASK)]
     scores = {}  # trial index -> (sigma_phi_sq, q, p, f errors), None if diverged
 
     def fold(parts):
@@ -322,10 +340,14 @@ def run_sweep_point(
         # it instead of each importing it again
         import scipy.fft, scipy.linalg, scipy.signal  # noqa: F401, E401
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            fold(pool.map(_score_trials, *zip(*tasks)))
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(tasks)),
+            initializer=_enter_cell,
+            initargs=(priors, probe, tracker, bank, cfg, dump_dir),
+        ) as pool:
+            fold(pool.map(_score_cell_trials, tasks))
     else:
-        fold(map(_score_trials, *zip(*tasks)))
+        fold(_score_trials(priors, probe, tracker, bank, cfg, task, dump_dir) for task in tasks)
 
     # reduction keyed by trial index, so the outcome is independent of the
     # pool and task sizes

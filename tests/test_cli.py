@@ -1,7 +1,10 @@
 """Batch harness: config round trips, sweep/bounds/diagnose commands."""
 
 import dataclasses
+import functools
+import hashlib
 import math
+import multiprocessing
 import os
 import platform
 import string
@@ -9,7 +12,9 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import numpy as np
@@ -55,12 +60,15 @@ def second_trial_diverges(tiny_config, monkeypatch):
 
 
 def recording_pool(sizes):
-    """Stand-in for `ProcessPoolExecutor` that runs the pool's map in this
-    process and appends each pool's size to `sizes`."""
+    """Stand-in for `ProcessPoolExecutor` that runs the pool's initializer
+    once and its map in this process, and appends each pool's size to
+    `sizes`."""
 
     class RecordingPool:
-        def __init__(self, max_workers=None):
+        def __init__(self, max_workers=None, initializer=None, initargs=()):
             sizes.append(max_workers)
+            if initializer is not None:  # as one pool process does
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -385,6 +393,43 @@ class TestTasks:
             self.scored(tiny_config, grid, workers=64)
         assert pools == [1, 2, 3]
 
+    def test_tasks_carry_trial_indices_only(self, tiny_config, monkeypatch):
+        """A pool process receives the cell, `FilterBank` included, once
+        through the pool's initializer; a task sends only its trials."""
+        monkeypatch.setattr(cli, "TRIALS_PER_TASK", 1)  # three tasks
+        cells, items = [], []
+
+        class InspectingPool(recording_pool([])):
+            def __init__(self, max_workers=None, initializer=None, initargs=()):
+                cells.append(initargs)
+                super().__init__(max_workers, initializer, initargs)
+
+            def map(self, fn, *iterables):
+                iterables = [list(it) for it in iterables]
+                items.extend(zip(*iterables))
+                return super().map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InspectingPool)
+        self.scored(tiny_config, est.SpectralGrid.build(tiny_config.priors()), workers=2)
+        sent = [len(ForkingPickler.dumps(item)) for item in items]
+        assert len(sent) == 3 and max(sent) < 1024
+        assert [sum(isinstance(a, est.FilterBank) for a in cell) for cell in cells] == [1]
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_without_fork_matches_serial(self, tiny_config, monkeypatch, method):
+        """Pool processes that do not fork (forkserver is Python 3.14's Linux
+        default) import the package afresh and get their cell only through
+        the initializer."""
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        config = replace(tiny_config, simulation=replace(tiny_config.simulation, n_trials=12))
+        grid = est.SpectralGrid.build(config.priors())
+        serial = self.scored(config, grid)
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(
+            cli, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context)
+        )
+        assert self.scored(config, grid, workers=2) == serial
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
     def test_trials_reuse_freed_heap(self):
@@ -654,6 +699,29 @@ class TestMainEntry:
         assert cli.main(["--config", str(cfg_path), "--seed", "3", *argv]) == 0
         assert reads == [str(table)]
 
+    # SHA-256 of the fixed-seed outputs.  Pinned to this platform's floating
+    # point like `TestSweep::test_matches_golden`: a change that moves bits by
+    # design updates them and says why.
+    DIGESTS = {
+        "sweep": "354f45621167eeedaf4c944719eff9f4331f865d4dd4da542d1623925ecc0927",
+        "bounds": "bc28cca227839c124441b566a1fd6dae903244e12ccc477a3c1cab75cf336410",
+        "diagnose": "cfa243a9682ed6aec86ce288942ba3b0c7a07726bfb4bcedfc2d4cd2c4a3fa68",
+    }
+
+    def test_fixed_seed_outputs_match_digests(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--trials", "20", "--seed", "11", "--workers", "2", "--out", str(out)]
+        assert cli.main([*argv, "sweep"]) == 0
+        assert cli.main(["--out", str(out), "bounds"]) == 0
+        capsys.readouterr()
+        assert cli.main(["diagnose"]) == 0
+        digests = {
+            "sweep": hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest(),
+            "bounds": hashlib.sha256((out / "bounds.csv").read_bytes()).hexdigest(),
+            "diagnose": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+        }
+        assert digests == self.DIGESTS
+
     def test_write_config_creates_parent_directories(self, tmp_path, capsys):
         path = tmp_path / "new" / "dir" / "x.cfg"
         assert cli.main(["write-config", str(path)]) == 0
@@ -754,11 +822,13 @@ class TestImports:
 
             class RecordingPool:
                 \"\"\"Notes the scipy modules loaded when the pool is made, then
-                runs its map in this process.\"\"\"
+                runs its initializer once and its map in this process.\"\"\"
 
-                def __init__(self, max_workers=None):
+                def __init__(self, max_workers=None, initializer=None, initargs=()):
                     names = ("scipy.fft", "scipy.linalg", "scipy.signal")
                     print(*(name in sys.modules for name in names))
+                    if initializer is not None:
+                        initializer(*initargs)
 
                 def __enter__(self):
                     return self
