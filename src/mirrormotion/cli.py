@@ -263,8 +263,11 @@ def _reuse_freed_heap() -> None:
     (about 1,000 minor page faults per reference trial, 14% of a serial
     trial's time).  This sets, once per process, the thresholds glibc's own
     adjustment tops out at: arrays up to 32 MB come from the heap, and up to
-    64 MB of free heap is kept.  Pool processes call it from their
-    initializer.  Where malloc is not glibc's, this does nothing.
+    64 MB of free heap is kept.  Only processes that run trials call it: a
+    serial cell, and each pool process from its initializer.  A pool's
+    parent runs none, so it hands back what its cell set-up and fold free
+    before the next cell's pool forks.  Where malloc is not glibc's, this
+    does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -311,7 +314,6 @@ def run_sweep_point(
     only trial indices."""
     if workers < 1:
         raise ValueError("need at least one worker")
-    _reuse_freed_heap()
     if grid is None:
         grid = est.SpectralGrid.build(config.priors())
     priors = grid.priors
@@ -347,6 +349,7 @@ def run_sweep_point(
         ) as pool:
             fold(pool.map(_score_cell_trials, tasks))
     else:
+        _reuse_freed_heap()  # only a process that runs trials keeps its freed heap
         fold(_score_trials(priors, probe, tracker, bank, cfg, task, dump_dir) for task in tasks)
 
     # reduction keyed by trial index, so the outcome is independent of the

@@ -244,7 +244,9 @@ def smooth(y, x: str, bank: FilterBank):
         raise GridMismatchError(
             f"record length {y.shape[-1]} does not match filter grid {bank.n_fft}"
         )
-    return scipy.fft.irfft(scipy.fft.rfft(y, axis=-1) * bank.filters[x], n=bank.n_fft, axis=-1)
+    spectrum = scipy.fft.rfft(y, axis=-1)
+    spectrum *= bank.filters[x]
+    return scipy.fft.irfft(spectrum, n=bank.n_fft, axis=-1)
 
 
 def trial_mse(estimate, truth, cfg) -> float:

@@ -143,8 +143,10 @@ class TabulatedTransferFunction(TransferFunction):
     """Measured g_qf samples on an ascending positive-frequency grid.
 
     Negative frequencies follow from conjugate symmetry.  Queries outside the
-    tabulated range clamp to the nearest endpoint and emit a warning: measured
-    data is never extrapolated silently.
+    tabulated range clamp to the nearest endpoint: measured data is never
+    extrapolated silently.  The first clamped query warns, naming the |omega|
+    range it asked for; later ones do not, since every rfft grid includes
+    omega = 0 and would repeat the warning on every call.
     """
 
     def __init__(self, freqs, values):
@@ -154,12 +156,15 @@ class TabulatedTransferFunction(TransferFunction):
             raise ValueError("need at least two tabulated frequencies")
         if freqs.shape != values.shape:
             raise ValueError("frequency and value arrays must match")
+        if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(values))):
+            raise ValueError("tabulated frequencies and values must be finite")
         if np.any(freqs <= 0):
             raise ValueError("tabulated frequencies must be positive")
         if np.any(np.diff(freqs) <= 0):
             raise ValueError("tabulated frequencies must be strictly ascending")
         self.freqs = freqs
         self.values = values
+        self._warned = False
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedTransferFunction":
@@ -189,12 +194,16 @@ class TabulatedTransferFunction(TransferFunction):
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
         aw = np.abs(w)
-        if np.any(aw > self.freqs[-1]) or np.any(aw < self.freqs[0]):
-            warnings.warn(
-                "query outside tabulated transfer-function range; clamping to "
-                f"[{self.freqs[0]:g}, {self.freqs[-1]:g}] rad/s",
-                stacklevel=2,
-            )
+        if not self._warned and aw.size:
+            lo, hi = aw.min(), aw.max()
+            if lo < self.freqs[0] or hi > self.freqs[-1]:
+                self._warned = True
+                warnings.warn(
+                    f"query outside tabulated transfer-function range: |omega| in "
+                    f"[{lo:g}, {hi:g}] rad/s, clamping to [{self.freqs[0]:g}, "
+                    f"{self.freqs[-1]:g}] rad/s (warned once per table)",
+                    stacklevel=2,
+                )
         aw = np.clip(aw, self.freqs[0], self.freqs[-1])
         re = np.interp(aw, self.freqs, self.values.real)
         im = np.interp(aw, self.freqs, self.values.imag)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from multiprocessing.reduction import ForkingPickler
@@ -431,6 +432,23 @@ class TestTasks:
         )
         assert self.scored(config, grid, workers=2) == serial
 
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    def test_only_processes_that_run_trials_keep_freed_heap(self, tiny_config, monkeypatch):
+        """A serial cell tunes malloc in this process; a pool's parent runs no
+        trial and leaves it to the pool processes, whose calls stay in them."""
+        calls = []
+        monkeypatch.setattr(cli, "_reuse_freed_heap", lambda: calls.append(os.getpid()))
+        monkeypatch.setattr(cli, "TRIALS_PER_TASK", 1)  # three tasks for two processes
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(
+            cli, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork)
+        )
+        grid = est.SpectralGrid.build(tiny_config.priors())
+        self.scored(tiny_config, grid, workers=2)
+        assert calls == []
+        self.scored(tiny_config, grid, workers=1)
+        assert calls == [os.getpid()]
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
     def test_trials_reuse_freed_heap(self):
         """The memory one trial frees serves the next: a warm serial cell
@@ -454,6 +472,26 @@ class TestTasks:
 
 
 class TestScoreTrials:
+    def test_trial_working_set(self):
+        """One warm reference trial holds at most 11 full-length records at
+        its traced peak: the response spectra are built in place and freed
+        as they are used, and no time axis is stored."""
+        config = cli.reference_config()
+        cfg = config.simulation
+        priors = config.priors()
+        probe = config.operating_point("squeezed", config.alpha_sqs[-1])
+        tracker = sim.KalmanTracker(probe, config.force, config.mirror, cfg)
+        _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)
+        bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
+        cli._score_trials(priors, probe, tracker, bank, cfg, range(1))  # warm-up
+        tracemalloc.start()
+        try:
+            cli._score_trials(priors, probe, tracker, bank, cfg, range(1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * 8 * n_total
+
     def test_payload_windows_own_their_memory(self, tiny_config):
         config, cfg = tiny_config, tiny_config.simulation
         priors = config.priors()
@@ -616,6 +654,21 @@ class TestSimulateCommand:
         assert math.isfinite(point.sigma_phi_sq_emp)
         assert point.sigma_phi_sq_emp == pytest.approx(point.probe.sigma_phi_sq, rel=0.5)
 
+    def test_tabulated_range_warns_once(self, tiny_config, tmp_path, recwarn):
+        """Every rfft grid includes omega = 0, so a table clamps on every
+        call; a run says so once per table, naming the queried range."""
+        freqs = np.geomspace(1e3, 1e8, 2000)
+        table = tmp_path / "gqf.csv"
+        nominal = NominalTransferFunction(tiny_config.mirror)
+        TabulatedTransferFunction(freqs, nominal(freqs)).to_csv(table)
+        cfg_path = tmp_path / "table.cfg"
+        cli.write_config(replace(tiny_config, tf_source=str(table)), cfg_path)
+        warnings.simplefilter("always")
+        assert cli.main(["--config", str(cfg_path), "--trials", "4", "simulate"]) == 0
+        messages = [str(w.message) for w in recwarn if "transfer-function range" in str(w.message)]
+        assert len(messages) == 1
+        assert "|omega| in [0, 3.14159e+07] rad/s, clamping to [1000, 1e+08] rad/s" in messages[0]
+
     def test_workers_below_one_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["--trials", "2", "--out", str(tmp_path), "--workers", "0", "simulate"])
@@ -706,6 +759,8 @@ class TestMainEntry:
         "sweep": "354f45621167eeedaf4c944719eff9f4331f865d4dd4da542d1623925ecc0927",
         "bounds": "bc28cca227839c124441b566a1fd6dae903244e12ccc477a3c1cab75cf336410",
         "diagnose": "cfa243a9682ed6aec86ce288942ba3b0c7a07726bfb4bcedfc2d4cd2c4a3fa68",
+        "simulate": "ab201980801e8029e776b47ea13d2983393a68de542620bc98154164d300368c",
+        "dumps": "4eee1ab12cd90f1827c5af9c39af2fd0d665d9e864940f452fe4a4adcd72d8d0",
     }
 
     def test_fixed_seed_outputs_match_digests(self, tmp_path, capsys):
@@ -715,10 +770,20 @@ class TestMainEntry:
         assert cli.main(["--out", str(out), "bounds"]) == 0
         capsys.readouterr()
         assert cli.main(["diagnose"]) == 0
+        diagnose = capsys.readouterr().out
+        # the dumps cover every trajectory column: the derived time axis and
+        # the data-length copies of the responses
+        dump_out = tmp_path / "dump"
+        argv = ["--trials", "2", "--seed", "11", "--out", str(dump_out)]
+        assert cli.main([*argv, "simulate", "--dump-trajectories"]) == 0
+        dumps = sorted(dump_out.rglob("*.csv"), key=lambda path: path.name)
+        assert [path.name for path in dumps] == ["trial_0000.csv", "trial_0001.csv"]
         digests = {
             "sweep": hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest(),
             "bounds": hashlib.sha256((out / "bounds.csv").read_bytes()).hexdigest(),
-            "diagnose": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+            "diagnose": hashlib.sha256(diagnose.encode()).hexdigest(),
+            "simulate": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+            "dumps": hashlib.sha256(b"".join(path.read_bytes() for path in dumps)).hexdigest(),
         }
         assert digests == self.DIGESTS
 
@@ -735,6 +800,10 @@ class TestMainEntry:
             (["--config", "{bad}", "diagnose"], "sim.trials"),
             (["--config", "{missing}", "diagnose"], "No such file"),
             (["--config", "{bad_table}", "bounds"], "gqf.csv: missing column 'gqf_imag'"),
+            (
+                ["--config", "{nan_table}", "bounds"],
+                "nan.csv: tabulated frequencies and values must be finite",
+            ),
             (["write-config", "{bad}/x.cfg"], "File exists"),
             (["simulate", "--alpha-sq", "-1"], "probe amplitudes must be positive"),
             (["simulate", "--alpha-sq", "0"], "probe amplitudes must be positive"),
@@ -744,7 +813,7 @@ class TestMainEntry:
         ],
         ids=[
             "zero-trials", "one-trial", "unparsable-value", "missing-config",
-            "table-without-column", "config-under-a-file", "negative-amplitude",
+            "table-without-column", "table-with-nan", "config-under-a-file", "negative-amplitude",
             "zero-amplitude", "nan-amplitude", "infinite-amplitude", "edge-rounds-to-half-window",
         ],
     )
@@ -755,12 +824,16 @@ class TestMainEntry:
         table.write_text("freq_hz,gqf_real\n1000,1e-6\n2000,1e-6\n")
         bad_table = tmp_path / "table.cfg"
         bad_table.write_text(f"transfer.source = {table}\n")
+        nan_values = tmp_path / "nan.csv"
+        nan_values.write_text("freq_hz,gqf_real,gqf_imag\n1000,1e-6,0\n2000,nan,0\n")
+        nan_table = tmp_path / "nan_table.cfg"
+        nan_table.write_text(f"transfer.source = {nan_values}\n")
         # 1999.6 samples of edge round to 2000: half of the 4000-sample window
         wide_edge = tmp_path / "edge.cfg"
         wide_edge.write_text("sim.samples = 4000\nsim.edge_discard = 1.9996e-4\n")
         paths = {
             "bad": bad, "missing": tmp_path / "missing.cfg", "bad_table": bad_table,
-            "wide_edge": wide_edge,
+            "nan_table": nan_table, "wide_edge": wide_edge,
         }
         with pytest.raises(SystemExit) as exit_info:
             cli.main([arg.format(**paths) for arg in argv])

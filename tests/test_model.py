@@ -1,6 +1,7 @@
 """Mirror model: masses, motion functions, transfer functions, prior spectra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,8 @@ class TestPriorPsd:
 
 
 class TestTabulatedTransferFunction:
+    NOT_FINITE = "gqf.csv: tabulated frequencies and values must be finite"
+
     @pytest.fixture()
     def tabulated(self, mirror):
         nominal = NominalTransferFunction(mirror)
@@ -223,9 +226,18 @@ class TestTabulatedTransferFunction:
         with pytest.warns(UserWarning, match="clamping"):
             high = tabulated(2e7)
         assert high == tabulated.values[-1]
+        fresh = TabulatedTransferFunction(tabulated.freqs, tabulated.values)
         with pytest.warns(UserWarning, match="clamping"):
-            low = tabulated(0.0)
+            low = fresh(0.0)
         assert low == tabulated.values[0]
+
+    def test_out_of_range_warns_once_per_table(self, tabulated):
+        with pytest.warns(UserWarning, match=r"\|omega\| in \[0, 2e\+07\] rad/s, clamping"):
+            tabulated(np.array([0.0, 1e4, 2e7]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tabulated(-3e7) == np.conj(tabulated.values[-1])
+            assert tabulated(0.0) == tabulated.values[0]
 
     def test_csv_round_trip(self, tabulated, tmp_path):
         path = tmp_path / "gqf.csv"
@@ -241,8 +253,14 @@ class TestTabulatedTransferFunction:
             ("freq_hz,gqf_real,gqf_imag\n1,2,3\n3,x,4\n", "gqf.csv: could not convert string to float: 'x'"),
             ("freq_hz,gqf_real,gqf_imag\n1,2,3\n3,4\n", "gqf.csv: float() argument"),
             ("freq_hz,gqf_real,gqf_imag\n1,2,3\n", "gqf.csv: need at least two"),
+            ("freq_hz,gqf_real,gqf_imag\n1e3,2,3\nnan,4,5\n1e5,6,7\n", NOT_FINITE),
+            ("freq_hz,gqf_real,gqf_imag\n1e3,2,3\n1e4,4,5\ninf,6,7\n", NOT_FINITE),
+            ("freq_hz,gqf_real,gqf_imag\n1e3,2,3\n1e4,nan,5\n", NOT_FINITE),
         ],
-        ids=["missing-column", "unparsable-value", "short-row", "one-row"],
+        ids=[
+            "missing-column", "unparsable-value", "short-row", "one-row",
+            "nan-frequency", "infinite-frequency", "nan-value",
+        ],
     )
     def test_csv_errors_name_the_file(self, tmp_path, text, message):
         path = tmp_path / "gqf.csv"
