@@ -24,6 +24,7 @@ import numpy as np
 from . import est, sim
 from .errors import require_finite
 from .model import (
+    PRIOR_TAGS,
     ForceParams,
     MirrorParams,
     NominalTransferFunction,
@@ -68,6 +69,9 @@ class ExperimentConfig:
             raise ValueError("need at least one probe amplitude")
         if any(a <= 0 for a in self.alpha_sqs):
             raise ValueError("probe amplitudes must be positive")
+        if self.bandwidth <= 0:
+            raise ValueError("probe bandwidth must be positive")
+        self.probe_template("squeezed", self.alpha_sqs[0])  # checks the probe family
         if self.tf_source == "nominal":
             tf = NominalTransferFunction(self.mirror)
         elif Path(self.tf_source).exists():
@@ -217,11 +221,13 @@ def _read_values(path) -> dict:
 # sweep
 
 
-def _score_trials(priors, probe, tracker, bank, cfg, trial_indices, dump_dir=None):
-    """Run trials; returns {index: payload} with None marking diverged trials.
-    Each payload's scored windows are copies, so a kept trial holds 6 x
-    `n_samples` floats, not its full-length records.  With `dump_dir`, every
-    trial is also written there as CSV."""
+def _score_trials(trial_indices):
+    """Run trials of the entered cell (`_enter_cell`); returns {index:
+    payload} with None marking diverged trials.  Each payload's scored windows
+    are copies, so a kept trial holds 6 x `n_samples` floats, not its
+    full-length records.  With the cell's `dump_dir`, every trial is also
+    written there as CSV."""
+    priors, probe, tracker, bank, cfg, dump_dir = _cell
     results = {}
     for idx in trial_indices:
         traj = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(cfg.seed, idx))
@@ -232,9 +238,9 @@ def _score_trials(priors, probe, tracker, bank, cfg, trial_indices, dump_dir=Non
             continue
         window = traj.data_slice
         payload = {"sigma_phi_sq": traj.sigma_phi_sq}
-        for x, truth in (("q", traj.q), ("p", traj.p), ("f", traj.f)):
+        for x in PRIOR_TAGS:
             estimate = est.smooth(traj.y, x, bank)
-            payload[x] = (estimate[window].copy(), truth[window].copy())
+            payload[x] = (estimate[window].copy(), getattr(traj, x)[window].copy())
         results[idx] = payload
     return results
 
@@ -249,8 +255,8 @@ class SweepPoint:
     mmse: dict
     qcrb_coh: dict
     qcrb_sq: dict
-    sigma_phi_sq_emp: float = float("nan")
-    n_diverged: int = 0
+    sigma_phi_sq_emp: float
+    n_diverged: int
 
 
 @functools.cache
@@ -263,11 +269,10 @@ def _reuse_freed_heap() -> None:
     (about 1,000 minor page faults per reference trial, 14% of a serial
     trial's time).  This sets, once per process, the thresholds glibc's own
     adjustment tops out at: arrays up to 32 MB come from the heap, and up to
-    64 MB of free heap is kept.  Only processes that run trials call it: a
-    serial cell, and each pool process from its initializer.  A pool's
-    parent runs none, so it hands back what its cell set-up and fold free
-    before the next cell's pool forks.  Where malloc is not glibc's, this
-    does nothing.
+    64 MB of free heap is kept.  Only processes that run trials call it, on
+    entering a cell (`_enter_cell`).  A pool's parent runs none, so it hands
+    back what its cell set-up and fold free before the next cell's pool
+    forks.  Where malloc is not glibc's, this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -278,23 +283,18 @@ def _reuse_freed_heap() -> None:
     mallopt(m_trim_threshold, 64 << 20)
 
 
-#: A pool process's sweep cell: the arguments of `_score_trials` except the
-#: trial indices, `(priors, probe, tracker, bank, cfg, dump_dir)`.
+#: The sweep cell this process scores, `(priors, probe, tracker, bank, cfg,
+#: dump_dir)`, set by `_enter_cell`.
 _cell = None
 
 
 def _enter_cell(*cell) -> None:
-    """Pool initializer: keep the cell this process scores, so each task
-    sends only its trial indices (a reference `FilterBank` is ~1.5 MB)."""
+    """Keep the cell this process scores: a serial cell enters it in the
+    parent, and a pool runs this as each process's initializer, so each
+    task sends only its trial indices (a reference `FilterBank` is ~1.5 MB)."""
     global _cell
     _reuse_freed_heap()  # inherited under fork; spawned processes need it
     _cell = cell
-
-
-def _score_cell_trials(trial_indices):
-    """`_score_trials` of this pool process's cell (see `_enter_cell`)."""
-    priors, probe, tracker, bank, cfg, dump_dir = _cell
-    return _score_trials(priors, probe, tracker, bank, cfg, trial_indices, dump_dir)
 
 
 def run_sweep_point(
@@ -309,9 +309,10 @@ def run_sweep_point(
     `grid`, when given, is a `est.SpectralGrid` of `config.priors()`; the
     trials simulate and filter the grid's own priors.  The trials run as
     tasks of `TRIALS_PER_TASK`, serially or on a pool of at most `workers`
-    processes, and each task's windows are scored as the task returns.  A
-    pool receives the cell once per process (`_enter_cell`); its tasks carry
-    only trial indices."""
+    processes, and each task's windows are scored as the task returns.  The
+    process that runs the trials enters the cell once (`_enter_cell`), so a
+    task carries only trial indices; the parent keeps no cell past its tasks."""
+    global _cell
     if workers < 1:
         raise ValueError("need at least one worker")
     if grid is None:
@@ -323,6 +324,7 @@ def run_sweep_point(
     probe = config.operating_point(kind, alpha_sq)
     tracker = sim.KalmanTracker(probe, config.force, config.mirror, cfg)
     bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
+    cell = (priors, probe, tracker, bank, cfg, dump_dir)
 
     trials = range(cfg.n_trials)
     tasks = [trials[i : i + TRIALS_PER_TASK] for i in range(0, len(trials), TRIALS_PER_TASK)]
@@ -333,7 +335,7 @@ def run_sweep_point(
             for idx, payload in part.items():
                 scores[idx] = None if payload is None else (
                     payload["sigma_phi_sq"],
-                    *(est.trial_mse(*payload[x], cfg) for x in ("q", "p", "f")),
+                    *(est.trial_mse(*payload[x], cfg) for x in PRIOR_TAGS),
                 )
             part = payload = None  # this task's windows go before the next runs
 
@@ -343,14 +345,15 @@ def run_sweep_point(
         import scipy.fft, scipy.linalg, scipy.signal  # noqa: F401, E401
 
         with ProcessPoolExecutor(
-            max_workers=min(workers, len(tasks)),
-            initializer=_enter_cell,
-            initargs=(priors, probe, tracker, bank, cfg, dump_dir),
+            max_workers=min(workers, len(tasks)), initializer=_enter_cell, initargs=cell
         ) as pool:
-            fold(pool.map(_score_cell_trials, tasks))
+            fold(pool.map(_score_trials, tasks))
     else:
-        _reuse_freed_heap()  # only a process that runs trials keeps its freed heap
-        fold(_score_trials(priors, probe, tracker, bank, cfg, task, dump_dir) for task in tasks)
+        _enter_cell(*cell)
+        try:
+            fold(map(_score_trials, tasks))
+        finally:
+            _cell = None
 
     # reduction keyed by trial index, so the outcome is independent of the
     # pool and task sizes
@@ -358,7 +361,7 @@ def run_sweep_point(
     n_diverged = len(scores) - len(kept)
     sigma_emp = [score[0] for score in kept]
     mse, stderr = {}, {}
-    for k, x in enumerate(("q", "p", "f"), start=1):
+    for k, x in enumerate(PRIOR_TAGS, start=1):
         mse[x], stderr[x] = est.empirical_mse([score[k] for score in kept])
 
     coh = config.probe_template("coherent", alpha_sq)
@@ -367,10 +370,10 @@ def run_sweep_point(
         probe=probe,
         mse=mse,
         stderr=stderr,
-        mmse={x: est.analytic_mmse(x, probe, grid) for x in ("q", "p", "f")},
-        qcrb_coh={x: est.qcrb(x, coh, grid) for x in ("q", "p", "f")},
-        qcrb_sq={x: est.qcrb(x, sq, grid) for x in ("q", "p", "f")},
-        sigma_phi_sq_emp=float(np.mean(sigma_emp)) if sigma_emp else float("nan"),
+        mmse={x: est.analytic_mmse(x, probe, grid) for x in PRIOR_TAGS},
+        qcrb_coh={x: est.qcrb(x, coh, grid) for x in PRIOR_TAGS},
+        qcrb_sq={x: est.qcrb(x, sq, grid) for x in PRIOR_TAGS},
+        sigma_phi_sq_emp=float(np.mean(sigma_emp)),
         n_diverged=n_diverged,
     )
 
@@ -379,22 +382,30 @@ def _point_label(kind: str, alpha_sq: float) -> str:
     return f"sweep point (kind={kind}, alpha_sq={alpha_sq:g})"
 
 
+def _try_cell(label: str, fn, *args):
+    """`fn(*args)`, or None once its failure is reported on stderr as
+    `<label> failed: <reason>`, so a command keeps its other cells."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # report the cell, keep the others
+        print(f"{label} failed: {exc}", file=sys.stderr)
+        return None
+
+
 def _write_table(path, columns, cells, rows_of) -> tuple[list[dict], int]:
     """Write a CSV table one cell at a time.  `cells` are (label, cell) pairs
     and `rows_of(cell)` builds a cell's rows in full before any is written;
-    a cell that raises is reported on stderr, writes no rows and counts as
-    failed, and the table keeps every other cell.  Returns the rows written
-    and the number of failed cells."""
+    a cell that raises is reported (`_try_cell`), writes no rows and counts
+    as failed, and the table keeps every other cell.  Returns the rows
+    written and the number of failed cells."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     rows, failed = [], 0
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for label, cell in cells:
-            try:
-                cell_rows = rows_of(cell)
-            except Exception as exc:  # report the cell, keep the partial table
-                print(f"{label} failed: {exc}", file=sys.stderr)
+            cell_rows = _try_cell(label, rows_of, cell)
+            if cell_rows is None:
                 failed += 1
                 continue
             for row in cell_rows:
@@ -434,7 +445,7 @@ def cmd_sweep(
                 "qcrb_coh": point.qcrb_coh[x],
                 "qcrb_sq": point.qcrb_sq[x],
             }
-            for x in ("q", "p", "f")
+            for x in PRIOR_TAGS
         ]
 
     cells = [
@@ -472,7 +483,7 @@ def cmd_bounds(
                 "qcrb_coh": est.qcrb(x, coh, grid),
                 "qcrb_sq": est.qcrb(x, sq, grid),
             }
-            for x in ("q", "p", "f")
+            for x in PRIOR_TAGS
         ]
 
     cells = [(f"bounds point alpha_sq={alpha_sq:g}", alpha_sq) for alpha_sq in alphas]
@@ -514,12 +525,15 @@ def diagnose_point(config: ExperimentConfig, alpha_sq: float) -> DiagnosticsPoin
     )
 
 
-def cmd_diagnose(config: ExperimentConfig) -> str:
-    lines = ["operating-point diagnostics", "=" * 60]
-    for alpha_sq in config.alpha_sqs:
+def cmd_diagnose(config: ExperimentConfig) -> tuple[str, int]:
+    """Operating-point report, one block per configured amplitude.  An
+    amplitude that fails is reported (`_try_cell`) and has no block.
+    Returns the report and the number of amplitudes that failed."""
+
+    def block_of(alpha_sq):
         d = diagnose_point(config, alpha_sq)
         b = d.broadband
-        lines += [
+        return [
             f"alpha_sq = {alpha_sq:.3e} /s",
             f"  riccati sigma_phi^2        = {d.sigma_phi_sq:.4e} rad^2",
             f"  effective R_sq (beam)      = {d.r_sq_eff:.4f} ({d.r_sq_eff_db:+.2f} dB)",
@@ -530,7 +544,11 @@ def cmd_diagnose(config: ExperimentConfig) -> str:
             f"  broadband: bandwidth ratio {b.bandwidth_ratio:.2f} [{b.bandwidth_status}], "
             f"flux ratio {b.flux_ratio:.3f} [{b.flux_status}] -> {b.status}",
         ]
-    return "\n".join(lines)
+
+    blocks = [_try_cell(f"diagnose point alpha_sq={a:g}", block_of, a) for a in config.alpha_sqs]
+    lines = ["operating-point diagnostics", "=" * 60]
+    lines += [line for block in blocks if block is not None for line in block]
+    return "\n".join(lines), blocks.count(None)
 
 
 def cmd_simulate(
@@ -610,17 +628,17 @@ def main(argv=None) -> int:
         rows, failed = cmd_bounds(config)
         print(f"wrote {len(rows)} rows to {Path(config.out_dir) / 'bounds.csv'}")
     elif args.command == "diagnose":
-        print(cmd_diagnose(config))
+        text, failed = cmd_diagnose(config)
+        print(text)
     elif args.command == "simulate":
         alpha_sq = config.alpha_sqs[-1]
-        try:
-            point = cmd_simulate(
-                config, args.kind, alpha_sq, args.dump_trajectories, workers=args.workers
-            )
-        except Exception as exc:  # reported like a failed sweep cell
-            print(f"{_point_label(args.kind, alpha_sq)} failed: {exc}", file=sys.stderr)
+        point = _try_cell(
+            _point_label(args.kind, alpha_sq), cmd_simulate,
+            config, args.kind, alpha_sq, args.dump_trajectories, args.workers,
+        )
+        if point is None:
             return 1
-        for x in ("q", "p", "f"):
+        for x in PRIOR_TAGS:
             print(
                 f"{x}: mse = {point.mse[x]:.4e} +- {point.stderr[x]:.1e}, "
                 f"mmse = {point.mmse[x]:.4e}, qcrb(coh) = {point.qcrb_coh[x]:.4e}, "

@@ -19,8 +19,9 @@ from .errors import SingularityError, require_finite
 #: Variables connected by the motion functions g_ij(w).
 VAR_TAGS = ("phi", "q", "p", "f")
 
-#: Variables with a stationary prior spectrum.
-PRIOR_TAGS = ("f", "q", "p")
+#: Variables with a stationary prior spectrum, the estimated variables, in
+#: the order of the CSV rows.
+PRIOR_TAGS = ("q", "p", "f")
 
 
 def effective_mass(m_mirror: float, m_pzt: float) -> float:

@@ -62,6 +62,8 @@ class SimConfig:
             raise ValueError("need at least two samples")
         if self.n_trials < 2:  # every command scores a standard error
             raise ValueError("need at least two trials")
+        if self.seed < 0:  # numpy seeds are nonnegative
+            raise ValueError("seed must be nonnegative")
         if self.mode not in (MODE_LINEARIZED, MODE_NONLINEAR):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.feedback_delay_samples < 0:

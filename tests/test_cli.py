@@ -106,14 +106,14 @@ def experiment_configs(draw):
         # against n_samples - 1, so the edges rounded to samples leave a window
         edge_discard=draw(st.floats(0.0, 0.49)) * (n_samples - 1) * dt,
     )
-    real = st.floats(-1e3, 1e3)
+    antisqueezing_db = draw(st.floats(0.0, 1e3))
     return cli.ExperimentConfig(
         mirror=mirror,
         force=ForceParams(lam=draw(positive), kappa=draw(positive)),
         simulation=simulation,
-        squeezing_db=draw(real),
-        antisqueezing_db=draw(real),
-        eta_det=draw(st.floats(0.0, 1.0)),
+        squeezing_db=draw(st.floats(0.0, antisqueezing_db)),
+        antisqueezing_db=antisqueezing_db,
+        eta_det=draw(st.floats(0.0, 1.0, exclude_min=True)),
         bandwidth=draw(positive),
         alpha_sqs=tuple(draw(st.lists(positive, min_size=1, max_size=6))),
         out_dir=draw(st.text(string.ascii_letters + string.digits + "/._-#=", min_size=1)),
@@ -416,6 +416,33 @@ class TestTasks:
         assert len(sent) == 3 and max(sent) < 1024
         assert [sum(isinstance(a, est.FilterBank) for a in cell) for cell in cells] == [1]
 
+    def test_serial_and_pool_map_one_function(self, tiny_config, monkeypatch):
+        """A pool maps `cli._score_trials` itself, the function a serial cell
+        maps, over its tasks."""
+        mapped = []
+
+        class InspectingPool(recording_pool([])):
+            def map(self, fn, *iterables):
+                mapped.append(fn)
+                return super().map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InspectingPool)
+        self.scored(tiny_config, est.SpectralGrid.build(tiny_config.priors()), workers=2)
+        assert mapped == [cli._score_trials]
+
+    def test_serial_cell_is_dropped_after_its_tasks(self, tiny_config, monkeypatch):
+        grid = est.SpectralGrid.build(tiny_config.priors())
+        self.scored(tiny_config, grid)
+        assert cli._cell is None
+
+        def failing(*args):
+            raise RuntimeError("synthetic trial failure")
+
+        monkeypatch.setattr(sim, "simulate_trial", failing)
+        with pytest.raises(RuntimeError, match="synthetic trial failure"):
+            self.scored(tiny_config, grid)
+        assert cli._cell is None
+
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_without_fork_matches_serial(self, tiny_config, monkeypatch, method):
         """Pool processes that do not fork (forkserver is Python 3.14's Linux
@@ -483,10 +510,11 @@ class TestScoreTrials:
         tracker = sim.KalmanTracker(probe, config.force, config.mirror, cfg)
         _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)
         bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
-        cli._score_trials(priors, probe, tracker, bank, cfg, range(1))  # warm-up
+        cli._enter_cell(priors, probe, tracker, bank, cfg, None)
+        cli._score_trials(range(1))  # warm-up
         tracemalloc.start()
         try:
-            cli._score_trials(priors, probe, tracker, bank, cfg, range(1, 2))
+            cli._score_trials(range(1, 2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -499,7 +527,8 @@ class TestScoreTrials:
         tracker = sim.KalmanTracker(probe, config.force, config.mirror, cfg)
         _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)
         bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
-        results = cli._score_trials(priors, probe, tracker, bank, cfg, range(2))
+        cli._enter_cell(priors, probe, tracker, bank, cfg, None)
+        results = cli._score_trials(range(2))
         for payload in results.values():
             arrays = [a for x in ("q", "p", "f") for a in payload[x]]
             assert all(a.base is None for a in arrays)
@@ -593,7 +622,8 @@ class TestDiagnose:
 
     def test_report_text(self):
         config = replace(cli.reference_config(), alpha_sqs=(1.02e6,))
-        text = cli.cmd_diagnose(config)
+        text, failed = cli.cmd_diagnose(config)
+        assert failed == 0
         for token in (
             "sigma_phi^2",
             "effective R_sq",
@@ -602,6 +632,19 @@ class TestDiagnose:
             "dB",
         ):
             assert token in text
+
+    def test_failed_amplitude_reported_like_sweep(self, tmp_path, capsys):
+        # with no squeezing the standard-form bandwidth ratio is 0, which
+        # `SqueezingBandwidth` rejects; `bounds` and `sweep` accept the config
+        cfg_path = tmp_path / "unsqueezed.cfg"
+        cfg_path.write_text("probe.squeezing_db = 0\nsweep.alpha_sq = 1.02e6\n")
+        assert cli.main(["--config", str(cfg_path), "diagnose"]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            "diagnose point alpha_sq=1.02e+06 failed: bandwidths must be positive"
+        ]
+        assert out.splitlines() == ["operating-point diagnostics", "=" * 60]
 
 
 class TestSimulateCommand:
@@ -765,8 +808,10 @@ class TestMainEntry:
 
     def test_fixed_seed_outputs_match_digests(self, tmp_path, capsys):
         out = tmp_path / "out"
-        argv = ["--trials", "20", "--seed", "11", "--workers", "2", "--out", str(out)]
-        assert cli.main([*argv, "sweep"]) == 0
+        argv = ["--trials", "20", "--seed", "11", "--out", str(out)]
+        assert cli.main([*argv, "--workers", "1", "sweep"]) == 0
+        serial_sweep = (out / "sweep.csv").read_bytes()
+        assert cli.main([*argv, "--workers", "2", "sweep"]) == 0
         assert cli.main(["--out", str(out), "bounds"]) == 0
         capsys.readouterr()
         assert cli.main(["diagnose"]) == 0
@@ -779,13 +824,14 @@ class TestMainEntry:
         dumps = sorted(dump_out.rglob("*.csv"), key=lambda path: path.name)
         assert [path.name for path in dumps] == ["trial_0000.csv", "trial_0001.csv"]
         digests = {
+            "serial sweep": hashlib.sha256(serial_sweep).hexdigest(),
             "sweep": hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest(),
             "bounds": hashlib.sha256((out / "bounds.csv").read_bytes()).hexdigest(),
             "diagnose": hashlib.sha256(diagnose.encode()).hexdigest(),
             "simulate": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
             "dumps": hashlib.sha256(b"".join(path.read_bytes() for path in dumps)).hexdigest(),
         }
-        assert digests == self.DIGESTS
+        assert digests == {"serial sweep": self.DIGESTS["sweep"], **self.DIGESTS}
 
     def test_write_config_creates_parent_directories(self, tmp_path, capsys):
         path = tmp_path / "new" / "dir" / "x.cfg"
@@ -810,11 +856,17 @@ class TestMainEntry:
             (["simulate", "--alpha-sq", "nan"], "alpha_sqs must be finite"),
             (["simulate", "--alpha-sq", "inf"], "alpha_sqs must be finite"),
             (["--config", "{wide_edge}", "--trials", "2", "sweep"], "leaves no scoring window"),
+            (["--config", "{efficiency}", "diagnose"], "detection efficiency must lie in (0, 1]"),
+            (["--config", "{squeezing}", "diagnose"], "need 0 <= r_m <= r_p"),
+            (["--config", "{bandwidth}", "diagnose"], "probe bandwidth must be positive"),
+            (["--seed", "-1", "diagnose"], "seed must be nonnegative"),
         ],
         ids=[
             "zero-trials", "one-trial", "unparsable-value", "missing-config",
             "table-without-column", "table-with-nan", "config-under-a-file", "negative-amplitude",
             "zero-amplitude", "nan-amplitude", "infinite-amplitude", "edge-rounds-to-half-window",
+            "efficiency-above-one", "squeezing-above-antisqueezing", "zero-bandwidth",
+            "negative-seed",
         ],
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv, message):
@@ -835,6 +887,13 @@ class TestMainEntry:
             "bad": bad, "missing": tmp_path / "missing.cfg", "bad_table": bad_table,
             "nan_table": nan_table, "wide_edge": wide_edge,
         }
+        for name, text in (
+            ("efficiency", "probe.efficiency = 1.5"),
+            ("squeezing", "probe.squeezing_db = 7"),  # anti-squeezing stays 6 dB
+            ("bandwidth", "probe.bandwidth = 0"),
+        ):
+            paths[name] = tmp_path / f"{name}.cfg"
+            paths[name].write_text(text + "\n")
         with pytest.raises(SystemExit) as exit_info:
             cli.main([arg.format(**paths) for arg in argv])
         assert exit_info.value.code == 2
