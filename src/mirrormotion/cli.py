@@ -71,7 +71,15 @@ class ExperimentConfig:
             raise ValueError("probe amplitudes must be positive")
         if self.bandwidth <= 0:
             raise ValueError("probe bandwidth must be positive")
-        self.probe_template("squeezed", self.alpha_sqs[0])  # checks the probe family
+        # `ProbeState` owns the probe-family rules; name the keys that broke one
+        for kind, keys in (
+            ("coherent", "probe.efficiency"),
+            ("squeezed", "probe.squeezing_db, probe.antisqueezing_db"),
+        ):
+            try:
+                self.probe_template(kind, self.alpha_sqs[0])
+            except ValueError as exc:
+                raise ValueError(f"{keys}: {exc}") from exc
         if self.tf_source == "nominal":
             tf = NominalTransferFunction(self.mirror)
         elif Path(self.tf_source).exists():
@@ -491,56 +499,29 @@ def cmd_bounds(
     return _write_table(out_path, BOUNDS_COLUMNS, cells, rows_of)
 
 
-@dataclass
-class DiagnosticsPoint:
-    alpha_sq: float
-    sigma_phi_sq: float
-    r_sq_eff: float
-    r_sq_eff_db: float
-    r_sq_detected: float
-    attainability_coherent: float
-    attainability_squeezed: float
-    linearization_check: float
-    broadband: object
-
-
-def diagnose_point(config: ExperimentConfig, alpha_sq: float) -> DiagnosticsPoint:
-    squeezed = config.operating_point("squeezed", alpha_sq)
-    coherent = config.operating_point("coherent", alpha_sq)
-    # beam-level quantities (effective factor, attainability) use the beam
-    # moments before detection loss
-    lossless = replace(squeezed, eta_det=1.0)
-    r_eff = effective_squeezing_factor(lossless)
-    bw = SqueezingBandwidth.standard(squeezed, config.bandwidth)
-    return DiagnosticsPoint(
-        alpha_sq=alpha_sq,
-        sigma_phi_sq=squeezed.sigma_phi_sq,
-        r_sq_eff=r_eff,
-        r_sq_eff_db=10.0 * math.log10(r_eff),
-        r_sq_detected=effective_squeezing_factor(squeezed),
-        attainability_coherent=attainability_gap(replace(coherent, eta_det=1.0)),
-        attainability_squeezed=attainability_gap(lossless),
-        linearization_check=squeezed.sigma_phi_sq * math.exp(2.0 * squeezed.r_p),
-        broadband=validate_broadband(bw, config.mirror.Omega, config.force.lam, squeezed),
-    )
-
-
 def cmd_diagnose(config: ExperimentConfig) -> tuple[str, int]:
     """Operating-point report, one block per configured amplitude.  An
     amplitude that fails is reported (`_try_cell`) and has no block.
     Returns the report and the number of amplitudes that failed."""
 
     def block_of(alpha_sq):
-        d = diagnose_point(config, alpha_sq)
-        b = d.broadband
+        squeezed = config.operating_point("squeezed", alpha_sq)
+        # beam-level quantities (effective factor, attainability) use the beam
+        # moments before detection loss
+        coherent = replace(config.operating_point("coherent", alpha_sq), eta_det=1.0)
+        lossless = replace(squeezed, eta_det=1.0)
+        r_eff = effective_squeezing_factor(lossless)
+        bw = SqueezingBandwidth.standard(squeezed, config.bandwidth)
+        b = validate_broadband(bw, config.mirror.Omega, config.force.lam, squeezed)
+        linearization = squeezed.sigma_phi_sq * squeezed.beam_moments()[0]
         return [
             f"alpha_sq = {alpha_sq:.3e} /s",
-            f"  riccati sigma_phi^2        = {d.sigma_phi_sq:.4e} rad^2",
-            f"  effective R_sq (beam)      = {d.r_sq_eff:.4f} ({d.r_sq_eff_db:+.2f} dB)",
-            f"  effective R_sq (detected)  = {d.r_sq_detected:.4f}",
-            f"  attainability gap coherent = {d.attainability_coherent:.6f}",
-            f"  attainability gap squeezed = {d.attainability_squeezed:.4f}",
-            f"  linearization sigma^2 e^2rp = {d.linearization_check:.4e} (<< 1 required)",
+            f"  riccati sigma_phi^2        = {squeezed.sigma_phi_sq:.4e} rad^2",
+            f"  effective R_sq (beam)      = {r_eff:.4f} ({10.0 * math.log10(r_eff):+.2f} dB)",
+            f"  effective R_sq (detected)  = {effective_squeezing_factor(squeezed):.4f}",
+            f"  attainability gap coherent = {attainability_gap(coherent):.6f}",
+            f"  attainability gap squeezed = {attainability_gap(lossless):.4f}",
+            f"  linearization sigma^2 e^2rp = {linearization:.4e} (<< 1 required)",
             f"  broadband: bandwidth ratio {b.bandwidth_ratio:.2f} [{b.bandwidth_status}], "
             f"flux ratio {b.flux_ratio:.3f} [{b.flux_status}] -> {b.status}",
         ]

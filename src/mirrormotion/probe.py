@@ -86,12 +86,15 @@ class ProbeState:
     def is_coherent(self) -> bool:
         return self.r_m == 0.0 and self.r_p == 0.0
 
+    def beam_moments(self) -> tuple[float, float]:
+        """Lossless quadrature moments (e^{2 r_p}, e^{-2 r_m}) of the beam."""
+        return math.exp(2.0 * self.r_p), math.exp(-2.0 * self.r_m)
+
     def detected_moments(self) -> tuple[float, float]:
         """(e^{2 r_p}, e^{-2 r_m}) after the detection-loss beam splitter."""
+        ep, em = self.beam_moments()
         eta = self.eta_det
-        ep = eta * math.exp(2.0 * self.r_p) + (1.0 - eta)
-        em = eta * math.exp(-2.0 * self.r_m) + (1.0 - eta)
-        return ep, em
+        return eta * ep + (1.0 - eta), eta * em + (1.0 - eta)
 
 
 @dataclass(frozen=True)
@@ -122,9 +125,8 @@ class SqueezingBandwidth:
             raise ValueError("mean bandwidth must be positive")
         if probe.is_coherent:
             return cls(dw0, dw0)
-        num = 1.0 - math.exp(-2.0 * probe.r_m)
-        den = math.exp(2.0 * probe.r_p) - 1.0
-        ratio = math.sqrt(num / den)
+        ep, em = probe.beam_moments()
+        ratio = math.sqrt((1.0 - em) / (ep - 1.0))
         dw_minus = 2.0 * dw0 / (1.0 + ratio)
         return cls(dw_minus, ratio * dw_minus)
 
@@ -153,12 +155,11 @@ def squeezing_spectrum(sign: str, omega, p: ProbeState, bw: SqueezingBandwidth):
     rolling off to the vacuum level 1/4.
     """
     w = np.asarray(omega, dtype=float)
+    ep, em = p.beam_moments()
     if sign == "+":
-        r0 = 0.25 * math.exp(2.0 * p.r_p)
-        dw = bw.dw_plus
+        r0, dw = 0.25 * ep, bw.dw_plus
     elif sign == "-":
-        r0 = 0.25 * math.exp(-2.0 * p.r_m)
-        dw = bw.dw_minus
+        r0, dw = 0.25 * em, bw.dw_minus
     else:
         raise ValueError("sign must be '+' or '-'")
     out = 0.25 + (r0 - 0.25) * dw**2 / (w**2 + dw**2)
@@ -171,9 +172,8 @@ def mean_squeezing_flux(p: ProbeState, bw: SqueezingBandwidth) -> float:
     Closed form of the integrated flux spectrum:
     I_sq = (1/8) [ (e^{2 r_p} - 1) dw+ + (e^{-2 r_m} - 1) dw- ].
     """
-    a = math.exp(2.0 * p.r_p) - 1.0
-    b = math.exp(-2.0 * p.r_m) - 1.0
-    return 0.125 * (a * bw.dw_plus + b * bw.dw_minus)
+    ep, em = p.beam_moments()
+    return 0.125 * ((ep - 1.0) * bw.dw_plus + (em - 1.0) * bw.dw_minus)
 
 
 def xi_factor(p: ProbeState) -> float:
@@ -185,8 +185,8 @@ def xi_factor(p: ProbeState) -> float:
     coherent limit down to 1/4 as r_p grows.  The denominator vanishes when
     A = B with both nonzero (impossible for r_p >= r_m); that case raises.
     """
-    a = math.exp(2.0 * p.r_p) - 1.0
-    b = 1.0 - math.exp(-2.0 * p.r_m)
+    ep, em = p.beam_moments()
+    a, b = ep - 1.0, 1.0 - em
     if a == 0.0 and b == 0.0:
         return 1.0
     den = math.sqrt(a) - math.sqrt(b)
@@ -194,6 +194,7 @@ def xi_factor(p: ProbeState) -> float:
         raise SingularityError(
             "xi is singular when e^{2 r_p} - 1 = 1 - e^{-2 r_m} with both nonzero"
         )
+    # not 1 / ep, which may differ in the last bit
     return math.exp(-2.0 * p.r_p) * (1.0 + 0.25 * (a**1.5 + b**1.5) / den)
 
 
@@ -206,8 +207,8 @@ def photon_flux_psd_exact(omega, p: ProbeState, bw: SqueezingBandwidth):
                  + (1-e^{-2 r_m})^2 dw-^3/(w^2 + (2 dw-)^2) ].
     """
     w = np.asarray(omega, dtype=float)
-    a = math.exp(2.0 * p.r_p) - 1.0
-    b = 1.0 - math.exp(-2.0 * p.r_m)
+    ep, em = p.beam_moments()
+    a, b = ep - 1.0, 1.0 - em
     out = (
         4.0 * p.alpha_sq * squeezing_spectrum("+", w, p, bw)
         + mean_squeezing_flux(p, bw)
@@ -226,7 +227,7 @@ def photon_flux_psd_broadband(p: ProbeState) -> float:
     Valid when the squeezing bandwidth dominates all system frequencies and
     xi*I_sq << |alpha|^2; check with :func:`validate_broadband`.
     """
-    return p.alpha_sq * math.exp(2.0 * p.r_p)
+    return p.alpha_sq * p.beam_moments()[0]
 
 
 def attainability_gap(p: ProbeState) -> float:

@@ -288,12 +288,14 @@ class KalmanTracker:
     @functools.cached_property
     def _iir(self) -> tuple[np.ndarray, np.ndarray]:
         """(numerator, denominator) of the y -> phase-prediction filter, built
-        on first use: calibration builds trackers that never filter.  These
-        are the characteristic polynomials `scipy.signal.ss2tf` forms for
-        (A, B, C, D) = (a_cl, a_d gain, c, 0), with the same numpy calls."""
-        den = np.poly(self._a_cl)
-        num = np.poly(self._a_cl - np.outer(self.a_d @ self.gain, self.c_vec)) - den
-        return num, den
+        on first use: calibration builds trackers that never filter.  It is
+        the state-space system (A, B, C, D) = (a_cl, a_d gain, c, 0)."""
+        import scipy.signal
+
+        num, den = scipy.signal.ss2tf(
+            self._a_cl, (self.a_d @ self.gain)[:, None], self.c_vec[None, :], np.zeros((1, 1))
+        )
+        return num[0], den
 
     def predict_series(self, y: np.ndarray) -> np.ndarray:
         """Causal one-step phase predictions phihat_k from a measurement record."""
@@ -328,7 +330,7 @@ class TrackingResult:
     y: np.ndarray
     phi_fb: np.ndarray
     sigma_phi_sq: float
-    diverged: bool = False
+    diverged: bool
 
 
 def _delayed(series: np.ndarray, d: int) -> np.ndarray:
@@ -460,8 +462,8 @@ class Trajectory:
     data_start: int
     n_data: int
     dt: float
-    sigma_phi_sq: float = float("nan")
-    diverged: bool = False
+    sigma_phi_sq: float
+    diverged: bool
 
     @property
     def t(self) -> np.ndarray:

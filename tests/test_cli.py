@@ -29,6 +29,12 @@ from mirrormotion.model import (
     NominalTransferFunction,
     TabulatedTransferFunction,
 )
+from mirrormotion.probe import (
+    SqueezingBandwidth,
+    attainability_gap,
+    effective_squeezing_factor,
+    validate_broadband,
+)
 
 from conftest import ALPHA_SQS
 
@@ -606,7 +612,10 @@ class TestDiagnose:
         # the self-consistent tracking error puts the effective squeezing
         # factor inside the reported -3.28 .. -3.48 dB operating band
         config = cli.reference_config()
-        dbs = [cli.diagnose_point(config, a).r_sq_eff_db for a in config.alpha_sqs]
+        dbs = []
+        for alpha_sq in config.alpha_sqs:
+            beam = replace(config.operating_point("squeezed", alpha_sq), eta_det=1.0)
+            dbs.append(10.0 * math.log10(effective_squeezing_factor(beam)))
         assert all(-3.50 <= db <= -3.27 for db in dbs)
         assert dbs[0] == pytest.approx(-3.28, abs=0.03)
         assert dbs[-1] == pytest.approx(-3.48, abs=0.03)
@@ -614,11 +623,13 @@ class TestDiagnose:
 
     def test_gaps_and_linearization(self):
         config = cli.reference_config()
-        d = cli.diagnose_point(config, 1.02e6)
-        assert d.attainability_coherent == pytest.approx(1.0, rel=1e-12)
-        assert d.attainability_squeezed > 1.7
-        assert d.linearization_check < 0.1
-        assert d.broadband.ok
+        squeezed = config.operating_point("squeezed", 1.02e6)
+        coherent = config.operating_point("coherent", 1.02e6)
+        assert attainability_gap(replace(coherent, eta_det=1.0)) == pytest.approx(1.0, rel=1e-12)
+        assert attainability_gap(replace(squeezed, eta_det=1.0)) > 1.7
+        assert squeezed.sigma_phi_sq * squeezed.beam_moments()[0] < 0.1
+        bw = SqueezingBandwidth.standard(squeezed, config.bandwidth)
+        assert validate_broadband(bw, config.mirror.Omega, config.force.lam, squeezed).ok
 
     def test_report_text(self):
         config = replace(cli.reference_config(), alpha_sqs=(1.02e6,))
@@ -856,8 +867,22 @@ class TestMainEntry:
             (["simulate", "--alpha-sq", "nan"], "alpha_sqs must be finite"),
             (["simulate", "--alpha-sq", "inf"], "alpha_sqs must be finite"),
             (["--config", "{wide_edge}", "--trials", "2", "sweep"], "leaves no scoring window"),
-            (["--config", "{efficiency}", "diagnose"], "detection efficiency must lie in (0, 1]"),
-            (["--config", "{squeezing}", "diagnose"], "need 0 <= r_m <= r_p"),
+            (
+                ["--config", "{efficiency}", "diagnose"],
+                "probe.efficiency: detection efficiency must lie in (0, 1]",
+            ),
+            (
+                ["--config", "{zero_efficiency}", "diagnose"],
+                "probe.efficiency: detection efficiency must lie in (0, 1]",
+            ),
+            (
+                ["--config", "{squeezing}", "diagnose"],
+                "probe.squeezing_db, probe.antisqueezing_db: need 0 <= r_m <= r_p",
+            ),
+            (
+                ["--config", "{negative_squeezing}", "diagnose"],
+                "probe.squeezing_db, probe.antisqueezing_db: need 0 <= r_m <= r_p",
+            ),
             (["--config", "{bandwidth}", "diagnose"], "probe bandwidth must be positive"),
             (["--seed", "-1", "diagnose"], "seed must be nonnegative"),
         ],
@@ -865,8 +890,8 @@ class TestMainEntry:
             "zero-trials", "one-trial", "unparsable-value", "missing-config",
             "table-without-column", "table-with-nan", "config-under-a-file", "negative-amplitude",
             "zero-amplitude", "nan-amplitude", "infinite-amplitude", "edge-rounds-to-half-window",
-            "efficiency-above-one", "squeezing-above-antisqueezing", "zero-bandwidth",
-            "negative-seed",
+            "efficiency-above-one", "zero-efficiency", "squeezing-above-antisqueezing",
+            "negative-squeezing", "zero-bandwidth", "negative-seed",
         ],
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv, message):
@@ -889,7 +914,9 @@ class TestMainEntry:
         }
         for name, text in (
             ("efficiency", "probe.efficiency = 1.5"),
+            ("zero_efficiency", "probe.efficiency = 0"),
             ("squeezing", "probe.squeezing_db = 7"),  # anti-squeezing stays 6 dB
+            ("negative_squeezing", "probe.squeezing_db = -1"),
             ("bandwidth", "probe.bandwidth = 0"),
         ):
             paths[name] = tmp_path / f"{name}.cfg"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from mirrormotion.errors import SingularityError
@@ -313,3 +314,92 @@ class TestValidateBroadband:
         report = validate_broadband(bw, OMEGA, LAMBDA, p)
         assert report.bandwidth_status == "fail"
         assert not report.ok
+
+
+def _outcome(fn, *args):
+    """`fn(*args)`, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _same(actual, expected) -> bool:
+    if isinstance(expected, np.ndarray):
+        return np.array_equal(actual, expected)
+    return actual == expected
+
+
+class TestClosedForms:
+    """Every function of the quadrature moments equals, bit for bit, its
+    closed form written out with `math.exp`."""
+
+    @settings(max_examples=300)
+    @given(
+        r_m=st.floats(0.0, 2.0),
+        extra=st.floats(0.0, 2.0),
+        sigma_phi_sq=st.floats(0.0, 0.99),
+        eta_det=st.floats(0.01, 1.0),
+        log_alpha_sq=st.floats(0.0, 9.0),
+        log_dw=st.tuples(st.floats(4.0, 8.0), st.floats(4.0, 8.0), st.floats(4.0, 8.0)),
+        omegas=st.lists(st.floats(0.0, 1e8), min_size=8, max_size=8),
+    )
+    def test_matches_closed_form(
+        self, r_m, extra, sigma_phi_sq, eta_det, log_alpha_sq, log_dw, omegas
+    ):
+        p = ProbeState(10.0**log_alpha_sq, r_m, r_m + extra, sigma_phi_sq, eta_det)
+        alpha, s, eta = p.alpha_sq, p.sigma_phi_sq, p.eta_det
+        ep, em = math.exp(2.0 * p.r_p), math.exp(-2.0 * p.r_m)
+        dwm, dwp, dw0 = (10.0**x for x in log_dw)
+        bw = SqueezingBandwidth(dwm, dwp)
+        w = np.array(omegas)
+
+        dep, dem = eta * ep + (1.0 - eta), eta * em + (1.0 - eta)
+        assert p.detected_moments() == (dep, dem)
+        r_eff = s * dep + (1.0 - s) * dem
+        assert effective_squeezing_factor(p) == r_eff
+        s_z = r_eff / (4.0 * eta * alpha)
+        assert measurement_noise_psd(p) == s_z
+        assert photon_flux_psd_broadband(p) == alpha * ep
+        assert attainability_gap(p) == 4.0 * (alpha * ep) * s_z
+
+        def standard():
+            if p.r_m == 0.0 and p.r_p == 0.0:
+                return SqueezingBandwidth(dw0, dw0)
+            ratio = math.sqrt((1.0 - em) / (ep - 1.0))
+            minus = 2.0 * dw0 / (1.0 + ratio)
+            return SqueezingBandwidth(minus, ratio * minus)
+
+        assert _outcome(SqueezingBandwidth.standard, p, dw0) == _outcome(standard)
+
+        def xi():
+            a, b = ep - 1.0, 1.0 - em
+            if a == 0.0 and b == 0.0:
+                return 1.0
+            den = math.sqrt(a) - math.sqrt(b)
+            if den <= 0.0:
+                raise SingularityError("singular")
+            return math.exp(-2.0 * p.r_p) * (1.0 + 0.25 * (a**1.5 + b**1.5) / den)
+
+        assert _outcome(xi_factor, p) == _outcome(xi)
+        flux = 0.125 * ((ep - 1.0) * dwp + (em - 1.0) * dwm)
+        assert mean_squeezing_flux(p, bw) == flux
+        report = _outcome(validate_broadband, bw, OMEGA, LAMBDA, p)
+        ratio = _outcome(lambda: xi() * flux / alpha)
+        assert getattr(report, "flux_ratio", report) == ratio
+
+        for x in (w, omegas[0]):
+            plus = 0.25 + (0.25 * ep - 0.25) * dwp**2 / (x**2 + dwp**2)
+            minus = 0.25 + (0.25 * em - 0.25) * dwm**2 / (x**2 + dwm**2)
+            assert _same(squeezing_spectrum("+", x, p, bw), plus)
+            assert _same(squeezing_spectrum("-", x, p, bw), minus)
+            exact = (
+                4.0 * alpha * plus
+                + flux
+                + 0.125
+                * (
+                    (ep - 1.0) ** 2 * dwp**3 / (x**2 + (2.0 * dwp) ** 2)
+                    + (1.0 - em) ** 2 * dwm**3 / (x**2 + (2.0 * dwm) ** 2)
+                )
+            )
+            assert _same(photon_flux_psd_exact(x, p, bw), exact)
