@@ -15,6 +15,7 @@ from .est import (
     optimal_filter,
     prior_variance,
     qcrb,
+    qcrb_finite_bandwidth,
     smooth,
     trial_mse,
 )
@@ -31,7 +32,6 @@ from .model import (
     prior_psd,
 )
 from .probe import (
-    BroadbandReport,
     ProbeState,
     SqueezingBandwidth,
     attainability_gap,
@@ -41,7 +41,6 @@ from .probe import (
     photon_flux_psd_broadband,
     photon_flux_psd_exact,
     squeezing_spectrum,
-    validate_broadband,
     xi_factor,
 )
 from .sim import (

@@ -31,13 +31,7 @@ from .model import (
     PriorModel,
     TabulatedTransferFunction,
 )
-from .probe import (
-    ProbeState,
-    SqueezingBandwidth,
-    attainability_gap,
-    effective_squeezing_factor,
-    validate_broadband,
-)
+from .probe import ProbeState, SqueezingBandwidth, attainability_gap, effective_squeezing_factor
 
 SWEEP_COLUMNS = ("var", "probe", "alpha_sq", "mse_emp", "mse_stderr", "mmse", "qcrb_coh", "qcrb_sq")
 BOUNDS_COLUMNS = ("var", "alpha_sq", "mmse_coh", "mmse_sq", "qcrb_coh", "qcrb_sq")
@@ -503,6 +497,7 @@ def cmd_diagnose(config: ExperimentConfig) -> tuple[str, int]:
     """Operating-point report, one block per configured amplitude.  An
     amplitude that fails is reported (`_try_cell`) and has no block.
     Returns the report and the number of amplitudes that failed."""
+    grid = est.SpectralGrid.build(config.priors())
 
     def block_of(alpha_sq):
         squeezed = config.operating_point("squeezed", alpha_sq)
@@ -512,7 +507,8 @@ def cmd_diagnose(config: ExperimentConfig) -> tuple[str, int]:
         lossless = replace(squeezed, eta_det=1.0)
         r_eff = effective_squeezing_factor(lossless)
         bw = SqueezingBandwidth.standard(squeezed, config.bandwidth)
-        b = validate_broadband(bw, config.mirror.Omega, config.force.lam, squeezed)
+        ratios = {x: est.qcrb_finite_bandwidth(x, squeezed, bw, grid) / est.qcrb(x, squeezed, grid)
+                  for x in PRIOR_TAGS}
         linearization = squeezed.sigma_phi_sq * squeezed.beam_moments()[0]
         return [
             f"alpha_sq = {alpha_sq:.3e} /s",
@@ -522,8 +518,8 @@ def cmd_diagnose(config: ExperimentConfig) -> tuple[str, int]:
             f"  attainability gap coherent = {attainability_gap(coherent):.6f}",
             f"  attainability gap squeezed = {attainability_gap(lossless):.4f}",
             f"  linearization sigma^2 e^2rp = {linearization:.4e} (<< 1 required)",
-            f"  broadband: bandwidth ratio {b.bandwidth_ratio:.2f} [{b.bandwidth_status}], "
-            f"flux ratio {b.flux_ratio:.3f} [{b.flux_status}] -> {b.status}",
+            "  finite-bandwidth / broadband qcrb_sq: "
+            + ", ".join(f"{x} {ratio:.4f}" for x, ratio in ratios.items()),
         ]
 
     blocks = [_try_cell(f"diagnose point alpha_sq={a:g}", block_of, a) for a in config.alpha_sqs]

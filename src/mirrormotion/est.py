@@ -17,7 +17,13 @@ import numpy as np
 
 from .errors import GridMismatchError, TailAccuracyError
 from .model import PRIOR_TAGS, PriorModel, TabulatedTransferFunction, force_gains
-from .probe import ProbeState, measurement_noise_psd, photon_flux_psd_broadband
+from .probe import (
+    ProbeState,
+    SqueezingBandwidth,
+    measurement_noise_psd,
+    photon_flux_psd_broadband,
+    photon_flux_psd_exact,
+)
 
 #: Largest relative change of a spectral integral when its grid's omega_max is
 #: doubled; a larger change raises TailAccuracyError.
@@ -155,14 +161,15 @@ def _raw_grid(priors: PriorModel, omega_max: float, n_per_panel: int) -> Spectra
 # analytic MSEs and bounds
 
 
-def _information_integral(x: str, grid: SpectralGrid, nu: float, label: str) -> float:
-    """Integral dw/2pi S_x / (1 + nu K), K the information kernel of the grid's
-    priors, on `grid` and on its doubled twin; raises TailAccuracyError when
-    the two differ by more than TAIL_RTOL."""
+def _information_integral(x: str, grid: SpectralGrid, nu, label: str) -> float:
+    """Integral dw/2pi S_x / (1 + nu(w) K), K the information kernel of the
+    grid's priors, on `grid` and on its doubled twin; `nu` is called once per
+    grid, with its nodes.  Raises TailAccuracyError when the two differ by
+    more than TAIL_RTOL."""
     if x not in PRIOR_TAGS:
         raise ValueError(f"unknown variable tag {x!r}")
     value, refined = (
-        g.integrate(g.integrands[x] / (1.0 + nu * g.integrands["K"])) / np.pi
+        g.integrate(g.integrands[x] / (1.0 + nu(g.nodes) * g.integrands["K"])) / np.pi
         for g in (grid, grid.doubled())
     )
     if abs(refined - value) > TAIL_RTOL * abs(refined):
@@ -177,7 +184,7 @@ def analytic_mmse(x: str, probe: ProbeState, grid: SpectralGrid) -> float:
     """Minimum mean-square smoothing error for x in {q, p, f} under the
     grid's priors: Integral dw/2pi S_x / (1 + K/S_z)."""
     nu = 1.0 / measurement_noise_psd(probe)
-    return _information_integral(x, grid, nu, "analytic_mmse")
+    return _information_integral(x, grid, lambda w: nu, "analytic_mmse")
 
 
 def qcrb(x: str, probe: ProbeState, grid: SpectralGrid) -> float:
@@ -185,13 +192,25 @@ def qcrb(x: str, probe: ProbeState, grid: SpectralGrid) -> float:
     Integral dw/2pi S_x / (1 + 4 S_dI K), using the broadband photon-flux
     spectrum of the lossless beam."""
     nu = 4.0 * photon_flux_psd_broadband(probe)
-    return _information_integral(x, grid, nu, "qcrb")
+    return _information_integral(x, grid, lambda w: nu, "qcrb")
+
+
+def qcrb_finite_bandwidth(
+    x: str, probe: ProbeState, bw: SqueezingBandwidth, grid: SpectralGrid
+) -> float:
+    """`qcrb` on the beam's exact photon-flux spectrum for squeezing bandwidths
+    `bw`: Integral dw/2pi S_x / (1 + 4 S_dI(w) K) (Tsang, Wiseman and Caves,
+    PRL 106, 090401 (2011)).  For a coherent probe S_dI(w) = |alpha|^2, so
+    the two bounds are equal bit for bit."""
+    return _information_integral(
+        x, grid, lambda w: 4.0 * photon_flux_psd_exact(w, probe, bw), "qcrb_finite_bandwidth"
+    )
 
 
 def prior_variance(x: str, grid: SpectralGrid) -> float:
     """Stationary variance of x under the grid's priors, Integral S_x dw/2pi:
     the information integral with no information (nu = 0)."""
-    return _information_integral(x, grid, 0.0, "prior_variance")
+    return _information_integral(x, grid, lambda w: 0.0, "prior_variance")
 
 
 # ---------------------------------------------------------------------------

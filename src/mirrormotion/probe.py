@@ -108,10 +108,6 @@ class SqueezingBandwidth:
         if self.dw_minus <= 0 or self.dw_plus <= 0:
             raise ValueError("bandwidths must be positive")
 
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.dw_minus + self.dw_plus)
-
     @classmethod
     def standard(cls, probe: ProbeState, dw0: float) -> "SqueezingBandwidth":
         """Bandwidths with mean dw0 and the standard-form ratio
@@ -127,6 +123,8 @@ class SqueezingBandwidth:
             return cls(dw0, dw0)
         ep, em = probe.beam_moments()
         ratio = math.sqrt((1.0 - em) / (ep - 1.0))
+        if ratio == 0.0:  # r_m = 0, or 1 - e^{-2 r_m} rounds to 0
+            raise ValueError("standard form needs squeezing (r_m > 0) to pair with anti-squeezing")
         dw_minus = 2.0 * dw0 / (1.0 + ratio)
         return cls(dw_minus, ratio * dw_minus)
 
@@ -225,7 +223,8 @@ def photon_flux_psd_broadband(p: ProbeState) -> float:
     """Broadband photon-flux-fluctuation spectrum |alpha|^2 e^{2 r_p}.
 
     Valid when the squeezing bandwidth dominates all system frequencies and
-    xi*I_sq << |alpha|^2; check with :func:`validate_broadband`.
+    xi*I_sq << |alpha|^2; `est.qcrb_finite_bandwidth` measures the bound's
+    departure from it with :func:`photon_flux_psd_exact`.
     """
     return p.alpha_sq * p.beam_moments()[0]
 
@@ -238,63 +237,3 @@ def attainability_gap(p: ProbeState) -> float:
     impurity or tracking error.
     """
     return 4.0 * photon_flux_psd_broadband(p) * measurement_noise_psd(p)
-
-
-@dataclass(frozen=True)
-class BroadbandReport:
-    """Outcome of the broadband-regime validity check.
-
-    Statuses are 'pass' (meets the threshold), 'marginal' (within a factor of
-    two of it) or 'fail'; the overall status is the worst of the two.
-    """
-
-    bandwidth_ratio: float
-    flux_ratio: float
-    bandwidth_status: str
-    flux_status: str
-
-    @property
-    def status(self) -> str:
-        order = {"pass": 0, "marginal": 1, "fail": 2}
-        worst = max(self.bandwidth_status, self.flux_status, key=order.get)
-        return worst
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
-
-#: validate_broadband passes a bandwidth ratio of at least BANDWIDTH_THRESHOLD
-#: and a flux ratio of at most FLUX_THRESHOLD.
-BANDWIDTH_THRESHOLD = 10.0
-FLUX_THRESHOLD = 0.1
-
-
-def _grade(value: float, threshold: float, larger_is_better: bool) -> str:
-    if larger_is_better:
-        if value >= threshold:
-            return "pass"
-        return "marginal" if value >= 0.5 * threshold else "fail"
-    if value <= threshold:
-        return "pass"
-    return "marginal" if value <= 2.0 * threshold else "fail"
-
-
-def validate_broadband(
-    bw: SqueezingBandwidth,
-    Omega: float,
-    lam: float,
-    p: ProbeState,
-) -> BroadbandReport:
-    """Check the broadband approximation: dw0 >> Omega, lam and xi I_sq << |alpha|^2.
-
-    Returns the two ratios graded against BANDWIDTH_THRESHOLD and FLUX_THRESHOLD.
-    """
-    bw_ratio = bw.mean / max(Omega, lam)
-    flux_ratio = xi_factor(p) * mean_squeezing_flux(p, bw) / p.alpha_sq
-    return BroadbandReport(
-        bandwidth_ratio=bw_ratio,
-        flux_ratio=flux_ratio,
-        bandwidth_status=_grade(bw_ratio, BANDWIDTH_THRESHOLD, larger_is_better=True),
-        flux_status=_grade(flux_ratio, FLUX_THRESHOLD, larger_is_better=False),
-    )

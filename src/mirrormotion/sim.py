@@ -312,12 +312,19 @@ def calibrate_tracking(
     squeezing factor, which sets S_z, which feeds the Riccati solution back.
 
     The map is a mild contraction (the factor depends weakly on sigma_phi^2),
-    so plain fixed-point iteration converges in a few steps.
+    so plain fixed-point iteration converges in a few steps.  Too faint or
+    too anti-squeezed a probe drives an iterate to 1 rad^2, where the loop
+    cannot lock; that raises RiccatiError.
     """
     state = replace(probe, sigma_phi_sq=0.0)
     value = 0.0
     for _ in range(CALIBRATION_MAX_ITER):
         new = KalmanTracker(state, force, params, cfg).sigma_phi_sq_posterior
+        if new >= 1.0:
+            raise RiccatiError(
+                f"tracking loop cannot lock at alpha_sq={probe.alpha_sq:.4g}: "
+                f"sigma_phi^2 reaches {new:.4g} rad^2"
+            )
         state = replace(state, sigma_phi_sq=new)
         if abs(new - value) <= CALIBRATION_RTOL * max(new, 1e-30):
             return state

@@ -29,12 +29,7 @@ from mirrormotion.model import (
     NominalTransferFunction,
     TabulatedTransferFunction,
 )
-from mirrormotion.probe import (
-    SqueezingBandwidth,
-    attainability_gap,
-    effective_squeezing_factor,
-    validate_broadband,
-)
+from mirrormotion.probe import SqueezingBandwidth, attainability_gap, effective_squeezing_factor
 
 from conftest import ALPHA_SQS
 
@@ -628,8 +623,12 @@ class TestDiagnose:
         assert attainability_gap(replace(coherent, eta_det=1.0)) == pytest.approx(1.0, rel=1e-12)
         assert attainability_gap(replace(squeezed, eta_det=1.0)) > 1.7
         assert squeezed.sigma_phi_sq * squeezed.beam_moments()[0] < 0.1
+        # the beam's finite squeezing bandwidth moves each bound by under 10%
+        grid = est.SpectralGrid.build(config.priors())
         bw = SqueezingBandwidth.standard(squeezed, config.bandwidth)
-        assert validate_broadband(bw, config.mirror.Omega, config.force.lam, squeezed).ok
+        for x in ("q", "p", "f"):
+            ratio = est.qcrb_finite_bandwidth(x, squeezed, bw, grid) / est.qcrb(x, squeezed, grid)
+            assert abs(ratio - 1.0) < 0.1
 
     def test_report_text(self):
         config = replace(cli.reference_config(), alpha_sqs=(1.02e6,))
@@ -639,23 +638,37 @@ class TestDiagnose:
             "sigma_phi^2",
             "effective R_sq",
             "attainability gap coherent",
-            "broadband",
+            "finite-bandwidth / broadband qcrb_sq: q ",
             "dB",
         ):
             assert token in text
 
     def test_failed_amplitude_reported_like_sweep(self, tmp_path, capsys):
-        # with no squeezing the standard-form bandwidth ratio is 0, which
-        # `SqueezingBandwidth` rejects; `bounds` and `sweep` accept the config
-        cfg_path = tmp_path / "unsqueezed.cfg"
-        cfg_path.write_text("probe.squeezing_db = 0\nsweep.alpha_sq = 1.02e6\n")
-        assert cli.main(["--config", str(cfg_path), "diagnose"]) == 1
-        out, err = capsys.readouterr()
-        assert "Traceback" not in err
-        assert err.splitlines() == [
-            "diagnose point alpha_sq=1.02e+06 failed: bandwidths must be positive"
+        cases = [
+            # with no squeezing the standard-form bandwidths are undefined;
+            # `bounds` and `sweep` accept the config
+            (
+                "probe.squeezing_db = 0\nsweep.alpha_sq = 1.02e6\n",
+                "diagnose point alpha_sq=1.02e+06 failed: "
+                "standard form needs squeezing (r_m > 0) to pair with anti-squeezing",
+            ),
+            # a faint, impure probe on a slow mirror: the loop cannot lock
+            (
+                "mirror.resonance = 31622.776601683792\nmirror.damping = 1000\n"
+                "force.cutoff = 10000\nprobe.efficiency = 0.5\nprobe.squeezing_db = 1\n"
+                "probe.antisqueezing_db = 5\nsweep.alpha_sq = 1e5\n",
+                "diagnose point alpha_sq=100000 failed: tracking loop cannot lock at "
+                "alpha_sq=1e+05: sigma_phi^2 reaches 1.007 rad^2",
+            ),
         ]
-        assert out.splitlines() == ["operating-point diagnostics", "=" * 60]
+        cfg_path = tmp_path / "failing.cfg"
+        for cfg_text, reason in cases:
+            cfg_path.write_text(cfg_text)
+            assert cli.main(["--config", str(cfg_path), "diagnose"]) == 1
+            out, err = capsys.readouterr()
+            assert "Traceback" not in err
+            assert err.splitlines() == [reason]
+            assert out.splitlines() == ["operating-point diagnostics", "=" * 60]
 
 
 class TestSimulateCommand:
@@ -812,7 +825,7 @@ class TestMainEntry:
     DIGESTS = {
         "sweep": "354f45621167eeedaf4c944719eff9f4331f865d4dd4da542d1623925ecc0927",
         "bounds": "bc28cca227839c124441b566a1fd6dae903244e12ccc477a3c1cab75cf336410",
-        "diagnose": "cfa243a9682ed6aec86ce288942ba3b0c7a07726bfb4bcedfc2d4cd2c4a3fa68",
+        "diagnose": "956d84ba2b89864ee9d8c56d9f1f28e4878eaf6d5f22031babe32766e7888d21",
         "simulate": "ab201980801e8029e776b47ea13d2983393a68de542620bc98154164d300368c",
         "dumps": "4eee1ab12cd90f1827c5af9c39af2fd0d665d9e864940f452fe4a4adcd72d8d0",
     }

@@ -11,12 +11,27 @@ from hypothesis import given, settings, strategies as st
 
 from mirrormotion import cli, est, sim
 from mirrormotion.errors import GridMismatchError, TailAccuracyError
-from mirrormotion.est import FilterBank, SpectralGrid, analytic_mmse, empirical_mse, optimal_filter, prior_variance, qcrb, smooth, trial_mse
+from mirrormotion.est import FilterBank, SpectralGrid, analytic_mmse, empirical_mse, optimal_filter, prior_variance, qcrb, qcrb_finite_bandwidth, smooth, trial_mse
 from mirrormotion.model import ForceParams, NominalTransferFunction, PriorModel
-from mirrormotion.probe import ProbeState, attainability_gap, measurement_noise_psd, photon_flux_psd_broadband
+from mirrormotion.probe import ProbeState, SqueezingBandwidth, attainability_gap, measurement_noise_psd, photon_flux_psd_broadband, photon_flux_psd_exact
 
 import oracles
-from conftest import ALPHA_SQS, ANTISQUEEZING_DB, ETA, KAPPA, LAMBDA, SQUEEZING_DB
+from conftest import ALPHA_SQS, ANTISQUEEZING_DB, BANDWIDTH_10_OMEGA, ETA, KAPPA, LAMBDA, SQUEEZING_DB
+
+
+def split_quad(fn, priors, upper):
+    """Integral_0^upper fn(w) dw by scipy's adaptive integrator, split at 10
+    Omega with breakpoints at lambda and Omega +- gamma, so that it cannot
+    step over the resonance of a range that reaches ~1e10 rad/s."""
+    omega, gamma = priors.params.Omega, priors.params.gamma
+    pieces = (
+        (0.0, 10.0 * omega, [priors.force.lam, omega - gamma, omega, omega + gamma]),
+        (10.0 * omega, upper, None),
+    )
+    return sum(
+        scipy.integrate.quad(fn, lo, hi, points=points, limit=400, epsabs=0.0)[0]
+        for lo, hi, points in pieces
+    )
 
 
 def squeezed(alpha_sq, sigma_phi_sq=0.0, eta_det=1.0):
@@ -33,12 +48,12 @@ class TestSpectralGrid:
         assert grid.omega_max >= 50.0 * max(mirror.Omega, LAMBDA)
 
     def test_matches_adaptive_quadrature(self, priors, grid):
-        # resonance-dominated integrand against scipy's adaptive integrator
+        # resonance-dominated integrand against scipy's adaptive integrator;
+        # abs=0 because the integral (~1e-15) is below approx's default abs
+        # tolerance
         fn = lambda w: priors.psd("q", w)
-        ref, _ = scipy.integrate.quad(
-            fn, 0.0, grid.omega_max, points=[priors.params.Omega], limit=400
-        )
-        assert grid.integrate(fn(grid.nodes)) == pytest.approx(ref, rel=1e-8)
+        ref = split_quad(fn, priors, grid.omega_max)
+        assert grid.integrate(fn(grid.nodes)) == pytest.approx(ref, rel=1e-8, abs=0.0)
 
     def test_doubling_converged(self, priors, grid):
         value = grid.integrate(priors.psd("f", grid.nodes))
@@ -204,6 +219,44 @@ class TestQcrb:
             mmse_coh, mmse_sq = analytic_mmse(x, coh, grid), analytic_mmse(x, sq, grid)
             assert qcrb_sq < qcrb_coh <= mmse_coh * (1 + 1e-9) < prior_variance(x, grid)
             assert qcrb_sq <= mmse_sq * (1 + 1e-9)
+
+
+class TestQcrbFiniteBandwidth:
+    """The squeezed bound on the beam's exact photon-flux spectrum."""
+
+    @pytest.mark.parametrize("alpha_sq", [1e3, 1e5, 1.02e6, 6.24e6, 1e8, 1e10])
+    @pytest.mark.parametrize("eta_det", [0.5, ETA, 1.0])
+    def test_coherent_equals_broadband_bound(self, grid, alpha_sq, eta_det):
+        # S_dI(w) = 4 |alpha|^2 / 4 + 0 + 0 = |alpha|^2 exactly
+        probe = ProbeState.coherent(alpha_sq, sigma_phi_sq=3e-3, eta_det=eta_det)
+        bw = SqueezingBandwidth.standard(probe, BANDWIDTH_10_OMEGA)
+        for x in ("q", "p", "f"):
+            assert qcrb_finite_bandwidth(x, probe, bw, grid) == qcrb(x, probe, grid)
+
+    @pytest.mark.parametrize("alpha_sq", [1.02e6, 6.24e6])
+    def test_matches_adaptive_quadrature(self, priors, grid, alpha_sq):
+        # the same integrand by scipy's adaptive integrator on the refined range
+        probe = squeezed(alpha_sq)
+        bw = SqueezingBandwidth.standard(probe, BANDWIDTH_10_OMEGA)
+        for x in ("q", "p", "f"):
+            def integrand(w):
+                k = priors.information_kernel(w)
+                return priors.psd(x, w) / (1.0 + 4.0 * photon_flux_psd_exact(w, probe, bw) * k)
+
+            ref = split_quad(integrand, priors, grid.doubled().omega_max)
+            # abs=0: the bounds are ~1e-17, far below approx's default abs tolerance
+            assert qcrb_finite_bandwidth(x, probe, bw, grid) == pytest.approx(
+                ref / np.pi, rel=1e-9, abs=0.0
+            )
+
+    def test_reference_q_ratios(self, grid):
+        # the finite bandwidth matters most at the faintest reference amplitude
+        ratios = []
+        for alpha_sq in ALPHA_SQS:
+            probe = squeezed(alpha_sq)
+            bw = SqueezingBandwidth.standard(probe, BANDWIDTH_10_OMEGA)
+            ratios.append(qcrb_finite_bandwidth("q", probe, bw, grid) / qcrb("q", probe, grid))
+        assert ratios == pytest.approx([0.9229, 0.9555, 0.9720, 0.9921], abs=1e-3)
 
 
 class TestGoldenBounds:

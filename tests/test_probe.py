@@ -18,11 +18,10 @@ from mirrormotion.probe import (
     photon_flux_psd_broadband,
     photon_flux_psd_exact,
     squeezing_spectrum,
-    validate_broadband,
     xi_factor,
 )
 
-from conftest import ANTISQUEEZING_DB, BANDWIDTH_10_OMEGA, LAMBDA, OMEGA, SQUEEZING_DB
+from conftest import ANTISQUEEZING_DB, BANDWIDTH_10_OMEGA, SQUEEZING_DB
 
 E2RP = 10 ** (ANTISQUEEZING_DB / 10)     # 3.981
 EM2RM = 10 ** (-SQUEEZING_DB / 10)       # 0.4345
@@ -169,7 +168,13 @@ class TestSqueezingSpectrum:
             math.sqrt((1 - EM2RM) / (E2RP - 1)), rel=1e-12
         )
         assert bw.dw_plus / bw.dw_minus == pytest.approx(0.435, rel=2e-3)
-        assert bw.mean == pytest.approx(BANDWIDTH_10_OMEGA, rel=1e-12)
+        assert 0.5 * (bw.dw_minus + bw.dw_plus) == pytest.approx(BANDWIDTH_10_OMEGA, rel=1e-12)
+
+    @pytest.mark.parametrize("r_m", [0.0, 1e-20])  # 1 - e^{-2e-20} rounds to 0
+    def test_standard_form_needs_squeezing(self, r_m):
+        p = ProbeState(alpha_sq=1e6, r_m=r_m, r_p=0.5)
+        with pytest.raises(ValueError, match=r"needs squeezing \(r_m > 0\)"):
+            SqueezingBandwidth.standard(p, BANDWIDTH_10_OMEGA)
 
 
 class TestXiFactor:
@@ -289,33 +294,6 @@ class TestAttainabilityGap:
             assert attainability_gap(p) >= 1.0 - 1e-12
 
 
-class TestValidateBroadband:
-    def test_reference_operating_point_is_marginal(self):
-        p = reference_squeezed()
-        bw = SqueezingBandwidth.standard(p, BANDWIDTH_10_OMEGA)
-        report = validate_broadband(bw, OMEGA, LAMBDA, p)
-        assert report.bandwidth_ratio == pytest.approx(10.0, rel=1e-12)
-        assert report.flux_ratio == pytest.approx(0.134, abs=2e-3)
-        assert report.bandwidth_status == "pass"
-        assert report.flux_status == "marginal"
-        assert report.status == "marginal"
-        assert report.ok
-
-    def test_coherent_always_passes_flux(self):
-        p = ProbeState.coherent(1e5)
-        bw = SqueezingBandwidth(1e6, 1e6)
-        report = validate_broadband(bw, OMEGA, LAMBDA, p)
-        assert report.flux_ratio == 0.0
-        assert report.flux_status == "pass"
-
-    def test_narrow_bandwidth_fails(self):
-        p = reference_squeezed()
-        bw = SqueezingBandwidth.standard(p, OMEGA)
-        report = validate_broadband(bw, OMEGA, LAMBDA, p)
-        assert report.bandwidth_status == "fail"
-        assert not report.ok
-
-
 def _outcome(fn, *args):
     """`fn(*args)`, or the type of the exception it raises."""
     try:
@@ -384,9 +362,6 @@ class TestClosedForms:
         assert _outcome(xi_factor, p) == _outcome(xi)
         flux = 0.125 * ((ep - 1.0) * dwp + (em - 1.0) * dwm)
         assert mean_squeezing_flux(p, bw) == flux
-        report = _outcome(validate_broadband, bw, OMEGA, LAMBDA, p)
-        ratio = _outcome(lambda: xi() * flux / alpha)
-        assert getattr(report, "flux_ratio", report) == ratio
 
         for x in (w, omegas[0]):
             plus = 0.25 + (0.25 * ep - 0.25) * dwp**2 / (x**2 + dwp**2)

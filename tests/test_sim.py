@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.signal
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mirrormotion import sim
 from mirrormotion.errors import RiccatiError
@@ -249,13 +249,19 @@ class TestRiccatiTracking:
         log_gamma=st.floats(2.5, 4.5),
         log_lam=st.floats(3.5, 5.5),
     )
+    # a faint, impure probe on a slow mirror: calibration cannot lock
+    @example(
+        log_alpha_sq=5.0, squeezing_db=1.0, extra_antisqueezing_db=4.0, eta_det=0.5, d=0,
+        log_omega=4.5, log_gamma=3.0, log_lam=4.0,
+    )
     def test_stability_property(
         self, mirror, log_alpha_sq, squeezing_db, extra_antisqueezing_db, eta_det, d,
         log_omega, log_gamma, log_lam,
     ):
         # calibrated operating points (coherent when squeezing_db is None):
         # a stable loop, and the phase error grows from the posterior to the
-        # one-step prediction to the prediction fed back d samples late
+        # one-step prediction to the prediction fed back d samples late; or,
+        # where the fixed-point iteration reaches 1 rad^2, the named error
         params = replace(mirror, Omega=10.0**log_omega, gamma=10.0**log_gamma)
         force = ForceParams(lam=10.0**log_lam, kappa=KAPPA)
         cfg_d = sim.SimConfig(feedback_delay_samples=d)
@@ -266,7 +272,21 @@ class TestRiccatiTracking:
             template = ProbeState.from_db(
                 a, squeezing_db, squeezing_db + extra_antisqueezing_db, eta_det=eta_det
             )
-        probe = sim.calibrate_tracking(template, force, params, cfg_d)
+        try:
+            probe = sim.calibrate_tracking(template, force, params, cfg_d)
+        except RiccatiError as exc:
+            state = template
+            for _ in range(sim.CALIBRATION_MAX_ITER):
+                sigma_sq = sim.KalmanTracker(state, force, params, cfg_d).sigma_phi_sq_posterior
+                if sigma_sq >= 1.0:
+                    break
+                state = replace(state, sigma_phi_sq=sigma_sq)
+            assert sigma_sq >= 1.0
+            assert str(exc) == (
+                f"tracking loop cannot lock at alpha_sq={a:.4g}: "
+                f"sigma_phi^2 reaches {sigma_sq:.4g} rad^2"
+            )
+            return
         tracker = sim.KalmanTracker(probe, force, params, cfg_d)
         assert tracker.settle_samples > 0
         assert (
