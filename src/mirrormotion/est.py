@@ -165,14 +165,14 @@ def _information_integral(x: str, grid: SpectralGrid, nu, label: str) -> float:
     """Integral dw/2pi S_x / (1 + nu(w) K), K the information kernel of the
     grid's priors, on `grid` and on its doubled twin; `nu` is called once per
     grid, with its nodes.  Raises TailAccuracyError when the two differ by
-    more than TAIL_RTOL."""
+    more than TAIL_RTOL, or when either is NaN."""
     if x not in PRIOR_TAGS:
         raise ValueError(f"unknown variable tag {x!r}")
     value, refined = (
         g.integrate(g.integrands[x] / (1.0 + nu(g.nodes) * g.integrands["K"])) / np.pi
         for g in (grid, grid.doubled())
     )
-    if abs(refined - value) > TAIL_RTOL * abs(refined):
+    if not abs(refined - value) <= TAIL_RTOL * abs(refined):  # a NaN fails too
         raise TailAccuracyError(
             f"{label}[{x}]: tail estimate {abs(refined - value):.3e} exceeds "
             f"{TAIL_RTOL:g} of the integral {refined:.3e}; increase omega_max"

@@ -105,6 +105,7 @@ class SqueezingBandwidth:
     dw_plus: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.dw_minus <= 0 or self.dw_plus <= 0:
             raise ValueError("bandwidths must be positive")
 

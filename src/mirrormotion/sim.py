@@ -218,6 +218,119 @@ def _tracker_model(
     return a_d, q_d
 
 
+def _no_sort(*_):
+    """Eigenvalue selector for an unsorted QZ (never called with sort_t=0)."""
+
+
+@functools.cache
+def _riccati_workspaces() -> tuple[int, int, int]:
+    """LAPACK's optimal workspace sizes for `_solve_riccati`'s 7x1 QR, its
+    7x7 Q and its 6x6 QZ, queried once per process."""
+    from scipy.linalg import lapack
+
+    lwork_qr = int(lapack.dgeqrf(np.zeros((7, 1)), lwork=-1)[2][0])
+    lwork_q = int(lapack.dorgqr(np.zeros((7, 7)), np.zeros(1), lwork=-1)[1][0])
+    lwork_qz = int(lapack.dgges(_no_sort, np.zeros((6, 6)), np.zeros((6, 6)), lwork=-1)[8][0])
+    return lwork_qr, lwork_q, lwork_qz
+
+
+def _solve_riccati(a_d: np.ndarray, c_vec: np.ndarray, q_d: np.ndarray, r: float) -> np.ndarray:
+    """Stationary one-step-prediction covariance of the tracker's Kalman
+    filter, the stabilizing solution of the discrete Riccati equation.
+
+    It is `scipy.linalg.solve_discrete_are(a_d.T, c_vec[:, None], q_d, [[r]])`
+    bit for bit: the same LAPACK calls, in the same order and with the same
+    workspace sizes, on the same arrays, without scipy's argument checks
+    (`a_d` and `q_d` come checked from `_tracker_model`).  The steps are van
+    Dooren's (SIAM J. Sci. Stat. Comput. 2, 121 (1981)): the 7x7 symplectic
+    pencil H - zJ, scaled by Benner's symplectic balancing; deflated by the
+    R column; a real QZ with the eigenvalues inside the unit circle ordered
+    first; and P = U21 U11^-1 from the stable subspace (U11; U21).  Failures
+    raise np.linalg.LinAlgError, or ValueError for a non-finite r, as scipy
+    does.
+    """
+    from scipy.linalg import lapack
+
+    if not math.isfinite(r):
+        raise ValueError("measurement noise variance must be finite")
+    lwork_qr, lwork_q, lwork_qz = _riccati_workspaces()
+    eye = np.eye(3)
+    h = np.zeros((7, 7))
+    h[:3, :3] = a_d.T
+    h[:3, 6] = c_vec
+    h[3:6, :3] = -q_d
+    h[3:6, 3:6] = eye
+    h[6, 6] = r
+    j = np.zeros((7, 7))
+    j[:3, :3] = eye
+    j[3:6, 3:6] = a_d
+    j[6, 3:6] = -c_vec
+
+    # scipy rescales unless gebal's scaling is close to all ones; gebal scales
+    # by powers of two, so that means exactly all ones.  The pencil is scaled
+    # by diag(D, 1/D, s_r), D = 2^round((log2 s_costate - log2 s_state) / 2),
+    # which keeps it symplectic
+    mags = np.abs(h) + np.abs(j)
+    np.fill_diagonal(mags, 0.0)
+    sca = lapack.dgebal(mags, scale=1, permute=0, overwrite_a=1)[3]
+    if not (sca == 1.0).all():
+        log_sca = np.log2(sca)
+        s = np.round((log_sca[3:6] - log_sca[:3]) / 2)
+        sca = 2 ** np.concatenate((s, -s, log_sca[6:]))
+        scale = sca[:, None] * np.reciprocal(sca)
+        h *= scale
+        j *= scale
+
+    qr, tau = lapack.dgeqrf(h[:, 6:], lwork=lwork_qr)[:2]
+    q_full = np.empty((7, 7))
+    q_full[:, :1] = qr
+    q = lapack.dorgqr(q_full, tau, lwork=lwork_q, overwrite_a=1)[0]
+    h = q[:, 1:].T.dot(h[:, :6])
+    j = q[:, 1:].T.dot(j[:, :6])
+
+    aa, bb, _, alphar, alphai, beta, vsl, vsr, _, info = lapack.dgges(
+        _no_sort, h, j, lwork=lwork_qz, overwrite_a=1, overwrite_b=1, sort_t=0
+    )
+    if info:
+        raise np.linalg.LinAlgError(f"QZ iteration failed (gges info {info})")
+    alpha = alphar + alphai * 1j
+    stable = np.zeros(6, dtype=bool)
+    finite = beta != 0
+    stable[finite] = abs(alpha[finite] / beta[finite]) < 1.0
+    reordered = lapack.dtgsen(stable, aa, bb, vsl, vsr, ijob=0, lwork=4 * 6 + 16, liwork=1)
+    u, info = reordered[6], reordered[-1]
+    if info:
+        raise np.linalg.LinAlgError(f"reordering the stable subspace failed (tgsen info {info})")
+    u00 = u[:3, :3]
+    u10 = u[3:, :3]
+
+    # u00 = P L U (scipy.linalg.lu's factors); fail where np.linalg.cond(U),
+    # from the same singular values, exceeds 1/eps.  x = u10 U^-1 L^-1 P^T by
+    # two triangular solves, each reading one triangle of lu.T: U^T, then
+    # the unit-diagonal L^T
+    lu, piv, info = lapack.dgetrf(u00)
+    sv = np.linalg.svd(np.triu(lu), compute_uv=False)
+    if info or not sv[-1] or 1 / (sv[0] / sv[-1]) < np.spacing(1.0):
+        raise np.linalg.LinAlgError("Failed to find a finite solution.")
+    y = lapack.dtrtrs(lu.T, u10.T, lower=1)[0]
+    w = lapack.dtrtrs(lu.T, y, unitdiag=1)[0]
+    perm = [0, 1, 2]
+    for k, p in enumerate(piv.tolist()):
+        perm[k], perm[p] = perm[p], perm[k]
+    x = w.T[:, np.argsort(perm)]
+    x *= sca[:3, None] * sca[:3]
+
+    # U11^T U21 is symmetric for a stabilizing solution
+    u_sym = u00.T.dot(u10)
+    n_u_sym = np.abs(u_sym).sum(axis=0).max()
+    u_sym = u_sym - u_sym.T
+    if np.abs(u_sym).sum(axis=0).max() > max(np.spacing(1000.0), 0.1 * n_u_sym):
+        raise np.linalg.LinAlgError(
+            "The associated symplectic pencil has eigenvalues too close to the unit circle"
+        )
+    return (x + x.T) / 2
+
+
 class KalmanTracker:
     """Steady-state Kalman predictor of the optical phase for feedback.
 
@@ -231,17 +344,13 @@ class KalmanTracker:
     def __init__(
         self, probe: ProbeState, force: ForceParams, params: MirrorParams, cfg: SimConfig
     ):
-        import scipy.linalg
-
         self.cfg = cfg
         self.a_d, self.q_d = _tracker_model(params, force, cfg.dt)
         self.c_vec = np.array([params.phase_gain, 0.0, 0.0])
         self.r = measurement_noise_psd(probe) / cfg.dt
 
         try:
-            self.p_pred = scipy.linalg.solve_discrete_are(
-                self.a_d.T, self.c_vec[:, None], self.q_d, np.array([[self.r]])
-            )
+            self.p_pred = _solve_riccati(self.a_d, self.c_vec, self.q_d, self.r)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise RiccatiError(f"steady-state Riccati solve failed: {exc}") from exc
         s = float(self.c_vec @ self.p_pred @ self.c_vec) + self.r

@@ -555,7 +555,7 @@ class TestBounds:
             if row["alpha_sq"] in tiny_config.alpha_sqs:
                 coh = tiny_config.probe_template("coherent", row["alpha_sq"])
                 assert row["qcrb_coh"] == pytest.approx(
-                    est.qcrb(row["var"], coh, grid), rel=1e-12
+                    est.qcrb(row["var"], coh, grid), rel=1e-12, abs=0.0
                 )
 
     def test_failed_point_exits_nonzero(self, tiny_config, tmp_path, monkeypatch, capsys):
@@ -598,7 +598,7 @@ class TestBounds:
     def test_unit_efficiency_traces_coincide(self, tiny_config):
         config = replace(tiny_config, eta_det=1.0, alpha_sqs=(1.02e6, 6.24e6))
         for row in cli.cmd_bounds(config, n_points=3)[0]:
-            assert row["mmse_coh"] == pytest.approx(row["qcrb_coh"], rel=1e-9)
+            assert row["mmse_coh"] == pytest.approx(row["qcrb_coh"], rel=1e-9, abs=0.0)
             assert row["mmse_sq"] > row["qcrb_sq"]  # impure squeezing stays above
 
 

@@ -90,6 +90,10 @@ class TestSpectralGrid:
         with pytest.raises(TailAccuracyError):
             prior_variance("f", stub)
 
+    def test_nan_integral_fails_tail_check(self, grid):
+        with pytest.raises(TailAccuracyError, match="nan"):
+            est._information_integral("q", grid, lambda w: math.nan, "nan_flux")
+
 
 class TestAnalyticMmse:
     def test_perfect_measurement_limit(self, priors, grid):
@@ -109,11 +113,11 @@ class TestAnalyticMmse:
     def test_no_information_limit(self, grid):
         blind = ProbeState.coherent(1e-12)
         assert analytic_mmse("f", blind, grid) == pytest.approx(
-            KAPPA / (2 * LAMBDA), rel=2e-5
+            KAPPA / (2 * LAMBDA), rel=2e-5, abs=0.0
         )
         for x in ("q", "p", "f"):
             assert analytic_mmse(x, blind, grid) == pytest.approx(
-                prior_variance(x, grid), rel=1e-9
+                prior_variance(x, grid), rel=1e-9, abs=0.0
             )
 
     def test_force_mmse_against_posterior_oracle(self, mirror, force, grid):
@@ -132,7 +136,7 @@ class TestAnalyticMmse:
         fine = SpectralGrid.build(priors, rtol=1e-9)
         p_inf = oracles.stationary_covariance(mirror, force)
         for x, idx in (("q", 0), ("p", 1), ("f", 2)):
-            assert prior_variance(x, fine) == pytest.approx(p_inf[idx, idx], rel=1e-7)
+            assert prior_variance(x, fine) == pytest.approx(p_inf[idx, idx], rel=1e-7, abs=0.0)
 
 
 class TestQcrb:
@@ -141,7 +145,7 @@ class TestQcrb:
             probe = ProbeState.coherent(a)
             for x in ("q", "p", "f"):
                 assert qcrb(x, probe, grid) == pytest.approx(
-                    analytic_mmse(x, probe, grid), rel=1e-9
+                    analytic_mmse(x, probe, grid), rel=1e-9, abs=0.0
                 )
 
     def test_impure_squeezed_bound_is_looser_than_mmse(self, grid):
@@ -471,4 +475,4 @@ class TestOracleEquivalence:
         )
         for x in ("q", "p", "f"):
             oracle = oracles.posterior_mse(x, mirror, force, probe, 256, 4e-6)
-            assert analytic_mmse(x, probe, grid) == pytest.approx(oracle, rel=3e-2)
+            assert analytic_mmse(x, probe, grid) == pytest.approx(oracle, rel=3e-2, abs=0.0)

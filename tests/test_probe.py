@@ -176,6 +176,11 @@ class TestSqueezingSpectrum:
         with pytest.raises(ValueError, match=r"needs squeezing \(r_m > 0\)"):
             SqueezingBandwidth.standard(p, BANDWIDTH_10_OMEGA)
 
+    @pytest.mark.parametrize("dw_minus, dw_plus", [(math.nan, 1e6), (math.inf, math.inf)])
+    def test_non_finite_bandwidth_rejected(self, dw_minus, dw_plus):
+        with pytest.raises(ValueError, match="must be finite"):
+            SqueezingBandwidth(dw_minus, dw_plus)
+
 
 class TestXiFactor:
     def test_coherent_limit(self):

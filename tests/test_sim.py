@@ -1,6 +1,7 @@
 """Monte Carlo engine: force statistics, mechanical response, phase tracking."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,11 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from mirrormotion import sim
 from mirrormotion.errors import RiccatiError
-from mirrormotion.model import ForceParams, NominalTransferFunction, TabulatedTransferFunction
+from mirrormotion.model import ForceParams, MirrorParams, NominalTransferFunction, TabulatedTransferFunction
 from mirrormotion.probe import ProbeState, measurement_noise_psd
 
 import oracles
-from conftest import ALPHA_SQS, ANTISQUEEZING_DB, ETA, KAPPA, LAMBDA, SQUEEZING_DB
+from conftest import ALPHA_SQS, ANTISQUEEZING_DB, ETA, KAPPA, LAMBDA, MASS, SQUEEZING_DB, THETA, WAVELENGTH
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +198,42 @@ class TestDiscretization:
         assert not np.array_equal(other[0], cached[0])
 
 
+#: Riccati inputs with no finite solution: the unobservable, undriven
+#: second state has a unit-circle eigenvalue.
+RANK_DEFICIENT_RICCATI = (
+    np.diag([0.5, 1.0, 0.9]), np.array([1.0, 0.0, 0.0]), np.diag([1.0, 0.0, 1.0]), 1.0
+)
+
+
+@st.composite
+def riccati_inputs(draw):
+    """(a_d, c_vec, q_d, r) of a tracker over test_stability_property's
+    ranges, at a tracking error sigma_phi^2 in [0, 0.5]."""
+    params = MirrorParams(
+        m=MASS,
+        Omega=10.0 ** draw(st.floats(4.5, 6.0)),
+        gamma=10.0 ** draw(st.floats(2.5, 4.5)),
+        k0=2.0 * math.pi / WAVELENGTH,
+        theta=THETA,
+    )
+    force = ForceParams(lam=10.0 ** draw(st.floats(3.5, 5.5)), kappa=KAPPA)
+    a = 10.0 ** draw(st.floats(5.0, 8.0))
+    squeezing_db = draw(st.one_of(st.none(), st.floats(0.1, 6.0)))
+    eta_det = draw(st.floats(0.5, 1.0))
+    sigma_phi_sq = draw(st.floats(0.0, 0.5))
+    if squeezing_db is None:
+        probe = ProbeState.coherent(a, sigma_phi_sq=sigma_phi_sq, eta_det=eta_det)
+    else:
+        antisqueezing_db = squeezing_db + draw(st.floats(0.0, 6.0))
+        probe = ProbeState.from_db(
+            a, squeezing_db, antisqueezing_db, sigma_phi_sq=sigma_phi_sq, eta_det=eta_det
+        )
+    cfg = sim.SimConfig()
+    a_d, q_d = sim._tracker_model(params, force, cfg.dt)
+    c_vec = np.array([params.phase_gain, 0.0, 0.0])
+    return a_d, c_vec, q_d, measurement_noise_psd(probe) / cfg.dt
+
+
 class TestRiccatiTracking:
     def test_noiseless_limit(self, mirror, force, cfg):
         tight = sim.KalmanTracker(ProbeState.coherent(1e18), force, mirror, cfg).sigma_phi_sq_posterior
@@ -219,13 +256,27 @@ class TestRiccatiTracking:
     def test_unstable_closed_loop_raises_at_construction(self, mirror, force, cfg, monkeypatch):
         # a non-stabilizing Riccati "solution": its gain over-corrects the
         # position estimate, doubling it every step
-        def non_stabilizing(a, b, q, r):
-            c = b[0, 0]
-            return np.diag([-0.5 * r[0, 0] / c**2, 0.0, 0.0])
+        def non_stabilizing(a_d, c_vec, q_d, r):
+            return np.diag([-0.5 * r / c_vec[0] ** 2, 0.0, 0.0])
 
-        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", non_stabilizing)
+        monkeypatch.setattr(sim, "_solve_riccati", non_stabilizing)
         with pytest.raises(RiccatiError, match="unstable"):
             sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
+
+    @settings(max_examples=200)
+    @given(inputs=riccati_inputs())
+    @example(inputs=RANK_DEFICIENT_RICCATI)
+    def test_riccati_solve_matches_scipy_bit_for_bit(self, inputs):
+        # scipy's solver is the oracle: the LAPACK port keeps every bit of it,
+        # and raises where it raises, with its message
+        a_d, c_vec, q_d, r = inputs
+        try:
+            expected = scipy.linalg.solve_discrete_are(a_d.T, c_vec[:, None], q_d, np.array([[r]]))
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                sim._solve_riccati(a_d, c_vec, q_d, r)
+            return
+        assert np.array_equal(sim._solve_riccati(a_d, c_vec, q_d, r), expected)
 
     def test_filter_built_on_first_use_matches_fresh_coefficients(self, mirror, force, cfg):
         tracker = sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
