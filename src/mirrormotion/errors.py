@@ -27,6 +27,9 @@ def require_finite(obj) -> None:
     for field in dataclasses.fields(obj):
         value = getattr(obj, field.name)
         for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, numbers.Real) and not isinstance(v, numbers.Integral):
+            # the float test first: it is most values, and the ABC checks are slow
+            if isinstance(v, float) or (
+                isinstance(v, numbers.Real) and not isinstance(v, numbers.Integral)
+            ):
                 if not math.isfinite(v):
                     raise ValueError(f"{field.name} must be finite, got {v!r}")

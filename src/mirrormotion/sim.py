@@ -197,12 +197,13 @@ def _discretize(a_c: np.ndarray, q_c: np.ndarray, dt: float) -> tuple[np.ndarray
 @functools.lru_cache(maxsize=64)
 def _tracker_model(
     params: MirrorParams, force: ForceParams, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only discretized (a_d, q_d) of the tracker's state model (q, p, f).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Read-only discretized (a_d, q_d) of the tracker's state model (q, p, f),
+    its measurement row c_vec and the r-free part of its Riccati pencil.
 
-    They do not depend on the probe, so every tracker of one mirror, force
+    None of them depends on the probe, so every tracker of one mirror, force
     and sample period (all the steps of `calibrate_tracking`, every cell of
-    a sweep) shares one Van Loan exponential.
+    a sweep) shares one Van Loan exponential and one balanced pencil.
     """
     m = params.m
     a_c = np.array(
@@ -214,8 +215,9 @@ def _tracker_model(
     )
     q_c = np.diag([0.0, 0.0, force.kappa])
     a_d, q_d = _discretize(a_c, q_c, dt)
-    a_d.flags.writeable = q_d.flags.writeable = False
-    return a_d, q_d
+    c_vec = np.array([params.phase_gain, 0.0, 0.0])
+    a_d.flags.writeable = q_d.flags.writeable = c_vec.flags.writeable = False
+    return a_d, q_d, c_vec, _riccati_pencil(a_d, c_vec, q_d)
 
 
 def _no_sort(*_):
@@ -234,33 +236,29 @@ def _riccati_workspaces() -> tuple[int, int, int]:
     return lwork_qr, lwork_q, lwork_qz
 
 
-def _solve_riccati(a_d: np.ndarray, c_vec: np.ndarray, q_d: np.ndarray, r: float) -> np.ndarray:
-    """Stationary one-step-prediction covariance of the tracker's Kalman
-    filter, the stabilizing solution of the discrete Riccati equation.
+def _riccati_pencil(a_d: np.ndarray, c_vec: np.ndarray, q_d: np.ndarray) -> tuple:
+    """The part of the tracker's Riccati pencil that does not depend on the
+    measurement noise variance r: read-only (H[:, :6], J[:, :6], H[:, 6:]
+    with H[6, 6] left at 0, sca[:3] (x) sca[:3]).
 
-    It is `scipy.linalg.solve_discrete_are(a_d.T, c_vec[:, None], q_d, [[r]])`
-    bit for bit: the same LAPACK calls, in the same order and with the same
-    workspace sizes, on the same arrays, without scipy's argument checks
-    (`a_d` and `q_d` come checked from `_tracker_model`).  The steps are van
-    Dooren's (SIAM J. Sci. Stat. Comput. 2, 121 (1981)): the 7x7 symplectic
-    pencil H - zJ, scaled by Benner's symplectic balancing; deflated by the
-    R column; a real QZ with the eigenvalues inside the unit circle ordered
-    first; and P = U21 U11^-1 from the stable subspace (U11; U21).  Failures
-    raise np.linalg.LinAlgError, or ValueError for a non-finite r, as scipy
-    does.
+    H - zJ is van Dooren's 7x7 symplectic pencil (SIAM J. Sci. Stat.
+    Comput. 2, 121 (1981)), scaled by Benner's symplectic balancing with
+    scale factors sca, as `scipy.linalg.solve_discrete_are(a_d.T,
+    c_vec[:, None], q_d, [[r]])` builds it.
+
+    r enters only at H[6, 6].  The balancing sees |H| + |J| with the
+    diagonal zeroed, so never r, and it scales H[6, 6] by sca[6] / sca[6],
+    a ratio of equal powers of two, exactly 1; so `_solve_riccati` sets
+    H[6, 6] = r after the scaling and gets scipy's pencil bit for bit.
     """
     from scipy.linalg import lapack
 
-    if not math.isfinite(r):
-        raise ValueError("measurement noise variance must be finite")
-    lwork_qr, lwork_q, lwork_qz = _riccati_workspaces()
     eye = np.eye(3)
     h = np.zeros((7, 7))
     h[:3, :3] = a_d.T
     h[:3, 6] = c_vec
     h[3:6, :3] = -q_d
     h[3:6, 3:6] = eye
-    h[6, 6] = r
     j = np.zeros((7, 7))
     j[:3, :3] = eye
     j[3:6, 3:6] = a_d
@@ -280,13 +278,39 @@ def _solve_riccati(a_d: np.ndarray, c_vec: np.ndarray, q_d: np.ndarray, r: float
         scale = sca[:, None] * np.reciprocal(sca)
         h *= scale
         j *= scale
+    x_scale = sca[:3, None] * sca[:3]
+    h.flags.writeable = j.flags.writeable = x_scale.flags.writeable = False
+    return h[:, :6], j[:, :6], h[:, 6:], x_scale
 
-    qr, tau = lapack.dgeqrf(h[:, 6:], lwork=lwork_qr)[:2]
+
+def _solve_riccati(pencil: tuple, r: float) -> np.ndarray:
+    """Stationary one-step-prediction covariance of the tracker's Kalman
+    filter, the stabilizing solution of the discrete Riccati equation at
+    measurement noise variance r.
+
+    With `pencil = _riccati_pencil(a_d, c_vec, q_d)` it is
+    `scipy.linalg.solve_discrete_are(a_d.T, c_vec[:, None], q_d, [[r]])` bit
+    for bit: the same LAPACK calls, in the same order and with the same
+    workspace sizes, on the same values, without scipy's argument checks.
+    The pencil is deflated by its R column; a real QZ orders the eigenvalues
+    inside the unit circle first; and P = U21 U11^-1 from the stable
+    subspace (U11; U21).  Failures raise np.linalg.LinAlgError, or
+    ValueError for a non-finite r, as scipy does.
+    """
+    from scipy.linalg import lapack
+
+    if not math.isfinite(r):
+        raise ValueError("measurement noise variance must be finite")
+    h_free, j_free, column, x_scale = pencil
+    lwork_qr, lwork_q, lwork_qz = _riccati_workspaces()
+    column = column.copy()
+    column[6, 0] = r
+    qr, tau = lapack.dgeqrf(column, lwork=lwork_qr, overwrite_a=1)[:2]
     q_full = np.empty((7, 7))
     q_full[:, :1] = qr
     q = lapack.dorgqr(q_full, tau, lwork=lwork_q, overwrite_a=1)[0]
-    h = q[:, 1:].T.dot(h[:, :6])
-    j = q[:, 1:].T.dot(j[:, :6])
+    h = q[:, 1:].T.dot(h_free)
+    j = q[:, 1:].T.dot(j_free)
 
     aa, bb, _, alphar, alphai, beta, vsl, vsr, _, info = lapack.dgges(
         _no_sort, h, j, lwork=lwork_qz, overwrite_a=1, overwrite_b=1, sort_t=0
@@ -305,11 +329,13 @@ def _solve_riccati(a_d: np.ndarray, c_vec: np.ndarray, q_d: np.ndarray, r: float
     u10 = u[3:, :3]
 
     # u00 = P L U (scipy.linalg.lu's factors); fail where np.linalg.cond(U),
-    # from the same singular values, exceeds 1/eps.  x = u10 U^-1 L^-1 P^T by
-    # two triangular solves, each reading one triangle of lu.T: U^T, then
-    # the unit-diagonal L^T
+    # from the same singular values (numpy's own dgesdd call), exceeds
+    # 1/eps.  x = u10 U^-1 L^-1 P^T by two triangular solves, each reading
+    # one triangle of lu.T: U^T, then the unit-diagonal L^T
     lu, piv, info = lapack.dgetrf(u00)
-    sv = np.linalg.svd(np.triu(lu), compute_uv=False)
+    sv, svd_info = lapack.dgesdd(np.triu(lu), compute_uv=0)[1::2]
+    if svd_info:
+        raise np.linalg.LinAlgError("SVD did not converge")
     if info or not sv[-1] or 1 / (sv[0] / sv[-1]) < np.spacing(1.0):
         raise np.linalg.LinAlgError("Failed to find a finite solution.")
     y = lapack.dtrtrs(lu.T, u10.T, lower=1)[0]
@@ -318,7 +344,7 @@ def _solve_riccati(a_d: np.ndarray, c_vec: np.ndarray, q_d: np.ndarray, r: float
     for k, p in enumerate(piv.tolist()):
         perm[k], perm[p] = perm[p], perm[k]
     x = w.T[:, np.argsort(perm)]
-    x *= sca[:3, None] * sca[:3]
+    x *= x_scale
 
     # U11^T U21 is symmetric for a stabilizing solution
     u_sym = u00.T.dot(u10)
@@ -344,20 +370,27 @@ class KalmanTracker:
     def __init__(
         self, probe: ProbeState, force: ForceParams, params: MirrorParams, cfg: SimConfig
     ):
+        from scipy.linalg import lapack
+
         self.cfg = cfg
-        self.a_d, self.q_d = _tracker_model(params, force, cfg.dt)
-        self.c_vec = np.array([params.phase_gain, 0.0, 0.0])
+        self.a_d, self.q_d, self.c_vec, pencil = _tracker_model(params, force, cfg.dt)
         self.r = measurement_noise_psd(probe) / cfg.dt
 
         try:
-            self.p_pred = _solve_riccati(self.a_d, self.c_vec, self.q_d, self.r)
+            self.p_pred = _solve_riccati(pencil, self.r)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise RiccatiError(f"steady-state Riccati solve failed: {exc}") from exc
         s = float(self.c_vec @ self.p_pred @ self.c_vec) + self.r
         self.gain = self.p_pred @ self.c_vec / s
         self.p_post = self.p_pred - np.outer(self.gain, self.c_vec @ self.p_pred)
         a_cl = self.a_d @ (np.eye(3) - np.outer(self.gain, self.c_vec))
-        rho = float(np.max(np.abs(np.linalg.eigvals(a_cl))))
+        # np.linalg.eigvals' checks and its own dgeev call, without its wrapper
+        if not np.isfinite(a_cl).all():
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        wr, wi, _, _, info = lapack.dgeev(a_cl, compute_vl=0, compute_vr=0)
+        if info:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        rho = float(np.max(np.abs(wr + wi * 1j)))
         if rho >= 1.0:
             raise RiccatiError(f"closed-loop tracker is unstable (spectral radius {rho:.6f})")
         self._rho = rho

@@ -190,12 +190,16 @@ class TestDiscretization:
 
     def test_cache_keyed_on_model_and_period(self, mirror, force, cfg):
         cached = sim._tracker_model(mirror, force, cfg.dt)
-        # equal but distinct parameter objects share one entry
+        # equal but distinct parameter objects share one entry, pencil included
         twin = sim._tracker_model(replace(mirror), replace(force), cfg.dt)
-        assert twin[0] is cached[0] and twin[1] is cached[1]
+        assert all(a is b for a, b in zip(twin, cached))
+        a_d, q_d, c_vec, pencil = cached
+        assert not c_vec.flags.writeable
+        assert not any(block.flags.writeable for block in pencil)
         other = sim._tracker_model(mirror, force, 2.0 * cfg.dt)
-        assert other[0] is not cached[0]
-        assert not np.array_equal(other[0], cached[0])
+        assert other[0] is not a_d and other[3] is not pencil
+        assert not np.array_equal(other[0], a_d)
+        assert not np.array_equal(other[3][0], pencil[0])
 
 
 #: Riccati inputs with no finite solution: the unobservable, undriven
@@ -206,9 +210,8 @@ RANK_DEFICIENT_RICCATI = (
 
 
 @st.composite
-def riccati_inputs(draw):
-    """(a_d, c_vec, q_d, r) of a tracker over test_stability_property's
-    ranges, at a tracking error sigma_phi^2 in [0, 0.5]."""
+def tracker_models(draw):
+    """(params, force) over test_stability_property's ranges."""
     params = MirrorParams(
         m=MASS,
         Omega=10.0 ** draw(st.floats(4.5, 6.0)),
@@ -216,22 +219,44 @@ def riccati_inputs(draw):
         k0=2.0 * math.pi / WAVELENGTH,
         theta=THETA,
     )
-    force = ForceParams(lam=10.0 ** draw(st.floats(3.5, 5.5)), kappa=KAPPA)
+    return params, ForceParams(lam=10.0 ** draw(st.floats(3.5, 5.5)), kappa=KAPPA)
+
+
+@st.composite
+def tracker_probes(draw):
+    """A probe over test_stability_property's ranges, at a tracking error
+    sigma_phi^2 in [0, 0.5]."""
     a = 10.0 ** draw(st.floats(5.0, 8.0))
     squeezing_db = draw(st.one_of(st.none(), st.floats(0.1, 6.0)))
     eta_det = draw(st.floats(0.5, 1.0))
     sigma_phi_sq = draw(st.floats(0.0, 0.5))
     if squeezing_db is None:
-        probe = ProbeState.coherent(a, sigma_phi_sq=sigma_phi_sq, eta_det=eta_det)
-    else:
-        antisqueezing_db = squeezing_db + draw(st.floats(0.0, 6.0))
-        probe = ProbeState.from_db(
-            a, squeezing_db, antisqueezing_db, sigma_phi_sq=sigma_phi_sq, eta_det=eta_det
-        )
-    cfg = sim.SimConfig()
-    a_d, q_d = sim._tracker_model(params, force, cfg.dt)
-    c_vec = np.array([params.phase_gain, 0.0, 0.0])
-    return a_d, c_vec, q_d, measurement_noise_psd(probe) / cfg.dt
+        return ProbeState.coherent(a, sigma_phi_sq=sigma_phi_sq, eta_det=eta_det)
+    antisqueezing_db = squeezing_db + draw(st.floats(0.0, 6.0))
+    return ProbeState.from_db(
+        a, squeezing_db, antisqueezing_db, sigma_phi_sq=sigma_phi_sq, eta_det=eta_det
+    )
+
+
+@st.composite
+def riccati_inputs(draw):
+    """(a_d, c_vec, q_d, r) of a tracker drawn by tracker_models and
+    tracker_probes."""
+    dt = sim.SimConfig().dt
+    a_d, q_d, c_vec, _ = sim._tracker_model(*draw(tracker_models()), dt)
+    return a_d, c_vec, q_d, measurement_noise_psd(draw(tracker_probes())) / dt
+
+
+def assert_solves_like_scipy(pencil, a_d, c_vec, q_d, r):
+    """scipy's solver is the oracle: `_solve_riccati(pencil, r)` keeps every
+    bit of it, and raises where it raises, with its message."""
+    try:
+        expected = scipy.linalg.solve_discrete_are(a_d.T, c_vec[:, None], q_d, np.array([[r]]))
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            sim._solve_riccati(pencil, r)
+        return
+    assert np.array_equal(sim._solve_riccati(pencil, r), expected)
 
 
 class TestRiccatiTracking:
@@ -256,8 +281,8 @@ class TestRiccatiTracking:
     def test_unstable_closed_loop_raises_at_construction(self, mirror, force, cfg, monkeypatch):
         # a non-stabilizing Riccati "solution": its gain over-corrects the
         # position estimate, doubling it every step
-        def non_stabilizing(a_d, c_vec, q_d, r):
-            return np.diag([-0.5 * r / c_vec[0] ** 2, 0.0, 0.0])
+        def non_stabilizing(pencil, r):
+            return np.diag([-0.5 * r / mirror.phase_gain**2, 0.0, 0.0])
 
         monkeypatch.setattr(sim, "_solve_riccati", non_stabilizing)
         with pytest.raises(RiccatiError, match="unstable"):
@@ -267,16 +292,43 @@ class TestRiccatiTracking:
     @given(inputs=riccati_inputs())
     @example(inputs=RANK_DEFICIENT_RICCATI)
     def test_riccati_solve_matches_scipy_bit_for_bit(self, inputs):
-        # scipy's solver is the oracle: the LAPACK port keeps every bit of it,
-        # and raises where it raises, with its message
         a_d, c_vec, q_d, r = inputs
-        try:
-            expected = scipy.linalg.solve_discrete_are(a_d.T, c_vec[:, None], q_d, np.array([[r]]))
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                sim._solve_riccati(a_d, c_vec, q_d, r)
-            return
-        assert np.array_equal(sim._solve_riccati(a_d, c_vec, q_d, r), expected)
+        assert_solves_like_scipy(sim._riccati_pencil(a_d, c_vec, q_d), a_d, c_vec, q_d, r)
+
+    @settings(max_examples=50)
+    @given(model=tracker_models(), probes=st.lists(tracker_probes(), min_size=3, max_size=3))
+    def test_one_pencil_serves_every_noise_variance(self, model, probes):
+        # r enters the pencil after its balancing, so one pencil per tracker
+        # model solves the equation of every probe bit for bit
+        dt = sim.SimConfig().dt
+        a_d, q_d, c_vec, _ = sim._tracker_model(*model, dt)
+        pencil = sim._riccati_pencil(a_d, c_vec, q_d)
+        for probe in probes:
+            assert_solves_like_scipy(pencil, a_d, c_vec, q_d, measurement_noise_psd(probe) / dt)
+
+    @settings(max_examples=50)
+    @given(model=tracker_models(), probe=tracker_probes())
+    def test_direct_lapack_calls_match_numpy(self, model, probe):
+        # the spectral radius and the rcond singular values come from the
+        # dgeev and dgesdd calls numpy.linalg makes, bit for bit
+        params, force = model
+        dgesdd = scipy.linalg.lapack.dgesdd
+        calls = []
+
+        def recording_dgesdd(a, **kwargs):
+            out = dgesdd(a, **kwargs)
+            calls.append((a.copy(), out[1]))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.linalg.lapack, "dgesdd", recording_dgesdd)
+            tracker = sim.KalmanTracker(probe, force, params, sim.SimConfig())
+        (triangle, sv), = calls
+        assert np.array_equal(sv, np.linalg.svd(triangle, compute_uv=False))
+        a_cl = tracker.a_d @ (np.eye(3) - np.outer(tracker.gain, tracker.c_vec))
+        rho = float(np.max(np.abs(np.linalg.eigvals(a_cl))))
+        assert tracker._rho == rho
+        assert tracker.settle_samples == int(math.ceil(8.0 / -math.log(rho)))
 
     def test_filter_built_on_first_use_matches_fresh_coefficients(self, mirror, force, cfg):
         tracker = sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
