@@ -68,6 +68,8 @@ class SimConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.feedback_delay_samples < 0:
             raise ValueError("feedback delay must be nonnegative")
+        if self.feedback_delay_samples >= self.n_samples:
+            raise ValueError("feedback delay must be shorter than the data window")
         if self.edge_discard < 0:
             raise ValueError("edge discard must be nonnegative")
         try:
@@ -87,13 +89,6 @@ class SimConfig:
 # the package, building a config or a spectral grid loads none; `bounds` and
 # `diagnose` load `scipy.linalg` (calibration) but never `scipy.fft`, and
 # `scipy.signal`, about a second to import, loads only where a trial filters.
-
-
-def _lfilter(b, a, x) -> np.ndarray:
-    """`scipy.signal.lfilter`, imported on the first call."""
-    import scipy.signal
-
-    return scipy.signal.lfilter(b, a, x)
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -133,11 +128,13 @@ def simulate_ou(force: ForceParams, cfg: SimConfig, rng: np.random.Generator, n:
     and f[0] drawn from the stationary distribution, so every sample is exactly
     stationary at any step size.
     """
+    import scipy.signal
+
     a = math.exp(-force.lam * cfg.dt)
     innovation_std = math.sqrt(force.stationary_variance * (1.0 - a * a))
     drive = rng.normal(0.0, innovation_std, n)
     drive[0] = rng.normal(0.0, math.sqrt(force.stationary_variance))
-    return _lfilter([1.0], [1.0, -a], drive)
+    return scipy.signal.lfilter([1.0], [1.0, -a], drive)
 
 
 def mirror_response(
@@ -224,18 +221,6 @@ def _no_sort(*_):
     """Eigenvalue selector for an unsorted QZ (never called with sort_t=0)."""
 
 
-@functools.cache
-def _riccati_workspaces() -> tuple[int, int, int]:
-    """LAPACK's optimal workspace sizes for `_solve_riccati`'s 7x1 QR, its
-    7x7 Q and its 6x6 QZ, queried once per process."""
-    from scipy.linalg import lapack
-
-    lwork_qr = int(lapack.dgeqrf(np.zeros((7, 1)), lwork=-1)[2][0])
-    lwork_q = int(lapack.dorgqr(np.zeros((7, 7)), np.zeros(1), lwork=-1)[1][0])
-    lwork_qz = int(lapack.dgges(_no_sort, np.zeros((6, 6)), np.zeros((6, 6)), lwork=-1)[8][0])
-    return lwork_qr, lwork_q, lwork_qz
-
-
 def _riccati_pencil(a_d: np.ndarray, c_vec: np.ndarray, q_d: np.ndarray) -> tuple:
     """The part of the tracker's Riccati pencil that does not depend on the
     measurement noise variance r: read-only (H[:, :6], J[:, :6], H[:, 6:]
@@ -290,8 +275,9 @@ def _solve_riccati(pencil: tuple, r: float) -> np.ndarray:
 
     With `pencil = _riccati_pencil(a_d, c_vec, q_d)` it is
     `scipy.linalg.solve_discrete_are(a_d.T, c_vec[:, None], q_d, [[r]])` bit
-    for bit: the same LAPACK calls, in the same order and with the same
-    workspace sizes, on the same values, without scipy's argument checks.
+    for bit: the same LAPACK calls, in the same order, on the same values,
+    without scipy's argument checks (at these sizes LAPACK takes its unblocked
+    path whatever the workspace, so the default workspaces keep every bit).
     The pencil is deflated by its R column; a real QZ orders the eigenvalues
     inside the unit circle first; and P = U21 U11^-1 from the stable
     subspace (U11; U21).  Failures raise np.linalg.LinAlgError, or
@@ -302,25 +288,22 @@ def _solve_riccati(pencil: tuple, r: float) -> np.ndarray:
     if not math.isfinite(r):
         raise ValueError("measurement noise variance must be finite")
     h_free, j_free, column, x_scale = pencil
-    lwork_qr, lwork_q, lwork_qz = _riccati_workspaces()
     column = column.copy()
     column[6, 0] = r
-    qr, tau = lapack.dgeqrf(column, lwork=lwork_qr, overwrite_a=1)[:2]
+    qr, tau = lapack.dgeqrf(column, overwrite_a=1)[:2]
     q_full = np.empty((7, 7))
     q_full[:, :1] = qr
-    q = lapack.dorgqr(q_full, tau, lwork=lwork_q, overwrite_a=1)[0]
+    q = lapack.dorgqr(q_full, tau, overwrite_a=1)[0]
     h = q[:, 1:].T.dot(h_free)
     j = q[:, 1:].T.dot(j_free)
 
     aa, bb, _, alphar, alphai, beta, vsl, vsr, _, info = lapack.dgges(
-        _no_sort, h, j, lwork=lwork_qz, overwrite_a=1, overwrite_b=1, sort_t=0
+        _no_sort, h, j, overwrite_a=1, overwrite_b=1, sort_t=0
     )
     if info:
         raise np.linalg.LinAlgError(f"QZ iteration failed (gges info {info})")
-    alpha = alphar + alphai * 1j
-    stable = np.zeros(6, dtype=bool)
-    finite = beta != 0
-    stable[finite] = abs(alpha[finite] / beta[finite]) < 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # beta = 0: infinite, not stable
+        stable = abs((alphar + alphai * 1j) / beta) < 1.0
     reordered = lapack.dtgsen(stable, aa, bb, vsl, vsr, ijob=0, lwork=4 * 6 + 16, liwork=1)
     u, info = reordered[6], reordered[-1]
     if info:
@@ -343,7 +326,8 @@ def _solve_riccati(pencil: tuple, r: float) -> np.ndarray:
     perm = [0, 1, 2]
     for k, p in enumerate(piv.tolist()):
         perm[k], perm[p] = perm[p], perm[k]
-    x = w.T[:, np.argsort(perm)]
+    x = np.empty((3, 3))
+    x[:, perm] = w.T
     x *= x_scale
 
     # U11^T U21 is symmetric for a stabilizing solution
@@ -441,7 +425,9 @@ class KalmanTracker:
 
     def predict_series(self, y: np.ndarray) -> np.ndarray:
         """Causal one-step phase predictions phihat_k from a measurement record."""
-        return _lfilter(*self._iir, y)
+        import scipy.signal
+
+        return scipy.signal.lfilter(*self._iir, y)
 
 
 def calibrate_tracking(
@@ -499,8 +485,8 @@ def _track_nonlinear(
     ep: float,
     em: float,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Closed-loop homodyne record y, one-step predictions phi_hat and the
-    divergence flag of the nonlinear tracker, fed back d samples late.
+    """Closed-loop homodyne record y, feedback phase phi_fb (the one-step
+    predictions, d samples late) and divergence flag of the nonlinear tracker.
 
     The feedback makes every sample depend on the previous ones, so this is a
     per-sample loop.  It runs on Python floats (the same IEEE-754 double
@@ -510,7 +496,7 @@ def _track_nonlinear(
     """
     n = phi.shape[0]
     y = np.empty(n)
-    phi_hat = np.empty(n)
+    phi_fb = np.empty(n)
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = tracker.a_d.tolist()
     k0, k1, k2 = tracker.gain.tolist()
     c = float(tracker.c_vec[0])
@@ -523,12 +509,12 @@ def _track_nonlinear(
     for j in range(0, n, TRACKER_BLOCK):
         block = slice(j, j + TRACKER_BLOCK)
         ys = []
-        hats = []
+        fbs = []
         for phi_k, w in zip(phi[block].tolist(), noise_scale[block].tolist()):
             ph = c * x0
-            hats.append(ph)
             pending.append(ph)
             fb = pending.popleft()
+            fbs.append(fb)
             delta = phi_k - fb
             if abs(delta) > half_pi:
                 diverged = True
@@ -544,8 +530,8 @@ def _track_nonlinear(
             x1 = a10 * x0p + a11 * x1p + a12 * x2p
             x2 = a20 * x0p + a21 * x1p + a22 * x2p
         y[block] = ys
-        phi_hat[block] = hats
-    return y, phi_hat, diverged
+        phi_fb[block] = fbs
+    return y, phi_fb, diverged
 
 
 def run_tracking(
@@ -580,8 +566,7 @@ def run_tracking(
         noise_scale = rng.normal(0.0, 1.0, n) / (
             2.0 * math.sqrt(probe.eta_det * probe.alpha_sq * cfg.dt)
         )
-        y, phi_hat, diverged = _track_nonlinear(phi, noise_scale, tracker, d, ep, em)
-        phi_fb = _delayed(phi_hat, d)
+        y, phi_fb, diverged = _track_nonlinear(phi, noise_scale, tracker, d, ep, em)
 
     start = min(tracker.settle_samples, n // 2)
     err = phi[start:] - phi_fb[start:]

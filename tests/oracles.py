@@ -106,6 +106,7 @@ def run_tracking_nonlinear(phi, probe, tracker, cfg, rng) -> sim.TrackingResult:
     )
     y = np.empty(n)
     phi_hat = np.empty(n)
+    phi_fb = np.empty(n)
     a = tracker.a_d
     a00, a01, a02 = a[0]
     a10, a11, a12 = a[1]
@@ -118,6 +119,7 @@ def run_tracking_nonlinear(phi, probe, tracker, cfg, rng) -> sim.TrackingResult:
         ph = c * x0
         phi_hat[i] = ph
         fb = phi_hat[i - d] if i >= d else 0.0
+        phi_fb[i] = fb
         delta = phi[i] - fb
         if abs(delta) > half_pi:
             diverged = True
@@ -132,7 +134,6 @@ def run_tracking_nonlinear(phi, probe, tracker, cfg, rng) -> sim.TrackingResult:
         x0 = a00 * x0p + a01 * x1p + a02 * x2p
         x1 = a10 * x0p + a11 * x1p + a12 * x2p
         x2 = a20 * x0p + a21 * x1p + a22 * x2p
-    phi_fb = sim._delayed(phi_hat, d)
 
     start = min(tracker.settle_samples, n // 2)
     err = phi[start:] - phi_fb[start:]

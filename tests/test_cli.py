@@ -103,7 +103,7 @@ def experiment_configs(draw):
         n_trials=draw(st.integers(2, 10**6)),
         seed=draw(st.integers(0, 2**63 - 1)),
         mode=draw(st.sampled_from((sim.MODE_LINEARIZED, sim.MODE_NONLINEAR))),
-        feedback_delay_samples=draw(st.integers(0, 1000)),
+        feedback_delay_samples=draw(st.integers(0, min(1000, n_samples - 1))),
         # against n_samples - 1, so the edges rounded to samples leave a window
         edge_discard=draw(st.floats(0.0, 0.49)) * (n_samples - 1) * dt,
     )
@@ -500,10 +500,11 @@ class TestTasks:
 
 
 class TestScoreTrials:
-    def test_trial_working_set(self):
+    def test_trial_working_set(self, monkeypatch):
         """One warm reference trial holds at most 11 full-length records at
         its traced peak: the response spectra are built in place and freed
         as they are used, and no time axis is stored."""
+        monkeypatch.setattr(cli, "_cell", None)  # drops the entered cell at teardown
         config = cli.reference_config()
         cfg = config.simulation
         priors = config.priors()
@@ -521,7 +522,8 @@ class TestScoreTrials:
             tracemalloc.stop()
         assert peak <= 11 * 8 * n_total
 
-    def test_payload_windows_own_their_memory(self, tiny_config):
+    def test_payload_windows_own_their_memory(self, tiny_config, monkeypatch):
+        monkeypatch.setattr(cli, "_cell", None)  # drops the entered cell at teardown
         config, cfg = tiny_config, tiny_config.simulation
         priors = config.priors()
         probe = config.operating_point("squeezed", ALPHA_SQS[0])
@@ -881,6 +883,10 @@ class TestMainEntry:
             (["simulate", "--alpha-sq", "inf"], "alpha_sqs must be finite"),
             (["--config", "{wide_edge}", "--trials", "2", "sweep"], "leaves no scoring window"),
             (
+                ["--config", "{long_delay}", "diagnose"],
+                "feedback delay must be shorter than the data window",
+            ),
+            (
                 ["--config", "{efficiency}", "diagnose"],
                 "probe.efficiency: detection efficiency must lie in (0, 1]",
             ),
@@ -903,6 +909,7 @@ class TestMainEntry:
             "zero-trials", "one-trial", "unparsable-value", "missing-config",
             "table-without-column", "table-with-nan", "config-under-a-file", "negative-amplitude",
             "zero-amplitude", "nan-amplitude", "infinite-amplitude", "edge-rounds-to-half-window",
+            "delay-fills-window",
             "efficiency-above-one", "zero-efficiency", "squeezing-above-antisqueezing",
             "negative-squeezing", "zero-bandwidth", "negative-seed",
         ],
@@ -921,9 +928,11 @@ class TestMainEntry:
         # 1999.6 samples of edge round to 2000: half of the 4000-sample window
         wide_edge = tmp_path / "edge.cfg"
         wide_edge.write_text("sim.samples = 4000\nsim.edge_discard = 1.9996e-4\n")
+        long_delay = tmp_path / "delay.cfg"
+        long_delay.write_text("sim.samples = 4000\nsim.delay_samples = 4000\n")
         paths = {
             "bad": bad, "missing": tmp_path / "missing.cfg", "bad_table": bad_table,
-            "nan_table": nan_table, "wide_edge": wide_edge,
+            "nan_table": nan_table, "wide_edge": wide_edge, "long_delay": long_delay,
         }
         for name, text in (
             ("efficiency", "probe.efficiency = 1.5"),

@@ -17,7 +17,9 @@ from mirrormotion.model import ForceParams, MirrorParams, NominalTransferFunctio
 from mirrormotion.probe import ProbeState, measurement_noise_psd
 
 import oracles
-from conftest import ALPHA_SQS, ANTISQUEEZING_DB, ETA, KAPPA, LAMBDA, MASS, SQUEEZING_DB, THETA, WAVELENGTH
+from conftest import (
+    ALPHA_SQS, ANTISQUEEZING_DB, ETA, GAMMA, KAPPA, LAMBDA, MASS, OMEGA, SQUEEZING_DB, THETA, WAVELENGTH,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,14 @@ class TestSimConfig:
             sim.SimConfig(dt=math.inf)
         with pytest.raises(ValueError):
             sim.SimConfig(edge_discard=math.nan)
+
+    def test_feedback_delay_shorter_than_window(self):
+        # a delay as long as the data window feeds back nothing, and the
+        # nonlinear loop allocates its delay line before the first sample
+        longest = sim.SimConfig(n_samples=100, feedback_delay_samples=99, edge_discard=0.0)
+        assert longest.feedback_delay_samples == 99
+        with pytest.raises(ValueError, match="shorter than the data window"):
+            sim.SimConfig(n_samples=100, feedback_delay_samples=100, edge_discard=0.0)
 
     def test_short_trace_rejected(self, force, mirror):
         cfg = sim.SimConfig(dt=1e-7, n_samples=1000, edge_discard=0.0)
@@ -209,6 +219,14 @@ RANK_DEFICIENT_RICCATI = (
 )
 
 
+def _noiseless_reference_riccati():
+    """The reference tracker model at r = 0, where dgges returns one beta of
+    exactly 0: an infinite eigenvalue, which the stable mask must exclude."""
+    params = MirrorParams(m=MASS, Omega=OMEGA, gamma=GAMMA, k0=2.0 * math.pi / WAVELENGTH, theta=THETA)
+    a_d, q_d, c_vec, _ = sim._tracker_model(params, ForceParams(lam=LAMBDA, kappa=KAPPA), sim.SimConfig().dt)
+    return a_d, c_vec, q_d, 0.0
+
+
 @st.composite
 def tracker_models(draw):
     """(params, force) over test_stability_property's ranges."""
@@ -291,6 +309,7 @@ class TestRiccatiTracking:
     @settings(max_examples=200)
     @given(inputs=riccati_inputs())
     @example(inputs=RANK_DEFICIENT_RICCATI)
+    @example(inputs=_noiseless_reference_riccati())
     def test_riccati_solve_matches_scipy_bit_for_bit(self, inputs):
         a_d, c_vec, q_d, r = inputs
         assert_solves_like_scipy(sim._riccati_pencil(a_d, c_vec, q_d), a_d, c_vec, q_d, r)
