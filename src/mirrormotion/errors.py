@@ -1,6 +1,7 @@
 """Exception types and input checks shared across the package."""
 
 import dataclasses
+import functools
 import math
 import numbers
 
@@ -21,15 +22,21 @@ class RiccatiError(RuntimeError):
     """The steady-state Riccati solution does not exist or is not stabilizing."""
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """The field names of a dataclass type, looked up once per type."""
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
 def require_finite(obj) -> None:
-    """Reject NaN or infinite values in a dataclass's real-valued fields,
-    including the entries of tuple fields; other fields are left alone."""
-    for field in dataclasses.fields(obj):
-        value = getattr(obj, field.name)
+    """Reject NaN or infinite values in a dataclass instance's real-valued
+    fields, including the entries of tuple fields; other fields are left alone."""
+    for name in _field_names(type(obj)):
+        value = getattr(obj, name)
         for v in value if isinstance(value, tuple) else (value,):
             # the float test first: it is most values, and the ABC checks are slow
             if isinstance(v, float) or (
                 isinstance(v, numbers.Real) and not isinstance(v, numbers.Integral)
             ):
                 if not math.isfinite(v):
-                    raise ValueError(f"{field.name} must be finite, got {v!r}")
+                    raise ValueError(f"{name} must be finite, got {v!r}")

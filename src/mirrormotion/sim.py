@@ -11,6 +11,7 @@ wrap-around effects exp(-PAD_CORRELATION_TIMES) below the Monte Carlo noise.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from collections import deque
@@ -201,6 +202,11 @@ def _tracker_model(
     None of them depends on the probe, so every tracker of one mirror, force
     and sample period (all the steps of `calibrate_tracking`, every cell of
     a sweep) shares one Van Loan exponential and one balanced pencil.
+
+    c_vec is exactly [phase_gain, 0, 0]: the tracker measures position only.
+    `KalmanTracker`'s build relies on it, writing each product with c_vec as
+    its one nonzero term, and a test pins it, so a model that also measured
+    p would fail that test rather than drift silently.
     """
     m = params.m
     a_c = np.array(
@@ -302,7 +308,10 @@ def _solve_riccati(pencil: tuple, r: float) -> np.ndarray:
     )
     if info:
         raise np.linalg.LinAlgError(f"QZ iteration failed (gges info {info})")
-    with np.errstate(divide="ignore", invalid="ignore"):  # beta = 0: infinite, not stable
+    # beta = 0 is an infinite eigenvalue, never stable, and the only case in
+    # which the division warns: only then is np.errstate worth its cost
+    infinite = 0.0 in beta.tolist()
+    with np.errstate(divide="ignore", invalid="ignore") if infinite else contextlib.nullcontext():
         stable = abs((alphar + alphai * 1j) / beta) < 1.0
     reordered = lapack.dtgsen(stable, aa, bb, vsl, vsr, ijob=0, lwork=4 * 6 + 16, liwork=1)
     u, info = reordered[6], reordered[-1]
@@ -316,29 +325,48 @@ def _solve_riccati(pencil: tuple, r: float) -> np.ndarray:
     # 1/eps.  x = u10 U^-1 L^-1 P^T by two triangular solves, each reading
     # one triangle of lu.T: U^T, then the unit-diagonal L^T
     lu, piv, info = lapack.dgetrf(u00)
-    sv, svd_info = lapack.dgesdd(np.triu(lu), compute_uv=0)[1::2]
+    upper = lu.copy()  # np.triu(lu)
+    upper[1, 0] = upper[2, 0] = upper[2, 1] = 0.0
+    sv, svd_info = lapack.dgesdd(upper, compute_uv=0)[1::2]
     if svd_info:
         raise np.linalg.LinAlgError("SVD did not converge")
-    if info or not sv[-1] or 1 / (sv[0] / sv[-1]) < np.spacing(1.0):
+    sv_max, _, sv_min = sv.tolist()
+    if info or not sv_min or 1 / (sv_max / sv_min) < math.ulp(1.0):
         raise np.linalg.LinAlgError("Failed to find a finite solution.")
     y = lapack.dtrtrs(lu.T, u10.T, lower=1)[0]
     w = lapack.dtrtrs(lu.T, y, unitdiag=1)[0]
-    perm = [0, 1, 2]
-    for k, p in enumerate(piv.tolist()):
-        perm[k], perm[p] = perm[p], perm[k]
-    x = np.empty((3, 3))
-    x[:, perm] = w.T
-    x *= x_scale
 
-    # U11^T U21 is symmetric for a stabilizing solution
-    u_sym = u00.T.dot(u10)
-    n_u_sym = np.abs(u_sym).sum(axis=0).max()
-    u_sym = u_sym - u_sym.T
-    if np.abs(u_sym).sum(axis=0).max() > max(np.spacing(1000.0), 0.1 * n_u_sym):
+    # U11^T U21 is symmetric for a stabilizing solution.  Its 1-norm and that
+    # of its antisymmetric part are numpy's column sums (row 0 + row 1) + row 2,
+    # where the antisymmetric part's zero diagonal adds exact zeros
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = u00.T.dot(u10).tolist()
+    norm = max(
+        abs(m00) + abs(m10) + abs(m20),
+        abs(m01) + abs(m11) + abs(m21),
+        abs(m02) + abs(m12) + abs(m22),
+    )
+    d01, d02, d12 = abs(m10 - m01), abs(m20 - m02), abs(m21 - m12)
+    if max(d01 + d02, d01 + d12, d02 + d12) > max(math.ulp(1000.0), 0.1 * norm):
         raise np.linalg.LinAlgError(
             "The associated symplectic pencil has eigenvalues too close to the unit circle"
         )
-    return (x + x.T) / 2
+
+    # x[:, perm] = w.T, x *= x_scale and (x + x.T) / 2, entry by entry
+    perm = [0, 1, 2]
+    for k, p in enumerate(piv.tolist()):
+        perm[k], perm[p] = perm[p], perm[k]
+    x_t = [None] * 3  # x.T: its row perm[j] is row j of w
+    for p, row in zip(perm, w.tolist()):
+        x_t[p] = row
+    (x00, x10, x20), (x01, x11, x21), (x02, x12, x22) = x_t
+    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = x_scale.tolist()
+    x01 = (x01 * s01 + x10 * s10) / 2
+    x02 = (x02 * s02 + x20 * s20) / 2
+    x12 = (x12 * s12 + x21 * s21) / 2
+    x00, x11, x22 = x00 * s00, x11 * s11, x22 * s22
+    return np.array(
+        [[(x00 + x00) / 2, x01, x02], [x01, (x11 + x11) / 2, x12], [x02, x12, (x22 + x22) / 2]]
+    )
 
 
 class KalmanTracker:
@@ -364,17 +392,27 @@ class KalmanTracker:
             self.p_pred = _solve_riccati(pencil, self.r)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise RiccatiError(f"steady-state Riccati solve failed: {exc}") from exc
-        s = float(self.c_vec @ self.p_pred @ self.c_vec) + self.r
-        self.gain = self.p_pred @ self.c_vec / s
-        self.p_post = self.p_pred - np.outer(self.gain, self.c_vec @ self.p_pred)
-        a_cl = self.a_d @ (np.eye(3) - np.outer(self.gain, self.c_vec))
+        # c_vec = [c, 0, 0], so each product with it has one nonzero term and
+        # these Python floats are numpy's expressions bit for bit:
+        # c_vec P = c P[0], P c_vec = P[:, 0] c, and I - outer(gain, c_vec) is
+        # the identity less gain c in column 0
+        c = self.c_vec.item(0)
+        p = self.p_pred.tolist()
+        c_p = [c * v for v in p[0]]
+        s = c_p[0] * c + self.r
+        gain = [row[0] * c / s for row in p]
+        self.gain = np.array(gain)
+        self.p_post = np.array([[v - k * w for v, w in zip(row, c_p)] for row, k in zip(p, gain)])
+        g0, g1, g2 = (k * c for k in gain)
+        update = np.array([[1.0 - g0, 0.0, 0.0], [0.0 - g1, 1.0, 0.0], [0.0 - g2, 0.0, 1.0]])
+        a_cl = self.a_d @ update
         # np.linalg.eigvals' checks and its own dgeev call, without its wrapper
         if not np.isfinite(a_cl).all():
             raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
         wr, wi, _, _, info = lapack.dgeev(a_cl, compute_vl=0, compute_vr=0)
         if info:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        rho = float(np.max(np.abs(wr + wi * 1j)))
+        rho = float(abs(wr + wi * 1j).max())
         if rho >= 1.0:
             raise RiccatiError(f"closed-loop tracker is unstable (spectral radius {rho:.6f})")
         self._rho = rho
@@ -383,12 +421,14 @@ class KalmanTracker:
     @property
     def sigma_phi_sq_posterior(self) -> float:
         """Steady-state posterior phase MSE, c^2 P_post[q, q]."""
-        return float(self.c_vec @ self.p_post @ self.c_vec)
+        c = self.c_vec.item(0)
+        return c * self.p_post.item(0) * c
 
     @property
     def sigma_phi_sq_prediction(self) -> float:
         """One-step-prediction phase MSE, c^2 P_pred[q, q]."""
-        return float(self.c_vec @ self.p_pred @ self.c_vec)
+        c = self.c_vec.item(0)
+        return c * self.p_pred.item(0) * c
 
     def sigma_phi_sq_feedback(self) -> float:
         """Phase MSE of the feedback signal, a one-step prediction applied

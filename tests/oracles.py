@@ -7,8 +7,11 @@ dense Gaussian conditioning on a finite window of samples.  No spectral
 densities, quadrature, or Wiener formulas are used, so agreement with the
 frequency-domain results validates that whole path at once.
 
-The tracker oracle is the nonlinear feedback loop written one array element
-at a time, the form the fast scalar loop of `sim.run_tracking` must match.
+The tracker oracles are the nonlinear feedback loop written one array element
+at a time, the form the fast scalar loop of `sim.run_tracking` must match, and
+the Kalman gain, covariances and closed loop as numpy matrix expressions of the
+Riccati solution, which `sim.KalmanTracker`'s scalar build must match bit for
+bit.
 """
 
 import math
@@ -140,3 +143,27 @@ def run_tracking_nonlinear(phi, probe, tracker, cfg, rng) -> sim.TrackingResult:
     return sim.TrackingResult(
         y=y, phi_fb=phi_fb, sigma_phi_sq=float(np.mean(err**2)), diverged=diverged
     )
+
+
+def tracker_build(tracker) -> dict:
+    """What `sim.KalmanTracker` derives from its Riccati solution, written as
+    numpy matrix expressions of P = `tracker.p_pred` and the measurement row:
+    innovation variance s = c P c + r, gain P c / s, posterior covariance
+    P - gain (c P), closed loop a_d (I - gain c), its spectral radius by
+    `np.linalg.eigvals`, the samples until its transient decays by e^-8, and
+    the posterior and prediction phase MSEs c P c."""
+    c_vec, p_pred = tracker.c_vec, tracker.p_pred
+    s = float(c_vec @ p_pred @ c_vec) + tracker.r
+    gain = p_pred @ c_vec / s
+    p_post = p_pred - np.outer(gain, c_vec @ p_pred)
+    a_cl = tracker.a_d @ (np.eye(3) - np.outer(gain, c_vec))
+    rho = float(np.max(np.abs(np.linalg.eigvals(a_cl))))
+    return {
+        "gain": gain,
+        "p_post": p_post,
+        "_a_cl": a_cl,
+        "_rho": rho,
+        "settle_samples": int(math.ceil(8.0 / -math.log(rho))),
+        "sigma_phi_sq_posterior": float(c_vec @ p_post @ c_vec),
+        "sigma_phi_sq_prediction": float(c_vec @ p_pred @ c_vec),
+    }

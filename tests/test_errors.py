@@ -41,3 +41,17 @@ def test_require_finite(value, finite):
     else:
         with pytest.raises(ValueError, match="value must be finite"):
             require_finite(Holder(value))
+
+
+def test_field_names_follow_the_instance_type():
+    # field names are looked up once per type: a subclass's own field is
+    # checked after its base was, and a non-dataclass is still refused
+    @dataclasses.dataclass
+    class Wider(Holder):
+        extra: object = 0.0
+
+    require_finite(Holder(1.0))
+    with pytest.raises(ValueError, match="extra must be finite"):
+        require_finite(Wider(1.0, math.nan))
+    with pytest.raises(TypeError):
+        require_finite(1.0)

@@ -219,11 +219,17 @@ RANK_DEFICIENT_RICCATI = (
 )
 
 
+#: (params, force) of the reference mirror and force, as tracker_models draws them.
+REFERENCE_MODEL = (
+    MirrorParams(m=MASS, Omega=OMEGA, gamma=GAMMA, k0=2.0 * math.pi / WAVELENGTH, theta=THETA),
+    ForceParams(lam=LAMBDA, kappa=KAPPA),
+)
+
+
 def _noiseless_reference_riccati():
     """The reference tracker model at r = 0, where dgges returns one beta of
     exactly 0: an infinite eigenvalue, which the stable mask must exclude."""
-    params = MirrorParams(m=MASS, Omega=OMEGA, gamma=GAMMA, k0=2.0 * math.pi / WAVELENGTH, theta=THETA)
-    a_d, q_d, c_vec, _ = sim._tracker_model(params, ForceParams(lam=LAMBDA, kappa=KAPPA), sim.SimConfig().dt)
+    a_d, q_d, c_vec, _ = sim._tracker_model(*REFERENCE_MODEL, sim.SimConfig().dt)
     return a_d, c_vec, q_d, 0.0
 
 
@@ -335,8 +341,9 @@ class TestRiccatiTracking:
         calls = []
 
         def recording_dgesdd(a, **kwargs):
+            triangle = a.copy()  # before the call, which may overwrite it
             out = dgesdd(a, **kwargs)
-            calls.append((a.copy(), out[1]))
+            calls.append((triangle, out[1]))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
@@ -348,6 +355,36 @@ class TestRiccatiTracking:
         rho = float(np.max(np.abs(np.linalg.eigvals(a_cl))))
         assert tracker._rho == rho
         assert tracker.settle_samples == int(math.ceil(8.0 / -math.log(rho)))
+
+    @settings(max_examples=200)
+    @given(model=tracker_models(), probe=tracker_probes())
+    @example(model=REFERENCE_MODEL, probe=ProbeState.coherent(ALPHA_SQS[0], eta_det=ETA))
+    @example(model=REFERENCE_MODEL, probe=ProbeState.coherent(ALPHA_SQS[-1], eta_det=ETA))
+    @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[0]))
+    @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[-1]))
+    def test_build_matches_numpy_expressions(self, model, probe):
+        # the build's Python-float products with c_vec = [c, 0, 0] keep every
+        # bit of the matrix expressions they replace
+        params, force = model
+        tracker = sim.KalmanTracker(probe, force, params, sim.SimConfig())
+        for name, expected in oracles.tracker_build(tracker).items():
+            value = getattr(tracker, name)
+            assert type(value) is type(expected), name
+            assert np.array_equal(value, expected), name
+            assert np.array_equal(np.signbit(value), np.signbit(expected)), name
+
+    @settings(max_examples=20)
+    @given(model=tracker_models())
+    @example(model=REFERENCE_MODEL)
+    def test_measurement_row_measures_position_only(self, model):
+        # the build relies on c_vec = [phase_gain, 0, 0] exactly
+        params, force = model
+        c_vec = sim._tracker_model(params, force, sim.SimConfig().dt)[2]
+        assert c_vec.dtype == np.float64
+        assert c_vec.tolist() == [params.phase_gain, 0.0, 0.0]
+        assert not np.signbit(c_vec[1:]).any()
+        with pytest.raises(ValueError, match="read-only"):
+            c_vec[1] = 1.0
 
     def test_filter_built_on_first_use_matches_fresh_coefficients(self, mirror, force, cfg):
         tracker = sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
