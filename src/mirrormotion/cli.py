@@ -58,6 +58,8 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        # Python floats whatever the caller passed, so the CSVs `repr` them alike
+        object.__setattr__(self, "alpha_sqs", tuple(float(a) for a in self.alpha_sqs))
         require_finite(self)
         if len(self.alpha_sqs) == 0:
             raise ValueError("need at least one probe amplitude")
@@ -471,7 +473,9 @@ def cmd_bounds(
     Returns the rows and the number of amplitudes that failed (and wrote none)."""
     grid = est.SpectralGrid.build(config.priors())
     lo, hi = min(config.alpha_sqs), max(config.alpha_sqs)
-    alphas = sorted(set(np.geomspace(lo, hi, n_points)) | set(config.alpha_sqs))
+    # geomspace(a, a, n) has interior points an ulp off a: one amplitude is one point
+    dense = np.geomspace(lo, hi, n_points) if hi > lo else ()
+    alphas = sorted(set(dense) | set(config.alpha_sqs))
 
     def rows_of(alpha_sq):
         coh = config.operating_point("coherent", alpha_sq)
@@ -502,8 +506,9 @@ def cmd_diagnose(config: ExperimentConfig) -> tuple[str, int]:
     def block_of(alpha_sq):
         squeezed = config.operating_point("squeezed", alpha_sq)
         # beam-level quantities (effective factor, attainability) use the beam
-        # moments before detection loss
-        coherent = replace(config.operating_point("coherent", alpha_sq), eta_det=1.0)
+        # moments before detection loss; a lossless coherent beam's gap is 1
+        # at any tracking error, so its probe needs no calibration
+        coherent = ProbeState.coherent(alpha_sq)
         lossless = replace(squeezed, eta_det=1.0)
         r_eff = effective_squeezing_factor(lossless)
         bw = SqueezingBandwidth.standard(squeezed, config.bandwidth)

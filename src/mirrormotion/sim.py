@@ -500,14 +500,6 @@ def calibrate_tracking(
     raise RiccatiError("tracking operating point did not converge")
 
 
-@dataclass
-class TrackingResult:
-    y: np.ndarray
-    phi_fb: np.ndarray
-    sigma_phi_sq: float
-    diverged: bool
-
-
 def _delayed(series: np.ndarray, d: int) -> np.ndarray:
     if d == 0:
         return series
@@ -580,8 +572,9 @@ def run_tracking(
     tracker: KalmanTracker,
     cfg: SimConfig,
     rng: np.random.Generator,
-) -> TrackingResult:
-    """Synthesize the homodyne record and the real-time feedback phase.
+) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """Synthesize the homodyne record and the real-time feedback phase:
+    (y, phi_fb, sigma_phi_sq, diverged).
 
     Linearized mode: y = phi + z with z white of per-sample variance S_z/dt.
     Nonlinear mode: the normalized homodyne output sin(phi - phi') plus
@@ -611,7 +604,7 @@ def run_tracking(
     start = min(tracker.settle_samples, n // 2)
     err = phi[start:] - phi_fb[start:]
     err *= err
-    return TrackingResult(y=y, phi_fb=phi_fb, sigma_phi_sq=float(np.mean(err)), diverged=diverged)
+    return y, phi_fb, float(np.mean(err)), diverged
 
 
 # ---------------------------------------------------------------------------
@@ -664,17 +657,7 @@ def simulate_trial(
     n_margin, n_total = trial_geometry(priors.force, priors.params, cfg)
     f = simulate_ou(priors.force, cfg, rng, n=n_total)
     q, p, phi = mirror_response(f, priors.tf, priors.params, cfg, pad_samples=n_margin)
-    tracked = run_tracking(phi, probe, tracker, cfg, rng)
+    y, phi_fb, sigma_phi_sq, diverged = run_tracking(phi, probe, tracker, cfg, rng)
     return Trajectory(
-        f=f,
-        q=q,
-        p=p,
-        phi=phi,
-        phi_fb=tracked.phi_fb,
-        y=tracked.y,
-        data_start=n_margin,
-        n_data=cfg.n_samples,
-        dt=cfg.dt,
-        sigma_phi_sq=tracked.sigma_phi_sq,
-        diverged=tracked.diverged,
+        f, q, p, phi, phi_fb, y, n_margin, cfg.n_samples, cfg.dt, sigma_phi_sq, diverged
     )

@@ -206,6 +206,11 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="finite"):
             replace(cli.reference_config(), **change)
 
+    def test_non_finite_amplitude_list_names_its_key(self):
+        # a list is checked like a tuple, not first by the probe family's check
+        with pytest.raises(ValueError, match=r"^alpha_sqs must be finite, got nan$"):
+            replace(cli.reference_config(), alpha_sqs=[math.nan])
+
     def test_comments_and_defaults(self, tmp_path):
         path = tmp_path / "partial.cfg"
         path.write_text("# only override the seed\nsim.seed = 7\n")
@@ -237,6 +242,18 @@ class TestSweep:
         lines = open(csv_path).read().splitlines()
         assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
         assert len(lines) == 1 + len(rows)
+
+    def test_numpy_amplitudes_written_as_floats(self, tiny_config):
+        config = replace(
+            tiny_config,
+            alpha_sqs=(np.float64(1.02e6),),
+            simulation=replace(tiny_config.simulation, n_trials=2),
+        )
+        rows, failed = cli.cmd_sweep(config)
+        assert failed == 0
+        lines = open(f"{config.out_dir}/sweep.csv").read().splitlines()
+        assert [line.split(",")[2] for line in lines[1:]] == ["1020000.0"] * len(rows)
+        assert [type(a) for a in config.alpha_sqs] == [float]
 
     def test_bit_identical_reruns(self, tiny_config, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -549,6 +566,17 @@ class TestBounds:
             for col in ("mmse_coh", "mmse_sq", "qcrb_coh", "qcrb_sq"):
                 curve = [row[col] for row in rows if row["var"] == x]
                 assert np.all(np.diff(curve) < 0)
+
+    def test_single_amplitude_is_one_point(self, tiny_config, tmp_path):
+        # geomspace(a, a, n) has interior points an ulp off a, not new amplitudes
+        config = replace(tiny_config, alpha_sqs=(1.02e6,))
+        out = tmp_path / "bounds.csv"
+        rows, failed = cli.cmd_bounds(config, out_path=out)
+        assert failed == 0
+        assert [(row["var"], row["alpha_sq"]) for row in rows] == [
+            ("q", 1.02e6), ("p", 1.02e6), ("f", 1.02e6)
+        ]
+        assert len(out.read_text().splitlines()) == 1 + 3
 
     def test_bound_columns_match_direct_evaluation(self, tiny_config):
         rows, _ = cli.cmd_bounds(tiny_config, n_points=2)
