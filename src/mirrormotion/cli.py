@@ -155,7 +155,6 @@ CONFIG_KEYS = {
     "sim.seed": ("simulation.seed", int),
     "sim.mode": ("simulation.mode", str),
     "sim.delay_samples": ("simulation.feedback_delay_samples", int),
-    "sim.edge_discard": ("simulation.edge_discard", float),
     "sweep.alpha_sq": ("alpha_sqs", _floats),
     "transfer.source": ("tf_source", str),
     "out.dir": ("out_dir", str),
@@ -339,7 +338,7 @@ def run_sweep_point(
             for idx, payload in part.items():
                 scores[idx] = None if payload is None else (
                     payload["sigma_phi_sq"],
-                    *(est.trial_mse(*payload[x], cfg) for x in PRIOR_TAGS),
+                    *(est.trial_mse(*payload[x]) for x in PRIOR_TAGS),
                 )
             part = payload = None  # this task's windows go before the next runs
 
@@ -363,6 +362,10 @@ def run_sweep_point(
     # pool and task sizes
     kept = [scores[i] for i in sorted(scores) if scores[i] is not None]
     n_diverged = len(scores) - len(kept)
+    if len(kept) < 2:
+        raise ValueError(
+            f"{n_diverged} of {len(scores)} trials diverged; a cell needs two kept trials"
+        )
     sigma_emp = [score[0] for score in kept]
     mse, stderr = {}, {}
     for k, x in enumerate(PRIOR_TAGS, start=1):

@@ -268,22 +268,18 @@ def smooth(y, x: str, bank: FilterBank):
     return scipy.fft.irfft(spectrum, n=bank.n_fft, axis=-1)
 
 
-def trial_mse(estimate, truth, cfg) -> float:
-    """Time-averaged squared error of one trial over its retained window.
+def trial_mse(estimate, truth) -> float:
+    """Time-averaged squared error of one trial over its data window.
 
     `estimate` and `truth` are one trial's records on the data window (the
-    last axis); `cfg.n_edge` samples are trimmed from each end before
-    scoring (the smoother needs two-sided data).
+    last axis).  Every sample is scored: the trial's margins already give
+    the smoother two-sided data (`sim.trial_geometry`).
     """
     e = np.asarray(estimate, dtype=float)
     t = np.asarray(truth, dtype=float)
     if e.shape != t.shape:
         raise ValueError("estimate and truth arrays must have matching shapes")
-    n_edge = cfg.n_edge
-    if e.shape[-1] - 2 * n_edge <= 0:
-        raise ValueError("edge discard leaves an empty scoring window")
-    window = slice(n_edge, e.shape[-1] - n_edge)
-    return float(np.mean((e[..., window] - t[..., window]) ** 2))
+    return float(np.mean((e - t) ** 2))
 
 
 def empirical_mse(per_trial) -> tuple[float, float]:

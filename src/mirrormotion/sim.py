@@ -43,8 +43,7 @@ class SimConfig:
     """Monte Carlo settings.
 
     `n_samples` counts only the scored data window; margins are added
-    internally (`trial_geometry`).  `edge_discard` seconds, `n_edge` samples,
-    are trimmed from each end of the data window before scoring.
+    internally (`trial_geometry`), and every sample of the window is scored.
     """
 
     dt: float = 1e-7
@@ -53,7 +52,6 @@ class SimConfig:
     seed: int = 424242
     mode: str = MODE_LINEARIZED
     feedback_delay_samples: int = 4
-    edge_discard: float = 1e-4
 
     def __post_init__(self):
         require_finite(self)
@@ -71,19 +69,6 @@ class SimConfig:
             raise ValueError("feedback delay must be nonnegative")
         if self.feedback_delay_samples >= self.n_samples:
             raise ValueError("feedback delay must be shorter than the data window")
-        if self.edge_discard < 0:
-            raise ValueError("edge discard must be nonnegative")
-        try:
-            too_wide = 2 * self.n_edge >= self.n_samples
-        except OverflowError:  # edge_discard / dt beyond the float range
-            too_wide = True
-        if too_wide:
-            raise ValueError("edge discard leaves no scoring window")
-
-    @property
-    def n_edge(self) -> int:
-        """Samples trimmed from each end of the data window before scoring."""
-        return int(round(self.edge_discard / self.dt))
 
 
 # scipy modules are imported inside the functions that use them, so importing

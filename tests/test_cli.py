@@ -40,25 +40,36 @@ def tiny_config(tmp_path):
     base = cli.reference_config()
     return replace(
         base,
-        simulation=replace(base.simulation, n_samples=4000, n_trials=3, edge_discard=5e-5),
+        simulation=replace(base.simulation, n_samples=4000, n_trials=3),
         out_dir=str(tmp_path / "results"),
     )
 
 
-@pytest.fixture()
-def second_trial_diverges(tiny_config, monkeypatch):
-    """Flag the second trial of every `tiny_config` cell as diverged: a serial
-    cell makes n_trials calls of `sim.simulate_trial`, in trial order."""
+def flag_diverged(monkeypatch, n_trials, diverges):
+    """Flag the trials of every cell whose 1-based position `diverges(k)` as
+    diverged: a serial cell makes n_trials calls of `sim.simulate_trial`, in
+    trial order."""
     simulate_trial = sim.simulate_trial
-    n_trials = tiny_config.simulation.n_trials
     calls = []
 
     def patched(*args):
         traj = simulate_trial(*args)
         calls.append(None)
-        return replace(traj, diverged=len(calls) % n_trials == 2)
+        return replace(traj, diverged=diverges((len(calls) - 1) % n_trials + 1))
 
     monkeypatch.setattr(sim, "simulate_trial", patched)
+
+
+@pytest.fixture()
+def second_trial_diverges(tiny_config, monkeypatch):
+    """Flag the second trial of every `tiny_config` cell as diverged."""
+    flag_diverged(monkeypatch, tiny_config.simulation.n_trials, lambda k: k == 2)
+
+
+@pytest.fixture()
+def one_trial_kept(tiny_config, monkeypatch):
+    """Flag every trial of a `tiny_config` cell but the first as diverged."""
+    flag_diverged(monkeypatch, tiny_config.simulation.n_trials, lambda k: k > 1)
 
 
 def recording_pool(sizes):
@@ -104,8 +115,6 @@ def experiment_configs(draw):
         seed=draw(st.integers(0, 2**63 - 1)),
         mode=draw(st.sampled_from((sim.MODE_LINEARIZED, sim.MODE_NONLINEAR))),
         feedback_delay_samples=draw(st.integers(0, min(1000, n_samples - 1))),
-        # against n_samples - 1, so the edges rounded to samples leave a window
-        edge_discard=draw(st.floats(0.0, 0.49)) * (n_samples - 1) * dt,
     )
     antisqueezing_db = draw(st.floats(0.0, 1e3))
     return cli.ExperimentConfig(
@@ -186,12 +195,12 @@ class TestConfigFile:
             cli.read_config(path)
 
     def test_fields_checked_after_whole_section(self, tmp_path):
-        # a shorter window with a smaller discard is valid only once both apply
+        # a shorter window with a shorter delay is valid only once both apply
         path = tmp_path / "short.cfg"
-        path.write_text("sim.samples = 1000\nsim.edge_discard = 1e-5\n")
+        path.write_text("sim.samples = 4\nsim.delay_samples = 3\n")
         config = cli.read_config(path)
-        assert config.simulation.n_samples == 1000
-        assert config.simulation.edge_discard == 1e-5
+        assert config.simulation.n_samples == 4
+        assert config.simulation.feedback_delay_samples == 3
 
     @pytest.mark.parametrize(
         "change",
@@ -294,12 +303,12 @@ class TestSweep:
 
     # (probe, var): (mse_emp, mse_stderr) of `tiny_config` at alpha_sq = 6.24e6
     GOLDEN = {
-        ("coherent", "q"): (1.783763278856457e-17, 1.194694242925292e-18),
-        ("coherent", "p"): (9.946586410393297e-14, 6.4694374081379255e-15),
-        ("coherent", "f"): (0.005397192553360959, 0.0002179269459652668),
-        ("squeezed", "q"): (1.1453318913738748e-17, 4.436462777242392e-19),
-        ("squeezed", "p"): (7.335490399140014e-14, 5.98818397083261e-15),
-        ("squeezed", "f"): (0.0041200593090726274, 0.0001010186226836683),
+        ("coherent", "q"): (1.8645697657426216e-17, 2.822766903291343e-19),
+        ("coherent", "p"): (1.2134133770826183e-13, 1.489223295862673e-14),
+        ("coherent", "f"): (0.00523751737403856, 0.00038401671207627164),
+        ("squeezed", "q"): (1.1585817769585209e-17, 1.3229892987274852e-19),
+        ("squeezed", "p"): (8.290071056959692e-14, 1.1477850073684683e-14),
+        ("squeezed", "f"): (0.003976258065490346, 0.00021100424449834858),
     }
 
     def test_matches_golden(self, tiny_config):
@@ -506,7 +515,7 @@ class TestTasks:
 
             base = cli.reference_config()
             config = replace(base, simulation=replace(
-                base.simulation, n_samples=4000, n_trials=10, edge_discard=5e-5))
+                base.simulation, n_samples=4000, n_trials=10))
             for _ in range(2):  # the heap grows to a cell's working set
                 cli.run_sweep_point(config, "coherent", 1.02e6)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -751,6 +760,18 @@ class TestSimulateCommand:
         assert math.isfinite(point.sigma_phi_sq_emp)
         assert point.sigma_phi_sq_emp == pytest.approx(point.probe.sigma_phi_sq, rel=0.5)
 
+    def test_too_few_kept_trials_names_the_diverged(
+        self, tiny_config, tmp_path, one_trial_kept, capsys
+    ):
+        cfg_path = tmp_path / "tiny.cfg"
+        cli.write_config(tiny_config, cfg_path)
+        argv = ["--config", str(cfg_path), "simulate", "--kind", "coherent", "--alpha-sq", "1.02e6"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "sweep point (kind=coherent, alpha_sq=1.02e+06) failed: "
+            "2 of 3 trials diverged; a cell needs two kept trials"
+        ]
+
     def test_tabulated_range_warns_once(self, tiny_config, tmp_path, recwarn):
         """Every rfft grid includes omega = 0, so a table clamps on every
         call; a run says so once per table, naming the queried range."""
@@ -773,7 +794,7 @@ class TestSimulateCommand:
     def test_failed_cell_reported_like_sweep(self, tmp_path, capsys):
         # 1000 samples of 0.1 us span less than ten force correlation times
         cfg_path = tmp_path / "short.cfg"
-        cfg_path.write_text("sim.samples = 1000\nsim.edge_discard = 1e-5\n")
+        cfg_path.write_text("sim.samples = 1000\n")
         argv = ["--config", str(cfg_path), "--trials", "2", "--out", str(tmp_path), "simulate"]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
@@ -802,9 +823,7 @@ class TestMainEntry:
         cfg = replace(
             cli.reference_config(),
             alpha_sqs=(1.02e6,),
-            simulation=replace(
-                cli.reference_config().simulation, n_samples=4000, edge_discard=5e-5
-            ),
+            simulation=replace(cli.reference_config().simulation, n_samples=4000),
         )
         cfg_path = tmp_path / "tiny.cfg"
         cli.write_config(cfg, cfg_path)
@@ -853,10 +872,10 @@ class TestMainEntry:
     # point like `TestSweep::test_matches_golden`: a change that moves bits by
     # design updates them and says why.
     DIGESTS = {
-        "sweep": "354f45621167eeedaf4c944719eff9f4331f865d4dd4da542d1623925ecc0927",
+        "sweep": "5089ac4758f623344b38a60d1b8ffcc380eb8fb445b7b065bfb77151067d603f",
         "bounds": "bc28cca227839c124441b566a1fd6dae903244e12ccc477a3c1cab75cf336410",
         "diagnose": "956d84ba2b89864ee9d8c56d9f1f28e4878eaf6d5f22031babe32766e7888d21",
-        "simulate": "ab201980801e8029e776b47ea13d2983393a68de542620bc98154164d300368c",
+        "simulate": "f5e6031694961cade6e54a335775119750951f750becdd8142a7d11699edc948",
         "dumps": "4eee1ab12cd90f1827c5af9c39af2fd0d665d9e864940f452fe4a4adcd72d8d0",
     }
 
@@ -909,7 +928,10 @@ class TestMainEntry:
             (["simulate", "--alpha-sq", "0"], "probe amplitudes must be positive"),
             (["simulate", "--alpha-sq", "nan"], "alpha_sqs must be finite"),
             (["simulate", "--alpha-sq", "inf"], "alpha_sqs must be finite"),
-            (["--config", "{wide_edge}", "--trials", "2", "sweep"], "leaves no scoring window"),
+            (
+                ["--config", "{removed_key}", "--trials", "2", "sweep"],
+                "unknown config keys: ['sim.edge_discard']",
+            ),
             (
                 ["--config", "{long_delay}", "diagnose"],
                 "feedback delay must be shorter than the data window",
@@ -936,7 +958,7 @@ class TestMainEntry:
         ids=[
             "zero-trials", "one-trial", "unparsable-value", "missing-config",
             "table-without-column", "table-with-nan", "config-under-a-file", "negative-amplitude",
-            "zero-amplitude", "nan-amplitude", "infinite-amplitude", "edge-rounds-to-half-window",
+            "zero-amplitude", "nan-amplitude", "infinite-amplitude", "removed-edge-discard-key",
             "delay-fills-window",
             "efficiency-above-one", "zero-efficiency", "squeezing-above-antisqueezing",
             "negative-squeezing", "zero-bandwidth", "negative-seed",
@@ -953,14 +975,14 @@ class TestMainEntry:
         nan_values.write_text("freq_hz,gqf_real,gqf_imag\n1000,1e-6,0\n2000,nan,0\n")
         nan_table = tmp_path / "nan_table.cfg"
         nan_table.write_text(f"transfer.source = {nan_values}\n")
-        # 1999.6 samples of edge round to 2000: half of the 4000-sample window
-        wide_edge = tmp_path / "edge.cfg"
-        wide_edge.write_text("sim.samples = 4000\nsim.edge_discard = 1.9996e-4\n")
+        # the whole window is scored; the key that trimmed its ends is gone
+        removed_key = tmp_path / "edge.cfg"
+        removed_key.write_text("sim.samples = 4000\nsim.edge_discard = 1e-5\n")
         long_delay = tmp_path / "delay.cfg"
         long_delay.write_text("sim.samples = 4000\nsim.delay_samples = 4000\n")
         paths = {
             "bad": bad, "missing": tmp_path / "missing.cfg", "bad_table": bad_table,
-            "nan_table": nan_table, "wide_edge": wide_edge, "long_delay": long_delay,
+            "nan_table": nan_table, "removed_key": removed_key, "long_delay": long_delay,
         }
         for name, text in (
             ("efficiency", "probe.efficiency = 1.5"),
@@ -1051,7 +1073,7 @@ class TestImports:
             cli.ProcessPoolExecutor = RecordingPool
             base = cli.reference_config()
             config = replace(base, simulation=replace(
-                base.simulation, n_samples=4000, n_trials=2, edge_discard=5e-5))
+                base.simulation, n_samples=4000, n_trials=2))
             cli.run_sweep_point(config, "coherent", 1.02e6, workers=2)
         """)
         assert out.splitlines()[-1] == "True True True"

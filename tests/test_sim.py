@@ -47,26 +47,20 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             sim.SimConfig(feedback_delay_samples=-1)
         with pytest.raises(ValueError):
-            sim.SimConfig(n_samples=1000, dt=1e-7, edge_discard=1e-4)
-        with pytest.raises(ValueError, match="no scoring window"):
-            sim.SimConfig(dt=1e-200, edge_discard=1e200)  # edge/dt overflows
-        with pytest.raises(ValueError):
             sim.SimConfig(dt=math.nan)
         with pytest.raises(ValueError):
             sim.SimConfig(dt=math.inf)
-        with pytest.raises(ValueError):
-            sim.SimConfig(edge_discard=math.nan)
 
     def test_feedback_delay_shorter_than_window(self):
         # a delay as long as the data window feeds back nothing, and the
         # nonlinear loop allocates its delay line before the first sample
-        longest = sim.SimConfig(n_samples=100, feedback_delay_samples=99, edge_discard=0.0)
+        longest = sim.SimConfig(n_samples=100, feedback_delay_samples=99)
         assert longest.feedback_delay_samples == 99
         with pytest.raises(ValueError, match="shorter than the data window"):
-            sim.SimConfig(n_samples=100, feedback_delay_samples=100, edge_discard=0.0)
+            sim.SimConfig(n_samples=100, feedback_delay_samples=100)
 
     def test_short_trace_rejected(self, force, mirror):
-        cfg = sim.SimConfig(dt=1e-7, n_samples=1000, edge_discard=0.0)
+        cfg = sim.SimConfig(dt=1e-7, n_samples=1000)
         with pytest.raises(ValueError, match="correlation times"):
             sim.trial_geometry(force, mirror, cfg)
 
