@@ -347,6 +347,9 @@ def run_sweep_point(
         # it instead of each importing it again
         import scipy.fft, scipy.linalg, scipy.signal  # noqa: F401, E401
 
+        # and solve the tracker's Riccati equation: a forked worker that first
+        # calls scipy's BLAS starts BLAS threads, which spin
+        tracker.gain
         with ProcessPoolExecutor(
             max_workers=min(workers, len(tasks)), initializer=_enter_cell, initargs=cell
         ) as pool:
@@ -634,9 +637,11 @@ def main(argv=None) -> int:
             f"trials: {n_trials} run, {n_trials - point.n_diverged} kept, "
             f"{point.n_diverged} diverged"
         )
+        tracker = sim.KalmanTracker(point.probe, config.force, config.mirror, config.simulation)
         print(
             f"tracking sigma_phi^2: empirical feedback error = {point.sigma_phi_sq_emp:.4e} "
-            f"(kept trials), Riccati posterior = {point.probe.sigma_phi_sq:.4e}"
+            f"(kept trials), predicted feedback error = {tracker.sigma_phi_sq_feedback():.4e}, "
+            f"Riccati posterior = {point.probe.sigma_phi_sq:.4e}"
         )
     return 1 if failed else 0
 

@@ -19,7 +19,8 @@ class GridMismatchError(ValueError):
 
 
 class RiccatiError(RuntimeError):
-    """The steady-state Riccati solution does not exist or is not stabilizing."""
+    """The tracker has no steady state: no stabilizing Riccati solution, no
+    converged phase-spectrum integral, or no calibration lock."""
 
 
 @functools.cache

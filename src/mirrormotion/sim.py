@@ -11,7 +11,6 @@ wrap-around effects exp(-PAD_CORRELATION_TIMES) below the Monte Carlo noise.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from collections import deque
@@ -33,6 +32,12 @@ PAD_CORRELATION_TIMES = 10.0
 #: and fails after CALIBRATION_MAX_ITER steps.
 CALIBRATION_RTOL = 1e-10
 CALIBRATION_MAX_ITER = 60
+
+#: Gauss-Legendre nodes per panel of the tracker's phase-spectrum integral;
+#: a tracker fails when twice as many nodes move the integral by more than
+#: SPECTRAL_RTOL of its value.
+SPECTRAL_NODES = 16
+SPECTRAL_RTOL = 1e-10
 
 #: Samples the nonlinear tracker converts to Python floats at a time.
 TRACKER_BLOCK = 4096
@@ -177,21 +182,51 @@ def _discretize(a_c: np.ndarray, q_c: np.ndarray, dt: float) -> tuple[np.ndarray
     return a_d, 0.5 * (q_d + q_d.T)
 
 
+def _phase_spectrum_panels(params: MirrorParams, force: ForceParams, dt: float) -> np.ndarray:
+    """Panel edges on [0, pi] for the tracker's phase spectrum: geometric
+    around the resonance Omega dt in steps of its width gamma dt (2^-3 to
+    2^13 widths), and in octaves around gamma dt, lambda dt and Omega dt,
+    where the spectrum turns over."""
+    resonance, width = params.Omega * dt, params.gamma * dt
+    edges = {0.0, math.pi}
+    steps = width * 2.0 ** np.arange(-3, 14)
+    edges.update(resonance - steps)
+    edges.update(resonance + steps)
+    for corner in (width, force.lam * dt, resonance):
+        edges.update(corner * 2.0 ** np.arange(-10, 11))
+    return np.array(sorted(e for e in edges if 0.0 <= e <= math.pi))
+
+
+def _phase_spectrum(
+    a_d: np.ndarray, q_d: np.ndarray, c: float, edges: np.ndarray, nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (weights, S_phi) at the `nodes`-point Gauss-Legendre nodes
+    theta of every panel between `edges`: the discrete phase spectrum
+    S_phi = c^2 [G q_d G^H]_00 of the tracker's model, G = (e^{i theta} I - a_d)^-1."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    lo, half = edges[:-1, None], np.diff(edges)[:, None] / 2
+    theta = (lo + half * (x + 1.0)).ravel()
+    weights = (half * w).ravel()
+    g = np.linalg.inv(np.exp(1j * theta)[:, None, None] * np.eye(3) - a_d)[:, 0, :]
+    s_phi = c * c * np.einsum("ni,ij,nj->n", g, q_d, g.conj()).real
+    weights.flags.writeable = s_phi.flags.writeable = False
+    return weights, s_phi
+
+
 @functools.lru_cache(maxsize=64)
 def _tracker_model(
     params: MirrorParams, force: ForceParams, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Read-only discretized (a_d, q_d) of the tracker's state model (q, p, f),
-    its measurement row c_vec and the r-free part of its Riccati pencil.
+    its measurement row c_vec and its phase spectrum (`_phase_spectrum`) on
+    `SPECTRAL_NODES` and twice as many nodes per panel.
 
     None of them depends on the probe, so every tracker of one mirror, force
     and sample period (all the steps of `calibrate_tracking`, every cell of
-    a sweep) shares one Van Loan exponential and one balanced pencil.
-
-    c_vec is exactly [phase_gain, 0, 0]: the tracker measures position only.
-    `KalmanTracker`'s build relies on it, writing each product with c_vec as
-    its one nonzero term, and a test pins it, so a model that also measured
-    p would fail that test rather than drift silently.
+    a sweep) shares one Van Loan exponential and one spectrum table.
+    c_vec is exactly [phase_gain, 0, 0]: the tracker measures position only,
+    so its phase spectrum is c^2 times that of q (row 0 of G), and a test
+    pins c_vec.
     """
     m = params.m
     a_c = np.array(
@@ -205,153 +240,12 @@ def _tracker_model(
     a_d, q_d = _discretize(a_c, q_c, dt)
     c_vec = np.array([params.phase_gain, 0.0, 0.0])
     a_d.flags.writeable = q_d.flags.writeable = c_vec.flags.writeable = False
-    return a_d, q_d, c_vec, _riccati_pencil(a_d, c_vec, q_d)
-
-
-def _no_sort(*_):
-    """Eigenvalue selector for an unsorted QZ (never called with sort_t=0)."""
-
-
-def _riccati_pencil(a_d: np.ndarray, c_vec: np.ndarray, q_d: np.ndarray) -> tuple:
-    """The part of the tracker's Riccati pencil that does not depend on the
-    measurement noise variance r: read-only (H[:, :6], J[:, :6], H[:, 6:]
-    with H[6, 6] left at 0, sca[:3] (x) sca[:3]).
-
-    H - zJ is van Dooren's 7x7 symplectic pencil (SIAM J. Sci. Stat.
-    Comput. 2, 121 (1981)), scaled by Benner's symplectic balancing with
-    scale factors sca, as `scipy.linalg.solve_discrete_are(a_d.T,
-    c_vec[:, None], q_d, [[r]])` builds it.
-
-    r enters only at H[6, 6].  The balancing sees |H| + |J| with the
-    diagonal zeroed, so never r, and it scales H[6, 6] by sca[6] / sca[6],
-    a ratio of equal powers of two, exactly 1; so `_solve_riccati` sets
-    H[6, 6] = r after the scaling and gets scipy's pencil bit for bit.
-    """
-    from scipy.linalg import lapack
-
-    eye = np.eye(3)
-    h = np.zeros((7, 7))
-    h[:3, :3] = a_d.T
-    h[:3, 6] = c_vec
-    h[3:6, :3] = -q_d
-    h[3:6, 3:6] = eye
-    j = np.zeros((7, 7))
-    j[:3, :3] = eye
-    j[3:6, 3:6] = a_d
-    j[6, 3:6] = -c_vec
-
-    # scipy rescales unless gebal's scaling is close to all ones; gebal scales
-    # by powers of two, so that means exactly all ones.  The pencil is scaled
-    # by diag(D, 1/D, s_r), D = 2^round((log2 s_costate - log2 s_state) / 2),
-    # which keeps it symplectic
-    mags = np.abs(h) + np.abs(j)
-    np.fill_diagonal(mags, 0.0)
-    sca = lapack.dgebal(mags, scale=1, permute=0, overwrite_a=1)[3]
-    if not (sca == 1.0).all():
-        log_sca = np.log2(sca)
-        s = np.round((log_sca[3:6] - log_sca[:3]) / 2)
-        sca = 2 ** np.concatenate((s, -s, log_sca[6:]))
-        scale = sca[:, None] * np.reciprocal(sca)
-        h *= scale
-        j *= scale
-    x_scale = sca[:3, None] * sca[:3]
-    h.flags.writeable = j.flags.writeable = x_scale.flags.writeable = False
-    return h[:, :6], j[:, :6], h[:, 6:], x_scale
-
-
-def _solve_riccati(pencil: tuple, r: float) -> np.ndarray:
-    """Stationary one-step-prediction covariance of the tracker's Kalman
-    filter, the stabilizing solution of the discrete Riccati equation at
-    measurement noise variance r.
-
-    With `pencil = _riccati_pencil(a_d, c_vec, q_d)` it is
-    `scipy.linalg.solve_discrete_are(a_d.T, c_vec[:, None], q_d, [[r]])` bit
-    for bit: the same LAPACK calls, in the same order, on the same values,
-    without scipy's argument checks (at these sizes LAPACK takes its unblocked
-    path whatever the workspace, so the default workspaces keep every bit).
-    The pencil is deflated by its R column; a real QZ orders the eigenvalues
-    inside the unit circle first; and P = U21 U11^-1 from the stable
-    subspace (U11; U21).  Failures raise np.linalg.LinAlgError, or
-    ValueError for a non-finite r, as scipy does.
-    """
-    from scipy.linalg import lapack
-
-    if not math.isfinite(r):
-        raise ValueError("measurement noise variance must be finite")
-    h_free, j_free, column, x_scale = pencil
-    column = column.copy()
-    column[6, 0] = r
-    qr, tau = lapack.dgeqrf(column, overwrite_a=1)[:2]
-    q_full = np.empty((7, 7))
-    q_full[:, :1] = qr
-    q = lapack.dorgqr(q_full, tau, overwrite_a=1)[0]
-    h = q[:, 1:].T.dot(h_free)
-    j = q[:, 1:].T.dot(j_free)
-
-    aa, bb, _, alphar, alphai, beta, vsl, vsr, _, info = lapack.dgges(
-        _no_sort, h, j, overwrite_a=1, overwrite_b=1, sort_t=0
+    edges = _phase_spectrum_panels(params, force, dt)
+    tables = tuple(
+        _phase_spectrum(a_d, q_d, params.phase_gain, edges, nodes)
+        for nodes in (SPECTRAL_NODES, 2 * SPECTRAL_NODES)
     )
-    if info:
-        raise np.linalg.LinAlgError(f"QZ iteration failed (gges info {info})")
-    # beta = 0 is an infinite eigenvalue, never stable, and the only case in
-    # which the division warns: only then is np.errstate worth its cost
-    infinite = 0.0 in beta.tolist()
-    with np.errstate(divide="ignore", invalid="ignore") if infinite else contextlib.nullcontext():
-        stable = abs((alphar + alphai * 1j) / beta) < 1.0
-    reordered = lapack.dtgsen(stable, aa, bb, vsl, vsr, ijob=0, lwork=4 * 6 + 16, liwork=1)
-    u, info = reordered[6], reordered[-1]
-    if info:
-        raise np.linalg.LinAlgError(f"reordering the stable subspace failed (tgsen info {info})")
-    u00 = u[:3, :3]
-    u10 = u[3:, :3]
-
-    # u00 = P L U (scipy.linalg.lu's factors); fail where np.linalg.cond(U),
-    # from the same singular values (numpy's own dgesdd call), exceeds
-    # 1/eps.  x = u10 U^-1 L^-1 P^T by two triangular solves, each reading
-    # one triangle of lu.T: U^T, then the unit-diagonal L^T
-    lu, piv, info = lapack.dgetrf(u00)
-    upper = lu.copy()  # np.triu(lu)
-    upper[1, 0] = upper[2, 0] = upper[2, 1] = 0.0
-    sv, svd_info = lapack.dgesdd(upper, compute_uv=0)[1::2]
-    if svd_info:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    sv_max, _, sv_min = sv.tolist()
-    if info or not sv_min or 1 / (sv_max / sv_min) < math.ulp(1.0):
-        raise np.linalg.LinAlgError("Failed to find a finite solution.")
-    y = lapack.dtrtrs(lu.T, u10.T, lower=1)[0]
-    w = lapack.dtrtrs(lu.T, y, unitdiag=1)[0]
-
-    # U11^T U21 is symmetric for a stabilizing solution.  Its 1-norm and that
-    # of its antisymmetric part are numpy's column sums (row 0 + row 1) + row 2,
-    # where the antisymmetric part's zero diagonal adds exact zeros
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = u00.T.dot(u10).tolist()
-    norm = max(
-        abs(m00) + abs(m10) + abs(m20),
-        abs(m01) + abs(m11) + abs(m21),
-        abs(m02) + abs(m12) + abs(m22),
-    )
-    d01, d02, d12 = abs(m10 - m01), abs(m20 - m02), abs(m21 - m12)
-    if max(d01 + d02, d01 + d12, d02 + d12) > max(math.ulp(1000.0), 0.1 * norm):
-        raise np.linalg.LinAlgError(
-            "The associated symplectic pencil has eigenvalues too close to the unit circle"
-        )
-
-    # x[:, perm] = w.T, x *= x_scale and (x + x.T) / 2, entry by entry
-    perm = [0, 1, 2]
-    for k, p in enumerate(piv.tolist()):
-        perm[k], perm[p] = perm[p], perm[k]
-    x_t = [None] * 3  # x.T: its row perm[j] is row j of w
-    for p, row in zip(perm, w.tolist()):
-        x_t[p] = row
-    (x00, x10, x20), (x01, x11, x21), (x02, x12, x22) = x_t
-    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = x_scale.tolist()
-    x01 = (x01 * s01 + x10 * s10) / 2
-    x02 = (x02 * s02 + x20 * s20) / 2
-    x12 = (x12 * s12 + x21 * s21) / 2
-    x00, x11, x22 = x00 * s00, x11 * s11, x22 * s22
-    return np.array(
-        [[(x00 + x00) / 2, x01, x02], [x01, (x11 + x11) / 2, x12], [x02, x12, (x22 + x22) / 2]]
-    )
+    return a_d, q_d, c_vec, tables
 
 
 class KalmanTracker:
@@ -359,92 +253,106 @@ class KalmanTracker:
 
     The internal model is the nominal mass-spring-damper system with state
     (q, p, f), the force an Ornstein-Uhlenbeck process, and the measurement
-    y = 2 k0 cos(theta) q + noise of per-sample variance S_z/dt.  The gain is
-    the stationary discrete Riccati solution; the y -> phase-prediction map is
-    then a fixed third-order IIR filter.
+    y = 2 k0 cos(theta) q + noise of per-sample variance r = S_z/dt.
+
+    Its phase errors come from the spectrum of its model (Kolmogorov-Szego):
+    the one-step innovation variance c^2 P + r of y_k = phi_k + v_k is the
+    geometric mean r e^L of the spectrum of y, with
+    L = (1/pi) int_0^pi ln(1 + S_phi(theta)/r) dtheta.  So calibration, which
+    needs only the posterior error, solves no Riccati equation.  The gain, from
+    the stationary discrete Riccati solution, and the y -> phase-prediction
+    IIR it defines are built on first use, when the tracker filters.
     """
 
     def __init__(
         self, probe: ProbeState, force: ForceParams, params: MirrorParams, cfg: SimConfig
     ):
-        from scipy.linalg import lapack
-
         self.cfg = cfg
-        self.a_d, self.q_d, self.c_vec, pencil = _tracker_model(params, force, cfg.dt)
+        self.a_d, self.q_d, self.c_vec, tables = _tracker_model(params, force, cfg.dt)
         self.r = measurement_noise_psd(probe) / cfg.dt
-
-        try:
-            self.p_pred = _solve_riccati(pencil, self.r)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise RiccatiError(f"steady-state Riccati solve failed: {exc}") from exc
-        # c_vec = [c, 0, 0], so each product with it has one nonzero term and
-        # these Python floats are numpy's expressions bit for bit:
-        # c_vec P = c P[0], P c_vec = P[:, 0] c, and I - outer(gain, c_vec) is
-        # the identity less gain c in column 0
-        c = self.c_vec.item(0)
-        p = self.p_pred.tolist()
-        c_p = [c * v for v in p[0]]
-        s = c_p[0] * c + self.r
-        gain = [row[0] * c / s for row in p]
-        self.gain = np.array(gain)
-        self.p_post = np.array([[v - k * w for v, w in zip(row, c_p)] for row, k in zip(p, gain)])
-        g0, g1, g2 = (k * c for k in gain)
-        update = np.array([[1.0 - g0, 0.0, 0.0], [0.0 - g1, 1.0, 0.0], [0.0 - g2, 0.0, 1.0]])
-        a_cl = self.a_d @ update
-        # np.linalg.eigvals' checks and its own dgeev call, without its wrapper
-        if not np.isfinite(a_cl).all():
-            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-        wr, wi, _, _, info = lapack.dgeev(a_cl, compute_vl=0, compute_vr=0)
-        if info:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        rho = float(abs(wr + wi * 1j).max())
-        if rho >= 1.0:
-            raise RiccatiError(f"closed-loop tracker is unstable (spectral radius {rho:.6f})")
-        self._rho = rho
-        self._a_cl = a_cl
+        big_l, check = (np.dot(w, np.log1p(s_phi / self.r)) / math.pi for w, s_phi in tables)
+        if not abs(check - big_l) <= SPECTRAL_RTOL * check:
+            raise RiccatiError(
+                "phase-spectrum integral not converged: doubling its nodes moves it "
+                f"by {abs(check - big_l) / check:.1e}"
+            )
+        self._log_innovation = big_l  # L = ln((c^2 P + r) / r)
 
     @property
     def sigma_phi_sq_posterior(self) -> float:
-        """Steady-state posterior phase MSE, c^2 P_post[q, q]."""
-        c = self.c_vec.item(0)
-        return c * self.p_post.item(0) * c
+        """Steady-state posterior phase MSE, c^2 P_post[q, q] = c^2 P r / (c^2 P + r)."""
+        return -self.r * math.expm1(-self._log_innovation)
 
     @property
     def sigma_phi_sq_prediction(self) -> float:
         """One-step-prediction phase MSE, c^2 P_pred[q, q]."""
-        c = self.c_vec.item(0)
-        return c * self.p_pred.item(0) * c
+        return self.r * math.expm1(self._log_innovation)
 
     def sigma_phi_sq_feedback(self) -> float:
         """Phase MSE of the feedback signal, a one-step prediction applied
-        d = `cfg.feedback_delay_samples` samples late: E[(phi_k - phihat_{k-d})^2]."""
+        d = `cfg.feedback_delay_samples` samples late: E[(phi_k - phihat_{k-d})^2].
+
+        It is the one-step prediction error plus the delay penalty, from the
+        Riccati solution; the penalty is exactly 0 at d = 0, so the feedback
+        error never falls below the prediction error by rounding."""
         import scipy.linalg
 
         d = self.cfg.feedback_delay_samples
+        p_pred = self.p_pred
         sigma_x = scipy.linalg.solve_discrete_lyapunov(self.a_d, self.q_d)
         a_pow = np.linalg.matrix_power(self.a_d, d)
         drift = a_pow - np.eye(3)
-        cov = a_pow @ self.p_pred @ a_pow.T + drift @ (sigma_x - self.p_pred) @ drift.T
+        penalty = a_pow @ p_pred @ a_pow.T - p_pred + drift @ (sigma_x - p_pred) @ drift.T
         step = np.eye(3)
         for _ in range(d):
-            cov = cov + step @ self.q_d @ step.T
+            penalty = penalty + step @ self.q_d @ step.T
             step = step @ self.a_d
-        return float(self.c_vec @ cov @ self.c_vec)
+        return self.sigma_phi_sq_prediction + float(self.c_vec @ penalty @ self.c_vec)
+
+    @functools.cached_property
+    def p_pred(self) -> np.ndarray:
+        """Stationary one-step-prediction covariance, the stabilizing solution
+        of the discrete Riccati equation, solved on first use."""
+        import scipy.linalg
+
+        try:
+            return scipy.linalg.solve_discrete_are(
+                self.a_d.T, self.c_vec[:, None], self.q_d, np.array([[self.r]])
+            )
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise RiccatiError(f"steady-state Riccati solve failed: {exc}") from exc
+
+    @functools.cached_property
+    def _closed_loop(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(gain, a_cl, rho): the Kalman gain P c / (c P c + r), the closed
+        loop a_d (I - gain c) and its spectral radius, which must be below 1."""
+        c_vec, p_pred = self.c_vec, self.p_pred
+        gain = p_pred @ c_vec / (float(c_vec @ p_pred @ c_vec) + self.r)
+        a_cl = self.a_d @ (np.eye(3) - np.outer(gain, c_vec))
+        rho = float(np.max(np.abs(np.linalg.eigvals(a_cl))))
+        if rho >= 1.0:
+            raise RiccatiError(f"closed-loop tracker is unstable (spectral radius {rho:.6f})")
+        return gain, a_cl, rho
+
+    @property
+    def gain(self) -> np.ndarray:
+        """Kalman gain of the stationary filter."""
+        return self._closed_loop[0]
 
     @property
     def settle_samples(self) -> int:
         """Samples until the slowest closed-loop transient has decayed by e^-8."""
-        return int(math.ceil(8.0 / -math.log(self._rho)))
+        return int(math.ceil(8.0 / -math.log(self._closed_loop[2])))
 
     @functools.cached_property
     def _iir(self) -> tuple[np.ndarray, np.ndarray]:
-        """(numerator, denominator) of the y -> phase-prediction filter, built
-        on first use: calibration builds trackers that never filter.  It is
-        the state-space system (A, B, C, D) = (a_cl, a_d gain, c, 0)."""
+        """(numerator, denominator) of the y -> phase-prediction filter, the
+        state-space system (A, B, C, D) = (a_cl, a_d gain, c, 0)."""
         import scipy.signal
 
+        gain, a_cl, _ = self._closed_loop
         num, den = scipy.signal.ss2tf(
-            self._a_cl, (self.a_d @ self.gain)[:, None], self.c_vec[None, :], np.zeros((1, 1))
+            a_cl, (self.a_d @ gain)[:, None], self.c_vec[None, :], np.zeros((1, 1))
         )
         return num[0], den
 

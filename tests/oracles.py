@@ -7,12 +7,8 @@ dense Gaussian conditioning on a finite window of samples.  No spectral
 densities, quadrature, or Wiener formulas are used, so agreement with the
 frequency-domain results validates that whole path at once.
 
-The tracker oracles are the nonlinear feedback loop written one array element
-at a time, the form the fast scalar loop of `sim.run_tracking` must match; the
-Kalman gain, covariances and closed loop as numpy matrix expressions of the
-Riccati solution, which `sim.KalmanTracker`'s scalar build must match bit for
-bit; and the tracker's phase errors from the spectrum of its own model
-(Kolmogorov-Szego), which share no step with the Riccati solve.
+The tracker oracle is the nonlinear feedback loop written one array element
+at a time, the form the fast scalar loop of `sim.run_tracking` must match.
 """
 
 import math
@@ -142,71 +138,3 @@ def run_tracking_nonlinear(phi, probe, tracker, cfg, rng) -> tuple:
     start = min(tracker.settle_samples, n // 2)
     err = phi[start:] - phi_fb[start:]
     return y, phi_fb, float(np.mean(err**2)), diverged
-
-
-def tracker_build(tracker) -> dict:
-    """What `sim.KalmanTracker` derives from its Riccati solution, written as
-    numpy matrix expressions of P = `tracker.p_pred` and the measurement row:
-    innovation variance s = c P c + r, gain P c / s, posterior covariance
-    P - gain (c P), closed loop a_d (I - gain c), its spectral radius by
-    `np.linalg.eigvals`, the samples until its transient decays by e^-8, and
-    the posterior and prediction phase MSEs c P c."""
-    c_vec, p_pred = tracker.c_vec, tracker.p_pred
-    s = float(c_vec @ p_pred @ c_vec) + tracker.r
-    gain = p_pred @ c_vec / s
-    p_post = p_pred - np.outer(gain, c_vec @ p_pred)
-    a_cl = tracker.a_d @ (np.eye(3) - np.outer(gain, c_vec))
-    rho = float(np.max(np.abs(np.linalg.eigvals(a_cl))))
-    return {
-        "gain": gain,
-        "p_post": p_post,
-        "_a_cl": a_cl,
-        "_rho": rho,
-        "settle_samples": int(math.ceil(8.0 / -math.log(rho))),
-        "sigma_phi_sq_posterior": float(c_vec @ p_post @ c_vec),
-        "sigma_phi_sq_prediction": float(c_vec @ p_pred @ c_vec),
-    }
-
-
-#: Gauss-Legendre nodes per panel of the phase-spectrum integral.
-SPECTRAL_NODES = 16
-
-
-def _phase_spectrum_panels(params, force, dt: float) -> np.ndarray:
-    """Panel edges on [0, pi] for the tracker's phase spectrum: geometric
-    around the resonance Omega dt in steps of its width gamma dt (2^-3 to
-    2^13 widths), and in octaves around gamma dt, lambda dt and Omega dt,
-    where the spectrum turns over."""
-    resonance, width = params.Omega * dt, params.gamma * dt
-    edges = {0.0, math.pi}
-    steps = width * 2.0 ** np.arange(-3, 14)
-    edges.update(resonance - steps)
-    edges.update(resonance + steps)
-    for corner in (width, force.lam * dt, resonance):
-        edges.update(corner * 2.0 ** np.arange(-10, 11))
-    return np.array(sorted(e for e in edges if 0.0 <= e <= math.pi))
-
-
-def spectral_phase_errors(tracker, params, force) -> tuple[float, float]:
-    """(posterior, one-step prediction) phase MSE of the steady-state Kalman
-    filter, from the phase spectrum of the tracker's own model instead of its
-    Riccati equation.
-
-    For y_k = phi_k + v_k with Var v = r, the one-step innovation variance is
-    the geometric mean of the spectrum of y (Kolmogorov-Szego): c^2 P + r =
-    r e^L with L = (1/pi) int_0^pi ln(1 + S_phi(theta)/r) dtheta, where
-    S_phi = c^2 [G q_d G^H]_00 and G = (e^{i theta} I - a_d)^-1.  So the
-    prediction error is r expm1(L) and the posterior c^2 P r / (c^2 P + r) is
-    -r expm1(-L); neither form cancels.  The integral runs on Gauss-Legendre
-    panels (`_phase_spectrum_panels`) that resolve the mechanical resonance.
-    """
-    edges = _phase_spectrum_panels(params, force, tracker.cfg.dt)
-    x, w = np.polynomial.legendre.leggauss(SPECTRAL_NODES)
-    lo, half = edges[:-1, None], np.diff(edges)[:, None] / 2
-    theta = (lo + half * (x + 1.0)).ravel()
-    weights = (half * w).ravel()
-    g = np.linalg.inv(np.exp(1j * theta)[:, None, None] * np.eye(3) - tracker.a_d)[:, 0, :]
-    c = tracker.c_vec[0]
-    s_phi = c * c * np.einsum("ni,ij,nj->n", g, tracker.q_d, g.conj()).real
-    big_l = np.dot(weights, np.log1p(s_phi / tracker.r)) / math.pi
-    return -tracker.r * math.expm1(-big_l), tracker.r * math.expm1(big_l)

@@ -72,6 +72,22 @@ def one_trial_kept(tiny_config, monkeypatch):
     flag_diverged(monkeypatch, tiny_config.simulation.n_trials, lambda k: k > 1)
 
 
+@pytest.fixture()
+def riccati_solves(monkeypatch):
+    """The arguments of every call of scipy's discrete Riccati solver."""
+    import scipy.linalg
+
+    solve = scipy.linalg.solve_discrete_are
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_discrete_are", counted)
+    return calls
+
+
 def recording_pool(sizes):
     """Stand-in for `ProcessPoolExecutor` that runs the pool's initializer
     once and its map in this process, and appends each pool's size to
@@ -280,6 +296,11 @@ class TestSweep:
         cli.cmd_sweep(config, out_path=pooled, workers=2)
         assert serial.read_bytes() == pooled.read_bytes()
 
+    def test_serial_cell_solves_one_riccati_equation(self, tiny_config, riccati_solves):
+        # calibration uses the phase spectrum; only the filtering tracker solves
+        cli.run_sweep_point(tiny_config, "squeezed", 1.02e6)
+        assert len(riccati_solves) == 1
+
     def test_diverged_trials_reported(self, tiny_config, second_trial_diverges, capsys):
         config = replace(tiny_config, alpha_sqs=(1.02e6,))
         rows, failed = cli.cmd_sweep(config)
@@ -306,9 +327,9 @@ class TestSweep:
         ("coherent", "q"): (1.8645697657426216e-17, 2.822766903291343e-19),
         ("coherent", "p"): (1.2134133770826183e-13, 1.489223295862673e-14),
         ("coherent", "f"): (0.00523751737403856, 0.00038401671207627164),
-        ("squeezed", "q"): (1.1585817769585209e-17, 1.3229892987274852e-19),
-        ("squeezed", "p"): (8.290071056959692e-14, 1.1477850073684683e-14),
-        ("squeezed", "f"): (0.003976258065490346, 0.00021100424449834858),
+        ("squeezed", "q"): (1.1585817769585206e-17, 1.322989298727485e-19),
+        ("squeezed", "p"): (8.290071056959692e-14, 1.1477850073684691e-14),
+        ("squeezed", "f"): (0.003976258065490346, 0.00021100424449834845),
     }
 
     def test_matches_golden(self, tiny_config):
@@ -576,6 +597,11 @@ class TestBounds:
                 curve = [row[col] for row in rows if row["var"] == x]
                 assert np.all(np.diff(curve) < 0)
 
+    def test_pass_solves_no_riccati_equation(self, tmp_path, riccati_solves):
+        rows, failed = cli.cmd_bounds(cli.reference_config(), out_path=tmp_path / "b.csv")
+        assert failed == 0 and rows
+        assert riccati_solves == []
+
     def test_single_amplitude_is_one_point(self, tiny_config, tmp_path):
         # geomspace(a, a, n) has interior points an ulp off a, not new amplitudes
         config = replace(tiny_config, alpha_sqs=(1.02e6,))
@@ -753,9 +779,12 @@ class TestSimulateCommand:
         point = cli.cmd_simulate(tiny_config, "coherent", 1.02e6)
         assert point.n_diverged == 1
         assert lines[3] == "trials: 3 run, 2 kept, 1 diverged"
+        cfg = tiny_config.simulation
+        feedback = sim.KalmanTracker(point.probe, tiny_config.force, tiny_config.mirror, cfg)
         assert lines[4] == (
             f"tracking sigma_phi^2: empirical feedback error = {point.sigma_phi_sq_emp:.4e} "
-            f"(kept trials), Riccati posterior = {point.probe.sigma_phi_sq:.4e}"
+            f"(kept trials), predicted feedback error = {feedback.sigma_phi_sq_feedback():.4e}, "
+            f"Riccati posterior = {point.probe.sigma_phi_sq:.4e}"
         )
         assert math.isfinite(point.sigma_phi_sq_emp)
         assert point.sigma_phi_sq_emp == pytest.approx(point.probe.sigma_phi_sq, rel=0.5)
@@ -872,11 +901,11 @@ class TestMainEntry:
     # point like `TestSweep::test_matches_golden`: a change that moves bits by
     # design updates them and says why.
     DIGESTS = {
-        "sweep": "5089ac4758f623344b38a60d1b8ffcc380eb8fb445b7b065bfb77151067d603f",
-        "bounds": "bc28cca227839c124441b566a1fd6dae903244e12ccc477a3c1cab75cf336410",
+        "sweep": "f7e3f25effe11595622457513bf74566fb1a2a85a46990cf13f89f01c6d3dd89",
+        "bounds": "99f7aea68ed1d89f81f08a7e3638e694af91f76d3fc1506b5168f394a8f1d76e",
         "diagnose": "956d84ba2b89864ee9d8c56d9f1f28e4878eaf6d5f22031babe32766e7888d21",
-        "simulate": "f5e6031694961cade6e54a335775119750951f750becdd8142a7d11699edc948",
-        "dumps": "4eee1ab12cd90f1827c5af9c39af2fd0d665d9e864940f452fe4a4adcd72d8d0",
+        "simulate": "6dbaf488524df9cd68e3d85ea358e3d2bfacc5c9bae2667023b96f3cbe2880ea",
+        "dumps": "31fb866ab7f792f65185b7ab4db22f31e971ef02fad3c3ae03ee70d5dff8d53a",
     }
 
     def test_fixed_seed_outputs_match_digests(self, tmp_path, capsys):

@@ -311,14 +311,14 @@ class TestGoldenCalibration:
 
     # (kind, alpha_sq): operating_point(kind, alpha_sq).sigma_phi_sq
     GOLDEN = {
-        ("coherent", 1020000.0): 0.012338384128017835,
-        ("coherent", 1880000.0): 0.009673554356922973,
-        ("coherent", 2870000.0): 0.008033493876040704,
-        ("coherent", 6240000.0): 0.005475579187113939,
-        ("squeezed", 1020000.0): 0.009633307380823235,
-        ("squeezed", 1880000.0): 0.007276137905336178,
-        ("squeezed", 2870000.0): 0.005872088873180453,
-        ("squeezed", 6240000.0): 0.00379154483094787,
+        ("coherent", 1020000.0): 0.012338384128018649,
+        ("coherent", 1880000.0): 0.00967355435692306,
+        ("coherent", 2870000.0): 0.008033493876040899,
+        ("coherent", 6240000.0): 0.005475579187113506,
+        ("squeezed", 1020000.0): 0.009633307380824489,
+        ("squeezed", 1880000.0): 0.007276137905336827,
+        ("squeezed", 2870000.0): 0.005872088873180458,
+        ("squeezed", 6240000.0): 0.0037915448309478357,
     }
 
     @pytest.mark.parametrize("kind", cli.PROBE_KINDS)

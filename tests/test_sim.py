@@ -1,7 +1,6 @@
 """Monte Carlo engine: force statistics, mechanical response, phase tracking."""
 
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -194,23 +193,16 @@ class TestDiscretization:
 
     def test_cache_keyed_on_model_and_period(self, mirror, force, cfg):
         cached = sim._tracker_model(mirror, force, cfg.dt)
-        # equal but distinct parameter objects share one entry, pencil included
+        # equal but distinct parameter objects share one entry, spectrum included
         twin = sim._tracker_model(replace(mirror), replace(force), cfg.dt)
         assert all(a is b for a, b in zip(twin, cached))
-        a_d, q_d, c_vec, pencil = cached
+        a_d, q_d, c_vec, tables = cached
         assert not c_vec.flags.writeable
-        assert not any(block.flags.writeable for block in pencil)
+        assert not any(array.flags.writeable for table in tables for array in table)
         other = sim._tracker_model(mirror, force, 2.0 * cfg.dt)
-        assert other[0] is not a_d and other[3] is not pencil
+        assert other[0] is not a_d and other[3] is not tables
         assert not np.array_equal(other[0], a_d)
-        assert not np.array_equal(other[3][0], pencil[0])
-
-
-#: Riccati inputs with no finite solution: the unobservable, undriven
-#: second state has a unit-circle eigenvalue.
-RANK_DEFICIENT_RICCATI = (
-    np.diag([0.5, 1.0, 0.9]), np.array([1.0, 0.0, 0.0]), np.diag([1.0, 0.0, 1.0]), 1.0
-)
+        assert not np.array_equal(other[3][0][1], tables[0][1])
 
 
 #: (params, force) of the reference mirror and force, as tracker_models draws them.
@@ -218,13 +210,6 @@ REFERENCE_MODEL = (
     MirrorParams(m=MASS, Omega=OMEGA, gamma=GAMMA, k0=2.0 * math.pi / WAVELENGTH, theta=THETA),
     ForceParams(lam=LAMBDA, kappa=KAPPA),
 )
-
-
-def _noiseless_reference_riccati():
-    """The reference tracker model at r = 0, where dgges returns one beta of
-    exactly 0: an infinite eigenvalue, which the stable mask must exclude."""
-    a_d, q_d, c_vec, _ = sim._tracker_model(*REFERENCE_MODEL, sim.SimConfig().dt)
-    return a_d, c_vec, q_d, 0.0
 
 
 @st.composite
@@ -256,27 +241,6 @@ def tracker_probes(draw):
     )
 
 
-@st.composite
-def riccati_inputs(draw):
-    """(a_d, c_vec, q_d, r) of a tracker drawn by tracker_models and
-    tracker_probes."""
-    dt = sim.SimConfig().dt
-    a_d, q_d, c_vec, _ = sim._tracker_model(*draw(tracker_models()), dt)
-    return a_d, c_vec, q_d, measurement_noise_psd(draw(tracker_probes())) / dt
-
-
-def assert_solves_like_scipy(pencil, a_d, c_vec, q_d, r):
-    """scipy's solver is the oracle: `_solve_riccati(pencil, r)` keeps every
-    bit of it, and raises where it raises, with its message."""
-    try:
-        expected = scipy.linalg.solve_discrete_are(a_d.T, c_vec[:, None], q_d, np.array([[r]]))
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
-            sim._solve_riccati(pencil, r)
-        return
-    assert np.array_equal(sim._solve_riccati(pencil, r), expected)
-
-
 class TestRiccatiTracking:
     def test_noiseless_limit(self, mirror, force, cfg):
         tight = sim.KalmanTracker(ProbeState.coherent(1e18), force, mirror, cfg).sigma_phi_sq_posterior
@@ -296,76 +260,26 @@ class TestRiccatiTracking:
         tracker = sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
         assert tracker.settle_samples > 0  # implies spectral radius < 1
 
-    def test_unstable_closed_loop_raises_at_construction(self, mirror, force, cfg, monkeypatch):
+    def test_unstable_closed_loop_raises_at_first_use(self, mirror, force, cfg, monkeypatch):
         # a non-stabilizing Riccati "solution": its gain over-corrects the
         # position estimate, doubling it every step
-        def non_stabilizing(pencil, r):
-            return np.diag([-0.5 * r / mirror.phase_gain**2, 0.0, 0.0])
+        def non_stabilizing(a, b, q, r):
+            return np.diag([-0.5 * r.item() / mirror.phase_gain**2, 0.0, 0.0])
 
-        monkeypatch.setattr(sim, "_solve_riccati", non_stabilizing)
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", non_stabilizing)
+        tracker = sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
         with pytest.raises(RiccatiError, match="unstable"):
-            sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
+            tracker.gain
 
-    @settings(max_examples=200)
-    @given(inputs=riccati_inputs())
-    @example(inputs=RANK_DEFICIENT_RICCATI)
-    @example(inputs=_noiseless_reference_riccati())
-    def test_riccati_solve_matches_scipy_bit_for_bit(self, inputs):
-        a_d, c_vec, q_d, r = inputs
-        assert_solves_like_scipy(sim._riccati_pencil(a_d, c_vec, q_d), a_d, c_vec, q_d, r)
-
-    @settings(max_examples=50)
-    @given(model=tracker_models(), probes=st.lists(tracker_probes(), min_size=3, max_size=3))
-    def test_one_pencil_serves_every_noise_variance(self, model, probes):
-        # r enters the pencil after its balancing, so one pencil per tracker
-        # model solves the equation of every probe bit for bit
-        dt = sim.SimConfig().dt
-        a_d, q_d, c_vec, _ = sim._tracker_model(*model, dt)
-        pencil = sim._riccati_pencil(a_d, c_vec, q_d)
-        for probe in probes:
-            assert_solves_like_scipy(pencil, a_d, c_vec, q_d, measurement_noise_psd(probe) / dt)
-
-    @settings(max_examples=50)
-    @given(model=tracker_models(), probe=tracker_probes())
-    def test_direct_lapack_calls_match_numpy(self, model, probe):
-        # the spectral radius and the rcond singular values come from the
-        # dgeev and dgesdd calls numpy.linalg makes, bit for bit
-        params, force = model
-        dgesdd = scipy.linalg.lapack.dgesdd
-        calls = []
-
-        def recording_dgesdd(a, **kwargs):
-            triangle = a.copy()  # before the call, which may overwrite it
-            out = dgesdd(a, **kwargs)
-            calls.append((triangle, out[1]))
-            return out
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scipy.linalg.lapack, "dgesdd", recording_dgesdd)
-            tracker = sim.KalmanTracker(probe, force, params, sim.SimConfig())
-        (triangle, sv), = calls
-        assert np.array_equal(sv, np.linalg.svd(triangle, compute_uv=False))
-        a_cl = tracker.a_d @ (np.eye(3) - np.outer(tracker.gain, tracker.c_vec))
-        rho = float(np.max(np.abs(np.linalg.eigvals(a_cl))))
-        assert tracker._rho == rho
-        assert tracker.settle_samples == int(math.ceil(8.0 / -math.log(rho)))
-
-    @settings(max_examples=200)
-    @given(model=tracker_models(), probe=tracker_probes())
-    @example(model=REFERENCE_MODEL, probe=ProbeState.coherent(ALPHA_SQS[0], eta_det=ETA))
-    @example(model=REFERENCE_MODEL, probe=ProbeState.coherent(ALPHA_SQS[-1], eta_det=ETA))
-    @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[0]))
-    @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[-1]))
-    def test_build_matches_numpy_expressions(self, model, probe):
-        # the build's Python-float products with c_vec = [c, 0, 0] keep every
-        # bit of the matrix expressions they replace
-        params, force = model
-        tracker = sim.KalmanTracker(probe, force, params, sim.SimConfig())
-        for name, expected in oracles.tracker_build(tracker).items():
-            value = getattr(tracker, name)
-            assert type(value) is type(expected), name
-            assert np.array_equal(value, expected), name
-            assert np.array_equal(np.signbit(value), np.signbit(expected)), name
+    def test_coarse_spectrum_fails_node_doubling(self, mirror, force, cfg, monkeypatch):
+        # one panel cannot resolve the mechanical resonance
+        monkeypatch.setattr(sim, "_phase_spectrum_panels", lambda *_: np.array([0.0, math.pi]))
+        sim._tracker_model.cache_clear()
+        try:
+            with pytest.raises(RiccatiError, match="phase-spectrum integral not converged"):
+                sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
+        finally:
+            sim._tracker_model.cache_clear()  # drop the coarse tables
 
     @settings(max_examples=100)
     @given(model=tracker_models(), probe=tracker_probes())
@@ -377,14 +291,16 @@ class TestRiccatiTracking:
     @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[1]))
     @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[2]))
     @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[3]))
-    def test_phase_errors_match_spectral_oracle(self, model, probe):
-        # an oracle that shares no step with the Riccati solve: the phase
-        # errors from the geometric mean of the measurement spectrum agree
-        # to 1e-9 relative (seen: ~1e-13 at the reference cells, under 1e-10
-        # over the drawn models, the rest being rounding near the resonance)
+    def test_phase_errors_match_scipy_riccati(self, model, probe):
+        # the spectral phase errors against scipy's Riccati solution, to 1e-9
+        # relative (seen: ~1e-13 at the reference cells, ~2e-11 over the
+        # drawn models, the rest being rounding near the resonance)
         params, force = model
         tracker = sim.KalmanTracker(probe, force, params, sim.SimConfig())
-        posterior, prediction = oracles.spectral_phase_errors(tracker, params, force)
+        c_vec, r = tracker.c_vec, tracker.r
+        p_pred = scipy.linalg.solve_discrete_are(tracker.a_d.T, c_vec[:, None], tracker.q_d, [[r]])
+        prediction = float(c_vec @ p_pred @ c_vec)
+        posterior = prediction * r / (prediction + r)
         assert tracker.sigma_phi_sq_posterior == pytest.approx(posterior, rel=1e-9, abs=0.0)
         assert tracker.sigma_phi_sq_prediction == pytest.approx(prediction, rel=1e-9, abs=0.0)
 
@@ -392,7 +308,7 @@ class TestRiccatiTracking:
     @given(model=tracker_models())
     @example(model=REFERENCE_MODEL)
     def test_measurement_row_measures_position_only(self, model):
-        # the build relies on c_vec = [phase_gain, 0, 0] exactly
+        # the phase spectrum is that of the position: c_vec = [phase_gain, 0, 0] exactly
         params, force = model
         c_vec = sim._tracker_model(params, force, sim.SimConfig().dt)[2]
         assert c_vec.dtype == np.float64
