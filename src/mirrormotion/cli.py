@@ -250,9 +250,10 @@ def _score_trials(trial_indices):
 
 @dataclass
 class SweepPoint:
-    """Scored results for one (probe kind, amplitude) cell."""
+    """Scored results for one (probe kind, amplitude) cell, with the tracker
+    that filtered its trials."""
 
-    probe: ProbeState
+    tracker: sim.KalmanTracker
     mse: dict
     stderr: dict
     mmse: dict
@@ -347,8 +348,8 @@ def run_sweep_point(
         # it instead of each importing it again
         import scipy.fft, scipy.linalg, scipy.signal  # noqa: F401, E401
 
-        # and solve the tracker's Riccati equation: a forked worker that first
-        # calls scipy's BLAS starts BLAS threads, which spin
+        # and build the tracker's filter: a forked worker that first calls
+        # scipy's BLAS starts BLAS threads, which spin
         tracker.gain
         with ProcessPoolExecutor(
             max_workers=min(workers, len(tasks)), initializer=_enter_cell, initargs=cell
@@ -377,7 +378,7 @@ def run_sweep_point(
     coh = config.probe_template("coherent", alpha_sq)
     sq = config.probe_template("squeezed", alpha_sq)
     return SweepPoint(
-        probe=probe,
+        tracker=tracker,
         mse=mse,
         stderr=stderr,
         mmse={x: est.analytic_mmse(x, probe, grid) for x in PRIOR_TAGS},
@@ -609,12 +610,15 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # a bad value or an unreadable file
         parser.error(str(exc))
     failed = 0
-    if args.command == "sweep":
-        rows, failed = cmd_sweep(config, workers=args.workers)
-        print(f"wrote {len(rows)} rows to {Path(config.out_dir) / 'sweep.csv'}")
-    elif args.command == "bounds":
-        rows, failed = cmd_bounds(config)
-        print(f"wrote {len(rows)} rows to {Path(config.out_dir) / 'bounds.csv'}")
+    if args.command in ("sweep", "bounds"):
+        try:
+            if args.command == "sweep":
+                rows, failed = cmd_sweep(config, workers=args.workers)
+            else:
+                rows, failed = cmd_bounds(config)
+        except OSError as exc:  # the table cannot be written; cells report their own errors
+            parser.error(str(exc))
+        print(f"wrote {len(rows)} rows to {Path(config.out_dir) / f'{args.command}.csv'}")
     elif args.command == "diagnose":
         text, failed = cmd_diagnose(config)
         print(text)
@@ -637,11 +641,11 @@ def main(argv=None) -> int:
             f"trials: {n_trials} run, {n_trials - point.n_diverged} kept, "
             f"{point.n_diverged} diverged"
         )
-        tracker = sim.KalmanTracker(point.probe, config.force, config.mirror, config.simulation)
         print(
             f"tracking sigma_phi^2: empirical feedback error = {point.sigma_phi_sq_emp:.4e} "
-            f"(kept trials), predicted feedback error = {tracker.sigma_phi_sq_feedback():.4e}, "
-            f"Riccati posterior = {point.probe.sigma_phi_sq:.4e}"
+            f"(kept trials), predicted feedback error = "
+            f"{point.tracker.sigma_phi_sq_feedback():.4e}, "
+            f"Riccati posterior = {point.tracker.sigma_phi_sq_posterior:.4e}"
         )
     return 1 if failed else 0
 

@@ -259,9 +259,10 @@ class KalmanTracker:
     the one-step innovation variance c^2 P + r of y_k = phi_k + v_k is the
     geometric mean r e^L of the spectrum of y, with
     L = (1/pi) int_0^pi ln(1 + S_phi(theta)/r) dtheta.  So calibration, which
-    needs only the posterior error, solves no Riccati equation.  The gain, from
-    the stationary discrete Riccati solution, and the y -> phase-prediction
-    IIR it defines are built on first use, when the tracker filters.
+    needs only the posterior error, solves no Riccati equation.  The
+    stationary filter (`_steady_state`: the Riccati solution, the gain, the
+    settling time and the y -> phase-prediction IIR) is built once, on first
+    use, when the tracker filters or reports its feedback error.
     """
 
     def __init__(
@@ -298,7 +299,7 @@ class KalmanTracker:
         import scipy.linalg
 
         d = self.cfg.feedback_delay_samples
-        p_pred = self.p_pred
+        p_pred = self._steady_state[0]
         sigma_x = scipy.linalg.solve_discrete_lyapunov(self.a_d, self.q_d)
         a_pow = np.linalg.matrix_power(self.a_d, d)
         drift = a_pow - np.eye(3)
@@ -310,57 +311,47 @@ class KalmanTracker:
         return self.sigma_phi_sq_prediction + float(self.c_vec @ penalty @ self.c_vec)
 
     @functools.cached_property
-    def p_pred(self) -> np.ndarray:
-        """Stationary one-step-prediction covariance, the stabilizing solution
-        of the discrete Riccati equation, solved on first use."""
+    def _steady_state(self) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, np.ndarray]]:
+        """(p_pred, gain, settle_samples, (num, den)) of the stationary filter:
+        the one-step-prediction covariance, the stabilizing discrete Riccati
+        solution; its Kalman gain P c / (c P c + r), whose closed loop
+        a_cl = a_d (I - gain c) must have spectral radius below 1; and the
+        y -> phase-prediction IIR, the state-space system (a_cl, a_d gain, c, 0)."""
         import scipy.linalg
+        import scipy.signal
 
+        c_vec = self.c_vec
         try:
-            return scipy.linalg.solve_discrete_are(
-                self.a_d.T, self.c_vec[:, None], self.q_d, np.array([[self.r]])
+            p_pred = scipy.linalg.solve_discrete_are(
+                self.a_d.T, c_vec[:, None], self.q_d, np.array([[self.r]])
             )
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise RiccatiError(f"steady-state Riccati solve failed: {exc}") from exc
-
-    @functools.cached_property
-    def _closed_loop(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(gain, a_cl, rho): the Kalman gain P c / (c P c + r), the closed
-        loop a_d (I - gain c) and its spectral radius, which must be below 1."""
-        c_vec, p_pred = self.c_vec, self.p_pred
         gain = p_pred @ c_vec / (float(c_vec @ p_pred @ c_vec) + self.r)
         a_cl = self.a_d @ (np.eye(3) - np.outer(gain, c_vec))
         rho = float(np.max(np.abs(np.linalg.eigvals(a_cl))))
         if rho >= 1.0:
             raise RiccatiError(f"closed-loop tracker is unstable (spectral radius {rho:.6f})")
-        return gain, a_cl, rho
+        num, den = scipy.signal.ss2tf(
+            a_cl, (self.a_d @ gain)[:, None], c_vec[None, :], np.zeros((1, 1))
+        )
+        return p_pred, gain, int(math.ceil(8.0 / -math.log(rho))), (num[0], den)
 
     @property
     def gain(self) -> np.ndarray:
         """Kalman gain of the stationary filter."""
-        return self._closed_loop[0]
+        return self._steady_state[1]
 
     @property
     def settle_samples(self) -> int:
         """Samples until the slowest closed-loop transient has decayed by e^-8."""
-        return int(math.ceil(8.0 / -math.log(self._closed_loop[2])))
-
-    @functools.cached_property
-    def _iir(self) -> tuple[np.ndarray, np.ndarray]:
-        """(numerator, denominator) of the y -> phase-prediction filter, the
-        state-space system (A, B, C, D) = (a_cl, a_d gain, c, 0)."""
-        import scipy.signal
-
-        gain, a_cl, _ = self._closed_loop
-        num, den = scipy.signal.ss2tf(
-            a_cl, (self.a_d @ gain)[:, None], self.c_vec[None, :], np.zeros((1, 1))
-        )
-        return num[0], den
+        return self._steady_state[2]
 
     def predict_series(self, y: np.ndarray) -> np.ndarray:
         """Causal one-step phase predictions phihat_k from a measurement record."""
         import scipy.signal
 
-        return scipy.signal.lfilter(*self._iir, y)
+        return scipy.signal.lfilter(*self._steady_state[3], y)
 
 
 def calibrate_tracking(

@@ -264,7 +264,7 @@ class TestSweep:
         assert len(rows) == 3 * 2 * len(tiny_config.alpha_sqs)
         assert set(rows[0]) == set(cli.SWEEP_COLUMNS)
         csv_path = f"{tiny_config.out_dir}/sweep.csv"
-        lines = open(csv_path).read().splitlines()
+        lines = Path(csv_path).read_text().splitlines()
         assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
         assert len(lines) == 1 + len(rows)
 
@@ -276,7 +276,7 @@ class TestSweep:
         )
         rows, failed = cli.cmd_sweep(config)
         assert failed == 0
-        lines = open(f"{config.out_dir}/sweep.csv").read().splitlines()
+        lines = Path(f"{config.out_dir}/sweep.csv").read_text().splitlines()
         assert [line.split(",")[2] for line in lines[1:]] == ["1020000.0"] * len(rows)
         assert [type(a) for a in config.alpha_sqs] == [float]
 
@@ -306,7 +306,7 @@ class TestSweep:
         rows, failed = cli.cmd_sweep(config)
         assert failed == 0
         assert len(rows) == 6
-        lines = open(f"{config.out_dir}/sweep.csv").read().splitlines()
+        lines = Path(f"{config.out_dir}/sweep.csv").read_text().splitlines()
         assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
         assert len(lines) == 1 + len(rows)
         assert capsys.readouterr().err.splitlines() == [
@@ -750,7 +750,7 @@ class TestSimulateCommand:
 
         files = sorted(os.listdir(out))
         assert files == ["trial_0000.csv", "trial_0001.csv"]
-        header = open(f"{out}/{files[0]}").readline().strip()
+        header = Path(f"{out}/{files[0]}").read_text().splitlines()[0].strip()
         assert header == "t,f,q,p,phi,phi_fb,y"
 
     def test_workers_flag_reaches_the_pool(self, tiny_config, tmp_path, monkeypatch, capsys):
@@ -779,15 +779,22 @@ class TestSimulateCommand:
         point = cli.cmd_simulate(tiny_config, "coherent", 1.02e6)
         assert point.n_diverged == 1
         assert lines[3] == "trials: 3 run, 2 kept, 1 diverged"
-        cfg = tiny_config.simulation
-        feedback = sim.KalmanTracker(point.probe, tiny_config.force, tiny_config.mirror, cfg)
+        tracker = point.tracker
         assert lines[4] == (
             f"tracking sigma_phi^2: empirical feedback error = {point.sigma_phi_sq_emp:.4e} "
-            f"(kept trials), predicted feedback error = {feedback.sigma_phi_sq_feedback():.4e}, "
-            f"Riccati posterior = {point.probe.sigma_phi_sq:.4e}"
+            f"(kept trials), predicted feedback error = {tracker.sigma_phi_sq_feedback():.4e}, "
+            f"Riccati posterior = {tracker.sigma_phi_sq_posterior:.4e}"
         )
         assert math.isfinite(point.sigma_phi_sq_emp)
-        assert point.sigma_phi_sq_emp == pytest.approx(point.probe.sigma_phi_sq, rel=0.5)
+        assert point.sigma_phi_sq_emp == pytest.approx(tracker.sigma_phi_sq_posterior, rel=0.5)
+
+    def test_report_solves_one_riccati_equation(self, tiny_config, tmp_path, riccati_solves):
+        # the report reads the tracker that filtered the trials
+        cfg_path = tmp_path / "tiny.cfg"
+        cli.write_config(tiny_config, cfg_path)
+        argv = ["--config", str(cfg_path), "simulate", "--kind", "coherent", "--alpha-sq", "1.02e6"]
+        assert cli.main(argv) == 0
+        assert len(riccati_solves) == 1
 
     def test_too_few_kept_trials_names_the_diverged(
         self, tiny_config, tmp_path, one_trial_kept, capsys
@@ -953,6 +960,8 @@ class TestMainEntry:
                 "nan.csv: tabulated frequencies and values must be finite",
             ),
             (["write-config", "{bad}/x.cfg"], "File exists"),
+            (["--out", "{bad}", "bounds"], "File exists"),
+            (["--out", "{bad}", "--trials", "2", "sweep"], "File exists"),
             (["simulate", "--alpha-sq", "-1"], "probe amplitudes must be positive"),
             (["simulate", "--alpha-sq", "0"], "probe amplitudes must be positive"),
             (["simulate", "--alpha-sq", "nan"], "alpha_sqs must be finite"),
@@ -986,7 +995,8 @@ class TestMainEntry:
         ],
         ids=[
             "zero-trials", "one-trial", "unparsable-value", "missing-config",
-            "table-without-column", "table-with-nan", "config-under-a-file", "negative-amplitude",
+            "table-without-column", "table-with-nan", "config-under-a-file",
+            "bounds-out-is-a-file", "sweep-out-is-a-file", "negative-amplitude",
             "zero-amplitude", "nan-amplitude", "infinite-amplitude", "removed-edge-discard-key",
             "delay-fills-window",
             "efficiency-above-one", "zero-efficiency", "squeezing-above-antisqueezing",

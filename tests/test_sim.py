@@ -260,16 +260,27 @@ class TestRiccatiTracking:
         tracker = sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
         assert tracker.settle_samples > 0  # implies spectral radius < 1
 
-    def test_unstable_closed_loop_raises_at_first_use(self, mirror, force, cfg, monkeypatch):
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda tracker: tracker.gain,
+            lambda tracker: tracker.settle_samples,
+            lambda tracker: tracker.predict_series(np.zeros(16)),
+            lambda tracker: tracker.sigma_phi_sq_feedback(),
+        ],
+        ids=["gain", "settle_samples", "predict_series", "sigma_phi_sq_feedback"],
+    )
+    def test_unstable_closed_loop_raises_at_first_use(self, mirror, force, cfg, monkeypatch, use):
         # a non-stabilizing Riccati "solution": its gain over-corrects the
-        # position estimate, doubling it every step
+        # position estimate, doubling it every step; every reader of the
+        # stationary filter refuses it
         def non_stabilizing(a, b, q, r):
             return np.diag([-0.5 * r.item() / mirror.phase_gain**2, 0.0, 0.0])
 
         monkeypatch.setattr(scipy.linalg, "solve_discrete_are", non_stabilizing)
         tracker = sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
         with pytest.raises(RiccatiError, match="unstable"):
-            tracker.gain
+            use(tracker)
 
     def test_coarse_spectrum_fails_node_doubling(self, mirror, force, cfg, monkeypatch):
         # one panel cannot resolve the mechanical resonance
