@@ -91,7 +91,7 @@ class ExperimentConfig:
     def probe_template(self, kind: str, alpha_sq: float) -> ProbeState:
         """Probe with sigma_phi_sq = 0; calibrate before using S_z."""
         if kind == "coherent":
-            return ProbeState.coherent(alpha_sq, eta_det=self.eta_det)
+            return ProbeState(alpha_sq, eta_det=self.eta_det)
         if kind == "squeezed":
             return ProbeState.from_db(
                 alpha_sq, self.squeezing_db, self.antisqueezing_db, eta_det=self.eta_det
@@ -515,12 +515,17 @@ def cmd_diagnose(config: ExperimentConfig) -> tuple[str, int]:
         # beam-level quantities (effective factor, attainability) use the beam
         # moments before detection loss; a lossless coherent beam's gap is 1
         # at any tracking error, so its probe needs no calibration
-        coherent = ProbeState.coherent(alpha_sq)
+        coherent = ProbeState(alpha_sq)
         lossless = replace(squeezed, eta_det=1.0)
         r_eff = effective_squeezing_factor(lossless)
-        bw = SqueezingBandwidth.standard(squeezed, config.bandwidth)
-        ratios = {x: est.qcrb_finite_bandwidth(x, squeezed, bw, grid) / est.qcrb(x, squeezed, grid)
-                  for x in PRIOR_TAGS}
+        try:
+            bw = SqueezingBandwidth.standard(squeezed, config.bandwidth)
+        except ValueError as exc:  # r_m = 0: no bandwidths, but the rest of the block holds
+            ratio_text = f"undefined: {exc}"
+        else:
+            ratios = {x: est.qcrb_finite_bandwidth(x, squeezed, bw, grid) / est.qcrb(x, squeezed, grid)
+                      for x in PRIOR_TAGS}
+            ratio_text = ", ".join(f"{x} {ratio:.4f}" for x, ratio in ratios.items())
         linearization = squeezed.sigma_phi_sq * squeezed.beam_moments()[0]
         return [
             f"alpha_sq = {alpha_sq:.3e} /s",
@@ -530,8 +535,7 @@ def cmd_diagnose(config: ExperimentConfig) -> tuple[str, int]:
             f"  attainability gap coherent = {attainability_gap(coherent):.6f}",
             f"  attainability gap squeezed = {attainability_gap(lossless):.4f}",
             f"  linearization sigma^2 e^2rp = {linearization:.4e} (<< 1 required)",
-            "  finite-bandwidth / broadband qcrb_sq: "
-            + ", ".join(f"{x} {ratio:.4f}" for x, ratio in ratios.items()),
+            f"  finite-bandwidth / broadband qcrb_sq: {ratio_text}",
         ]
 
     blocks = [_try_cell(f"diagnose point alpha_sq={a:g}", block_of, a) for a in config.alpha_sqs]

@@ -28,7 +28,7 @@ _DB = math.log(10.0) / 10.0  # dB -> natural log of a power ratio
 
 @dataclass(frozen=True)
 class ProbeState:
-    """Probe-beam operating point.
+    """Probe-beam operating point; `ProbeState(alpha_sq)` is a coherent probe.
 
     Attributes
     ----------
@@ -37,7 +37,8 @@ class ProbeState:
     r_m, r_p : float
         Squeezing / anti-squeezing parameters, 0 <= r_m <= r_p.
     sigma_phi_sq : float
-        Steady-state tracking error of the feedback phase estimate [rad^2].
+        Steady-state tracking error of the feedback phase estimate [rad^2];
+        only `sim.calibrate_tracking` sets it.
     eta_det : float
         Overall detection efficiency in (0, 1].
     """
@@ -60,25 +61,16 @@ class ProbeState:
             raise ValueError("detection efficiency must lie in (0, 1]")
 
     @classmethod
-    def coherent(cls, alpha_sq: float, sigma_phi_sq: float = 0.0, eta_det: float = 1.0):
-        return cls(alpha_sq, 0.0, 0.0, sigma_phi_sq, eta_det)
-
-    @classmethod
     def from_db(
-        cls,
-        alpha_sq: float,
-        squeezing_db: float,
-        antisqueezing_db: float,
-        sigma_phi_sq: float = 0.0,
-        eta_det: float = 1.0,
+        cls, alpha_sq: float, squeezing_db: float, antisqueezing_db: float, eta_det: float = 1.0
     ):
         """Build from measured noise levels in dB (squeezing_db is the reduction
-        below shot noise, quoted positive: -3.62 dB observed -> 3.62)."""
+        below shot noise, quoted positive: -3.62 dB observed -> 3.62), with no
+        tracking error: `sim.calibrate_tracking` gives a probe its own."""
         return cls(
             alpha_sq,
             r_m=0.5 * _DB * squeezing_db,
             r_p=0.5 * _DB * antisqueezing_db,
-            sigma_phi_sq=sigma_phi_sq,
             eta_det=eta_det,
         )
 

@@ -79,7 +79,7 @@ class SimConfig:
 # scipy modules are imported inside the functions that use them, so importing
 # the package, building a config or a spectral grid loads none; `bounds` and
 # `diagnose` load `scipy.linalg` (calibration) but never `scipy.fft`, and
-# `scipy.signal`, about a second to import, loads only where a trial filters.
+# `scipy.signal`, ~0.35 s to import, loads only where a trial filters.
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:

@@ -59,7 +59,3 @@ def grid(priors):
 def squeezed_probe():
     """Squeezed probe at the lowest experimental amplitude, ideal detection."""
     return ProbeState.from_db(ALPHA_SQS[0], SQUEEZING_DB, ANTISQUEEZING_DB)
-
-
-def coherent_probe(alpha_sq, eta_det=1.0):
-    return ProbeState.coherent(alpha_sq, eta_det=eta_det)

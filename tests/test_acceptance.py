@@ -6,6 +6,7 @@ canonical operating point (fixed seed, so the outcome is reproducible).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,8 +47,6 @@ def _report(number: int, name: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="session")
 def config():
-    from dataclasses import replace
-
     base = cli.reference_config()
     return replace(base, simulation=replace(base.simulation, n_trials=150))
 
@@ -68,7 +67,7 @@ def test_criterion_1_coherent_attainability(grid):
     """Unit-efficiency coherent bound equals the minimum MSE to 1e-9."""
     worst = 0.0
     for alpha in ALPHA_SQS:
-        probe = ProbeState.coherent(alpha)
+        probe = ProbeState(alpha)
         for x in VARS:
             bound = est.qcrb(x, probe, grid)
             mmse = est.analytic_mmse(x, probe, grid)
@@ -94,12 +93,18 @@ def test_criterion_3_quantum_enhancement(sweep):
     """Squeezed-probe MSEs beat the coherent bound by 5-25% for q and p.
 
     The lower edge holds: squeezing helps at every amplitude.  The upper edge
-    does not: with detection loss as the only modeled imperfection the
-    simulated enhancement reaches ~26-32% at the higher amplitudes, beyond
-    the 15+-8% / 12+-2% observed in the laboratory, whose measurements also
-    carried environmental noise that this simulator intentionally omits.
-    The deterministic analytic ratios violate the band the same way, so this
-    is a property of the noise model, not of Monte Carlo luck.
+    does not.  At the four reference amplitudes the fixture reads q
+    24.6/28.4/31.0/34.9% and p 26.1/28.1/29.3/30.4%; the analytic ratios of
+    the same cells, 1 - mmse_sq/qcrb_coh, are q 22.5/26.3/28.9/32.9% and
+    p 24.3/26.1/27.3/28.6%.  Seven cells fail for two causes:
+
+    * the model: q and p at 1.88e6 /s and above lie beyond 25% analytically
+      too.  Detection loss is the only modeled imperfection, while the
+      laboratory's 15+-8% / 12+-2% also carried environmental noise that
+      this simulator omits;
+    * the fixture's draw: p at 1.02e6 /s is in band analytically (24.3%)
+      and out of band in the Monte Carlo (26.1%).  Every cell shares the
+      same trial streams, and at this seed every cell's MSE reads low.
     """
     detail = []
     ok = True
@@ -118,12 +123,19 @@ def test_criterion_3_quantum_enhancement(sweep):
 def test_criterion_4_coherent_closeness(sweep):
     """Coherent MSEs exceed the coherent bound by 5-45% for q, p, f.
 
-    Position and momentum satisfy the band.  The force estimate sits closer
-    to its bound than 5% at the lower amplitudes: the force MSE is
-    prior-dominated there, so detection loss (the only modeled imperfection)
-    barely degrades it.  The deterministic analytic ratios show the same
-    3.5-6.2% force range, so this is a property of the noise model, not of
-    Monte Carlo luck.
+    At the four reference amplitudes the fixture reads q 4.7/5.3/5.9/7.3%,
+    p 6.1/6.0/6.0/6.3% and f 1.7/3.0/3.9/4.9%; the analytic ratios of the
+    same cells, mmse_coh/qcrb_coh - 1, are q 7.0/8.2/9.1/10.7%,
+    p 8.0/8.5/8.9/9.3% and f 3.5/4.8/5.5/6.2%.  Momentum satisfies the
+    band; five cells fail for two causes:
+
+    * the model: f at 1.02e6 and 1.88e6 /s lies below 5% analytically too.
+      The force MSE is prior-dominated there, so detection loss (the only
+      modeled imperfection) barely degrades it;
+    * the fixture's draw: q at 1.02e6 /s and f at 2.87e6 and 6.24e6 /s are
+      in band analytically and out of band in the Monte Carlo.  Every cell
+      shares the same trial streams, and at this seed every cell's MSE
+      reads low.
     """
     detail = []
     ok = True
@@ -155,10 +167,11 @@ def test_criterion_6_oracle_equivalence(mirror, force, grid):
     for alpha in (1.02e6, 6.24e6):
         for kind in ("coherent", "squeezed"):
             probe = (
-                ProbeState.coherent(alpha, eta_det=ETA)
+                ProbeState(alpha, eta_det=ETA)
                 if kind == "coherent"
-                else ProbeState.from_db(
-                    alpha, SQUEEZING_DB, ANTISQUEEZING_DB, sigma_phi_sq=5e-3, eta_det=ETA
+                else replace(
+                    ProbeState.from_db(alpha, SQUEEZING_DB, ANTISQUEEZING_DB, eta_det=ETA),
+                    sigma_phi_sq=5e-3,
                 )
             )
             for x in VARS:
@@ -188,8 +201,8 @@ def test_criterion_8_invariant_suites(priors, grid):
 
     # bound-ordering chain and pointwise integrand dominance
     for alpha in ALPHA_SQS:
-        coh = ProbeState.coherent(alpha)
-        sq = ProbeState.from_db(alpha, SQUEEZING_DB, ANTISQUEEZING_DB, sigma_phi_sq=5e-3)
+        coh = ProbeState(alpha)
+        sq = replace(ProbeState.from_db(alpha, SQUEEZING_DB, ANTISQUEEZING_DB), sigma_phi_sq=5e-3)
         w = grid.nodes
         kernel = priors.information_kernel(w)
         for x in VARS:
@@ -224,8 +237,8 @@ def test_criterion_8_invariant_suites(priors, grid):
 
     # monotonicity in probe amplitude
     for x in VARS:
-        mmse = [est.analytic_mmse(x, ProbeState.coherent(a), grid) for a in ALPHA_SQS]
-        bound = [est.qcrb(x, ProbeState.coherent(a), grid) for a in ALPHA_SQS]
+        mmse = [est.analytic_mmse(x, ProbeState(a), grid) for a in ALPHA_SQS]
+        bound = [est.qcrb(x, ProbeState(a), grid) for a in ALPHA_SQS]
         if not (np.all(np.diff(mmse) < 0) and np.all(np.diff(bound) < 0)):
             failures.append(f"MSE not strictly decreasing in amplitude for {x}")
 

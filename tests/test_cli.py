@@ -709,31 +709,41 @@ class TestDiagnose:
             assert token in text
 
     def test_failed_amplitude_reported_like_sweep(self, tmp_path, capsys):
-        cases = [
-            # with no squeezing the standard-form bandwidths are undefined;
-            # `bounds` and `sweep` accept the config
-            (
-                "probe.squeezing_db = 0\nsweep.alpha_sq = 1.02e6\n",
-                "diagnose point alpha_sq=1.02e+06 failed: "
-                "standard form needs squeezing (r_m > 0) to pair with anti-squeezing",
-            ),
-            # a faint, impure probe on a slow mirror: the loop cannot lock
-            (
-                "mirror.resonance = 31622.776601683792\nmirror.damping = 1000\n"
-                "force.cutoff = 10000\nprobe.efficiency = 0.5\nprobe.squeezing_db = 1\n"
-                "probe.antisqueezing_db = 5\nsweep.alpha_sq = 1e5\n",
-                "diagnose point alpha_sq=100000 failed: tracking loop cannot lock at "
-                "alpha_sq=1e+05: sigma_phi^2 reaches 1.007 rad^2",
-            ),
-        ]
+        # a faint, impure probe on a slow mirror: the loop cannot lock
         cfg_path = tmp_path / "failing.cfg"
-        for cfg_text, reason in cases:
-            cfg_path.write_text(cfg_text)
-            assert cli.main(["--config", str(cfg_path), "diagnose"]) == 1
-            out, err = capsys.readouterr()
-            assert "Traceback" not in err
-            assert err.splitlines() == [reason]
-            assert out.splitlines() == ["operating-point diagnostics", "=" * 60]
+        cfg_path.write_text(
+            "mirror.resonance = 31622.776601683792\nmirror.damping = 1000\n"
+            "force.cutoff = 10000\nprobe.efficiency = 0.5\nprobe.squeezing_db = 1\n"
+            "probe.antisqueezing_db = 5\nsweep.alpha_sq = 1e5\n"
+        )
+        assert cli.main(["--config", str(cfg_path), "diagnose"]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            "diagnose point alpha_sq=100000 failed: tracking loop cannot lock at "
+            "alpha_sq=1e+05: sigma_phi^2 reaches 1.007 rad^2"
+        ]
+        assert out.splitlines() == ["operating-point diagnostics", "=" * 60]
+
+    def test_family_without_squeezing_reports_its_block(self, tmp_path, capsys):
+        # with no squeezing (r_m = 0 < r_p) the standard-form bandwidths are
+        # undefined, so only the finite-bandwidth line has no ratios; `bounds`
+        # and `sweep` accept the config too
+        cfg_path = tmp_path / "unsqueezed.cfg"
+        cfg_path.write_text("probe.squeezing_db = 0\nsweep.alpha_sq = 1.02e6\n")
+        assert cli.main(["--config", str(cfg_path), "diagnose"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.splitlines()
+        reference = cli.cmd_diagnose(replace(cli.reference_config(), alpha_sqs=(1.02e6,)))[0]
+        labels = [line.split("=")[0] for line in reference.splitlines()[:-1]]
+        assert [line.split("=")[0] for line in lines[:-1]] == labels
+        squeezed = cli.read_config(cfg_path).operating_point("squeezed", 1.02e6)
+        assert lines[3].endswith(f"= {squeezed.sigma_phi_sq:.4e} rad^2")
+        assert lines[-1] == (
+            "  finite-bandwidth / broadband qcrb_sq: undefined: "
+            "standard form needs squeezing (r_m > 0) to pair with anti-squeezing"
+        )
 
 
 class TestSimulateCommand:
@@ -953,6 +963,9 @@ class TestMainEntry:
             (["--trials", "0", "diagnose"], "need at least two trials"),
             (["--trials", "1", "diagnose"], "need at least two trials"),
             (["--config", "{bad}", "diagnose"], "sim.trials"),
+            (["--config", "{no_equals}", "diagnose"], "no_equals.cfg:1: expected 'key = value'"),
+            (["--config", "{twice}", "diagnose"], "twice.cfg:2: duplicate key 'sim.seed'"),
+            (["--config", "{one_sample}", "diagnose"], "need at least two samples"),
             (["--config", "{missing}", "diagnose"], "No such file"),
             (["--config", "{bad_table}", "bounds"], "gqf.csv: missing column 'gqf_imag'"),
             (
@@ -994,7 +1007,8 @@ class TestMainEntry:
             (["--seed", "-1", "diagnose"], "seed must be nonnegative"),
         ],
         ids=[
-            "zero-trials", "one-trial", "unparsable-value", "missing-config",
+            "zero-trials", "one-trial", "unparsable-value", "line-without-equals",
+            "duplicate-key", "one-sample", "missing-config",
             "table-without-column", "table-with-nan", "config-under-a-file",
             "bounds-out-is-a-file", "sweep-out-is-a-file", "negative-amplitude",
             "zero-amplitude", "nan-amplitude", "infinite-amplitude", "removed-edge-discard-key",
@@ -1029,6 +1043,9 @@ class TestMainEntry:
             ("squeezing", "probe.squeezing_db = 7"),  # anti-squeezing stays 6 dB
             ("negative_squeezing", "probe.squeezing_db = -1"),
             ("bandwidth", "probe.bandwidth = 0"),
+            ("no_equals", "sim.trials 5"),
+            ("twice", "sim.seed = 1\nsim.seed = 1"),
+            ("one_sample", "sim.samples = 1"),
         ):
             paths[name] = tmp_path / f"{name}.cfg"
             paths[name].write_text(text + "\n")
@@ -1058,8 +1075,9 @@ def _fresh_interpreter(script: str) -> str:
 class TestImports:
     """scipy modules are loaded only where they are used: none for the
     package, a config or a spectral grid, no `scipy.fft` or `scipy.signal`
-    (about a second to import) for the analytic commands, and all three in a
-    pool's parent before it forks."""
+    for the analytic commands (importing `scipy.signal` alone takes some
+    fifty `bounds` passes), and all three in a pool's parent before it
+    forks."""
 
     def test_import_config_and_grid_load_no_scipy(self):
         out = _fresh_interpreter("""

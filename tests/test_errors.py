@@ -18,9 +18,9 @@ class Holder:
 @pytest.mark.parametrize(
     "value, finite",
     [
-        (math.nan, False),
+        pytest.param(math.nan, False, id="math.nan-False"),
         (-math.inf, False),
-        (np.float64("nan"), False),
+        pytest.param(np.float64("nan"), False, id="np.float64-nan-False"),
         (np.float64("inf"), False),
         (np.float32("nan"), False),  # a Real that is no float: the ABC path
         (1.5, True),

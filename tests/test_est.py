@@ -35,8 +35,8 @@ def split_quad(fn, priors, upper):
 
 
 def squeezed(alpha_sq, sigma_phi_sq=0.0, eta_det=1.0):
-    return ProbeState.from_db(alpha_sq, SQUEEZING_DB, ANTISQUEEZING_DB,
-                              sigma_phi_sq=sigma_phi_sq, eta_det=eta_det)
+    probe = ProbeState.from_db(alpha_sq, SQUEEZING_DB, ANTISQUEEZING_DB, eta_det=eta_det)
+    return replace(probe, sigma_phi_sq=sigma_phi_sq)
 
 
 class TestSpectralGrid:
@@ -104,14 +104,14 @@ class TestAnalyticMmse:
         deep = SpectralGrid.build(priors, omega_max=1e14)
         for x in ("q", "p", "f"):
             values = [
-                analytic_mmse(x, ProbeState.coherent(a), deep)
+                analytic_mmse(x, ProbeState(a), deep)
                 for a in (1.02e6, 1e12, 1e18, 1e24)
             ]
             assert np.all(np.diff(values) < 0)
             assert values[-1] < 1e-3 * values[0]
 
     def test_no_information_limit(self, grid):
-        blind = ProbeState.coherent(1e-12)
+        blind = ProbeState(1e-12)
         assert analytic_mmse("f", blind, grid) == pytest.approx(
             KAPPA / (2 * LAMBDA), rel=2e-5, abs=0.0
         )
@@ -121,14 +121,14 @@ class TestAnalyticMmse:
             )
 
     def test_force_mmse_against_posterior_oracle(self, mirror, force, grid):
-        probe = ProbeState.coherent(6.24e6)
+        probe = ProbeState(6.24e6)
         oracle = oracles.posterior_mse("f", mirror, force, probe, 256, 4e-6)
         assert analytic_mmse("f", probe, grid) == pytest.approx(oracle, rel=2e-2)
 
     def test_monotone_decreasing_in_amplitude(self, grid):
         for x in ("q", "p", "f"):
-            mmse = [analytic_mmse(x, ProbeState.coherent(a), grid) for a in ALPHA_SQS]
-            bound = [qcrb(x, ProbeState.coherent(a), grid) for a in ALPHA_SQS]
+            mmse = [analytic_mmse(x, ProbeState(a), grid) for a in ALPHA_SQS]
+            bound = [qcrb(x, ProbeState(a), grid) for a in ALPHA_SQS]
             assert np.all(np.diff(mmse) < 0)
             assert np.all(np.diff(bound) < 0)
 
@@ -142,7 +142,7 @@ class TestAnalyticMmse:
 class TestQcrb:
     def test_coherent_equals_mmse(self, grid):
         for a in ALPHA_SQS:
-            probe = ProbeState.coherent(a)
+            probe = ProbeState(a)
             for x in ("q", "p", "f"):
                 assert qcrb(x, probe, grid) == pytest.approx(
                     analytic_mmse(x, probe, grid), rel=1e-9, abs=0.0
@@ -158,13 +158,13 @@ class TestQcrb:
         for a in ALPHA_SQS:
             for x in ("q", "p", "f"):
                 assert qcrb(x, squeezed(a), grid) < qcrb(
-                    x, ProbeState.coherent(a), grid
+                    x, ProbeState(a), grid
                 )
 
     def test_ordering_chain(self, priors, grid):
         fine = SpectralGrid.build(priors, rtol=1e-7)
         for a in (1.02e6, 6.24e6):
-            coh = ProbeState.coherent(a)
+            coh = ProbeState(a)
             sq = squeezed(a)
             for x in ("q", "p", "f"):
                 chain = (
@@ -180,7 +180,7 @@ class TestQcrb:
     def test_pointwise_integrand_dominance(self, priors, grid):
         # bound integrand <= MMSE integrand at every node when the gap >= 1
         for a in (1.02e6, 6.24e6):
-            for probe in (ProbeState.coherent(a), squeezed(a, sigma_phi_sq=5e-3)):
+            for probe in (ProbeState(a), squeezed(a, sigma_phi_sq=5e-3)):
                 assert attainability_gap(probe) >= 1.0 - 1e-12
                 w = grid.nodes
                 k = priors.information_kernel(w)
@@ -213,10 +213,10 @@ class TestQcrb:
         )
         grid = SpectralGrid.build(priors)
         a = 10.0**log_alpha_sq
-        coh = ProbeState.coherent(a, sigma_phi_sq=sigma_phi_sq, eta_det=eta_det)
-        sq = ProbeState.from_db(
-            a, squeezing_db, squeezing_db + extra_antisqueezing_db,
-            sigma_phi_sq=sigma_phi_sq, eta_det=eta_det,
+        coh = ProbeState(a, sigma_phi_sq=sigma_phi_sq, eta_det=eta_det)
+        sq = replace(
+            ProbeState.from_db(a, squeezing_db, squeezing_db + extra_antisqueezing_db, eta_det=eta_det),
+            sigma_phi_sq=sigma_phi_sq,
         )
         for x in ("q", "p", "f"):
             qcrb_sq, qcrb_coh = qcrb(x, sq, grid), qcrb(x, coh, grid)
@@ -232,7 +232,7 @@ class TestQcrbFiniteBandwidth:
     @pytest.mark.parametrize("eta_det", [0.5, ETA, 1.0])
     def test_coherent_equals_broadband_bound(self, grid, alpha_sq, eta_det):
         # S_dI(w) = 4 |alpha|^2 / 4 + 0 + 0 = |alpha|^2 exactly
-        probe = ProbeState.coherent(alpha_sq, sigma_phi_sq=3e-3, eta_det=eta_det)
+        probe = ProbeState(alpha_sq, sigma_phi_sq=3e-3, eta_det=eta_det)
         bw = SqueezingBandwidth.standard(probe, BANDWIDTH_10_OMEGA)
         for x in ("q", "p", "f"):
             assert qcrb_finite_bandwidth(x, probe, bw, grid) == qcrb(x, probe, grid)
@@ -330,13 +330,13 @@ class TestGoldenCalibration:
 
 class TestOptimalFilter:
     def test_ignore_measurement_limit(self, priors):
-        blind = ProbeState.coherent(1e-18)
+        blind = ProbeState(1e-18)
         w = np.array([0.0, 1e4, 2e5])
         for x in ("q", "p", "f"):
             assert np.all(np.abs(optimal_filter(x, w, priors, blind)) < 1e-12)
 
     def test_channel_inversion_limit(self, priors, mirror):
-        tight = ProbeState.coherent(1e30)
+        tight = ProbeState(1e30)
         w = np.array([1e4, 1.76e5, 9e5])
         c = mirror.phase_gain
         g = np.asarray(priors.tf(w))
@@ -347,7 +347,7 @@ class TestOptimalFilter:
         assert np.allclose(optimal_filter("f", w, priors, tight), 1.0 / (c * g), rtol=1e-9)
 
     def test_momentum_filter_vanishes_at_dc(self, priors):
-        probe = ProbeState.coherent(1.02e6)
+        probe = ProbeState(1.02e6)
         assert optimal_filter("p", 0.0, priors, probe) == 0.0
 
     def test_finite_on_dense_grid(self, priors):
@@ -368,7 +368,7 @@ class TestOptimalFilter:
             )
 
     def test_position_filter_dc_against_discrete_wiener(self, mirror, force, priors):
-        probe = ProbeState.coherent(1.02e6)
+        probe = ProbeState(1.02e6)
         weights = oracles.wiener_weights("q", mirror, force, probe, 64, 1.2e-5)
         jq0 = complex(optimal_filter("q", 0.0, priors, probe)).real
         assert float(np.sum(weights)) == pytest.approx(jq0, rel=1e-2)
@@ -382,12 +382,12 @@ def smoothing_cfg():
 class TestSmoothing:
 
     def test_zero_in_zero_out(self, priors, smoothing_cfg):
-        bank = FilterBank.build(4096, smoothing_cfg.dt, priors, ProbeState.coherent(1e6))
+        bank = FilterBank.build(4096, smoothing_cfg.dt, priors, ProbeState(1e6))
         out = smooth(np.zeros(4096), "q", bank)
         assert np.all(out == 0.0)
 
     def test_noiseless_channel_inversion(self, mirror, force, priors, smoothing_cfg):
-        tight = ProbeState.coherent(1e28)
+        tight = ProbeState(1e28)
         f = sim.simulate_ou(force, smoothing_cfg, sim.trial_rng(80, 0), n=50_000)
         pad = sim.trial_geometry(force, mirror, smoothing_cfg)[0]
         q, _, phi = sim.mirror_response(f, priors.tf, mirror, smoothing_cfg, pad)
@@ -414,7 +414,7 @@ class TestSmoothing:
             assert np.allclose(out.real, smooth(y, x, bank), atol=1e-12 * np.std(out.real))
 
     def test_grid_mismatch_raises(self, priors, smoothing_cfg):
-        bank = FilterBank.build(4096, smoothing_cfg.dt, priors, ProbeState.coherent(1e6))
+        bank = FilterBank.build(4096, smoothing_cfg.dt, priors, ProbeState(1e6))
         with pytest.raises(GridMismatchError):
             smooth(np.zeros(4095), "q", bank)
 
@@ -483,7 +483,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("kind", ["coherent", "squeezed"])
     def test_posterior_mse_matches(self, mirror, force, grid, alpha_sq, kind):
         probe = (
-            ProbeState.coherent(alpha_sq, eta_det=ETA)
+            ProbeState(alpha_sq, eta_det=ETA)
             if kind == "coherent"
             else squeezed(alpha_sq, sigma_phi_sq=5e-3, eta_det=ETA)
         )

@@ -110,7 +110,7 @@ class TestForceGains:
             assert evaluations(prior_psd, x, w, force, counted.tf, mirror) == 1
         assert evaluations(counted.information_kernel, w) == 1
         for x in PRIOR_TAGS:
-            assert evaluations(est.optimal_filter, x, w, counted, ProbeState.coherent(1e6)) == 1
+            assert evaluations(est.optimal_filter, x, w, counted, ProbeState(1e6)) == 1
         cfg = sim.SimConfig()
         assert evaluations(sim.mirror_response, np.ones(1000), counted.tf, mirror, cfg, 200) == 1
         assert calls == [601]  # the rfft grid of next_fast_len(1200) = 1200 samples

@@ -1,6 +1,7 @@
 """Probe-beam statistics: squeezing factors, flux spectra, attainability."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ EM2RM = 10 ** (-SQUEEZING_DB / 10)       # 0.4345
 
 
 def reference_squeezed(alpha_sq=1.02e6, sigma_phi_sq=0.0, eta_det=1.0):
-    return ProbeState.from_db(alpha_sq, SQUEEZING_DB, ANTISQUEEZING_DB,
-                              sigma_phi_sq=sigma_phi_sq, eta_det=eta_det)
+    probe = ProbeState.from_db(alpha_sq, SQUEEZING_DB, ANTISQUEEZING_DB, eta_det=eta_det)
+    return replace(probe, sigma_phi_sq=sigma_phi_sq)
 
 
 class TestProbeState:
@@ -71,7 +72,7 @@ class TestEffectiveSqueezingFactor:
     def test_coherent_is_shot_noise(self):
         for sigma in (0.0, 0.3, 0.9):
             for eta in (1.0, 0.871, 0.5):
-                p = ProbeState.coherent(1e6, sigma_phi_sq=sigma, eta_det=eta)
+                p = ProbeState(1e6, sigma_phi_sq=sigma, eta_det=eta)
                 assert effective_squeezing_factor(p) == pytest.approx(1.0, rel=1e-12)
 
     def test_perfect_tracking_reaches_squeezing_floor(self):
@@ -99,7 +100,7 @@ class TestEffectiveSqueezingFactor:
 
 class TestMeasurementNoise:
     def test_coherent_shot_noise_level(self):
-        p = ProbeState.coherent(1e6)
+        p = ProbeState(1e6)
         assert measurement_noise_psd(p) == pytest.approx(2.5e-7, rel=1e-12)
 
     def test_squeezed_operating_point(self):
@@ -109,8 +110,8 @@ class TestMeasurementNoise:
         assert measurement_noise_psd(p) == pytest.approx(1.152e-7, rel=1e-3)
 
     def test_halving_efficiency_doubles_noise(self):
-        base = measurement_noise_psd(ProbeState.coherent(1e6, eta_det=1.0))
-        assert measurement_noise_psd(ProbeState.coherent(1e6, eta_det=0.5)) == pytest.approx(
+        base = measurement_noise_psd(ProbeState(1e6, eta_det=1.0))
+        assert measurement_noise_psd(ProbeState(1e6, eta_det=0.5)) == pytest.approx(
             2.0 * base, rel=1e-12
         )
 
@@ -184,7 +185,7 @@ class TestSqueezingSpectrum:
 
 class TestXiFactor:
     def test_coherent_limit(self):
-        assert xi_factor(ProbeState.coherent(1.0)) == 1.0
+        assert xi_factor(ProbeState(1.0)) == 1.0
 
     def test_strong_antisqueezing_limit(self):
         p = ProbeState(alpha_sq=1.0, r_m=0.0, r_p=12.0)
@@ -208,7 +209,7 @@ class TestXiFactor:
 
 class TestMeanSqueezingFlux:
     def test_coherent_is_zero(self):
-        p = ProbeState.coherent(1e6)
+        p = ProbeState(1e6)
         bw = SqueezingBandwidth(1e6, 1e6)
         assert mean_squeezing_flux(p, bw) == 0.0
 
@@ -228,7 +229,7 @@ class TestMeanSqueezingFlux:
 
 class TestPhotonFluxPsd:
     def test_coherent_flux_noise(self):
-        p = ProbeState.coherent(3e6)
+        p = ProbeState(3e6)
         bw = SqueezingBandwidth(1e6, 1e6)
         w = np.array([0.0, 1e5, 1e7])
         assert np.allclose(photon_flux_psd_exact(w, p, bw), p.alpha_sq, rtol=1e-12)
@@ -274,7 +275,7 @@ class TestPhotonFluxPsd:
 class TestAttainabilityGap:
     def test_coherent_always_attainable(self):
         for sigma in (0.0, 0.2, 0.8):
-            p = ProbeState.coherent(1e7, sigma_phi_sq=sigma)
+            p = ProbeState(1e7, sigma_phi_sq=sigma)
             assert attainability_gap(p) == pytest.approx(1.0, rel=1e-12)
 
     def test_pure_squeezed_perfect_tracking(self):

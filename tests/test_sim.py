@@ -33,8 +33,8 @@ def pad(mirror, force, cfg):
 
 
 def squeezed(alpha_sq, sigma_phi_sq=0.0):
-    return ProbeState.from_db(alpha_sq, SQUEEZING_DB, ANTISQUEEZING_DB,
-                              sigma_phi_sq=sigma_phi_sq, eta_det=ETA)
+    probe = ProbeState.from_db(alpha_sq, SQUEEZING_DB, ANTISQUEEZING_DB, eta_det=ETA)
+    return replace(probe, sigma_phi_sq=sigma_phi_sq)
 
 
 class TestSimConfig:
@@ -161,7 +161,7 @@ class TestMirrorResponse:
 
 class TestDiscretization:
     def test_force_block_matches_ou_formulas(self, mirror, force, cfg):
-        tracker = sim.KalmanTracker(ProbeState.coherent(1e6), force, mirror, cfg)
+        tracker = sim.KalmanTracker(ProbeState(1e6), force, mirror, cfg)
         a = math.exp(-LAMBDA * cfg.dt)
         assert tracker.a_d[2, 2] == pytest.approx(a, rel=1e-12)
         assert np.allclose(tracker.a_d[2, :2], 0.0)
@@ -171,7 +171,7 @@ class TestDiscretization:
 
     def test_stationary_covariance_consistency(self, mirror, force, cfg):
         # discrete-time stationarity must reproduce the continuous Lyapunov solution
-        tracker = sim.KalmanTracker(ProbeState.coherent(1e6), force, mirror, cfg)
+        tracker = sim.KalmanTracker(ProbeState(1e6), force, mirror, cfg)
         p_disc = scipy.linalg.solve_discrete_lyapunov(tracker.a_d, tracker.q_d)
         p_cont = oracles.stationary_covariance(mirror, force)
         assert np.allclose(p_disc, p_cont, rtol=1e-8)
@@ -186,7 +186,7 @@ class TestDiscretization:
             ]
         )
         a_d, q_d = sim._discretize(a_c, np.diag([0.0, 0.0, force.kappa]), cfg.dt)
-        tracker = sim.KalmanTracker(ProbeState.coherent(1e6), force, mirror, cfg)
+        tracker = sim.KalmanTracker(ProbeState(1e6), force, mirror, cfg)
         assert np.array_equal(tracker.a_d, a_d)
         assert np.array_equal(tracker.q_d, q_d)
         assert not tracker.a_d.flags.writeable and not tracker.q_d.flags.writeable
@@ -234,23 +234,22 @@ def tracker_probes(draw):
     eta_det = draw(st.floats(0.5, 1.0))
     sigma_phi_sq = draw(st.floats(0.0, 0.5))
     if squeezing_db is None:
-        return ProbeState.coherent(a, sigma_phi_sq=sigma_phi_sq, eta_det=eta_det)
+        return ProbeState(a, sigma_phi_sq=sigma_phi_sq, eta_det=eta_det)
     antisqueezing_db = squeezing_db + draw(st.floats(0.0, 6.0))
-    return ProbeState.from_db(
-        a, squeezing_db, antisqueezing_db, sigma_phi_sq=sigma_phi_sq, eta_det=eta_det
-    )
+    probe = ProbeState.from_db(a, squeezing_db, antisqueezing_db, eta_det=eta_det)
+    return replace(probe, sigma_phi_sq=sigma_phi_sq)
 
 
 class TestRiccatiTracking:
     def test_noiseless_limit(self, mirror, force, cfg):
-        tight = sim.KalmanTracker(ProbeState.coherent(1e18), force, mirror, cfg).sigma_phi_sq_posterior
-        typical = sim.KalmanTracker(ProbeState.coherent(1e6), force, mirror, cfg).sigma_phi_sq_posterior
+        tight = sim.KalmanTracker(ProbeState(1e18), force, mirror, cfg).sigma_phi_sq_posterior
+        typical = sim.KalmanTracker(ProbeState(1e6), force, mirror, cfg).sigma_phi_sq_posterior
         assert tight < 1e-6 * typical
 
     def test_monotone_in_amplitude(self, mirror, force, cfg):
         values = [
             sim.KalmanTracker(
-                ProbeState.coherent(a, eta_det=ETA), force, mirror, cfg
+                ProbeState(a, eta_det=ETA), force, mirror, cfg
             ).sigma_phi_sq_posterior
             for a in ALPHA_SQS
         ]
@@ -294,10 +293,10 @@ class TestRiccatiTracking:
 
     @settings(max_examples=100)
     @given(model=tracker_models(), probe=tracker_probes())
-    @example(model=REFERENCE_MODEL, probe=ProbeState.coherent(ALPHA_SQS[0], eta_det=ETA))
-    @example(model=REFERENCE_MODEL, probe=ProbeState.coherent(ALPHA_SQS[1], eta_det=ETA))
-    @example(model=REFERENCE_MODEL, probe=ProbeState.coherent(ALPHA_SQS[2], eta_det=ETA))
-    @example(model=REFERENCE_MODEL, probe=ProbeState.coherent(ALPHA_SQS[3], eta_det=ETA))
+    @example(model=REFERENCE_MODEL, probe=ProbeState(ALPHA_SQS[0], eta_det=ETA))
+    @example(model=REFERENCE_MODEL, probe=ProbeState(ALPHA_SQS[1], eta_det=ETA))
+    @example(model=REFERENCE_MODEL, probe=ProbeState(ALPHA_SQS[2], eta_det=ETA))
+    @example(model=REFERENCE_MODEL, probe=ProbeState(ALPHA_SQS[3], eta_det=ETA))
     @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[0]))
     @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[1]))
     @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[2]))
@@ -368,7 +367,7 @@ class TestRiccatiTracking:
         cfg_d = sim.SimConfig(feedback_delay_samples=d)
         a = 10.0**log_alpha_sq
         if squeezing_db is None:
-            template = ProbeState.coherent(a, eta_det=eta_det)
+            template = ProbeState(a, eta_det=eta_det)
         else:
             template = ProbeState.from_db(
                 a, squeezing_db, squeezing_db + extra_antisqueezing_db, eta_det=eta_det
@@ -421,7 +420,7 @@ class TestRiccatiTracking:
 
     def test_huge_amplitude_matches_prediction_variance(self, mirror, force, priors):
         cfg0 = sim.SimConfig(dt=1e-7, n_samples=10_000, seed=3, feedback_delay_samples=0)
-        probe = ProbeState.coherent(1e12)
+        probe = ProbeState(1e12)
         tracker = sim.KalmanTracker(probe, force, mirror, cfg0)
         emp = np.mean([
             sim.simulate_trial(priors, probe, tracker, cfg0, sim.trial_rng(11, i)).sigma_phi_sq
@@ -468,7 +467,7 @@ class TestRiccatiTracking:
 
 class TestRunTracking:
     def test_linearized_noise_level(self, mirror, force, priors, cfg, pad):
-        probe = ProbeState.coherent(1.02e6, eta_det=ETA)
+        probe = ProbeState(1.02e6, eta_det=ETA)
         tracker = sim.KalmanTracker(probe, force, mirror, cfg)
         f = sim.simulate_ou(force, cfg, sim.trial_rng(50, 0), n=62_500)
         _, _, phi = sim.mirror_response(f, priors.tf, mirror, cfg, pad)
@@ -477,7 +476,7 @@ class TestRunTracking:
         assert np.var(z) == pytest.approx(measurement_noise_psd(probe) / cfg.dt, rel=2e-2)
 
     def test_linearized_residual_is_white(self, mirror, force, priors, cfg, pad):
-        probe = ProbeState.coherent(1.02e6, eta_det=ETA)
+        probe = ProbeState(1.02e6, eta_det=ETA)
         tracker = sim.KalmanTracker(probe, force, mirror, cfg)
         # average the autocorrelation over trials so the 3/sqrt(N) bound has
         # headroom against single-trial 3-sigma fluctuations
@@ -510,7 +509,7 @@ class TestRunTracking:
         assert mse["nonlinear"] == pytest.approx(mse["linearized"], rel=3e-2)
 
     def test_nonlinear_divergence_flagged(self, mirror, force, cfg):
-        probe = ProbeState.coherent(1e9)
+        probe = ProbeState(1e9)
         cfg_n = replace(cfg, mode="nonlinear")
         tracker = sim.KalmanTracker(probe, force, mirror, cfg_n)
         phi = np.full(5000, math.pi)  # step far outside the linear regime
@@ -587,7 +586,7 @@ class TestNonlinearTracker:
 
 class TestSimulateTrial:
     def test_reproducible_and_consistent(self, mirror, force, priors, cfg):
-        probe = ProbeState.coherent(2.87e6, eta_det=ETA)
+        probe = ProbeState(2.87e6, eta_det=ETA)
         tracker = sim.KalmanTracker(probe, force, mirror, cfg)
         t1 = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(70, 3))
         t2 = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(70, 3))
@@ -604,7 +603,7 @@ class TestSimulateTrial:
         assert n_total >= cfg.n_samples + 2 * n_margin
 
     def test_trajectory_csv(self, mirror, force, priors, cfg, tmp_path):
-        probe = ProbeState.coherent(1.02e6)
+        probe = ProbeState(1.02e6)
         tracker = sim.KalmanTracker(probe, force, mirror, cfg)
         traj = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(71, 0))
         path = tmp_path / "trial.csv"
