@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import est, sim
-from .errors import require_finite
+from .errors import RiccatiError, require_finite
 from .model import (
     PRIOR_TAGS,
     ForceParams,
@@ -31,11 +31,22 @@ from .model import (
     PriorModel,
     TabulatedTransferFunction,
 )
-from .probe import ProbeState, SqueezingBandwidth, attainability_gap, effective_squeezing_factor
+from .probe import (
+    ProbeState,
+    SqueezingBandwidth,
+    attainability_gap,
+    effective_squeezing_factor,
+    measurement_noise_psd,
+)
 
 SWEEP_COLUMNS = ("var", "probe", "alpha_sq", "mse_emp", "mse_stderr", "mmse", "qcrb_coh", "qcrb_sq")
 BOUNDS_COLUMNS = ("var", "alpha_sq", "mmse_coh", "mmse_sq", "qcrb_coh", "qcrb_sq")
 PROBE_KINDS = ("coherent", "squeezed")
+
+#: A nonlinear cell fails before its first trial when its trials are
+#: expected to hold at least this many samples per record with a feedback
+#: error past pi/2 (`run_sweep_point`).
+MAX_EXPECTED_SLIPS = 1e-2
 
 #: Trials per task of a sweep cell.  A cell keeps only four floats per kept
 #: trial; its scored windows live for one task.
@@ -326,7 +337,18 @@ def run_sweep_point(
 
     _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)  # fails a short trace first
     probe = config.operating_point(kind, alpha_sq)
-    tracker = sim.KalmanTracker(probe, config.force, config.mirror, cfg)
+    tracker = sim.KalmanTracker(measurement_noise_psd(probe), config.force, config.mirror, cfg)
+    if cfg.mode == sim.MODE_NONLINEAR:
+        # samples per record whose feedback error, Gaussian of the predicted
+        # variance, lies past pi/2, where a nonlinear trial diverges
+        sigma_sq = tracker.sigma_phi_sq_feedback()
+        slips = n_total * math.erfc(0.5 * math.pi / math.sqrt(2.0 * sigma_sq))
+        if slips >= MAX_EXPECTED_SLIPS:
+            raise RiccatiError(
+                f"nonlinear tracking loop cannot lock: its feedback error "
+                f"sigma_phi^2 = {sigma_sq:.4g} rad^2 puts {slips:.3g} of the "
+                f"{n_total} samples per record past pi/2 on average"
+            )
     bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
     cell = (priors, probe, tracker, bank, cfg, dump_dir)
 

@@ -161,6 +161,16 @@ def _raw_grid(priors: PriorModel, omega_max: float, n_per_panel: int) -> Spectra
 # analytic MSEs and bounds
 
 
+def _weighted_integral(x: str, g: SpectralGrid, nu) -> float:
+    """g.integrate(S_x / (1.0 + nu(g.nodes) * K)) / pi, evaluated in one
+    buffer: the same operations, in the same order."""
+    tables = g.integrands
+    buf = np.multiply(nu(g.nodes), tables["K"])
+    buf += 1.0
+    np.divide(tables[x], buf, out=buf)
+    return g.integrate(buf) / np.pi
+
+
 def _information_integral(x: str, grid: SpectralGrid, nu, label: str) -> float:
     """Integral dw/2pi S_x / (1 + nu(w) K), K the information kernel of the
     grid's priors, on `grid` and on its doubled twin; `nu` is called once per
@@ -168,10 +178,7 @@ def _information_integral(x: str, grid: SpectralGrid, nu, label: str) -> float:
     more than TAIL_RTOL, or when either is NaN."""
     if x not in PRIOR_TAGS:
         raise ValueError(f"unknown variable tag {x!r}")
-    value, refined = (
-        g.integrate(g.integrands[x] / (1.0 + nu(g.nodes) * g.integrands["K"])) / np.pi
-        for g in (grid, grid.doubled())
-    )
+    value, refined = (_weighted_integral(x, g, nu) for g in (grid, grid.doubled()))
     if not abs(refined - value) <= TAIL_RTOL * abs(refined):  # a NaN fails too
         raise TailAccuracyError(
             f"{label}[{x}]: tail estimate {abs(refined - value):.3e} exceeds "

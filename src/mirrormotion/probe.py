@@ -122,6 +122,10 @@ class SqueezingBandwidth:
         return cls(dw_minus, ratio * dw_minus)
 
 
+def _squeezing_factor(ep: float, em: float, sigma_phi_sq: float) -> float:
+    return sigma_phi_sq * ep + (1.0 - sigma_phi_sq) * em
+
+
 def effective_squeezing_factor(p: ProbeState) -> float:
     """Effective squeezing factor: the measured-noise variance relative to shot
     noise, sigma_phi^2 e^{2 r_p} + (1 - sigma_phi^2) e^{-2 r_m}, evaluated with
@@ -130,13 +134,22 @@ def effective_squeezing_factor(p: ProbeState) -> float:
     Imperfect tracking mixes the anti-squeezed quadrature into the phase
     readout, so the factor grows with sigma_phi^2 whenever r_p > 0.
     """
+    return _squeezing_factor(*p.detected_moments(), p.sigma_phi_sq)
+
+
+def noise_psd_at_tracking_error(p: ProbeState):
+    """S_z of the probe `p` as a function of its tracking error:
+    sigma_phi^2 -> R_sq_eff(sigma_phi^2) / (4 eta |alpha|^2) [rad^2 s], with
+    `p.sigma_phi_sq` ignored.  Calibration evaluates it at each of its
+    fixed-point steps without building a probe per step."""
     ep, em = p.detected_moments()
-    return p.sigma_phi_sq * ep + (1.0 - p.sigma_phi_sq) * em
+    shot_noise = 4.0 * p.eta_det * p.alpha_sq
+    return lambda sigma_phi_sq: _squeezing_factor(ep, em, sigma_phi_sq) / shot_noise
 
 
 def measurement_noise_psd(p: ProbeState) -> float:
     """White measurement-noise PSD S_z = R_sq_eff / (4 eta |alpha|^2) [rad^2 s]."""
-    return effective_squeezing_factor(p) / (4.0 * p.eta_det * p.alpha_sq)
+    return noise_psd_at_tracking_error(p)(p.sigma_phi_sq)
 
 
 def squeezing_spectrum(sign: str, omega, p: ProbeState, bw: SqueezingBandwidth):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import RiccatiError, require_finite
 from .model import ForceParams, MirrorParams, PriorModel, TransferFunction, force_gains
-from .probe import ProbeState, measurement_noise_psd
+from .probe import ProbeState, measurement_noise_psd, noise_psd_at_tracking_error
 
 MODE_LINEARIZED = "linearized"
 MODE_NONLINEAR = "nonlinear"
@@ -253,7 +253,9 @@ class KalmanTracker:
 
     The internal model is the nominal mass-spring-damper system with state
     (q, p, f), the force an Ornstein-Uhlenbeck process, and the measurement
-    y = 2 k0 cos(theta) q + noise of per-sample variance r = S_z/dt.
+    y = 2 k0 cos(theta) q + noise of per-sample variance r = S_z/dt.  The
+    white-noise PSD `noise_psd` = S_z [rad^2 s] (`probe.measurement_noise_psd`)
+    is all the tracker needs of the probe.
 
     Its phase errors come from the spectrum of its model (Kolmogorov-Szego):
     the one-step innovation variance c^2 P + r of y_k = phi_k + v_k is the
@@ -266,12 +268,16 @@ class KalmanTracker:
     """
 
     def __init__(
-        self, probe: ProbeState, force: ForceParams, params: MirrorParams, cfg: SimConfig
+        self, noise_psd: float, force: ForceParams, params: MirrorParams, cfg: SimConfig
     ):
+        if not 0.0 < noise_psd < math.inf:  # a NaN fails too
+            raise ValueError(f"noise_psd must be positive and finite, got {noise_psd!r}")
         self.cfg = cfg
         self.a_d, self.q_d, self.c_vec, tables = _tracker_model(params, force, cfg.dt)
-        self.r = measurement_noise_psd(probe) / cfg.dt
-        big_l, check = (np.dot(w, np.log1p(s_phi / self.r)) / math.pi for w, s_phi in tables)
+        self.r = noise_psd / cfg.dt
+        (w, s_phi), (w_fine, s_phi_fine) = tables
+        big_l = np.dot(w, np.log1p(s_phi / self.r)) / math.pi
+        check = np.dot(w_fine, np.log1p(s_phi_fine / self.r)) / math.pi
         if not abs(check - big_l) <= SPECTRAL_RTOL * check:
             raise RiccatiError(
                 "phase-spectrum integral not converged: doubling its nodes moves it "
@@ -364,22 +370,22 @@ def calibrate_tracking(
     squeezing factor, which sets S_z, which feeds the Riccati solution back.
 
     The map is a mild contraction (the factor depends weakly on sigma_phi^2),
-    so plain fixed-point iteration converges in a few steps.  Too faint or
-    too anti-squeezed a probe drives an iterate to 1 rad^2, where the loop
-    cannot lock; that raises RiccatiError.
+    so plain fixed-point iteration converges in a few steps.  It iterates
+    sigma_phi^2 as a float, from 0, and gives the probe its value once, at
+    the fixed point.  Too faint or too anti-squeezed a probe drives an
+    iterate to 1 rad^2, where the loop cannot lock; that raises RiccatiError.
     """
-    state = replace(probe, sigma_phi_sq=0.0)
+    noise_psd = noise_psd_at_tracking_error(probe)
     value = 0.0
     for _ in range(CALIBRATION_MAX_ITER):
-        new = KalmanTracker(state, force, params, cfg).sigma_phi_sq_posterior
+        new = KalmanTracker(noise_psd(value), force, params, cfg).sigma_phi_sq_posterior
         if new >= 1.0:
             raise RiccatiError(
                 f"tracking loop cannot lock at alpha_sq={probe.alpha_sq:.4g}: "
                 f"sigma_phi^2 reaches {new:.4g} rad^2"
             )
-        state = replace(state, sigma_phi_sq=new)
         if abs(new - value) <= CALIBRATION_RTOL * max(new, 1e-30):
-            return state
+            return replace(probe, sigma_phi_sq=new)
         value = new
     raise RiccatiError("tracking operating point did not converge")
 

@@ -7,15 +7,20 @@ dense Gaussian conditioning on a finite window of samples.  No spectral
 densities, quadrature, or Wiener formulas are used, so agreement with the
 frequency-domain results validates that whole path at once.
 
-The tracker oracle is the nonlinear feedback loop written one array element
-at a time, the form the fast scalar loop of `sim.run_tracking` must match.
+The tracker oracles are the nonlinear feedback loop written one array
+element at a time, the form the fast scalar loop of `sim.run_tracking` must
+match, and the tracking calibration written with one probe per fixed-point
+step, which `sim.calibrate_tracking` must match.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 
+from mirrormotion import sim
+from mirrormotion.errors import RiccatiError
 from mirrormotion.probe import measurement_noise_psd
 
 STATE_INDEX = {"q": 0, "p": 1, "f": 2}
@@ -138,3 +143,25 @@ def run_tracking_nonlinear(phi, probe, tracker, cfg, rng) -> tuple:
     start = min(tracker.settle_samples, n // 2)
     err = phi[start:] - phi_fb[start:]
     return y, phi_fb, float(np.mean(err**2)), diverged
+
+
+def calibrate_tracking_reference(probe, force, params, cfg):
+    """`sim.calibrate_tracking` with a `ProbeState` for every fixed-point
+    step: each step's tracker reads S_z from the probe of the previous
+    step's sigma_phi^2.  `sim.calibrate_tracking` must return the same
+    probe, bit for bit, and raise the same errors."""
+    state = replace(probe, sigma_phi_sq=0.0)
+    value = 0.0
+    for _ in range(sim.CALIBRATION_MAX_ITER):
+        tracker = sim.KalmanTracker(measurement_noise_psd(state), force, params, cfg)
+        new = tracker.sigma_phi_sq_posterior
+        if new >= 1.0:
+            raise RiccatiError(
+                f"tracking loop cannot lock at alpha_sq={probe.alpha_sq:.4g}: "
+                f"sigma_phi^2 reaches {new:.4g} rad^2"
+            )
+        state = replace(state, sigma_phi_sq=new)
+        if abs(new - value) <= sim.CALIBRATION_RTOL * max(new, 1e-30):
+            return state
+        value = new
+    raise RiccatiError("tracking operating point did not converge")

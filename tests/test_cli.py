@@ -29,7 +29,12 @@ from mirrormotion.model import (
     NominalTransferFunction,
     TabulatedTransferFunction,
 )
-from mirrormotion.probe import SqueezingBandwidth, attainability_gap, effective_squeezing_factor
+from mirrormotion.probe import (
+    SqueezingBandwidth,
+    attainability_gap,
+    effective_squeezing_factor,
+    measurement_noise_psd,
+)
 
 from conftest import ALPHA_SQS
 
@@ -315,6 +320,44 @@ class TestSweep:
             for kind in cli.PROBE_KINDS
         ]
 
+    def test_nonlinear_cell_that_cannot_lock_fails_before_its_trials(
+        self, tiny_config, tmp_path, monkeypatch, capsys
+    ):
+        # a 100 times stronger force: calibration settles below 1 rad^2, but the
+        # predicted feedback error puts 1e2 to 4e3 samples of each record past
+        # pi/2, where every nonlinear trial diverges
+        def no_trials(*args):
+            raise AssertionError("a trial was simulated")
+
+        monkeypatch.setattr(sim, "simulate_trial", no_trials)
+        config = replace(
+            tiny_config,
+            force=replace(tiny_config.force, kappa=1.67e5),
+            alpha_sqs=(1e5, 3e5),
+            simulation=replace(tiny_config.simulation, mode="nonlinear"),
+        )
+        cfg = config.simulation
+        _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)
+        expected = []
+        for alpha_sq in config.alpha_sqs:
+            for kind in cli.PROBE_KINDS:
+                probe = config.operating_point(kind, alpha_sq)
+                sigma_sq = sim.KalmanTracker(
+                    measurement_noise_psd(probe), config.force, config.mirror, cfg
+                ).sigma_phi_sq_feedback()
+                slips = n_total * math.erfc(0.5 * math.pi / math.sqrt(2.0 * sigma_sq))
+                assert slips >= cli.MAX_EXPECTED_SLIPS
+                expected.append(
+                    f"{cli._point_label(kind, alpha_sq)} failed: nonlinear tracking loop "
+                    f"cannot lock: its feedback error sigma_phi^2 = {sigma_sq:.4g} rad^2 "
+                    f"puts {slips:.3g} of the {n_total} samples per record past pi/2 "
+                    "on average"
+                )
+        cfg_path = tmp_path / "unlocked.cfg"
+        cli.write_config(config, cfg_path)
+        assert cli.main(["--config", str(cfg_path), "sweep"]) == 1
+        assert capsys.readouterr().err.splitlines() == expected
+
     def test_coherent_bound_equals_mmse_at_unit_efficiency(self, tiny_config):
         config = replace(tiny_config, eta_det=1.0, alpha_sqs=(1.02e6,))
         rows, _ = cli.cmd_sweep(config)
@@ -556,7 +599,7 @@ class TestScoreTrials:
         cfg = config.simulation
         priors = config.priors()
         probe = config.operating_point("squeezed", config.alpha_sqs[-1])
-        tracker = sim.KalmanTracker(probe, config.force, config.mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), config.force, config.mirror, cfg)
         _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)
         bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
         cli._enter_cell(priors, probe, tracker, bank, cfg, None)
@@ -574,7 +617,7 @@ class TestScoreTrials:
         config, cfg = tiny_config, tiny_config.simulation
         priors = config.priors()
         probe = config.operating_point("squeezed", ALPHA_SQS[0])
-        tracker = sim.KalmanTracker(probe, config.force, config.mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), config.force, config.mirror, cfg)
         _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)
         bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
         cli._enter_cell(priors, probe, tracker, bank, cfg, None)

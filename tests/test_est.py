@@ -263,6 +263,37 @@ class TestQcrbFiniteBandwidth:
         assert ratios == pytest.approx([0.9229, 0.9555, 0.9720, 0.9921], abs=1e-3)
 
 
+class TestInformationIntegral:
+    """Each integral is Integral S_x / (1 + nu K) on the doubled grid, with
+    the expression's operations in its order, bit for bit."""
+
+    @staticmethod
+    def direct(x, grid, nu):
+        g = grid.doubled()
+        return g.integrate(g.integrands[x] / (1.0 + nu(g.nodes) * g.integrands["K"])) / np.pi
+
+    @pytest.mark.parametrize("alpha_sq", [ALPHA_SQS[0], ALPHA_SQS[-1]])
+    @pytest.mark.parametrize("x", ["q", "p", "f"])
+    def test_constant_nu(self, grid, x, alpha_sq):
+        probe = squeezed(alpha_sq, sigma_phi_sq=5e-3, eta_det=ETA)
+        mmse_nu = 1.0 / measurement_noise_psd(probe)
+        qcrb_nu = 4.0 * photon_flux_psd_broadband(probe)
+        assert analytic_mmse(x, probe, grid) == self.direct(x, grid, lambda w: mmse_nu)
+        assert qcrb(x, probe, grid) == self.direct(x, grid, lambda w: qcrb_nu)
+
+    @pytest.mark.parametrize("alpha_sq", [ALPHA_SQS[0], ALPHA_SQS[-1]])
+    @pytest.mark.parametrize("x", ["q", "p", "f"])
+    def test_array_nu(self, grid, x, alpha_sq):
+        probe = squeezed(alpha_sq)
+        bw = SqueezingBandwidth.standard(probe, BANDWIDTH_10_OMEGA)
+        nu = lambda w: 4.0 * photon_flux_psd_exact(w, probe, bw)  # noqa: E731
+        assert qcrb_finite_bandwidth(x, probe, bw, grid) == self.direct(x, grid, nu)
+
+    @pytest.mark.parametrize("x", ["q", "p", "f"])
+    def test_zero_nu(self, grid, x):
+        assert prior_variance(x, grid) == self.direct(x, grid, lambda w: 0.0)
+
+
 class TestGoldenBounds:
     """`bounds` values at the four reference amplitudes, computed with the
     minimum-MSE integrand written as S_x S_z / (S_z + K): a refactor of the

@@ -161,7 +161,7 @@ class TestMirrorResponse:
 
 class TestDiscretization:
     def test_force_block_matches_ou_formulas(self, mirror, force, cfg):
-        tracker = sim.KalmanTracker(ProbeState(1e6), force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(ProbeState(1e6)), force, mirror, cfg)
         a = math.exp(-LAMBDA * cfg.dt)
         assert tracker.a_d[2, 2] == pytest.approx(a, rel=1e-12)
         assert np.allclose(tracker.a_d[2, :2], 0.0)
@@ -171,7 +171,7 @@ class TestDiscretization:
 
     def test_stationary_covariance_consistency(self, mirror, force, cfg):
         # discrete-time stationarity must reproduce the continuous Lyapunov solution
-        tracker = sim.KalmanTracker(ProbeState(1e6), force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(ProbeState(1e6)), force, mirror, cfg)
         p_disc = scipy.linalg.solve_discrete_lyapunov(tracker.a_d, tracker.q_d)
         p_cont = oracles.stationary_covariance(mirror, force)
         assert np.allclose(p_disc, p_cont, rtol=1e-8)
@@ -186,7 +186,7 @@ class TestDiscretization:
             ]
         )
         a_d, q_d = sim._discretize(a_c, np.diag([0.0, 0.0, force.kappa]), cfg.dt)
-        tracker = sim.KalmanTracker(ProbeState(1e6), force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(ProbeState(1e6)), force, mirror, cfg)
         assert np.array_equal(tracker.a_d, a_d)
         assert np.array_equal(tracker.q_d, q_d)
         assert not tracker.a_d.flags.writeable and not tracker.q_d.flags.writeable
@@ -242,21 +242,25 @@ def tracker_probes(draw):
 
 class TestRiccatiTracking:
     def test_noiseless_limit(self, mirror, force, cfg):
-        tight = sim.KalmanTracker(ProbeState(1e18), force, mirror, cfg).sigma_phi_sq_posterior
-        typical = sim.KalmanTracker(ProbeState(1e6), force, mirror, cfg).sigma_phi_sq_posterior
+        tight = sim.KalmanTracker(
+            measurement_noise_psd(ProbeState(1e18)), force, mirror, cfg
+        ).sigma_phi_sq_posterior
+        typical = sim.KalmanTracker(
+            measurement_noise_psd(ProbeState(1e6)), force, mirror, cfg
+        ).sigma_phi_sq_posterior
         assert tight < 1e-6 * typical
 
     def test_monotone_in_amplitude(self, mirror, force, cfg):
         values = [
             sim.KalmanTracker(
-                ProbeState(a, eta_det=ETA), force, mirror, cfg
+                measurement_noise_psd(ProbeState(a, eta_det=ETA)), force, mirror, cfg
             ).sigma_phi_sq_posterior
             for a in ALPHA_SQS
         ]
         assert np.all(np.diff(values) < 0)
 
     def test_closed_loop_stable(self, mirror, force, cfg):
-        tracker = sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), force, mirror, cfg)
         assert tracker.settle_samples > 0  # implies spectral radius < 1
 
     @pytest.mark.parametrize(
@@ -277,7 +281,7 @@ class TestRiccatiTracking:
             return np.diag([-0.5 * r.item() / mirror.phase_gain**2, 0.0, 0.0])
 
         monkeypatch.setattr(scipy.linalg, "solve_discrete_are", non_stabilizing)
-        tracker = sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), force, mirror, cfg)
         with pytest.raises(RiccatiError, match="unstable"):
             use(tracker)
 
@@ -287,9 +291,17 @@ class TestRiccatiTracking:
         sim._tracker_model.cache_clear()
         try:
             with pytest.raises(RiccatiError, match="phase-spectrum integral not converged"):
-                sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
+                sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), force, mirror, cfg)
         finally:
             sim._tracker_model.cache_clear()  # drop the coarse tables
+
+    @pytest.mark.parametrize(
+        "noise_psd", [math.nan, math.inf, 0.0, -1e-12], ids=["nan", "inf", "zero", "negative"]
+    )
+    def test_noise_level_must_be_positive_and_finite(self, mirror, force, cfg, noise_psd):
+        # checked where it enters, not left to fail the spectral integral
+        with pytest.raises(ValueError, match="noise_psd must be positive and finite"):
+            sim.KalmanTracker(noise_psd, force, mirror, cfg)
 
     @settings(max_examples=100)
     @given(model=tracker_models(), probe=tracker_probes())
@@ -306,7 +318,7 @@ class TestRiccatiTracking:
         # relative (seen: ~1e-13 at the reference cells, ~2e-11 over the
         # drawn models, the rest being rounding near the resonance)
         params, force = model
-        tracker = sim.KalmanTracker(probe, force, params, sim.SimConfig())
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, params, sim.SimConfig())
         c_vec, r = tracker.c_vec, tracker.r
         p_pred = scipy.linalg.solve_discrete_are(tracker.a_d.T, c_vec[:, None], tracker.q_d, [[r]])
         prediction = float(c_vec @ p_pred @ c_vec)
@@ -328,7 +340,7 @@ class TestRiccatiTracking:
             c_vec[1] = 1.0
 
     def test_filter_built_on_first_use_matches_fresh_coefficients(self, mirror, force, cfg):
-        tracker = sim.KalmanTracker(squeezed(1.02e6), force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), force, mirror, cfg)
         a_cl = tracker.a_d @ (np.eye(3) - np.outer(tracker.gain, tracker.c_vec))
         num, den = scipy.signal.ss2tf(
             a_cl, (tracker.a_d @ tracker.gain)[:, None], tracker.c_vec[None, :], np.zeros((1, 1))
@@ -377,7 +389,9 @@ class TestRiccatiTracking:
         except RiccatiError as exc:
             state = template
             for _ in range(sim.CALIBRATION_MAX_ITER):
-                sigma_sq = sim.KalmanTracker(state, force, params, cfg_d).sigma_phi_sq_posterior
+                sigma_sq = sim.KalmanTracker(
+                    measurement_noise_psd(state), force, params, cfg_d
+                ).sigma_phi_sq_posterior
                 if sigma_sq >= 1.0:
                     break
                 state = replace(state, sigma_phi_sq=sigma_sq)
@@ -387,7 +401,7 @@ class TestRiccatiTracking:
                 f"sigma_phi^2 reaches {sigma_sq:.4g} rad^2"
             )
             return
-        tracker = sim.KalmanTracker(probe, force, params, cfg_d)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, params, cfg_d)
         assert tracker.settle_samples > 0
         assert (
             tracker.sigma_phi_sq_posterior
@@ -395,9 +409,35 @@ class TestRiccatiTracking:
             <= tracker.sigma_phi_sq_feedback()
         )
 
+    @settings(max_examples=100)
+    @given(model=tracker_models(), probe=tracker_probes())
+    @example(model=REFERENCE_MODEL, probe=ProbeState(ALPHA_SQS[0], eta_det=ETA))
+    @example(model=REFERENCE_MODEL, probe=ProbeState(ALPHA_SQS[1], eta_det=ETA))
+    @example(model=REFERENCE_MODEL, probe=ProbeState(ALPHA_SQS[2], eta_det=ETA))
+    @example(model=REFERENCE_MODEL, probe=ProbeState(ALPHA_SQS[3], eta_det=ETA))
+    @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[0]))
+    @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[1]))
+    @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[2]))
+    @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[3]))
+    def test_calibration_matches_one_probe_per_step(self, model, probe):
+        # iterating sigma_phi^2 as a float gives the operating point of a
+        # probe rebuilt at every step, bit for bit, or the same error
+        params, force = model
+        cfg = sim.SimConfig()
+        try:
+            expected = oracles.calibrate_tracking_reference(probe, force, params, cfg)
+        except RiccatiError as exc:
+            with pytest.raises(RiccatiError) as raised:
+                sim.calibrate_tracking(probe, force, params, cfg)
+            assert str(raised.value) == str(exc)
+            return
+        assert sim.calibrate_tracking(probe, force, params, cfg) == expected
+
     def test_calibration_fixed_point(self, mirror, force, cfg):
         probe = sim.calibrate_tracking(squeezed(1.02e6), force, mirror, cfg)
-        again = sim.KalmanTracker(probe, force, mirror, cfg).sigma_phi_sq_posterior
+        again = sim.KalmanTracker(
+            measurement_noise_psd(probe), force, mirror, cfg
+        ).sigma_phi_sq_posterior
         assert again == pytest.approx(probe.sigma_phi_sq, rel=1e-8)
         # reproduces the reported operating band of the effective factor
         assert 0.003 < probe.sigma_phi_sq < 0.011
@@ -405,7 +445,7 @@ class TestRiccatiTracking:
     def test_empirical_consistency(self, mirror, force, priors, cfg, pad):
         cfg0 = replace(cfg, feedback_delay_samples=0)
         probe = sim.calibrate_tracking(squeezed(1.02e6), force, mirror, cfg0)
-        tracker = sim.KalmanTracker(probe, force, mirror, cfg0)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg0)
         emp = np.mean([
             sim.run_tracking(
                 sim.mirror_response(
@@ -421,7 +461,7 @@ class TestRiccatiTracking:
     def test_huge_amplitude_matches_prediction_variance(self, mirror, force, priors):
         cfg0 = sim.SimConfig(dt=1e-7, n_samples=10_000, seed=3, feedback_delay_samples=0)
         probe = ProbeState(1e12)
-        tracker = sim.KalmanTracker(probe, force, mirror, cfg0)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg0)
         emp = np.mean([
             sim.simulate_trial(priors, probe, tracker, cfg0, sim.trial_rng(11, i)).sigma_phi_sq
             for i in range(24)
@@ -435,7 +475,7 @@ class TestRiccatiTracking:
         # error is the feedback error, about 12% above the posterior here
         cfg_ref = sim.SimConfig(mode=mode)
         probe = sim.calibrate_tracking(squeezed(6.24e6), force, mirror, cfg_ref)
-        tracker = sim.KalmanTracker(probe, force, mirror, cfg_ref)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg_ref)
         errors = [
             sim.simulate_trial(
                 priors, probe, tracker, cfg_ref, sim.trial_rng(cfg_ref.seed, i)
@@ -453,7 +493,7 @@ class TestRiccatiTracking:
         empirical = {}
         for d in (0, 4):
             cfg_d = replace(cfg, feedback_delay_samples=d)
-            tracker = sim.KalmanTracker(probe, force, mirror, cfg_d)
+            tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg_d)
             theory[d] = tracker.sigma_phi_sq_feedback()
             empirical[d] = np.mean([
                 sim.simulate_trial(priors, probe, tracker, cfg_d, sim.trial_rng(31, i)).sigma_phi_sq
@@ -468,7 +508,7 @@ class TestRiccatiTracking:
 class TestRunTracking:
     def test_linearized_noise_level(self, mirror, force, priors, cfg, pad):
         probe = ProbeState(1.02e6, eta_det=ETA)
-        tracker = sim.KalmanTracker(probe, force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg)
         f = sim.simulate_ou(force, cfg, sim.trial_rng(50, 0), n=62_500)
         _, _, phi = sim.mirror_response(f, priors.tf, mirror, cfg, pad)
         y = sim.run_tracking(phi, probe, tracker, cfg, sim.trial_rng(51, 0))[0]
@@ -477,7 +517,7 @@ class TestRunTracking:
 
     def test_linearized_residual_is_white(self, mirror, force, priors, cfg, pad):
         probe = ProbeState(1.02e6, eta_det=ETA)
-        tracker = sim.KalmanTracker(probe, force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg)
         # average the autocorrelation over trials so the 3/sqrt(N) bound has
         # headroom against single-trial 3-sigma fluctuations
         acf = np.zeros(20)
@@ -499,7 +539,7 @@ class TestRunTracking:
         mse = {}
         for mode in ("linearized", "nonlinear"):
             cfg_m = replace(cfg, mode=mode)
-            tracker = sim.KalmanTracker(probe, force, mirror, cfg_m)
+            tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg_m)
             errs = []
             for i in range(12):
                 traj = sim.simulate_trial(priors, probe, tracker, cfg_m, sim.trial_rng(61, i))
@@ -511,7 +551,7 @@ class TestRunTracking:
     def test_nonlinear_divergence_flagged(self, mirror, force, cfg):
         probe = ProbeState(1e9)
         cfg_n = replace(cfg, mode="nonlinear")
-        tracker = sim.KalmanTracker(probe, force, mirror, cfg_n)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg_n)
         phi = np.full(5000, math.pi)  # step far outside the linear regime
         diverged = assert_tracks_like_oracle(phi, probe, tracker, cfg_n, 0)
         assert diverged
@@ -523,7 +563,7 @@ def nonlinear_loop(mirror, force, priors, pad):
     record long enough for three tracker blocks."""
     cfg_n = sim.SimConfig(dt=1e-7, n_samples=10_000, mode="nonlinear")
     probe = sim.calibrate_tracking(squeezed(6.24e6), force, mirror, cfg_n)
-    tracker = sim.KalmanTracker(probe, force, mirror, cfg_n)
+    tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg_n)
     n = 3 * sim.TRACKER_BLOCK
     f = sim.simulate_ou(force, cfg_n, sim.trial_rng(81, 0), n=n)
     phi = sim.mirror_response(f, priors.tf, mirror, cfg_n, pad)[2]
@@ -587,7 +627,7 @@ class TestNonlinearTracker:
 class TestSimulateTrial:
     def test_reproducible_and_consistent(self, mirror, force, priors, cfg):
         probe = ProbeState(2.87e6, eta_det=ETA)
-        tracker = sim.KalmanTracker(probe, force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg)
         t1 = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(70, 3))
         t2 = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(70, 3))
         assert np.array_equal(t1.y, t2.y)
@@ -604,7 +644,7 @@ class TestSimulateTrial:
 
     def test_trajectory_csv(self, mirror, force, priors, cfg, tmp_path):
         probe = ProbeState(1.02e6)
-        tracker = sim.KalmanTracker(probe, force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg)
         traj = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(71, 0))
         path = tmp_path / "trial.csv"
         traj.to_csv(path)

@@ -5,7 +5,11 @@ import sys
 import textwrap
 from pathlib import Path
 
-SOURCE_COUNTS = Path(__file__).resolve().parents[1] / "tools" / "source_counts.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SOURCE_COUNTS = TOOLS / "source_counts.py"
+sys.path.insert(0, str(TOOLS))
+
+import bench_pairs  # noqa: E402
 
 
 def source_counts(*args) -> list[str]:
@@ -63,3 +67,41 @@ class TestSourceCounts:
         lines, values = source_counts()
         assert lines.startswith("src lines: ")
         assert values.startswith("settable values: ")
+
+
+def runs(**values):
+    """Run `metrics` objects, one per pair, from lists of values per metric."""
+    n = len(next(iter(values.values())))
+    return [{name: {"value": v[i], "unit": "u"} for name, v in values.items()} for i in range(n)]
+
+
+class TestBenchPairs:
+    METRICS = [
+        {"name": "ops_per_s", "better": "higher"},
+        {"name": "peak_rss_mb", "better": "lower"},
+    ]
+
+    def test_wins_follow_each_metrics_direction_and_ties_count_for_neither(self):
+        base = runs(ops_per_s=[100, 100, 100, 100], peak_rss_mb=[50, 50, 50, 50])
+        new = runs(ops_per_s=[110, 90, 100, 120], peak_rss_mb=[40, 60, 50, 45])
+        ops, rss = bench_pairs.summarize(base, new, self.METRICS)
+        assert (ops["new_wins"], ops["base_wins"], ops["ties"]) == (2, 1, 1)
+        assert (rss["new_wins"], rss["base_wins"], rss["ties"]) == (2, 1, 1)
+        assert ops["pairs"] == rss["pairs"] == 4
+
+    def test_quartiles_and_median_change(self):
+        base = runs(ops_per_s=[1, 2, 3, 4, 5])
+        new = runs(ops_per_s=[2, 4, 6, 8, 10])
+        [ops] = bench_pairs.summarize(base, new, self.METRICS[:1])
+        assert ops["base"] == (2.0, 3.0, 4.0)
+        assert ops["new"] == (4.0, 6.0, 8.0)
+        assert ops["change"] == 1.0
+        assert ops["new_wins"] == 5
+
+    def test_single_pair_and_zero_base_median(self):
+        base, new = runs(ops_per_s=[0.0]), runs(ops_per_s=[1.0])
+        [ops] = bench_pairs.summarize(base, new, self.METRICS[:1])
+        assert ops["base"] == (0.0, 0.0, 0.0)
+        assert ops["change"] is None
+        last = bench_pairs.format_summary([ops])[-1]
+        assert last.startswith("  new better in 1, base better in 0")

@@ -1,0 +1,124 @@
+"""Compare two checkouts on one benchmark workload in alternating pairs.
+
+    python tools/bench_pairs.py BASE NEW --workload NAME [--pairs 10] [--seconds S]
+
+BASE and NEW are repository roots, for example a `git worktree` of the
+parent commit and the working tree.  Each pair runs `perfbench/run.py` of
+this checkout once with its working directory set to each root (the order
+alternates from pair to pair), so both sides run the same benchmark code on
+their own `src/`.  For every end-to-end metric of `BENCHMARK.json` it prints
+each side's median and quartiles, and in how many pairs each side was
+better by that metric's "better" direction; a tie counts for neither side.
+It exits non-zero when a run prints no JSON result line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench" / "run.py"
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive method."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(base_runs, new_runs, metrics) -> list[dict]:
+    """Per-metric summary of paired runs.
+
+    `base_runs` and `new_runs` are the `metrics` objects of the runs'
+    JSON lines ({name: {"value": v, ...}}), pair i being
+    (base_runs[i], new_runs[i]); `metrics` are BENCHMARK.json's
+    `end_to_end` entries ({"name", "better", ...}).  Each summary holds the
+    name, the direction, both sides' (q1, median, q3), the pair counts
+    `new_wins`, `base_wins` and `ties`, and the median change relative to
+    the base median."""
+    out = []
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        base = [run[name]["value"] for run in base_runs]
+        new = [run[name]["value"] for run in new_runs]
+        new_wins = sum((n > b) if higher else (n < b) for b, n in zip(base, new))
+        ties = sum(n == b for b, n in zip(base, new))
+        base_q, new_q = quartiles(base), quartiles(new)
+        out.append({
+            "name": name,
+            "better": metric["better"],
+            "pairs": len(base),
+            "base": base_q,
+            "new": new_q,
+            "new_wins": new_wins,
+            "base_wins": len(base) - new_wins - ties,
+            "ties": ties,
+            "change": (new_q[1] - base_q[1]) / base_q[1] if base_q[1] else None,
+        })
+    return out
+
+
+def format_summary(summary) -> list[str]:
+    lines = []
+    for s in summary:
+        change = "n/a" if s["change"] is None else f"{100.0 * s['change']:+.1f}%"
+        lines.append(f"{s['name']} ({s['better']} is better, {s['pairs']} pairs)")
+        for side in ("base", "new"):
+            q1, median, q3 = s[side]
+            lines.append(f"  {side:4s} median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}")
+        lines.append(
+            f"  new better in {s['new_wins']}, base better in {s['base_wins']}, "
+            f"ties {s['ties']}; median change {change}, "
+            f"base interquartile range {s['base'][2] - s['base'][0]:.6g}"
+        )
+    return lines
+
+
+def run_once(root: Path, workload: str, seconds) -> dict:
+    """The `metrics` object of one benchmark run in `root`."""
+    cmd = [sys.executable, str(BENCH), "--workload", workload]
+    if seconds is not None:
+        cmd += ["--seconds", str(seconds)]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])["metrics"]
+    except (IndexError, ValueError, KeyError) as exc:
+        raise SystemExit(
+            f"bench_pairs: no result from {root} (exit {out.returncode}): {exc}\n{out.stderr}"
+        ) from exc
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int, help="run length (default: run.py's)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    runs = {"base": [], "new": []}
+    for i in range(args.pairs):
+        order = ("base", "new") if i % 2 == 0 else ("new", "base")
+        for side in order:
+            runs[side].append(run_once(getattr(args, side), args.workload, args.seconds))
+        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    print(f"workload {args.workload}: base {args.base}, new {args.new}")
+    print("\n".join(format_summary(summarize(runs["base"], runs["new"], metrics))))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
