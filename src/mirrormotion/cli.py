@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ValueError("need at least one probe amplitude")
         if any(a <= 0 for a in self.alpha_sqs):
             raise ValueError("probe amplitudes must be positive")
+        if len(set(self.alpha_sqs)) < len(self.alpha_sqs):
+            raise ValueError("probe amplitudes must be distinct")
         if self.bandwidth <= 0:
             raise ValueError("probe bandwidth must be positive")
         # `ProbeState` owns the probe-family rules; name the keys that broke one
@@ -636,14 +638,16 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # a bad value or an unreadable file
         parser.error(str(exc))
     failed = 0
+    try:  # the output directory or table cannot be made; cells report their own errors
+        if args.command == "sweep":
+            rows, failed = cmd_sweep(config, workers=args.workers)
+        elif args.command == "bounds":
+            rows, failed = cmd_bounds(config)
+        elif args.command == "simulate" and args.dump_trajectories:  # before any trial
+            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(str(exc))
     if args.command in ("sweep", "bounds"):
-        try:
-            if args.command == "sweep":
-                rows, failed = cmd_sweep(config, workers=args.workers)
-            else:
-                rows, failed = cmd_bounds(config)
-        except OSError as exc:  # the table cannot be written; cells report their own errors
-            parser.error(str(exc))
         print(f"wrote {len(rows)} rows to {Path(config.out_dir) / f'{args.command}.csv'}")
     elif args.command == "diagnose":
         text, failed = cmd_diagnose(config)

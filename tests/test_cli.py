@@ -146,7 +146,7 @@ def experiment_configs(draw):
         antisqueezing_db=antisqueezing_db,
         eta_det=draw(st.floats(0.0, 1.0, exclude_min=True)),
         bandwidth=draw(positive),
-        alpha_sqs=tuple(draw(st.lists(positive, min_size=1, max_size=6))),
+        alpha_sqs=tuple(draw(st.lists(positive, min_size=1, max_size=6, unique=True))),
         out_dir=draw(st.text(string.ascii_letters + string.digits + "/._-#=", min_size=1)),
     )
 
@@ -1018,6 +1018,10 @@ class TestMainEntry:
             (["write-config", "{bad}/x.cfg"], "File exists"),
             (["--out", "{bad}", "bounds"], "File exists"),
             (["--out", "{bad}", "--trials", "2", "sweep"], "File exists"),
+            (
+                ["--out", "{bad}", "--trials", "2", "simulate", "--dump-trajectories"],
+                "File exists",
+            ),
             (["simulate", "--alpha-sq", "-1"], "probe amplitudes must be positive"),
             (["simulate", "--alpha-sq", "0"], "probe amplitudes must be positive"),
             (["simulate", "--alpha-sq", "nan"], "alpha_sqs must be finite"),
@@ -1048,16 +1052,18 @@ class TestMainEntry:
             ),
             (["--config", "{bandwidth}", "diagnose"], "probe bandwidth must be positive"),
             (["--seed", "-1", "diagnose"], "seed must be nonnegative"),
+            (["--config", "{duplicate}", "sweep"], "probe amplitudes must be distinct"),
         ],
         ids=[
             "zero-trials", "one-trial", "unparsable-value", "line-without-equals",
             "duplicate-key", "one-sample", "missing-config",
             "table-without-column", "table-with-nan", "config-under-a-file",
-            "bounds-out-is-a-file", "sweep-out-is-a-file", "negative-amplitude",
+            "bounds-out-is-a-file", "sweep-out-is-a-file", "simulate-dump-out-is-a-file",
+            "negative-amplitude",
             "zero-amplitude", "nan-amplitude", "infinite-amplitude", "removed-edge-discard-key",
             "delay-fills-window",
             "efficiency-above-one", "zero-efficiency", "squeezing-above-antisqueezing",
-            "negative-squeezing", "zero-bandwidth", "negative-seed",
+            "negative-squeezing", "zero-bandwidth", "negative-seed", "duplicate-amplitude",
         ],
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv, message):
@@ -1089,6 +1095,7 @@ class TestMainEntry:
             ("no_equals", "sim.trials 5"),
             ("twice", "sim.seed = 1\nsim.seed = 1"),
             ("one_sample", "sim.samples = 1"),
+            ("duplicate", "sweep.alpha_sq = 1.02e6, 1.02e6"),
         ):
             paths[name] = tmp_path / f"{name}.cfg"
             paths[name].write_text(text + "\n")
@@ -1116,11 +1123,21 @@ def _fresh_interpreter(script: str) -> str:
 
 
 class TestImports:
-    """scipy modules are loaded only where they are used: none for the
-    package, a config or a spectral grid, no `scipy.fft` or `scipy.signal`
-    for the analytic commands (importing `scipy.signal` alone takes some
-    fifty `bounds` passes), and all three in a pool's parent before it
-    forks."""
+    """Modules are loaded only where they are used: no `mirrormotion`
+    submodule for the package itself (each name is imported from its
+    module), no scipy for a config or a spectral grid, no `scipy.fft` or
+    `scipy.signal` for the analytic commands (importing `scipy.signal` alone
+    takes some fifty `bounds` passes), and all three in a pool's parent
+    before it forks."""
+
+    def test_import_package_loads_no_submodule(self):
+        out = _fresh_interpreter("""
+            import sys
+            import mirrormotion
+
+            print(sorted(m for m in sys.modules if m.startswith("mirrormotion.")))
+        """)
+        assert out.splitlines()[-1] == "[]"
 
     def test_import_config_and_grid_load_no_scipy(self):
         out = _fresh_interpreter("""

@@ -387,19 +387,11 @@ class TestRiccatiTracking:
         try:
             probe = sim.calibrate_tracking(template, force, params, cfg_d)
         except RiccatiError as exc:
-            state = template
-            for _ in range(sim.CALIBRATION_MAX_ITER):
-                sigma_sq = sim.KalmanTracker(
-                    measurement_noise_psd(state), force, params, cfg_d
-                ).sigma_phi_sq_posterior
-                if sigma_sq >= 1.0:
-                    break
-                state = replace(state, sigma_phi_sq=sigma_sq)
-            assert sigma_sq >= 1.0
-            assert str(exc) == (
-                f"tracking loop cannot lock at alpha_sq={a:.4g}: "
-                f"sigma_phi^2 reaches {sigma_sq:.4g} rad^2"
-            )
+            # the one-probe-per-step oracle raises only on reaching 1 rad^2
+            with pytest.raises(RiccatiError, match=r"^tracking loop cannot lock at ") as expected:
+                oracles.calibrate_tracking_reference(template, force, params, cfg_d)
+            assert str(exc) == str(expected.value)
+            assert str(exc).startswith(f"tracking loop cannot lock at alpha_sq={a:.4g}: ")
             return
         tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, params, cfg_d)
         assert tracker.settle_samples > 0
