@@ -318,22 +318,20 @@ def run_sweep_point(
     config: ExperimentConfig,
     kind: str,
     alpha_sq: float,
-    grid: est.SpectralGrid | None = None,
+    grid: est.SpectralGrid,
     workers: int = 1,
     dump_dir=None,
 ) -> SweepPoint:
-    """Calibrate, simulate and score one (probe kind, amplitude) cell.
-    `grid`, when given, is a `est.SpectralGrid` of `config.priors()`; the
-    trials simulate and filter the grid's own priors.  The trials run as
-    tasks of `TRIALS_PER_TASK`, serially or on a pool of at most `workers`
-    processes, and each task's windows are scored as the task returns.  The
-    process that runs the trials enters the cell once (`_enter_cell`), so a
-    task carries only trial indices; the parent keeps no cell past its tasks."""
+    """Calibrate, simulate and score one (probe kind, amplitude) cell on the
+    caller's `grid`, a `est.SpectralGrid` of `config.priors()`, whose priors
+    the trials simulate and filter.  The trials run as tasks of
+    `TRIALS_PER_TASK`, serially or on a pool of at most `workers` processes,
+    and each task's windows are scored as the task returns.  The process
+    that runs the trials enters the cell once (`_enter_cell`), so a task
+    carries only trial indices; the parent keeps no cell past its tasks."""
     global _cell
     if workers < 1:
         raise ValueError("need at least one worker")
-    if grid is None:
-        grid = est.SpectralGrid.build(config.priors())
     priors = grid.priors
     cfg = config.simulation
 
@@ -368,12 +366,10 @@ def run_sweep_point(
             part = payload = None  # this task's windows go before the next runs
 
     if workers > 1:
-        # import what the trials use once here, so the forked workers inherit
-        # it instead of each importing it again
-        import scipy.fft, scipy.linalg, scipy.signal  # noqa: F401, E401
-
-        # and build the tracker's filter: a forked worker that first calls
-        # scipy's BLAS starts BLAS threads, which spin
+        # build the tracker's filter before forking: it loads scipy.linalg and
+        # scipy.signal (`trial_geometry` loaded scipy.fft) for the workers to
+        # inherit, and a forked worker that first calls scipy's BLAS starts
+        # BLAS threads, which spin
         tracker.gain
         with ProcessPoolExecutor(
             max_workers=min(workers, len(tasks)), initializer=_enter_cell, initargs=cell
@@ -576,12 +572,19 @@ def cmd_simulate(
     workers: int = 1,
 ) -> SweepPoint:
     """Run the Monte Carlo trials of one sweep cell, optionally dumping each
-    trajectory as CSV under `config.out_dir`."""
-    dump_dir = None
-    if dump_trajectories:
-        dump_dir = Path(config.out_dir) / f"trajectories_{kind}_{alpha_sq:.3e}"
-        dump_dir.mkdir(parents=True, exist_ok=True)
-    return run_sweep_point(config, kind, alpha_sq, workers=workers, dump_dir=dump_dir)
+    trajectory as CSV under `config.out_dir` (`_make_dump_dir`)."""
+    dump_dir = _make_dump_dir(config, kind, alpha_sq) if dump_trajectories else None
+    grid = est.SpectralGrid.build(config.priors())
+    return run_sweep_point(config, kind, alpha_sq, grid=grid, workers=workers, dump_dir=dump_dir)
+
+
+def _make_dump_dir(config: ExperimentConfig, kind: str, alpha_sq: float) -> Path:
+    """The cell's trajectory-dump directory, made after `config.out_dir` (so
+    an `out_dir` that is a file reads "File exists", not "Not a directory")."""
+    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    dump_dir = Path(config.out_dir) / f"trajectories_{kind}_{alpha_sq:.3e}"
+    dump_dir.mkdir(exist_ok=True)
+    return dump_dir
 
 
 # ---------------------------------------------------------------------------
@@ -625,27 +628,20 @@ def main(argv=None) -> int:
     if args.workers < 1:
         parser.error("--workers must be at least 1")
 
-    if args.command == "write-config":
-        try:
-            write_config(reference_config(), args.path)
-        except OSError as exc:  # e.g. a parent path that is a file
-            parser.error(str(exc))
-        print(f"wrote {args.path}")
-        return 0
-
-    try:
-        config = _load_config(args)
-    except (ValueError, OSError) as exc:  # a bad value or an unreadable file
-        parser.error(str(exc))
     failed = 0
-    try:  # the output directory or table cannot be made; cells report their own errors
+    try:  # the one usage-error boundary (exit 2); a cell reports its own failure
+        if args.command == "write-config":
+            write_config(reference_config(), args.path)
+            print(f"wrote {args.path}")
+            return 0
+        config = _load_config(args)
         if args.command == "sweep":
             rows, failed = cmd_sweep(config, workers=args.workers)
         elif args.command == "bounds":
             rows, failed = cmd_bounds(config)
-        elif args.command == "simulate" and args.dump_trajectories:  # before any trial
-            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+        elif args.command == "simulate" and args.dump_trajectories:
+            _make_dump_dir(config, args.kind, config.alpha_sqs[-1])
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
     if args.command in ("sweep", "bounds"):
         print(f"wrote {len(rows)} rows to {Path(config.out_dir) / f'{args.command}.csv'}")

@@ -20,7 +20,7 @@ class GridMismatchError(ValueError):
 
 class RiccatiError(RuntimeError):
     """The tracker has no steady state: no stabilizing Riccati solution, no
-    converged phase-spectrum integral, or no calibration lock."""
+    nonnegative phase spectrum or converged integral, or no calibration lock."""
 
 
 @functools.cache

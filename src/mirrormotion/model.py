@@ -66,8 +66,8 @@ class MirrorParams:
             raise ValueError("mass must be positive")
         if self.Omega <= 0:
             raise ValueError("resonance frequency must be positive")
-        if self.gamma < 0:
-            raise ValueError("damping must be nonnegative")
+        if self.gamma <= 0:
+            raise ValueError("damping must be positive")
         if self.k0 <= 0:
             raise ValueError("wavenumber must be positive")
         if not 0.0 <= self.theta < np.pi / 2:

@@ -103,7 +103,7 @@ def trial_geometry(force: ForceParams, params: MirrorParams, cfg: SimConfig) -> 
             f"trace length {duration:g} s is shorter than ten force "
             f"correlation times ({10.0 / force.lam:g} s)"
         )
-    tau = max(force.correlation_time, 2.0 / params.gamma if params.gamma > 0 else 0.0)
+    tau = max(force.correlation_time, 2.0 / params.gamma)
     n_margin = int(math.ceil(PAD_CORRELATION_TIMES * tau / cfg.dt))
     return n_margin, scipy.fft.next_fast_len(cfg.n_samples + 2 * n_margin)
 
@@ -209,6 +209,8 @@ def _phase_spectrum(
     weights = (half * w).ravel()
     g = np.linalg.inv(np.exp(1j * theta)[:, None, None] * np.eye(3) - a_d)[:, 0, :]
     s_phi = c * c * np.einsum("ni,ij,nj->n", g, q_d, g.conj()).real
+    if s_phi.min() < 0.0:  # ln(1 + S_phi/r) needs S_phi >= 0
+        raise RiccatiError(f"the tracker's phase spectrum is negative (min {s_phi.min():.3g})")
     weights.flags.writeable = s_phi.flags.writeable = False
     return weights, s_phi
 

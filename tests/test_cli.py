@@ -124,7 +124,7 @@ def experiment_configs(draw):
     mirror = MirrorParams(
         m=draw(positive),
         Omega=draw(positive),
-        gamma=draw(st.floats(0.0, 1e12)),
+        gamma=draw(st.floats(0.0, 1e12, exclude_min=True)),
         k0=draw(positive),
         theta=draw(st.floats(0.0, math.pi / 2, exclude_max=True)),
     )
@@ -303,7 +303,8 @@ class TestSweep:
 
     def test_serial_cell_solves_one_riccati_equation(self, tiny_config, riccati_solves):
         # calibration uses the phase spectrum; only the filtering tracker solves
-        cli.run_sweep_point(tiny_config, "squeezed", 1.02e6)
+        grid = est.SpectralGrid.build(tiny_config.priors())
+        cli.run_sweep_point(tiny_config, "squeezed", 1.02e6, grid=grid)
         assert len(riccati_solves) == 1
 
     def test_diverged_trials_reported(self, tiny_config, second_trial_diverges, capsys):
@@ -575,15 +576,16 @@ class TestTasks:
         out = _fresh_interpreter("""
             import resource
             from dataclasses import replace
-            from mirrormotion import cli
+            from mirrormotion import cli, est
 
             base = cli.reference_config()
             config = replace(base, simulation=replace(
                 base.simulation, n_samples=4000, n_trials=10))
+            grid = est.SpectralGrid.build(config.priors())
             for _ in range(2):  # the heap grows to a cell's working set
-                cli.run_sweep_point(config, "coherent", 1.02e6)
+                cli.run_sweep_point(config, "coherent", 1.02e6, grid=grid)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            cli.run_sweep_point(config, "coherent", 1.02e6)
+            cli.run_sweep_point(config, "coherent", 1.02e6, grid=grid)
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """)
         assert int(out.splitlines()[-1]) < 50 * 10
@@ -767,6 +769,18 @@ class TestDiagnose:
             "alpha_sq=1e+05: sigma_phi^2 reaches 1.007 rad^2"
         ]
         assert out.splitlines() == ["operating-point diagnostics", "=" * 60]
+
+    def test_negative_phase_spectrum_named(self, tmp_path, capsys):
+        # lambda dt = 100: the tracker's discretized model has a phase
+        # spectrum that goes negative, so ln(1 + S_phi/r) has no value
+        cfg_path = tmp_path / "fast_force.cfg"
+        cfg_path.write_text("force.cutoff = 1e9\n")
+        assert cli.main(["--config", str(cfg_path), "diagnose"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(cli.reference_config().alpha_sqs)
+        for line in err:
+            assert line.startswith("diagnose point alpha_sq=")
+            assert " failed: the tracker's phase spectrum is negative (min -" in line
 
     def test_family_without_squeezing_reports_its_block(self, tmp_path, capsys):
         # with no squeezing (r_m = 0 < r_p) the standard-form bandwidths are
@@ -1053,6 +1067,11 @@ class TestMainEntry:
             (["--config", "{bandwidth}", "diagnose"], "probe bandwidth must be positive"),
             (["--seed", "-1", "diagnose"], "seed must be nonnegative"),
             (["--config", "{duplicate}", "sweep"], "probe amplitudes must be distinct"),
+            (
+                ["--out", "{dump_out}", "--trials", "2", "simulate", "--dump-trajectories"],
+                "File exists",
+            ),
+            (["--config", "{zero_damping}", "diagnose"], "damping must be positive"),
         ],
         ids=[
             "zero-trials", "one-trial", "unparsable-value", "line-without-equals",
@@ -1064,6 +1083,7 @@ class TestMainEntry:
             "delay-fills-window",
             "efficiency-above-one", "zero-efficiency", "squeezing-above-antisqueezing",
             "negative-squeezing", "zero-bandwidth", "negative-seed", "duplicate-amplitude",
+            "simulate-dump-subdir-is-a-file", "zero-damping",
         ],
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv, message):
@@ -1082,9 +1102,14 @@ class TestMainEntry:
         removed_key.write_text("sim.samples = 4000\nsim.edge_discard = 1e-5\n")
         long_delay = tmp_path / "delay.cfg"
         long_delay.write_text("sim.samples = 4000\nsim.delay_samples = 4000\n")
+        # the reference cell's dump directory is taken by a file
+        dump_out = tmp_path / "dump_out"
+        dump_out.mkdir()
+        (dump_out / "trajectories_squeezed_6.240e+06").write_text("")
         paths = {
             "bad": bad, "missing": tmp_path / "missing.cfg", "bad_table": bad_table,
             "nan_table": nan_table, "removed_key": removed_key, "long_delay": long_delay,
+            "dump_out": dump_out,
         }
         for name, text in (
             ("efficiency", "probe.efficiency = 1.5"),
@@ -1096,6 +1121,7 @@ class TestMainEntry:
             ("twice", "sim.seed = 1\nsim.seed = 1"),
             ("one_sample", "sim.samples = 1"),
             ("duplicate", "sweep.alpha_sq = 1.02e6, 1.02e6"),
+            ("zero_damping", "mirror.damping = 0"),
         ):
             paths[name] = tmp_path / f"{name}.cfg"
             paths[name].write_text(text + "\n")
@@ -1166,7 +1192,7 @@ class TestImports:
         out = _fresh_interpreter("""
             import sys
             from dataclasses import replace
-            from mirrormotion import cli
+            from mirrormotion import cli, est
 
             class RecordingPool:
                 \"\"\"Notes the scipy modules loaded when the pool is made, then
@@ -1174,7 +1200,7 @@ class TestImports:
 
                 def __init__(self, max_workers=None, initializer=None, initargs=()):
                     names = ("scipy.fft", "scipy.linalg", "scipy.signal")
-                    print(*(name in sys.modules for name in names))
+                    print(*(name for name in names if name in sys.modules))
                     if initializer is not None:
                         initializer(*initargs)
 
@@ -1191,6 +1217,7 @@ class TestImports:
             base = cli.reference_config()
             config = replace(base, simulation=replace(
                 base.simulation, n_samples=4000, n_trials=2))
-            cli.run_sweep_point(config, "coherent", 1.02e6, workers=2)
+            grid = est.SpectralGrid.build(config.priors())
+            cli.run_sweep_point(config, "coherent", 1.02e6, grid=grid, workers=2)
         """)
-        assert out.splitlines()[-1] == "True True True"
+        assert out.splitlines()[-1] == "scipy.fft scipy.linalg scipy.signal"

@@ -58,6 +58,7 @@ class TestMirrorParams:
             {"m": -1.0},
             {"Omega": 0.0},
             {"gamma": -1.0},
+            {"gamma": 0.0},
             {"k0": 0.0},
             {"theta": math.pi / 2},
             {"m": math.nan},

@@ -61,12 +61,25 @@ class TestSourceCounts:
         assert source_counts(tmp_path) == [
             f"src lines: {lines}",
             "settable values: 6 (3 dataclass fields + 3 defaulted parameters)",
+            f"  pkg/nested.py: {len(nested.splitlines())} lines",
+            f"  top.py: {len(top.splitlines())} lines",
         ]
 
     def test_package_source(self):
-        lines, values = source_counts()
+        lines, values, *files = source_counts()
         assert lines.startswith("src lines: ")
         assert values.startswith("settable values: ")
+        src = TOOLS.parent / "src"
+        expected = {
+            path.relative_to(src).as_posix(): len(path.read_text().splitlines())
+            for path in src.rglob("*.py")
+        }
+        per_file = {}
+        for line in files:
+            name, _, count = line.strip().rpartition(": ")
+            per_file[name] = int(count.removesuffix(" lines"))
+        assert per_file == expected
+        assert sum(per_file.values()) == int(lines.removeprefix("src lines: "))
 
 
 def runs(**values):

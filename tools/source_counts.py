@@ -1,6 +1,7 @@
 """Print the two size measures of the package source that ROADMAP aim 2 tracks.
 
-* lines: every line of every `.py` file under `src/`;
+* lines: every line of every `.py` file under `src/`, in total and then per
+  file (its path under the source directory);
 * settable values: the fields of dataclasses plus the parameters that have a
   default value (positional and keyword-only), found by parsing each file.
 
@@ -49,18 +50,21 @@ def counts(tree: ast.AST) -> tuple[int, int]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
-    lines = defaulted = fields = 0
+    file_lines = {}
+    defaulted = fields = 0
     for path in sorted(root.rglob("*.py")):
         text = path.read_text()
-        lines += len(text.splitlines())
+        file_lines[path.relative_to(root).as_posix()] = len(text.splitlines())
         d, f = counts(ast.parse(text, filename=str(path)))
         defaulted += d
         fields += f
-    print(f"src lines: {lines}")
+    print(f"src lines: {sum(file_lines.values())}")
     print(
         f"settable values: {fields + defaulted} "
         f"({fields} dataclass fields + {defaulted} defaulted parameters)"
     )
+    for name, n in file_lines.items():
+        print(f"  {name}: {n} lines")
     return 0
 
 
