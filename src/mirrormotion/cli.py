@@ -13,6 +13,7 @@ import argparse
 import ctypes
 import functools
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -80,6 +81,14 @@ class ExperimentConfig:
             raise ValueError("probe amplitudes must be distinct")
         if self.bandwidth <= 0:
             raise ValueError("probe bandwidth must be positive")
+        # a rate at or past the Nyquist frequency aliases in every trial
+        nyquist = max(self.mirror.Omega, self.mirror.gamma, self.force.lam) * self.simulation.dt
+        if nyquist >= math.pi:
+            raise ValueError(
+                f"sim.dt = {self.simulation.dt:g} s cannot resolve the model: "
+                f"max(mirror.resonance, mirror.damping, force.cutoff) * sim.dt "
+                f"= {nyquist:.3g} must be below pi"
+            )
         # `ProbeState` owns the probe-family rules; name the keys that broke one
         for kind, keys in (
             ("coherent", "probe.efficiency"),
@@ -326,9 +335,10 @@ def run_sweep_point(
     caller's `grid`, a `est.SpectralGrid` of `config.priors()`, whose priors
     the trials simulate and filter.  The trials run as tasks of
     `TRIALS_PER_TASK`, serially or on a pool of at most `workers` processes,
-    and each task's windows are scored as the task returns.  The process
-    that runs the trials enters the cell once (`_enter_cell`), so a task
-    carries only trial indices; the parent keeps no cell past its tasks."""
+    one per task and per CPU, and each task's windows are scored as the task
+    returns.  The process that runs the trials enters the cell once
+    (`_enter_cell`), so a task carries only trial indices; the parent keeps
+    no cell past its tasks."""
     global _cell
     if workers < 1:
         raise ValueError("need at least one worker")
@@ -371,9 +381,8 @@ def run_sweep_point(
         # inherit, and a forked worker that first calls scipy's BLAS starts
         # BLAS threads, which spin
         tracker.gain
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(tasks)), initializer=_enter_cell, initargs=cell
-        ) as pool:
+        size = min(workers, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size, initializer=_enter_cell, initargs=cell) as pool:
             fold(pool.map(_score_trials, tasks))
     else:
         _enter_cell(*cell)
@@ -448,9 +457,7 @@ def _write_table(path, columns, cells, rows_of) -> tuple[list[dict], int]:
     return rows, failed
 
 
-def cmd_sweep(
-    config: ExperimentConfig, out_path=None, workers: int = 1
-) -> tuple[list[dict], int]:
+def cmd_sweep(config: ExperimentConfig, out_path, workers: int) -> tuple[list[dict], int]:
     """Full amplitude sweep; one CSV row per (variable, probe kind, amplitude).
     A cell with diverged trials scores only the others and says so on stderr.
     Returns the rows and the number of cells that failed (and wrote none)."""
@@ -484,7 +491,6 @@ def cmd_sweep(
         for alpha_sq in config.alpha_sqs
         for kind in PROBE_KINDS
     ]
-    out_path = out_path or Path(config.out_dir) / "sweep.csv"
     return _write_table(out_path, SWEEP_COLUMNS, cells, rows_of)
 
 
@@ -492,9 +498,7 @@ def cmd_sweep(
 # bounds and diagnostics
 
 
-def cmd_bounds(
-    config: ExperimentConfig, out_path=None, n_points: int = 25
-) -> tuple[list[dict], int]:
+def cmd_bounds(config: ExperimentConfig, out_path, n_points: int = 25) -> tuple[list[dict], int]:
     """Analytic prediction curves and bounds on a dense amplitude grid (no
     simulation).  The grid always contains the configured sweep amplitudes.
     Returns the rows and the number of amplitudes that failed (and wrote none)."""
@@ -520,7 +524,6 @@ def cmd_bounds(
         ]
 
     cells = [(f"bounds point alpha_sq={alpha_sq:g}", alpha_sq) for alpha_sq in alphas]
-    out_path = out_path or Path(config.out_dir) / "bounds.csv"
     return _write_table(out_path, BOUNDS_COLUMNS, cells, rows_of)
 
 
@@ -635,16 +638,17 @@ def main(argv=None) -> int:
             print(f"wrote {args.path}")
             return 0
         config = _load_config(args)
+        out_path = Path(config.out_dir) / f"{args.command}.csv"
         if args.command == "sweep":
-            rows, failed = cmd_sweep(config, workers=args.workers)
+            rows, failed = cmd_sweep(config, out_path, args.workers)
         elif args.command == "bounds":
-            rows, failed = cmd_bounds(config)
+            rows, failed = cmd_bounds(config, out_path)
         elif args.command == "simulate" and args.dump_trajectories:
             _make_dump_dir(config, args.kind, config.alpha_sqs[-1])
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
     if args.command in ("sweep", "bounds"):
-        print(f"wrote {len(rows)} rows to {Path(config.out_dir) / f'{args.command}.csv'}")
+        print(f"wrote {len(rows)} rows to {out_path}")
     elif args.command == "diagnose":
         text, failed = cmd_diagnose(config)
         print(text)

@@ -29,6 +29,10 @@ from .probe import (
 #: doubled; a larger change raises TailAccuracyError.
 TAIL_RTOL = 1e-3
 
+#: Largest relative change of the prior force-spectrum integral at which
+#: SpectralGrid.build stops doubling omega_max (and the nodes per panel).
+PRIOR_RTOL = 1e-5
+
 #: Doublings of omega_max SpectralGrid.build tries before giving up.
 MAX_DOUBLINGS = 60
 
@@ -72,7 +76,7 @@ class SpectralGrid:
 
     `integrate` approximates Integral_0^omega_max f(w) dw; the builder doubles
     omega_max until the prior force-spectrum integral (the slowest-decaying
-    integrand in the toolkit, tail ~ 1/w^2) has converged to `rtol`.  The
+    integrand in the toolkit, tail ~ 1/w^2) has converged to `PRIOR_RTOL`.  The
     integrands of every MSE and bound are built from the tables of
     `integrands`, evaluated once per grid.
     """
@@ -106,27 +110,21 @@ class SpectralGrid:
         return tables
 
     @classmethod
-    def build(
-        cls,
-        priors: PriorModel,
-        omega_max: float | None = None,
-        rtol: float = 1e-5,
-    ) -> "SpectralGrid":
+    def build(cls, priors: PriorModel) -> "SpectralGrid":
         p = priors.params
-        floor = 50.0 * max(p.Omega, priors.force.lam)
+        omega_max = 50.0 * max(p.Omega, priors.force.lam)
         if isinstance(priors.tf, TabulatedTransferFunction):
-            floor = max(floor, 5.0 * priors.tf.freqs[-1])
-        omega_max = floor if omega_max is None else max(omega_max, floor)
+            omega_max = max(omega_max, 5.0 * priors.tf.freqs[-1])
 
         grid = _raw_grid(priors, omega_max, N_PER_PANEL)
         ref = grid.integrate(priors.psd("f", grid.nodes))
         for _ in range(MAX_DOUBLINGS):
             bigger = grid.doubled()
             ref_new = bigger.integrate(priors.psd("f", bigger.nodes))
-            if abs(ref_new - ref) <= rtol * abs(ref_new):
+            if abs(ref_new - ref) <= PRIOR_RTOL * abs(ref_new):
                 fine = _raw_grid(priors, bigger.omega_max, 2 * N_PER_PANEL)
                 ref_fine = fine.integrate(priors.psd("f", fine.nodes))
-                if abs(ref_fine - ref_new) > rtol * abs(ref_fine):
+                if abs(ref_fine - ref_new) > PRIOR_RTOL * abs(ref_fine):
                     raise TailAccuracyError(
                         "node-count doubling still moves the reference integral; "
                         "increase N_PER_PANEL"
@@ -134,7 +132,7 @@ class SpectralGrid:
                 return bigger
             grid, ref = bigger, ref_new
         raise TailAccuracyError(
-            f"prior spectrum integral did not converge below rtol={rtol:g} "
+            f"prior spectrum integral did not converge below {PRIOR_RTOL:g} "
             f"after {MAX_DOUBLINGS} doublings of omega_max"
         )
 
@@ -182,7 +180,7 @@ def _information_integral(x: str, grid: SpectralGrid, nu, label: str) -> float:
     if not abs(refined - value) <= TAIL_RTOL * abs(refined):  # a NaN fails too
         raise TailAccuracyError(
             f"{label}[{x}]: tail estimate {abs(refined - value):.3e} exceeds "
-            f"{TAIL_RTOL:g} of the integral {refined:.3e}; increase omega_max"
+            f"{TAIL_RTOL:g} of the integral {refined:.3e} at omega_max {grid.omega_max:.3e} rad/s"
         )
     return refined
 

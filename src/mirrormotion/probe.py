@@ -62,7 +62,7 @@ class ProbeState:
 
     @classmethod
     def from_db(
-        cls, alpha_sq: float, squeezing_db: float, antisqueezing_db: float, eta_det: float = 1.0
+        cls, alpha_sq: float, squeezing_db: float, antisqueezing_db: float, eta_det: float
     ):
         """Build from measured noise levels in dB (squeezing_db is the reduction
         below shot noise, quoted positive: -3.62 dB observed -> 3.62), with no

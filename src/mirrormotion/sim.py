@@ -28,6 +28,10 @@ MODE_NONLINEAR = "nonlinear"
 #: Margin/padding length in units of the longest correlation time.
 PAD_CORRELATION_TIMES = 10.0
 
+#: Longest extended grid `trial_geometry` accepts: 134 MB per float64 record,
+#: of which a trial holds about 11 at its peak.
+MAX_TRIAL_SAMPLES = 2**24
+
 #: calibrate_tracking stops when sigma_phi^2 changes by at most this fraction,
 #: and fails after CALIBRATION_MAX_ITER steps.
 CALIBRATION_RTOL = 1e-10
@@ -94,7 +98,8 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 def trial_geometry(force: ForceParams, params: MirrorParams, cfg: SimConfig) -> tuple[int, int]:
     """(n_margin, n_total): samples of margin on each side of the data window,
     and the FFT-friendly length of the whole extended grid.  The data window
-    must span at least ten force correlation times."""
+    must span at least ten force correlation times, and the grid must hold
+    at most MAX_TRIAL_SAMPLES samples."""
     import scipy.fft
 
     duration = cfg.n_samples * cfg.dt
@@ -105,7 +110,13 @@ def trial_geometry(force: ForceParams, params: MirrorParams, cfg: SimConfig) -> 
         )
     tau = max(force.correlation_time, 2.0 / params.gamma)
     n_margin = int(math.ceil(PAD_CORRELATION_TIMES * tau / cfg.dt))
-    return n_margin, scipy.fft.next_fast_len(cfg.n_samples + 2 * n_margin)
+    n_total = scipy.fft.next_fast_len(cfg.n_samples + 2 * n_margin)
+    if n_total > MAX_TRIAL_SAMPLES:
+        raise ValueError(
+            f"a trial of {n_total} samples ({n_margin} of margin on each side of the "
+            f"{cfg.n_samples}-sample window) exceeds {MAX_TRIAL_SAMPLES} samples"
+        )
+    return n_margin, n_total
 
 
 # ---------------------------------------------------------------------------

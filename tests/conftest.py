@@ -58,4 +58,4 @@ def grid(priors):
 @pytest.fixture(scope="session")
 def squeezed_probe():
     """Squeezed probe at the lowest experimental amplitude, ideal detection."""
-    return ProbeState.from_db(ALPHA_SQS[0], SQUEEZING_DB, ANTISQUEEZING_DB)
+    return ProbeState.from_db(ALPHA_SQS[0], SQUEEZING_DB, ANTISQUEEZING_DB, eta_det=1.0)

@@ -153,7 +153,7 @@ def test_criterion_4_coherent_closeness(sweep):
 
 def test_criterion_5_flux_anchors():
     """xi = 0.61 +- 0.005 and xi*I_sq = 1.37e5/s +- 2% at ten-resonance bandwidth."""
-    probe = ProbeState.from_db(1.02e6, SQUEEZING_DB, ANTISQUEEZING_DB)
+    probe = ProbeState.from_db(1.02e6, SQUEEZING_DB, ANTISQUEEZING_DB, eta_det=1.0)
     xi = xi_factor(probe)
     bw = SqueezingBandwidth.standard(probe, BANDWIDTH_10_OMEGA)
     flux = xi * mean_squeezing_flux(probe, bw)
@@ -202,7 +202,9 @@ def test_criterion_8_invariant_suites(priors, grid):
     # bound-ordering chain and pointwise integrand dominance
     for alpha in ALPHA_SQS:
         coh = ProbeState(alpha)
-        sq = replace(ProbeState.from_db(alpha, SQUEEZING_DB, ANTISQUEEZING_DB), sigma_phi_sq=5e-3)
+        sq = replace(
+            ProbeState.from_db(alpha, SQUEEZING_DB, ANTISQUEEZING_DB, eta_det=1.0), sigma_phi_sq=5e-3
+        )
         w = grid.nodes
         kernel = priors.information_kernel(w)
         for x in VARS:

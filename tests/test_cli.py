@@ -93,6 +93,10 @@ def riccati_solves(monkeypatch):
     return calls
 
 
+#: The middle of the Nyquist rule's usage error (`ExperimentConfig`).
+NYQUIST = "cannot resolve the model: max(mirror.resonance, mirror.damping, force.cutoff) * sim.dt"
+
+
 def recording_pool(sizes):
     """Stand-in for `ProcessPoolExecutor` that runs the pool's initializer
     once and its map in this process, and appends each pool's size to
@@ -119,16 +123,18 @@ def recording_pool(sizes):
 @st.composite
 def experiment_configs(draw):
     """Valid configs with every CONFIG_KEYS value drawn (the transfer function
-    stays nominal: a tabulated source must name an existing file)."""
+    stays nominal: a tabulated source must name an existing file, and each
+    rate stays below pi/dt)."""
     positive = st.floats(1e-12, 1e12)
+    n_samples, dt = draw(st.integers(2, 10**7)), draw(positive)
+    rate = st.floats(0.0, min(1e12, 3.0 / dt), exclude_min=True)
     mirror = MirrorParams(
         m=draw(positive),
-        Omega=draw(positive),
-        gamma=draw(st.floats(0.0, 1e12, exclude_min=True)),
+        Omega=draw(rate),
+        gamma=draw(rate),
         k0=draw(positive),
         theta=draw(st.floats(0.0, math.pi / 2, exclude_max=True)),
     )
-    n_samples, dt = draw(st.integers(2, 10**7)), draw(positive)
     simulation = sim.SimConfig(
         dt=dt,
         n_samples=n_samples,
@@ -140,7 +146,7 @@ def experiment_configs(draw):
     antisqueezing_db = draw(st.floats(0.0, 1e3))
     return cli.ExperimentConfig(
         mirror=mirror,
-        force=ForceParams(lam=draw(positive), kappa=draw(positive)),
+        force=ForceParams(lam=draw(rate), kappa=draw(positive)),
         simulation=simulation,
         squeezing_db=draw(st.floats(0.0, antisqueezing_db)),
         antisqueezing_db=antisqueezing_db,
@@ -264,12 +270,12 @@ class TestConfigFile:
 
 class TestSweep:
     def test_row_cardinality_and_columns(self, tiny_config):
-        rows, failed = cli.cmd_sweep(tiny_config)
+        out = Path(tiny_config.out_dir) / "sweep.csv"
+        rows, failed = cli.cmd_sweep(tiny_config, out_path=out, workers=1)
         assert failed == 0
         assert len(rows) == 3 * 2 * len(tiny_config.alpha_sqs)
         assert set(rows[0]) == set(cli.SWEEP_COLUMNS)
-        csv_path = f"{tiny_config.out_dir}/sweep.csv"
-        lines = Path(csv_path).read_text().splitlines()
+        lines = out.read_text().splitlines()
         assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
         assert len(lines) == 1 + len(rows)
 
@@ -279,7 +285,7 @@ class TestSweep:
             alpha_sqs=(np.float64(1.02e6),),
             simulation=replace(tiny_config.simulation, n_trials=2),
         )
-        rows, failed = cli.cmd_sweep(config)
+        rows, failed = cli.cmd_sweep(config, out_path=Path(config.out_dir) / "sweep.csv", workers=1)
         assert failed == 0
         lines = Path(f"{config.out_dir}/sweep.csv").read_text().splitlines()
         assert [line.split(",")[2] for line in lines[1:]] == ["1020000.0"] * len(rows)
@@ -288,8 +294,8 @@ class TestSweep:
     def test_bit_identical_reruns(self, tiny_config, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
-        cli.cmd_sweep(tiny_config, out_path=out1)
-        cli.cmd_sweep(tiny_config, out_path=out2)
+        cli.cmd_sweep(tiny_config, out_path=out1, workers=1)
+        cli.cmd_sweep(tiny_config, out_path=out2, workers=1)
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_worker_pool_matches_serial(self, tiny_config, tmp_path, monkeypatch):
@@ -309,7 +315,7 @@ class TestSweep:
 
     def test_diverged_trials_reported(self, tiny_config, second_trial_diverges, capsys):
         config = replace(tiny_config, alpha_sqs=(1.02e6,))
-        rows, failed = cli.cmd_sweep(config)
+        rows, failed = cli.cmd_sweep(config, out_path=Path(config.out_dir) / "sweep.csv", workers=1)
         assert failed == 0
         assert len(rows) == 6
         lines = Path(f"{config.out_dir}/sweep.csv").read_text().splitlines()
@@ -361,7 +367,7 @@ class TestSweep:
 
     def test_coherent_bound_equals_mmse_at_unit_efficiency(self, tiny_config):
         config = replace(tiny_config, eta_det=1.0, alpha_sqs=(1.02e6,))
-        rows, _ = cli.cmd_sweep(config)
+        rows, _ = cli.cmd_sweep(config, out_path=Path(config.out_dir) / "sweep.csv", workers=1)
         for row in rows:
             if row["probe"] == "coherent":
                 assert row["qcrb_coh"] == pytest.approx(row["mmse"], rel=1e-9)
@@ -379,7 +385,8 @@ class TestSweep:
     def test_matches_golden(self, tiny_config):
         """The fixed-seed trial path, pinned exactly: a refactor of the
         simulation, tracking, smoothing or scoring must not move a bit."""
-        rows, failed = cli.cmd_sweep(replace(tiny_config, alpha_sqs=(6.24e6,)))
+        config = replace(tiny_config, alpha_sqs=(6.24e6,))
+        rows, failed = cli.cmd_sweep(config, out_path=Path(config.out_dir) / "sweep.csv", workers=1)
         assert failed == 0
         assert {
             (row["probe"], row["var"]): (row["mse_emp"], row["mse_stderr"]) for row in rows
@@ -391,8 +398,8 @@ class TestSweep:
         config2 = replace(
             tiny_config, simulation=replace(tiny_config.simulation, seed=1234)
         )
-        cli.cmd_sweep(tiny_config, out_path=out1)
-        cli.cmd_sweep(config2, out_path=out2)
+        cli.cmd_sweep(tiny_config, out_path=out1, workers=1)
+        cli.cmd_sweep(config2, out_path=out2, workers=1)
         assert out1.read_bytes() != out2.read_bytes()
 
     def test_failed_point_keeps_partial_csv(self, tiny_config, tmp_path, monkeypatch, capsys):
@@ -405,7 +412,7 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "run_sweep_point", flaky)
         out = tmp_path / "partial.csv"
-        rows, failed = cli.cmd_sweep(tiny_config, out_path=out)
+        rows, failed = cli.cmd_sweep(tiny_config, out_path=out, workers=1)
         assert failed == 1
         assert len(rows) == 3 * (2 * len(tiny_config.alpha_sqs) - 1)
         assert "synthetic point failure" in capsys.readouterr().err
@@ -480,11 +487,22 @@ class TestTasks:
     def test_pool_never_larger_than_the_task_list(self, tiny_config, monkeypatch):
         pools = []
         monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool(pools))
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         grid = est.SpectralGrid.build(tiny_config.priors())
         for size in (tiny_config.simulation.n_trials, 2, 1):  # 1, 2 and 3 tasks
             monkeypatch.setattr(cli, "TRIALS_PER_TASK", size)
             self.scored(tiny_config, grid, workers=64)
         assert pools == [1, 2, 3]
+
+    def test_pool_never_larger_than_the_machine(self, tiny_config, monkeypatch):
+        pools = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool(pools))
+        monkeypatch.setattr(cli, "TRIALS_PER_TASK", 1)  # three tasks
+        grid = est.SpectralGrid.build(tiny_config.priors())
+        for cpus in (2, 1, None):  # os.cpu_count() is None when it cannot tell
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            self.scored(tiny_config, grid, workers=100_000)
+        assert pools == [2, 1, 1]
 
     def test_tasks_carry_trial_indices_only(self, tiny_config, monkeypatch):
         """A pool process receives the cell, `FilterBank` included, once
@@ -632,7 +650,8 @@ class TestScoreTrials:
 
 class TestBounds:
     def test_curves_decrease_and_cover_sweep_points(self, tiny_config):
-        rows, failed = cli.cmd_bounds(tiny_config, n_points=9)
+        out = Path(tiny_config.out_dir) / "bounds.csv"
+        rows, failed = cli.cmd_bounds(tiny_config, out_path=out, n_points=9)
         assert failed == 0
         alphas = sorted({row["alpha_sq"] for row in rows})
         for a in tiny_config.alpha_sqs:
@@ -659,7 +678,8 @@ class TestBounds:
         assert len(out.read_text().splitlines()) == 1 + 3
 
     def test_bound_columns_match_direct_evaluation(self, tiny_config):
-        rows, _ = cli.cmd_bounds(tiny_config, n_points=2)
+        out = Path(tiny_config.out_dir) / "bounds.csv"
+        rows, _ = cli.cmd_bounds(tiny_config, out_path=out, n_points=2)
         grid = est.SpectralGrid.build(tiny_config.priors())
         for row in rows:
             if row["alpha_sq"] in tiny_config.alpha_sqs:
@@ -680,8 +700,10 @@ class TestBounds:
         monkeypatch.setattr(sim, "calibrate_tracking", flaky)
         out = tmp_path / "out"
         assert cli.main(["--out", str(out), "bounds"]) == 1
-        assert "synthetic bounds failure" in capsys.readouterr().err
+        printed = capsys.readouterr()
+        assert "synthetic bounds failure" in printed.err
         lines = (out / "bounds.csv").read_text().splitlines()
+        assert printed.out == f"wrote {len(lines) - 1} rows to {out / 'bounds.csv'}\n"
         assert len(lines) > 1
         assert not any(line.split(",")[1] == repr(failing_alpha) for line in lines[1:])
 
@@ -707,7 +729,8 @@ class TestBounds:
 
     def test_unit_efficiency_traces_coincide(self, tiny_config):
         config = replace(tiny_config, eta_det=1.0, alpha_sqs=(1.02e6, 6.24e6))
-        for row in cli.cmd_bounds(config, n_points=3)[0]:
+        out = Path(config.out_dir) / "bounds.csv"
+        for row in cli.cmd_bounds(config, out_path=out, n_points=3)[0]:
             assert row["mmse_coh"] == pytest.approx(row["qcrb_coh"], rel=1e-9, abs=0.0)
             assert row["mmse_sq"] > row["qcrb_sq"]  # impure squeezing stays above
 
@@ -769,18 +792,6 @@ class TestDiagnose:
             "alpha_sq=1e+05: sigma_phi^2 reaches 1.007 rad^2"
         ]
         assert out.splitlines() == ["operating-point diagnostics", "=" * 60]
-
-    def test_negative_phase_spectrum_named(self, tmp_path, capsys):
-        # lambda dt = 100: the tracker's discretized model has a phase
-        # spectrum that goes negative, so ln(1 + S_phi/r) has no value
-        cfg_path = tmp_path / "fast_force.cfg"
-        cfg_path.write_text("force.cutoff = 1e9\n")
-        assert cli.main(["--config", str(cfg_path), "diagnose"]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == len(cli.reference_config().alpha_sqs)
-        for line in err:
-            assert line.startswith("diagnose point alpha_sq=")
-            assert " failed: the tracker's phase spectrum is negative (min -" in line
 
     def test_family_without_squeezing_reports_its_block(self, tmp_path, capsys):
         # with no squeezing (r_m = 0 < r_p) the standard-form bandwidths are
@@ -940,8 +951,9 @@ class TestMainEntry:
             ]
         )
         assert code == 0
-        assert "wrote 6 rows" in capsys.readouterr().out
-        assert (tmp_path / "out" / "sweep.csv").exists()
+        out = tmp_path / "out" / "sweep.csv"
+        assert capsys.readouterr().out == f"wrote 6 rows to {out}\n"
+        assert out.exists()
 
     @pytest.mark.filterwarnings("ignore:query outside tabulated transfer-function range")
     @pytest.mark.parametrize(
@@ -1072,6 +1084,10 @@ class TestMainEntry:
                 "File exists",
             ),
             (["--config", "{zero_damping}", "diagnose"], "damping must be positive"),
+            (["--config", "{coarse_dt}", "simulate"], f"{NYQUIST} = 17.6 must be below pi"),
+            (["--config", "{fast_force}", "bounds"], f"{NYQUIST} = 10 must be below pi"),
+            (["--config", "{fast_damping}", "diagnose"], f"{NYQUIST} = 10 must be below pi"),
+            (["--config", "{faster_force}", "diagnose"], f"{NYQUIST} = 100 must be below pi"),
         ],
         ids=[
             "zero-trials", "one-trial", "unparsable-value", "line-without-equals",
@@ -1083,7 +1099,8 @@ class TestMainEntry:
             "delay-fills-window",
             "efficiency-above-one", "zero-efficiency", "squeezing-above-antisqueezing",
             "negative-squeezing", "zero-bandwidth", "negative-seed", "duplicate-amplitude",
-            "simulate-dump-subdir-is-a-file", "zero-damping",
+            "simulate-dump-subdir-is-a-file", "zero-damping", "dt-past-nyquist",
+            "cutoff-past-nyquist", "damping-past-nyquist", "phase-spectrum-negative",
         ],
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv, message):
@@ -1122,6 +1139,12 @@ class TestMainEntry:
             ("one_sample", "sim.samples = 1"),
             ("duplicate", "sweep.alpha_sq = 1.02e6, 1.02e6"),
             ("zero_damping", "mirror.damping = 0"),
+            ("coarse_dt", "sim.dt = 1e-4\nsim.samples = 2000"),  # Omega dt = 17.6
+            ("fast_force", "force.cutoff = 1e8"),
+            ("fast_damping", "mirror.damping = 1e8"),
+            # lambda dt = 100, where the tracker's discretized phase spectrum
+            # would go negative
+            ("faster_force", "force.cutoff = 1e9"),
         ):
             paths[name] = tmp_path / f"{name}.cfg"
             paths[name].write_text(text + "\n")

@@ -101,7 +101,7 @@ class TestAnalyticMmse:
         # so this extreme needs an explicitly deeper grid; note the force MSE
         # decays only like S_z^(1/6) because force content beyond the
         # mechanical band is unobservable at any flux
-        deep = SpectralGrid.build(priors, omega_max=1e14)
+        deep = est._raw_grid(priors, 2e14, est.N_PER_PANEL)
         for x in ("q", "p", "f"):
             values = [
                 analytic_mmse(x, ProbeState(a), deep)
@@ -132,8 +132,8 @@ class TestAnalyticMmse:
             assert np.all(np.diff(mmse) < 0)
             assert np.all(np.diff(bound) < 0)
 
-    def test_prior_variance_against_lyapunov(self, mirror, force, priors):
-        fine = SpectralGrid.build(priors, rtol=1e-9)
+    def test_prior_variance_against_lyapunov(self, mirror, force, priors, grid):
+        fine = est._raw_grid(priors, grid.omega_max * 2**14, est.N_PER_PANEL)
         p_inf = oracles.stationary_covariance(mirror, force)
         for x, idx in (("q", 0), ("p", 1), ("f", 2)):
             assert prior_variance(x, fine) == pytest.approx(p_inf[idx, idx], rel=1e-7, abs=0.0)
@@ -162,7 +162,7 @@ class TestQcrb:
                 )
 
     def test_ordering_chain(self, priors, grid):
-        fine = SpectralGrid.build(priors, rtol=1e-7)
+        fine = est._raw_grid(priors, grid.omega_max * 2**7, est.N_PER_PANEL)
         for a in (1.02e6, 6.24e6):
             coh = ProbeState(a)
             sq = squeezed(a)

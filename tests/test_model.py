@@ -192,9 +192,9 @@ class TestPriorPsd:
             assert np.all(s_pos >= 0.0)
             assert np.allclose(s_pos, s_neg, rtol=1e-14)
 
-    def test_parseval_ou_variance(self, priors):
-        grid = est.SpectralGrid.build(priors, rtol=1e-9)
-        var = est.prior_variance("f", grid)
+    def test_parseval_ou_variance(self, priors, grid):
+        fine = est._raw_grid(priors, grid.omega_max * 2**14, est.N_PER_PANEL)
+        var = est.prior_variance("f", fine)
         assert var == pytest.approx(KAPPA / (2.0 * LAMBDA), rel=1e-6)
 
     def test_momentum_factored_form(self, mirror, force, priors):

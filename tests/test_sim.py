@@ -1,6 +1,7 @@
 """Monte Carlo engine: force statistics, mechanical response, phase tracking."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +62,30 @@ class TestSimConfig:
     def test_short_trace_rejected(self, force, mirror):
         cfg = sim.SimConfig(dt=1e-7, n_samples=1000)
         with pytest.raises(ValueError, match="correlation times"):
+            sim.trial_geometry(force, mirror, cfg)
+
+    def test_trial_length_capped(self, force, mirror, cfg, monkeypatch):
+        # damping 1/s puts 2e8 samples of margin on each side of the window;
+        # the grid is refused before any array of that length exists
+        slow = replace(mirror, gamma=1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as refused:
+                sim.trial_geometry(force, slow, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == (
+            "a trial of 400075200 samples (200000000 of margin on each side of the "
+            "10000-sample window) exceeds 16777216 samples"
+        )
+        assert peak < 1 << 20
+        # the cap is inclusive: the reference grid passes at exactly its length
+        n_total = sim.trial_geometry(force, mirror, cfg)[1]
+        monkeypatch.setattr(sim, "MAX_TRIAL_SAMPLES", n_total)
+        assert sim.trial_geometry(force, mirror, cfg)[1] == n_total
+        monkeypatch.setattr(sim, "MAX_TRIAL_SAMPLES", n_total - 1)
+        with pytest.raises(ValueError, match=f"a trial of {n_total} samples"):
             sim.trial_geometry(force, mirror, cfg)
 
 
@@ -294,6 +319,14 @@ class TestRiccatiTracking:
                 sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), force, mirror, cfg)
         finally:
             sim._tracker_model.cache_clear()  # drop the coarse tables
+
+    def test_negative_phase_spectrum_named(self, mirror, force, cfg):
+        # lambda dt = 100, far past the Nyquist rate `cli.ExperimentConfig`
+        # refuses: the discretized model's phase spectrum goes negative, so
+        # ln(1 + S_phi/r) has no value
+        fast = replace(force, lam=100.0 / cfg.dt)
+        with pytest.raises(RiccatiError, match=r"the tracker's phase spectrum is negative \(min -"):
+            sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), fast, mirror, cfg)
 
     @pytest.mark.parametrize(
         "noise_psd", [math.nan, math.inf, 0.0, -1e-12], ids=["nan", "inf", "zero", "negative"]

@@ -38,6 +38,9 @@ class TestSourceCounts:
             class Plain:
                 z: int = 1
 
+                def grow(self, by=1):
+                    return self
+
 
             def scale(p, factor=2.0, *, clip=None):
                 return p
@@ -60,15 +63,22 @@ class TestSourceCounts:
         lines = len(top.splitlines()) + len(nested.splitlines())
         assert source_counts(tmp_path) == [
             f"src lines: {lines}",
-            "settable values: 6 (3 dataclass fields + 3 defaulted parameters)",
+            "settable values: 7 (3 dataclass fields + 4 defaulted parameters)",
             f"  pkg/nested.py: {len(nested.splitlines())} lines",
             f"  top.py: {len(top.splitlines())} lines",
+            "defaulted parameters:",
+            "  top.py: Plain.grow(by)",
+            "  top.py: scale(factor)",
+            "  top.py: scale(clip)",
+            "  top.py: <lambda>(dx)",
         ]
 
     def test_package_source(self):
-        lines, values, *files = source_counts()
+        lines, values, *rest = source_counts()
         assert lines.startswith("src lines: ")
         assert values.startswith("settable values: ")
+        split = rest.index("defaulted parameters:")
+        files, defaulted = rest[:split], rest[split + 1 :]
         src = TOOLS.parent / "src"
         expected = {
             path.relative_to(src).as_posix(): len(path.read_text().splitlines())
@@ -80,6 +90,11 @@ class TestSourceCounts:
             per_file[name] = int(count.removesuffix(" lines"))
         assert per_file == expected
         assert sum(per_file.values()) == int(lines.removeprefix("src lines: "))
+        # one `file: function(param)` line per defaulted parameter of the count
+        n_defaulted = int(values.split(" + ")[1].removesuffix(" defaulted parameters)"))
+        assert len(defaulted) == n_defaulted
+        assert all(line.split(": ")[0].strip() in per_file for line in defaulted)
+        assert "  mirrormotion/cli.py: main(argv)" in defaulted
 
 
 def runs(**values):
