@@ -24,14 +24,7 @@ import numpy as np
 
 from . import est, sim
 from .errors import RiccatiError, require_finite
-from .model import (
-    PRIOR_TAGS,
-    ForceParams,
-    MirrorParams,
-    NominalTransferFunction,
-    PriorModel,
-    TabulatedTransferFunction,
-)
+from .model import PRIOR_TAGS, ForceParams, MirrorParams, PriorModel
 from .probe import (
     ProbeState,
     SqueezingBandwidth,
@@ -66,7 +59,6 @@ class ExperimentConfig:
     eta_det: float
     bandwidth: float
     alpha_sqs: tuple
-    tf_source: str = "nominal"
     out_dir: str = "results"
 
     def __post_init__(self):
@@ -98,17 +90,10 @@ class ExperimentConfig:
                 self.probe_template(kind, self.alpha_sqs[0])
             except ValueError as exc:
                 raise ValueError(f"{keys}: {exc}") from exc
-        if self.tf_source == "nominal":
-            tf = NominalTransferFunction(self.mirror)
-        elif Path(self.tf_source).exists():
-            tf = TabulatedTransferFunction.from_csv(self.tf_source)  # raises naming the file
-        else:
-            raise ValueError(f"transfer-function file not found: {self.tf_source}")
-        object.__setattr__(self, "_priors", PriorModel(self.mirror, self.force, tf))
 
     def priors(self) -> PriorModel:
-        """The run's one `PriorModel`, built with the config."""
-        return self._priors
+        """The mass-spring-damper mirror under the OU force prior."""
+        return PriorModel(self.mirror, self.force)
 
     def probe_template(self, kind: str, alpha_sq: float) -> ProbeState:
         """Probe with sigma_phi_sq = 0; calibrate before using S_z."""
@@ -178,7 +163,6 @@ CONFIG_KEYS = {
     "sim.mode": ("simulation.mode", str),
     "sim.delay_samples": ("simulation.feedback_delay_samples", int),
     "sweep.alpha_sq": ("alpha_sqs", _floats),
-    "transfer.source": ("tf_source", str),
     "out.dir": ("out_dir", str),
 }
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, TailAccuracyError
-from .model import PRIOR_TAGS, PriorModel, TabulatedTransferFunction, force_gains
+from .model import PRIOR_TAGS, PriorModel, force_gains
 from .probe import (
     ProbeState,
     SqueezingBandwidth,
@@ -46,9 +46,8 @@ N_PER_PANEL = 16
 
 
 def _panel_edges(priors: PriorModel, omega_max: float) -> np.ndarray:
-    """Panel boundaries concentrating nodes at the force cutoff, the mechanical
-    resonance, and the tabulated range limits, with at most one octave per
-    panel elsewhere."""
+    """Panel boundaries concentrating nodes at the force cutoff and the
+    mechanical resonance, with at most one octave per panel elsewhere."""
     p = priors.params
     anchors = set()
     for s in (0.25, 0.5, 1.0, 2.0, 4.0):
@@ -57,9 +56,6 @@ def _panel_edges(priors: PriorModel, omega_max: float) -> np.ndarray:
         w = p.Omega + k * p.gamma
         if w > 0:
             anchors.add(w)
-    if isinstance(priors.tf, TabulatedTransferFunction):
-        anchors.add(priors.tf.freqs[0])
-        anchors.add(priors.tf.freqs[-1])
     edges = [0.0] + sorted(a for a in anchors if 0 < a < omega_max) + [omega_max]
     filled = [0.0]
     for a, b in zip(edges, edges[1:]):
@@ -111,11 +107,7 @@ class SpectralGrid:
 
     @classmethod
     def build(cls, priors: PriorModel) -> "SpectralGrid":
-        p = priors.params
-        omega_max = 50.0 * max(p.Omega, priors.force.lam)
-        if isinstance(priors.tf, TabulatedTransferFunction):
-            omega_max = max(omega_max, 5.0 * priors.tf.freqs[-1])
-
+        omega_max = 50.0 * max(priors.params.Omega, priors.force.lam)
         grid = _raw_grid(priors, omega_max, N_PER_PANEL)
         ref = grid.integrate(priors.psd("f", grid.nodes))
         for _ in range(MAX_DOUBLINGS):
@@ -230,7 +222,7 @@ def optimal_filter(x: str, omega, priors: PriorModel, probe: ProbeState):
     if x not in PRIOR_TAGS:
         raise ValueError(f"unknown variable tag {x!r}")
     w = np.asarray(omega, dtype=float)
-    gains = force_gains(w, priors.tf, priors.params)
+    gains = force_gains(w, priors.params)
     sf = priors.psd("f", w)
     kernel = np.abs(gains["phi"]) ** 2 * sf
     out = gains[x] * np.conj(gains["phi"]) * sf / (kernel + measurement_noise_psd(probe))

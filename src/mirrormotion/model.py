@@ -107,23 +107,13 @@ class ForceParams:
         return 1.0 / self.lam
 
 
-class TransferFunction:
-    """Force-to-position response g_qf(w) [m/N].
-
-    Concrete variants: :class:`NominalTransferFunction` (mass-spring-damper)
-    and :class:`TabulatedTransferFunction` (measured samples).  Both are
-    Hermitian, g_qf(-w) = conj(g_qf(w)), so time-domain responses are real.
-    """
-
-    def __call__(self, omega):
-        raise NotImplementedError
-
-
-class NominalTransferFunction(TransferFunction):
-    """Mass-spring-damper response g_qf(w) = 1/(m*(Omega^2 - w^2 + i*gamma*w)).
+class NominalTransferFunction:
+    """Mass-spring-damper response g_qf(w) = 1/(m*(Omega^2 - w^2 + i*gamma*w)) [m/N],
+    the one mechanical model of the package.
 
     The DC response is 1/(m*Omega^2); the displacement normalization absorbs
-    the detector/drive gains so the model works directly in force units.
+    the detector/drive gains so the model works directly in force units.  It
+    is Hermitian, g_qf(-w) = conj(g_qf(w)), so time-domain responses are real.
     """
 
     def __init__(self, params: MirrorParams):
@@ -135,12 +125,8 @@ class NominalTransferFunction(TransferFunction):
         out = 1.0 / (p.m * (p.Omega**2 - w**2 + 1j * p.gamma * w))
         return out if out.ndim else complex(out)
 
-    def __repr__(self):
-        p = self.params
-        return f"NominalTransferFunction(m={p.m:g}, Omega={p.Omega:g}, gamma={p.gamma:g})"
 
-
-class TabulatedTransferFunction(TransferFunction):
+class TabulatedTransferFunction:
     """Measured g_qf samples on an ascending positive-frequency grid.
 
     Negative frequencies follow from conjugate symmetry.  Queries outside the
@@ -148,6 +134,9 @@ class TabulatedTransferFunction(TransferFunction):
     extrapolated silently.  The first clamped query warns, naming the |omega|
     range it asked for; later ones do not, since every rfft grid includes
     omega = 0 and would repeat the warning on every call.
+
+    Nothing in the package uses it: it stays only because the `perfbench`
+    layer tracer patches its `__call__` by name, and it goes with that line.
     """
 
     def __init__(self, freqs, values):
@@ -212,12 +201,12 @@ class TabulatedTransferFunction(TransferFunction):
         return out if out.ndim else complex(out)
 
 
-def force_gains(omega, tf: TransferFunction, params: MirrorParams) -> dict:
+def force_gains(omega, params: MirrorParams) -> dict:
     """Force-referred motion functions {x: g_xf(w)} for x in VAR_TAGS, from one
     evaluation of g_qf: g_phi-f = 2 k0 cos(theta) g_qf, g_pf = i m w g_qf
     (p = m dq/dt in the rfft convention) and g_ff = 1."""
     w = np.asarray(omega, dtype=float)
-    g = np.asarray(tf(w), dtype=complex)
+    g = np.asarray(NominalTransferFunction(params)(w), dtype=complex)
     return {
         "phi": params.phase_gain * g,
         "q": g,
@@ -226,7 +215,7 @@ def force_gains(omega, tf: TransferFunction, params: MirrorParams) -> dict:
     }
 
 
-def motion_function(i: str, j: str, omega, tf: TransferFunction, params: MirrorParams):
+def motion_function(i: str, j: str, omega, params: MirrorParams):
     """Mirror-motion function g_ij(w) relating x_i~(w) = g_ij(w) x_j~(w).
 
     Built from the force-referred gains as g_ij = g_if / g_jf, so the
@@ -236,14 +225,14 @@ def motion_function(i: str, j: str, omega, tf: TransferFunction, params: MirrorP
     """
     if not {i, j} <= set(VAR_TAGS):
         raise ValueError(f"unknown variable tag in g_{i}{j}, expected tags from {VAR_TAGS}")
-    gains = force_gains(omega, tf, params)
+    gains = force_gains(omega, params)
     if np.any(gains[j] == 0):
         raise SingularityError(f"g_{i}{j} has a pole at one of the requested frequencies")
     out = gains[i] / gains[j]
     return out if out.ndim else complex(out)
 
 
-def prior_psd(x: str, omega, force: ForceParams, tf: TransferFunction, params: MirrorParams):
+def prior_psd(x: str, omega, force: ForceParams, params: MirrorParams):
     """Prior spectral density S_x(w) = |g_xf|^2 S_f for x in {f, q, p}, with
     S_f = kappa/(w^2 + lam^2).  The momentum gain i m w g_qf carries its zero,
     so S_p(0) = 0 exactly."""
@@ -252,22 +241,21 @@ def prior_psd(x: str, omega, force: ForceParams, tf: TransferFunction, params: M
     w = np.asarray(omega, dtype=float)
     out = force.kappa / (w**2 + force.lam**2)
     if x != "f":
-        out = np.abs(force_gains(w, tf, params)[x]) ** 2 * out
+        out = np.abs(force_gains(w, params)[x]) ** 2 * out
     return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
 class PriorModel:
-    """Bundle of the mirror parameters, transfer function and force prior."""
+    """Bundle of the mirror parameters and force prior."""
 
     params: MirrorParams
     force: ForceParams
-    tf: TransferFunction
 
     def psd(self, x: str, omega):
-        return prior_psd(x, omega, self.force, self.tf, self.params)
+        return prior_psd(x, omega, self.force, self.params)
 
     def information_kernel(self, omega):
         """K(w) = |g_phi-f(w)|^2 S_f(w), shared by every MSE and bound integrand."""
         w = np.asarray(omega, dtype=float)
-        return np.abs(force_gains(w, self.tf, self.params)["phi"]) ** 2 * self.psd("f", w)
+        return np.abs(force_gains(w, self.params)["phi"]) ** 2 * self.psd("f", w)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import RiccatiError, require_finite
-from .model import ForceParams, MirrorParams, PriorModel, TransferFunction, force_gains
+from .model import ForceParams, MirrorParams, PriorModel, force_gains
 from .probe import ProbeState, measurement_noise_psd, noise_psd_at_tracking_error
 
 MODE_LINEARIZED = "linearized"
@@ -109,11 +109,17 @@ def trial_geometry(force: ForceParams, params: MirrorParams, cfg: SimConfig) -> 
             f"correlation times ({10.0 / force.lam:g} s)"
         )
     tau = max(force.correlation_time, 2.0 / params.gamma)
-    n_margin = int(math.ceil(PAD_CORRELATION_TIMES * tau / cfg.dt))
-    n_total = scipy.fft.next_fast_len(cfg.n_samples + 2 * n_margin)
+    margin = PAD_CORRELATION_TIMES * tau / cfg.dt
+    # the unpadded length first: past the cap, `math.ceil` and `next_fast_len`
+    # overflow or take seconds; MAX_TRIAL_SAMPLES is a fast length, so padding
+    # never takes a grid that passes this test past it
+    n_total = cfg.n_samples + 2.0 * margin
+    if n_total <= MAX_TRIAL_SAMPLES:
+        n_margin = math.ceil(margin)
+        n_total = scipy.fft.next_fast_len(cfg.n_samples + 2 * n_margin)
     if n_total > MAX_TRIAL_SAMPLES:
         raise ValueError(
-            f"a trial of {n_total} samples ({n_margin} of margin on each side of the "
+            f"a trial of {n_total:.6g} samples ({margin:.6g} of margin on each side of the "
             f"{cfg.n_samples}-sample window) exceeds {MAX_TRIAL_SAMPLES} samples"
         )
     return n_margin, n_total
@@ -140,11 +146,7 @@ def simulate_ou(force: ForceParams, cfg: SimConfig, rng: np.random.Generator, n:
 
 
 def mirror_response(
-    f: np.ndarray,
-    tf: TransferFunction,
-    params: MirrorParams,
-    cfg: SimConfig,
-    pad_samples: int,
+    f: np.ndarray, params: MirrorParams, cfg: SimConfig, pad_samples: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mechanical response (q, p, phi) to a force record via FFT convolution
     with the force-referred gains g_qf and g_pf of `model.force_gains`.
@@ -162,7 +164,7 @@ def mirror_response(
     # force spectrum before the gain table: the other order leaves heap holes
     # that raised a 300-trial serial sweep's peak RSS by ~12%
     spectrum = scipy.fft.rfft(f, n_fft, axis=-1)
-    gains = force_gains(2.0 * np.pi * np.fft.rfftfreq(n_fft, cfg.dt), tf, params)
+    gains = force_gains(2.0 * np.pi * np.fft.rfftfreq(n_fft, cfg.dt), params)
     q_spec, p_spec = gains["q"], gains["p"]  # the phi and f gains go with the dict
     del gains
     q_spec *= spectrum  # each gain becomes its response spectrum in place
@@ -559,7 +561,7 @@ def simulate_trial(
     """Generate one force/motion/measurement trial on the extended grid."""
     n_margin, n_total = trial_geometry(priors.force, priors.params, cfg)
     f = simulate_ou(priors.force, cfg, rng, n=n_total)
-    q, p, phi = mirror_response(f, priors.tf, priors.params, cfg, pad_samples=n_margin)
+    q, p, phi = mirror_response(f, priors.params, cfg, pad_samples=n_margin)
     y, phi_fb, sigma_phi_sq, diverged = run_tracking(phi, probe, tracker, cfg, rng)
     return Trajectory(
         f, q, p, phi, phi_fb, y, n_margin, cfg.n_samples, cfg.dt, sigma_phi_sq, diverged

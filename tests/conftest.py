@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from mirrormotion import est
-from mirrormotion.model import ForceParams, MirrorParams, NominalTransferFunction, PriorModel
+from mirrormotion.model import ForceParams, MirrorParams, PriorModel
 from mirrormotion.probe import ProbeState
 
 # property tests draw the same examples on every run and have no per-example
@@ -47,7 +47,7 @@ def force():
 
 @pytest.fixture(scope="session")
 def priors(mirror, force):
-    return PriorModel(mirror, force, NominalTransferFunction(mirror))
+    return PriorModel(mirror, force)
 
 
 @pytest.fixture(scope="session")

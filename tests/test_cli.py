@@ -12,7 +12,6 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from multiprocessing.reduction import ForkingPickler
@@ -23,12 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mirrormotion import cli, est, sim
-from mirrormotion.model import (
-    ForceParams,
-    MirrorParams,
-    NominalTransferFunction,
-    TabulatedTransferFunction,
-)
+from mirrormotion.model import ForceParams, MirrorParams
 from mirrormotion.probe import (
     SqueezingBandwidth,
     attainability_gap,
@@ -122,9 +116,8 @@ def recording_pool(sizes):
 
 @st.composite
 def experiment_configs(draw):
-    """Valid configs with every CONFIG_KEYS value drawn (the transfer function
-    stays nominal: a tabulated source must name an existing file, and each
-    rate stays below pi/dt)."""
+    """Valid configs with every CONFIG_KEYS value drawn (each rate stays
+    below pi/dt)."""
     positive = st.floats(1e-12, 1e12)
     n_samples, dt = draw(st.integers(2, 10**7)), draw(positive)
     rate = st.floats(0.0, min(1e12, 3.0 / dt), exclude_min=True)
@@ -190,7 +183,9 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config keys"):
             cli.read_config(path)
 
-    @pytest.mark.parametrize("key", ["mirror.sensitivity", "mirror.force_per_volt"])
+    @pytest.mark.parametrize(
+        "key", ["mirror.sensitivity", "mirror.force_per_volt", "transfer.source"]
+    )
     def test_removed_calibration_keys_rejected(self, tmp_path, key):
         path = tmp_path / "old.cfg"
         path.write_text(f"{key} = 1.0\n")
@@ -253,10 +248,6 @@ class TestConfigFile:
         config = cli.read_config(path)
         assert config.simulation.seed == 7
         assert config.mirror == cli.reference_config().mirror
-
-    def test_missing_transfer_file_rejected(self):
-        with pytest.raises(ValueError, match="not found"):
-            replace(cli.reference_config(), tf_source="/nonexistent/gqf.csv")
 
     def test_reference_config_values(self):
         config = cli.reference_config()
@@ -886,21 +877,6 @@ class TestSimulateCommand:
             "2 of 3 trials diverged; a cell needs two kept trials"
         ]
 
-    def test_tabulated_range_warns_once(self, tiny_config, tmp_path, recwarn):
-        """Every rfft grid includes omega = 0, so a table clamps on every
-        call; a run says so once per table, naming the queried range."""
-        freqs = np.geomspace(1e3, 1e8, 2000)
-        table = tmp_path / "gqf.csv"
-        nominal = NominalTransferFunction(tiny_config.mirror)
-        TabulatedTransferFunction(freqs, nominal(freqs)).to_csv(table)
-        cfg_path = tmp_path / "table.cfg"
-        cli.write_config(replace(tiny_config, tf_source=str(table)), cfg_path)
-        warnings.simplefilter("always")
-        assert cli.main(["--config", str(cfg_path), "--trials", "4", "simulate"]) == 0
-        messages = [str(w.message) for w in recwarn if "transfer-function range" in str(w.message)]
-        assert len(messages) == 1
-        assert "|omega| in [0, 3.14159e+07] rad/s, clamping to [1000, 1e+08] rad/s" in messages[0]
-
     def test_workers_below_one_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["--trials", "2", "--out", str(tmp_path), "--workers", "0", "simulate"])
@@ -955,38 +931,12 @@ class TestMainEntry:
         assert capsys.readouterr().out == f"wrote 6 rows to {out}\n"
         assert out.exists()
 
-    @pytest.mark.filterwarnings("ignore:query outside tabulated transfer-function range")
-    @pytest.mark.parametrize(
-        "argv", [["bounds"], ["sweep"], ["simulate"], ["diagnose"]], ids=lambda a: a[0]
-    )
-    def test_transfer_table_read_once(self, tiny_config, tmp_path, monkeypatch, argv):
-        freqs = np.geomspace(1e3, 1e8, 2000)
-        table = tmp_path / "gqf.csv"
-        tf = NominalTransferFunction(tiny_config.mirror)
-        TabulatedTransferFunction(freqs, tf(freqs)).to_csv(table)
-        config = replace(
-            tiny_config,
-            alpha_sqs=(1.02e6,),
-            simulation=replace(tiny_config.simulation, n_trials=2),
-            tf_source=str(table),
-        )
-        cfg_path = tmp_path / "table.cfg"
-        cli.write_config(config, cfg_path)
-        reads = []
-        from_csv = TabulatedTransferFunction.from_csv
-
-        def counted(path):
-            reads.append(path)
-            return from_csv(path)
-
-        monkeypatch.setattr(TabulatedTransferFunction, "from_csv", counted)
-        assert cli.main(["--config", str(cfg_path), "--seed", "3", *argv]) == 0
-        assert reads == [str(table)]
-
-    # SHA-256 of the fixed-seed outputs.  Pinned to this platform's floating
-    # point like `TestSweep::test_matches_golden`: a change that moves bits by
-    # design updates them and says why.
+    # SHA-256 of the canonical config file and of the fixed-seed outputs.
+    # Pinned to this platform's floating point like
+    # `TestSweep::test_matches_golden`: a change that moves bits by design
+    # updates them and says why.
     DIGESTS = {
+        "config": "f496db94f59bcfcf39304cc20fbe1ddf134fd6f63b137c6d9cadae3527d6ac63",
         "sweep": "f7e3f25effe11595622457513bf74566fb1a2a85a46990cf13f89f01c6d3dd89",
         "bounds": "99f7aea68ed1d89f81f08a7e3638e694af91f76d3fc1506b5168f394a8f1d76e",
         "diagnose": "956d84ba2b89864ee9d8c56d9f1f28e4878eaf6d5f22031babe32766e7888d21",
@@ -995,6 +945,8 @@ class TestMainEntry:
     }
 
     def test_fixed_seed_outputs_match_digests(self, tmp_path, capsys):
+        canonical = tmp_path / "canonical.cfg"
+        assert cli.main(["write-config", str(canonical)]) == 0
         out = tmp_path / "out"
         argv = ["--trials", "20", "--seed", "11", "--out", str(out)]
         assert cli.main([*argv, "--workers", "1", "sweep"]) == 0
@@ -1012,6 +964,7 @@ class TestMainEntry:
         dumps = sorted(dump_out.rglob("*.csv"), key=lambda path: path.name)
         assert [path.name for path in dumps] == ["trial_0000.csv", "trial_0001.csv"]
         digests = {
+            "config": hashlib.sha256(canonical.read_bytes()).hexdigest(),
             "serial sweep": hashlib.sha256(serial_sweep).hexdigest(),
             "sweep": hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest(),
             "bounds": hashlib.sha256((out / "bounds.csv").read_bytes()).hexdigest(),
@@ -1036,11 +989,6 @@ class TestMainEntry:
             (["--config", "{twice}", "diagnose"], "twice.cfg:2: duplicate key 'sim.seed'"),
             (["--config", "{one_sample}", "diagnose"], "need at least two samples"),
             (["--config", "{missing}", "diagnose"], "No such file"),
-            (["--config", "{bad_table}", "bounds"], "gqf.csv: missing column 'gqf_imag'"),
-            (
-                ["--config", "{nan_table}", "bounds"],
-                "nan.csv: tabulated frequencies and values must be finite",
-            ),
             (["write-config", "{bad}/x.cfg"], "File exists"),
             (["--out", "{bad}", "bounds"], "File exists"),
             (["--out", "{bad}", "--trials", "2", "sweep"], "File exists"),
@@ -1092,7 +1040,7 @@ class TestMainEntry:
         ids=[
             "zero-trials", "one-trial", "unparsable-value", "line-without-equals",
             "duplicate-key", "one-sample", "missing-config",
-            "table-without-column", "table-with-nan", "config-under-a-file",
+            "config-under-a-file",
             "bounds-out-is-a-file", "sweep-out-is-a-file", "simulate-dump-out-is-a-file",
             "negative-amplitude",
             "zero-amplitude", "nan-amplitude", "infinite-amplitude", "removed-edge-discard-key",
@@ -1106,14 +1054,6 @@ class TestMainEntry:
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv, message):
         bad = tmp_path / "bad.cfg"
         bad.write_text("sim.trials = abc\n")
-        table = tmp_path / "gqf.csv"
-        table.write_text("freq_hz,gqf_real\n1000,1e-6\n2000,1e-6\n")
-        bad_table = tmp_path / "table.cfg"
-        bad_table.write_text(f"transfer.source = {table}\n")
-        nan_values = tmp_path / "nan.csv"
-        nan_values.write_text("freq_hz,gqf_real,gqf_imag\n1000,1e-6,0\n2000,nan,0\n")
-        nan_table = tmp_path / "nan_table.cfg"
-        nan_table.write_text(f"transfer.source = {nan_values}\n")
         # the whole window is scored; the key that trimmed its ends is gone
         removed_key = tmp_path / "edge.cfg"
         removed_key.write_text("sim.samples = 4000\nsim.edge_discard = 1e-5\n")
@@ -1124,9 +1064,8 @@ class TestMainEntry:
         dump_out.mkdir()
         (dump_out / "trajectories_squeezed_6.240e+06").write_text("")
         paths = {
-            "bad": bad, "missing": tmp_path / "missing.cfg", "bad_table": bad_table,
-            "nan_table": nan_table, "removed_key": removed_key, "long_delay": long_delay,
-            "dump_out": dump_out,
+            "bad": bad, "missing": tmp_path / "missing.cfg", "removed_key": removed_key,
+            "long_delay": long_delay, "dump_out": dump_out,
         }
         for name, text in (
             ("efficiency", "probe.efficiency = 1.5"),

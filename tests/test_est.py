@@ -208,9 +208,7 @@ class TestQcrb:
         sigma_phi_sq, log_omega, log_gamma, log_lam,
     ):
         params = replace(mirror, Omega=10.0**log_omega, gamma=10.0**log_gamma)
-        priors = PriorModel(
-            params, ForceParams(lam=10.0**log_lam, kappa=KAPPA), NominalTransferFunction(params)
-        )
+        priors = PriorModel(params, ForceParams(lam=10.0**log_lam, kappa=KAPPA))
         grid = SpectralGrid.build(priors)
         a = 10.0**log_alpha_sq
         coh = ProbeState(a, sigma_phi_sq=sigma_phi_sq, eta_det=eta_det)
@@ -370,7 +368,7 @@ class TestOptimalFilter:
         tight = ProbeState(1e30)
         w = np.array([1e4, 1.76e5, 9e5])
         c = mirror.phase_gain
-        g = np.asarray(priors.tf(w))
+        g = np.asarray(NominalTransferFunction(mirror)(w))
         assert np.allclose(optimal_filter("q", w, priors, tight), 1.0 / c, rtol=1e-9)
         assert np.allclose(
             optimal_filter("p", w, priors, tight), 1j * mirror.m * w / c, rtol=1e-9
@@ -421,7 +419,7 @@ class TestSmoothing:
         tight = ProbeState(1e28)
         f = sim.simulate_ou(force, smoothing_cfg, sim.trial_rng(80, 0), n=50_000)
         pad = sim.trial_geometry(force, mirror, smoothing_cfg)[0]
-        q, _, phi = sim.mirror_response(f, priors.tf, mirror, smoothing_cfg, pad)
+        q, _, phi = sim.mirror_response(f, mirror, smoothing_cfg, pad)
         bank = FilterBank.build(50_000, smoothing_cfg.dt, priors, tight)
         q_hat = smooth(phi, "q", bank)
         inner = slice(5000, -5000)

@@ -14,9 +14,7 @@ from mirrormotion.model import (
     ForceParams,
     MirrorParams,
     NominalTransferFunction,
-    PriorModel,
     TabulatedTransferFunction,
-    TransferFunction,
     effective_mass,
     force_gains,
     motion_function,
@@ -79,26 +77,26 @@ class TestMirrorParams:
 
 
 class TestForceGains:
-    def test_table_from_gqf(self, mirror, priors):
+    def test_table_from_gqf(self, mirror):
         w = np.array([0.0, 1e4, OMEGA, 3e6])
-        g = force_gains(w, priors.tf, mirror)
+        g = force_gains(w, mirror)
         assert tuple(g) == VAR_TAGS
-        gqf = priors.tf(w)
+        gqf = NominalTransferFunction(mirror)(w)
         assert np.array_equal(g["q"], gqf)
         assert np.allclose(g["phi"], mirror.phase_gain * gqf, rtol=1e-15)
         assert np.allclose(g["p"], 1j * mirror.m * w * gqf, rtol=1e-15)
         assert g["p"][0] == 0.0
         assert np.array_equal(g["f"], np.ones(4))
 
-    def test_one_transfer_function_evaluation_per_call(self, mirror, force, priors):
+    def test_one_transfer_function_evaluation_per_call(self, mirror, force, priors, monkeypatch):
         calls = []
+        nominal = NominalTransferFunction.__call__
 
-        class CountingTransferFunction(TransferFunction):
-            def __call__(self, omega):
-                calls.append(np.size(omega))
-                return priors.tf(omega)
+        def counted(self, omega):
+            calls.append(np.size(omega))
+            return nominal(self, omega)
 
-        counted = PriorModel(mirror, force, CountingTransferFunction())
+        monkeypatch.setattr(NominalTransferFunction, "__call__", counted)
         w = np.linspace(0.0, 1e6, 7)
 
         def evaluations(fn, *args):
@@ -106,14 +104,14 @@ class TestForceGains:
             fn(*args)
             return len(calls)
 
-        assert evaluations(prior_psd, "f", w, force, counted.tf, mirror) == 0
+        assert evaluations(prior_psd, "f", w, force, mirror) == 0
         for x in ("q", "p"):
-            assert evaluations(prior_psd, x, w, force, counted.tf, mirror) == 1
-        assert evaluations(counted.information_kernel, w) == 1
+            assert evaluations(prior_psd, x, w, force, mirror) == 1
+        assert evaluations(priors.information_kernel, w) == 1
         for x in PRIOR_TAGS:
-            assert evaluations(est.optimal_filter, x, w, counted, ProbeState(1e6)) == 1
+            assert evaluations(est.optimal_filter, x, w, priors, ProbeState(1e6)) == 1
         cfg = sim.SimConfig()
-        assert evaluations(sim.mirror_response, np.ones(1000), counted.tf, mirror, cfg, 200) == 1
+        assert evaluations(sim.mirror_response, np.ones(1000), mirror, cfg, 200) == 1
         assert calls == [601]  # the rfft grid of next_fast_len(1200) = 1200 samples
 
 
@@ -124,71 +122,67 @@ class TestMotionFunctions:
         assert tf(0.0) == pytest.approx(1.0 / (MASS * OMEGA**2), rel=1e-12)
         assert abs(tf(0.0)) == pytest.approx(5.49e-8, rel=1e-3)
 
-    def test_g_phiq_is_constant(self, mirror, priors):
+    def test_g_phiq_is_constant(self, mirror):
         rng = np.random.default_rng(3)
         w = rng.uniform(-1e7, 1e7, 10)
-        g = motion_function("phi", "q", w, priors.tf, mirror)
+        g = motion_function("phi", "q", w, mirror)
         assert np.allclose(g, mirror.phase_gain, rtol=1e-12)
 
-    def test_composition_identity(self, mirror, priors):
+    def test_composition_identity(self, mirror):
         rng = np.random.default_rng(4)
         w = rng.uniform(1e2, 1e7, 10)
-        lhs = motion_function("phi", "f", w, priors.tf, mirror)
-        rhs = motion_function("phi", "q", w, priors.tf, mirror) * motion_function(
-            "q", "f", w, priors.tf, mirror
-        )
+        lhs = motion_function("phi", "f", w, mirror)
+        rhs = motion_function("phi", "q", w, mirror) * motion_function("q", "f", w, mirror)
         assert np.allclose(lhs, rhs, rtol=1e-12)
 
-    def test_inverse_identity(self, mirror, priors):
+    def test_inverse_identity(self, mirror):
         rng = np.random.default_rng(5)
         w = rng.uniform(1e2, 1e7, 10)
-        gg = motion_function("q", "f", w, priors.tf, mirror) * motion_function(
-            "f", "q", w, priors.tf, mirror
-        )
+        gg = motion_function("q", "f", w, mirror) * motion_function("f", "q", w, mirror)
         assert np.allclose(gg, 1.0, rtol=1e-12)
 
-    def test_hermitian_symmetry(self, mirror, priors):
+    def test_hermitian_symmetry(self, mirror):
         rng = np.random.default_rng(6)
         w = rng.uniform(1e2, 1e7, 50)
-        g_pos = motion_function("q", "f", w, priors.tf, mirror)
-        g_neg = motion_function("q", "f", -w, priors.tf, mirror)
+        g_pos = motion_function("q", "f", w, mirror)
+        g_neg = motion_function("q", "f", -w, mirror)
         assert np.allclose(g_neg, np.conj(g_pos), rtol=1e-14)
 
-    def test_pole_raises(self, mirror, priors):
+    def test_pole_raises(self, mirror):
         with pytest.raises(SingularityError):
-            motion_function("q", "p", 0.0, priors.tf, mirror)
+            motion_function("q", "p", 0.0, mirror)
         with pytest.raises(SingularityError):
-            motion_function("phi", "p", np.array([1e3, 0.0]), priors.tf, mirror)
+            motion_function("phi", "p", np.array([1e3, 0.0]), mirror)
 
-    def test_momentum_dc_is_zero(self, mirror, priors):
+    def test_momentum_dc_is_zero(self, mirror):
         # g_pq(0) = i m w -> 0 is a value, not a pole
-        assert motion_function("p", "q", 0.0, priors.tf, mirror) == 0.0
+        assert motion_function("p", "q", 0.0, mirror) == 0.0
 
-    def test_unknown_tag(self, mirror, priors):
+    def test_unknown_tag(self, mirror):
         with pytest.raises(ValueError):
-            motion_function("x", "q", 1.0, priors.tf, mirror)
+            motion_function("x", "q", 1.0, mirror)
 
 
 class TestPriorPsd:
-    def test_force_dc(self, mirror, force, priors):
-        s0 = prior_psd("f", 0.0, force, priors.tf, mirror)
+    def test_force_dc(self, mirror, force):
+        s0 = prior_psd("f", 0.0, force, mirror)
         assert s0 == pytest.approx(KAPPA / LAMBDA**2, rel=1e-12)
         assert s0 == pytest.approx(4.896e-7, rel=1e-3)
 
-    def test_lorentzian_half_width(self, mirror, force, priors):
-        assert prior_psd("f", LAMBDA, force, priors.tf, mirror) == pytest.approx(
-            0.5 * prior_psd("f", 0.0, force, priors.tf, mirror), rel=1e-12
+    def test_lorentzian_half_width(self, mirror, force):
+        assert prior_psd("f", LAMBDA, force, mirror) == pytest.approx(
+            0.5 * prior_psd("f", 0.0, force, mirror), rel=1e-12
         )
 
-    def test_momentum_dc_vanishes(self, mirror, force, priors):
-        assert prior_psd("p", 0.0, force, priors.tf, mirror) == 0.0
+    def test_momentum_dc_vanishes(self, mirror, force):
+        assert prior_psd("p", 0.0, force, mirror) == 0.0
 
-    def test_even_and_nonnegative(self, mirror, force, priors):
+    def test_even_and_nonnegative(self, mirror, force):
         rng = np.random.default_rng(7)
         w = rng.uniform(1e1, 5e7, 200)
         for x in ("f", "q", "p"):
-            s_pos = prior_psd(x, w, force, priors.tf, mirror)
-            s_neg = prior_psd(x, -w, force, priors.tf, mirror)
+            s_pos = prior_psd(x, w, force, mirror)
+            s_neg = prior_psd(x, -w, force, mirror)
             assert np.all(s_pos >= 0.0)
             assert np.allclose(s_pos, s_neg, rtol=1e-14)
 
@@ -197,12 +191,11 @@ class TestPriorPsd:
         var = est.prior_variance("f", fine)
         assert var == pytest.approx(KAPPA / (2.0 * LAMBDA), rel=1e-6)
 
-    def test_momentum_factored_form(self, mirror, force, priors):
+    def test_momentum_factored_form(self, mirror, force):
         w = np.array([1e3, 1e5, 3e5])
-        expected = (mirror.m * w) ** 2 * np.abs(priors.tf(w)) ** 2 * prior_psd(
-            "f", w, force, priors.tf, mirror
-        )
-        assert np.allclose(prior_psd("p", w, force, priors.tf, mirror), expected, rtol=1e-14)
+        gqf = NominalTransferFunction(mirror)(w)
+        expected = (mirror.m * w) ** 2 * np.abs(gqf) ** 2 * prior_psd("f", w, force, mirror)
+        assert np.allclose(prior_psd("p", w, force, mirror), expected, rtol=1e-14)
 
 
 class TestTabulatedTransferFunction:
@@ -297,5 +290,5 @@ class TestForceParams:
 def test_prior_model_information_kernel(priors):
     w = np.array([0.0, 1e4, OMEGA])
     c = priors.params.phase_gain
-    expected = c**2 * np.abs(priors.tf(w)) ** 2 * priors.psd("f", w)
+    expected = c**2 * np.abs(NominalTransferFunction(priors.params)(w)) ** 2 * priors.psd("f", w)
     assert np.allclose(priors.information_kernel(w), expected, rtol=1e-14)

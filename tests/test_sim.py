@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 import scipy.signal
 import scipy.stats
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mirrormotion import sim
 from mirrormotion.errors import RiccatiError
-from mirrormotion.model import ForceParams, MirrorParams, NominalTransferFunction, TabulatedTransferFunction
+from mirrormotion.model import ForceParams, MirrorParams, NominalTransferFunction
 from mirrormotion.probe import ProbeState, measurement_noise_psd
 
 import oracles
@@ -76,7 +77,7 @@ class TestSimConfig:
         finally:
             tracemalloc.stop()
         assert str(refused.value) == (
-            "a trial of 400075200 samples (200000000 of margin on each side of the "
+            "a trial of 4.0001e+08 samples (2e+08 of margin on each side of the "
             "10000-sample window) exceeds 16777216 samples"
         )
         assert peak < 1 << 20
@@ -87,6 +88,17 @@ class TestSimConfig:
         monkeypatch.setattr(sim, "MAX_TRIAL_SAMPLES", n_total - 1)
         with pytest.raises(ValueError, match=f"a trial of {n_total} samples"):
             sim.trial_geometry(force, mirror, cfg)
+
+    @pytest.mark.parametrize("gamma", [1e-3, 1e-30, 1e-200])
+    def test_extreme_damping_refused_before_padding(self, force, mirror, cfg, monkeypatch, gamma):
+        # margins of 2e11 to 2e208 samples: refused on the unpadded length,
+        # before `math.ceil` or `next_fast_len` sees them
+        def unreachable(n):
+            raise AssertionError(f"next_fast_len({n})")
+
+        monkeypatch.setattr(scipy.fft, "next_fast_len", unreachable)
+        with pytest.raises(ValueError, match="exceeds 16777216 samples"):
+            sim.trial_geometry(force, replace(mirror, gamma=gamma), cfg)
 
 
 class TestTrialRng:
@@ -141,47 +153,40 @@ class TestSimulateOu:
 
 
 class TestMirrorResponse:
-    def test_static_spring_response(self, mirror, priors, cfg, pad):
+    def test_static_spring_response(self, mirror, cfg, pad):
         f0 = 2.5e-3
         n = 50_000
         f = np.full(n, f0)
-        q, _, _ = sim.mirror_response(f, priors.tf, mirror, cfg, pad)
+        q, _, _ = sim.mirror_response(f, mirror, cfg, pad)
         mid = q[n // 2 : n // 2 + 5000]
         assert np.allclose(mid, f0 / (mirror.m * mirror.Omega**2), rtol=1e-3)
 
-    def test_resonant_gain(self, mirror, priors, cfg, pad):
+    def test_resonant_gain(self, mirror, cfg, pad):
         n = 80_000
         t = np.arange(n) * cfg.dt
         f0 = 1e-3
         f = f0 * np.sin(mirror.Omega * t)
-        q, _, _ = sim.mirror_response(f, priors.tf, mirror, cfg, pad)
+        q, _, _ = sim.mirror_response(f, mirror, cfg, pad)
         mid = q[40_000:70_000]
-        expected_rms = abs(priors.tf(mirror.Omega)) * f0 / math.sqrt(2.0)
-        assert np.sqrt(np.mean(mid**2)) == pytest.approx(expected_rms, rel=1e-2)
-        assert abs(priors.tf(mirror.Omega)) == pytest.approx(
+        resonant = abs(NominalTransferFunction(mirror)(mirror.Omega))
+        assert np.sqrt(np.mean(mid**2)) == pytest.approx(resonant * f0 / math.sqrt(2.0), rel=1e-2)
+        assert resonant == pytest.approx(
             1.0 / (mirror.m * mirror.gamma * mirror.Omega), rel=1e-12
         )
 
-    def test_momentum_is_mass_times_velocity(self, mirror, force, priors, cfg, pad):
+    def test_momentum_is_mass_times_velocity(self, mirror, force, cfg, pad):
         f = sim.simulate_ou(force, cfg, np.random.default_rng(5), n=60_000)
-        q, p, _ = sim.mirror_response(f, priors.tf, mirror, cfg, pad)
+        q, p, _ = sim.mirror_response(f, mirror, cfg, pad)
         dq = (q[2:] - q[:-2]) / (2 * cfg.dt)
         resid = p[1:-1] - mirror.m * dq
         inner = slice(2000, -2000)
         rel = np.sqrt(np.mean(resid[inner] ** 2) / np.mean(p[1:-1][inner] ** 2))
         assert rel < 5e-3
 
-    def test_phase_proportional_to_position(self, mirror, force, priors, cfg, pad):
+    def test_phase_proportional_to_position(self, mirror, force, cfg, pad):
         f = sim.simulate_ou(force, cfg, np.random.default_rng(6), n=20_000)
-        q, _, phi = sim.mirror_response(f, priors.tf, mirror, cfg, pad)
+        q, _, phi = sim.mirror_response(f, mirror, cfg, pad)
         assert np.array_equal(phi, mirror.phase_gain * q)
-
-    def test_tabulated_band_warning(self, mirror, cfg, pad):
-        nominal = NominalTransferFunction(mirror)
-        freqs = np.geomspace(1e3, 1e6, 500)  # far below the 3.1e7 rad/s Nyquist
-        tab = TabulatedTransferFunction(freqs, nominal(freqs))
-        with pytest.warns(UserWarning, match="clamping"):
-            sim.mirror_response(np.ones(4000), tab, mirror, cfg, pad)
 
 
 class TestDiscretization:
@@ -467,7 +472,7 @@ class TestRiccatiTracking:
         # reproduces the reported operating band of the effective factor
         assert 0.003 < probe.sigma_phi_sq < 0.011
 
-    def test_empirical_consistency(self, mirror, force, priors, cfg, pad):
+    def test_empirical_consistency(self, mirror, force, cfg, pad):
         cfg0 = replace(cfg, feedback_delay_samples=0)
         probe = sim.calibrate_tracking(squeezed(1.02e6), force, mirror, cfg0)
         tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg0)
@@ -475,7 +480,7 @@ class TestRiccatiTracking:
             sim.run_tracking(
                 sim.mirror_response(
                     sim.simulate_ou(force, cfg0, sim.trial_rng(21, i), n=62_500),
-                    priors.tf, mirror, cfg0, pad,
+                    mirror, cfg0, pad,
                 )[2],
                 probe, tracker, cfg0, sim.trial_rng(9021, i),
             )[2]  # sigma_phi_sq
@@ -531,16 +536,16 @@ class TestRiccatiTracking:
 
 
 class TestRunTracking:
-    def test_linearized_noise_level(self, mirror, force, priors, cfg, pad):
+    def test_linearized_noise_level(self, mirror, force, cfg, pad):
         probe = ProbeState(1.02e6, eta_det=ETA)
         tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg)
         f = sim.simulate_ou(force, cfg, sim.trial_rng(50, 0), n=62_500)
-        _, _, phi = sim.mirror_response(f, priors.tf, mirror, cfg, pad)
+        _, _, phi = sim.mirror_response(f, mirror, cfg, pad)
         y = sim.run_tracking(phi, probe, tracker, cfg, sim.trial_rng(51, 0))[0]
         z = y - phi
         assert np.var(z) == pytest.approx(measurement_noise_psd(probe) / cfg.dt, rel=2e-2)
 
-    def test_linearized_residual_is_white(self, mirror, force, priors, cfg, pad):
+    def test_linearized_residual_is_white(self, mirror, force, cfg, pad):
         probe = ProbeState(1.02e6, eta_det=ETA)
         tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg)
         # average the autocorrelation over trials so the 3/sqrt(N) bound has
@@ -549,7 +554,7 @@ class TestRunTracking:
         n_trials = 4
         for i in range(n_trials):
             f = sim.simulate_ou(force, cfg, sim.trial_rng(52, i), n=62_500)
-            _, _, phi = sim.mirror_response(f, priors.tf, mirror, cfg, pad)
+            _, _, phi = sim.mirror_response(f, mirror, cfg, pad)
             y = sim.run_tracking(phi, probe, tracker, cfg, sim.trial_rng(53, i))[0]
             z = y - phi
             z = z - z.mean()
@@ -583,7 +588,7 @@ class TestRunTracking:
 
 
 @pytest.fixture(scope="module")
-def nonlinear_loop(mirror, force, priors, pad):
+def nonlinear_loop(mirror, force, pad):
     """Squeezed operating point at the top reference amplitude and a phase
     record long enough for three tracker blocks."""
     cfg_n = sim.SimConfig(dt=1e-7, n_samples=10_000, mode="nonlinear")
@@ -591,7 +596,7 @@ def nonlinear_loop(mirror, force, priors, pad):
     tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg_n)
     n = 3 * sim.TRACKER_BLOCK
     f = sim.simulate_ou(force, cfg_n, sim.trial_rng(81, 0), n=n)
-    phi = sim.mirror_response(f, priors.tf, mirror, cfg_n, pad)[2]
+    phi = sim.mirror_response(f, mirror, cfg_n, pad)[2]
     return probe, tracker, cfg_n, phi
 
 
