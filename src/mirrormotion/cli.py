@@ -42,6 +42,9 @@ PROBE_KINDS = ("coherent", "squeezed")
 #: error past pi/2 (`run_sweep_point`).
 MAX_EXPECTED_SLIPS = 1e-2
 
+#: Geometrically spaced amplitudes of a `bounds` table (`cmd_bounds`).
+BOUNDS_POINTS = 25
+
 #: Trials per task of a sweep cell.  A cell keeps only four floats per kept
 #: trial; its scored windows live for one task.
 TRIALS_PER_TASK = 5
@@ -109,7 +112,7 @@ class ExperimentConfig:
         """Probe of `kind` at `alpha_sq` with its self-consistent tracking
         error (`sim.calibrate_tracking` of the template)."""
         return sim.calibrate_tracking(
-            self.probe_template(kind, alpha_sq), self.force, self.mirror, self.simulation
+            self.probe_template(kind, alpha_sq), self.priors(), self.simulation
         )
 
 
@@ -316,8 +319,9 @@ def run_sweep_point(
     dump_dir=None,
 ) -> SweepPoint:
     """Calibrate, simulate and score one (probe kind, amplitude) cell on the
-    caller's `grid`, a `est.SpectralGrid` of `config.priors()`, whose priors
-    the trials simulate and filter.  The trials run as tasks of
+    caller's `grid`, a `est.SpectralGrid` of `config.priors()`, the one model
+    of the cell's trials, tracker and bounds; a grid of other priors is
+    refused before the cell calibrates.  The trials run as tasks of
     `TRIALS_PER_TASK`, serially or on a pool of at most `workers` processes,
     one per task and per CPU, and each task's windows are scored as the task
     returns.  The process that runs the trials enters the cell once
@@ -327,11 +331,13 @@ def run_sweep_point(
     if workers < 1:
         raise ValueError("need at least one worker")
     priors = grid.priors
+    if priors != config.priors():
+        raise ValueError("the spectral grid's priors are not the config's mirror and force")
     cfg = config.simulation
 
-    _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)  # fails a short trace first
+    _, n_total = sim.trial_geometry(priors, cfg)  # fails a short trace first
     probe = config.operating_point(kind, alpha_sq)
-    tracker = sim.KalmanTracker(measurement_noise_psd(probe), config.force, config.mirror, cfg)
+    tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg)
     if cfg.mode == sim.MODE_NONLINEAR:
         # samples per record whose feedback error, Gaussian of the predicted
         # variance, lies past pi/2, where a nonlinear trial diverges
@@ -482,7 +488,7 @@ def cmd_sweep(config: ExperimentConfig, out_path, workers: int) -> tuple[list[di
 # bounds and diagnostics
 
 
-def cmd_bounds(config: ExperimentConfig, out_path, n_points: int = 25) -> tuple[list[dict], int]:
+def cmd_bounds(config: ExperimentConfig, out_path, n_points: int) -> tuple[list[dict], int]:
     """Analytic prediction curves and bounds on a dense amplitude grid (no
     simulation).  The grid always contains the configured sweep amplitudes.
     Returns the rows and the number of amplitudes that failed (and wrote none)."""
@@ -626,7 +632,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             rows, failed = cmd_sweep(config, out_path, args.workers)
         elif args.command == "bounds":
-            rows, failed = cmd_bounds(config, out_path)
+            rows, failed = cmd_bounds(config, out_path, BOUNDS_POINTS)
         elif args.command == "simulate" and args.dump_trajectories:
             _make_dump_dir(config, args.kind, config.alpha_sqs[-1])
     except (ValueError, OSError) as exc:

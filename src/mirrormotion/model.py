@@ -232,16 +232,16 @@ def motion_function(i: str, j: str, omega, params: MirrorParams):
     return out if out.ndim else complex(out)
 
 
-def prior_psd(x: str, omega, force: ForceParams, params: MirrorParams):
+def prior_psd(x: str, omega, priors: PriorModel):
     """Prior spectral density S_x(w) = |g_xf|^2 S_f for x in {f, q, p}, with
     S_f = kappa/(w^2 + lam^2).  The momentum gain i m w g_qf carries its zero,
     so S_p(0) = 0 exactly."""
     if x not in PRIOR_TAGS:
         raise ValueError(f"unknown prior tag {x!r}, expected one of {PRIOR_TAGS}")
     w = np.asarray(omega, dtype=float)
-    out = force.kappa / (w**2 + force.lam**2)
+    out = priors.force.kappa / (w**2 + priors.force.lam**2)
     if x != "f":
-        out = np.abs(force_gains(w, params)[x]) ** 2 * out
+        out = np.abs(force_gains(w, priors.params)[x]) ** 2 * out
     return out if out.ndim else float(out)
 
 
@@ -253,7 +253,7 @@ class PriorModel:
     force: ForceParams
 
     def psd(self, x: str, omega):
-        return prior_psd(x, omega, self.force, self.params)
+        return prior_psd(x, omega, self)
 
     def information_kernel(self, omega):
         """K(w) = |g_phi-f(w)|^2 S_f(w), shared by every MSE and bound integrand."""

@@ -95,20 +95,21 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial_index,)))
 
 
-def trial_geometry(force: ForceParams, params: MirrorParams, cfg: SimConfig) -> tuple[int, int]:
+def trial_geometry(priors: PriorModel, cfg: SimConfig) -> tuple[int, int]:
     """(n_margin, n_total): samples of margin on each side of the data window,
     and the FFT-friendly length of the whole extended grid.  The data window
     must span at least ten force correlation times, and the grid must hold
     at most MAX_TRIAL_SAMPLES samples."""
     import scipy.fft
 
+    force = priors.force
     duration = cfg.n_samples * cfg.dt
     if duration < 10.0 / force.lam:
         raise ValueError(
             f"trace length {duration:g} s is shorter than ten force "
             f"correlation times ({10.0 / force.lam:g} s)"
         )
-    tau = max(force.correlation_time, 2.0 / params.gamma)
+    tau = max(force.correlation_time, 2.0 / priors.params.gamma)
     margin = PAD_CORRELATION_TIMES * tau / cfg.dt
     # the unpadded length first: past the cap, `math.ceil` and `next_fast_len`
     # overflow or take seconds; MAX_TRIAL_SAMPLES is a fast length, so padding
@@ -195,17 +196,17 @@ def _discretize(a_c: np.ndarray, q_c: np.ndarray, dt: float) -> tuple[np.ndarray
     return a_d, 0.5 * (q_d + q_d.T)
 
 
-def _phase_spectrum_panels(params: MirrorParams, force: ForceParams, dt: float) -> np.ndarray:
+def _phase_spectrum_panels(priors: PriorModel, dt: float) -> np.ndarray:
     """Panel edges on [0, pi] for the tracker's phase spectrum: geometric
     around the resonance Omega dt in steps of its width gamma dt (2^-3 to
     2^13 widths), and in octaves around gamma dt, lambda dt and Omega dt,
     where the spectrum turns over."""
-    resonance, width = params.Omega * dt, params.gamma * dt
+    resonance, width = priors.params.Omega * dt, priors.params.gamma * dt
     edges = {0.0, math.pi}
     steps = width * 2.0 ** np.arange(-3, 14)
     edges.update(resonance - steps)
     edges.update(resonance + steps)
-    for corner in (width, force.lam * dt, resonance):
+    for corner in (width, priors.force.lam * dt, resonance):
         edges.update(corner * 2.0 ** np.arange(-10, 11))
     return np.array(sorted(e for e in edges if 0.0 <= e <= math.pi))
 
@@ -229,20 +230,19 @@ def _phase_spectrum(
 
 
 @functools.lru_cache(maxsize=64)
-def _tracker_model(
-    params: MirrorParams, force: ForceParams, dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+def _tracker_model(priors: PriorModel, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Read-only discretized (a_d, q_d) of the tracker's state model (q, p, f),
     its measurement row c_vec and its phase spectrum (`_phase_spectrum`) on
     `SPECTRAL_NODES` and twice as many nodes per panel.
 
-    None of them depends on the probe, so every tracker of one mirror, force
-    and sample period (all the steps of `calibrate_tracking`, every cell of
-    a sweep) shares one Van Loan exponential and one spectrum table.
+    None of them depends on the probe, so every tracker of equal `PriorModel`s
+    and one sample period (all the steps of `calibrate_tracking`, every cell
+    of a sweep) shares one Van Loan exponential and one spectrum table.
     c_vec is exactly [phase_gain, 0, 0]: the tracker measures position only,
     so its phase spectrum is c^2 times that of q (row 0 of G), and a test
     pins c_vec.
     """
+    params, force = priors.params, priors.force
     m = params.m
     a_c = np.array(
         [
@@ -255,7 +255,7 @@ def _tracker_model(
     a_d, q_d = _discretize(a_c, q_c, dt)
     c_vec = np.array([params.phase_gain, 0.0, 0.0])
     a_d.flags.writeable = q_d.flags.writeable = c_vec.flags.writeable = False
-    edges = _phase_spectrum_panels(params, force, dt)
+    edges = _phase_spectrum_panels(priors, dt)
     tables = tuple(
         _phase_spectrum(a_d, q_d, params.phase_gain, edges, nodes)
         for nodes in (SPECTRAL_NODES, 2 * SPECTRAL_NODES)
@@ -282,13 +282,11 @@ class KalmanTracker:
     use, when the tracker filters or reports its feedback error.
     """
 
-    def __init__(
-        self, noise_psd: float, force: ForceParams, params: MirrorParams, cfg: SimConfig
-    ):
+    def __init__(self, noise_psd: float, priors: PriorModel, cfg: SimConfig):
         if not 0.0 < noise_psd < math.inf:  # a NaN fails too
             raise ValueError(f"noise_psd must be positive and finite, got {noise_psd!r}")
         self.cfg = cfg
-        self.a_d, self.q_d, self.c_vec, tables = _tracker_model(params, force, cfg.dt)
+        self.a_d, self.q_d, self.c_vec, tables = _tracker_model(priors, cfg.dt)
         self.r = noise_psd / cfg.dt
         (w, s_phi), (w_fine, s_phi_fine) = tables
         big_l = np.dot(w, np.log1p(s_phi / self.r)) / math.pi
@@ -375,12 +373,7 @@ class KalmanTracker:
         return scipy.signal.lfilter(*self._steady_state[3], y)
 
 
-def calibrate_tracking(
-    probe: ProbeState,
-    force: ForceParams,
-    params: MirrorParams,
-    cfg: SimConfig,
-) -> ProbeState:
+def calibrate_tracking(probe: ProbeState, priors: PriorModel, cfg: SimConfig) -> ProbeState:
     """Self-consistent operating point: sigma_phi^2 feeds the effective
     squeezing factor, which sets S_z, which feeds the Riccati solution back.
 
@@ -393,7 +386,7 @@ def calibrate_tracking(
     noise_psd = noise_psd_at_tracking_error(probe)
     value = 0.0
     for _ in range(CALIBRATION_MAX_ITER):
-        new = KalmanTracker(noise_psd(value), force, params, cfg).sigma_phi_sq_posterior
+        new = KalmanTracker(noise_psd(value), priors, cfg).sigma_phi_sq_posterior
         if new >= 1.0:
             raise RiccatiError(
                 f"tracking loop cannot lock at alpha_sq={probe.alpha_sq:.4g}: "
@@ -559,7 +552,7 @@ def simulate_trial(
     rng: np.random.Generator,
 ) -> Trajectory:
     """Generate one force/motion/measurement trial on the extended grid."""
-    n_margin, n_total = trial_geometry(priors.force, priors.params, cfg)
+    n_margin, n_total = trial_geometry(priors, cfg)
     f = simulate_ou(priors.force, cfg, rng, n=n_total)
     q, p, phi = mirror_response(f, priors.params, cfg, pad_samples=n_margin)
     y, phi_fb, sigma_phi_sq, diverged = run_tracking(phi, probe, tracker, cfg, rng)

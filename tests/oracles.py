@@ -145,7 +145,7 @@ def run_tracking_nonlinear(phi, probe, tracker, cfg, rng) -> tuple:
     return y, phi_fb, float(np.mean(err**2)), diverged
 
 
-def calibrate_tracking_reference(probe, force, params, cfg):
+def calibrate_tracking_reference(probe, priors, cfg):
     """`sim.calibrate_tracking` with a `ProbeState` for every fixed-point
     step: each step's tracker reads S_z from the probe of the previous
     step's sigma_phi^2.  `sim.calibrate_tracking` must return the same
@@ -153,7 +153,7 @@ def calibrate_tracking_reference(probe, force, params, cfg):
     state = replace(probe, sigma_phi_sq=0.0)
     value = 0.0
     for _ in range(sim.CALIBRATION_MAX_ITER):
-        tracker = sim.KalmanTracker(measurement_noise_psd(state), force, params, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(state), priors, cfg)
         new = tracker.sigma_phi_sq_posterior
         if new >= 1.0:
             raise RiccatiError(

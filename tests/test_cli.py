@@ -304,6 +304,18 @@ class TestSweep:
         cli.run_sweep_point(tiny_config, "squeezed", 1.02e6, grid=grid)
         assert len(riccati_solves) == 1
 
+    def test_grid_of_other_priors_refused(self, tiny_config, monkeypatch):
+        # the config's mirror resonates 1.2x above the grid's: the cell would
+        # track on one model and score against another
+        def unreachable(*args):
+            raise AssertionError("the cell calibrated")
+
+        grid = est.SpectralGrid.build(tiny_config.priors())
+        mirror = replace(tiny_config.mirror, Omega=1.2 * tiny_config.mirror.Omega)
+        monkeypatch.setattr(sim, "calibrate_tracking", unreachable)
+        with pytest.raises(ValueError, match="the spectral grid's priors are not the config's"):
+            cli.run_sweep_point(replace(tiny_config, mirror=mirror), "squeezed", 1.02e6, grid=grid)
+
     def test_diverged_trials_reported(self, tiny_config, second_trial_diverges, capsys):
         config = replace(tiny_config, alpha_sqs=(1.02e6,))
         rows, failed = cli.cmd_sweep(config, out_path=Path(config.out_dir) / "sweep.csv", workers=1)
@@ -334,14 +346,14 @@ class TestSweep:
             alpha_sqs=(1e5, 3e5),
             simulation=replace(tiny_config.simulation, mode="nonlinear"),
         )
-        cfg = config.simulation
-        _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)
+        cfg, priors = config.simulation, config.priors()
+        _, n_total = sim.trial_geometry(priors, cfg)
         expected = []
         for alpha_sq in config.alpha_sqs:
             for kind in cli.PROBE_KINDS:
                 probe = config.operating_point(kind, alpha_sq)
                 sigma_sq = sim.KalmanTracker(
-                    measurement_noise_psd(probe), config.force, config.mirror, cfg
+                    measurement_noise_psd(probe), priors, cfg
                 ).sigma_phi_sq_feedback()
                 slips = n_total * math.erfc(0.5 * math.pi / math.sqrt(2.0 * sigma_sq))
                 assert slips >= cli.MAX_EXPECTED_SLIPS
@@ -610,8 +622,8 @@ class TestScoreTrials:
         cfg = config.simulation
         priors = config.priors()
         probe = config.operating_point("squeezed", config.alpha_sqs[-1])
-        tracker = sim.KalmanTracker(measurement_noise_psd(probe), config.force, config.mirror, cfg)
-        _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg)
+        _, n_total = sim.trial_geometry(priors, cfg)
         bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
         cli._enter_cell(priors, probe, tracker, bank, cfg, None)
         cli._score_trials(range(1))  # warm-up
@@ -628,8 +640,8 @@ class TestScoreTrials:
         config, cfg = tiny_config, tiny_config.simulation
         priors = config.priors()
         probe = config.operating_point("squeezed", ALPHA_SQS[0])
-        tracker = sim.KalmanTracker(measurement_noise_psd(probe), config.force, config.mirror, cfg)
-        _, n_total = sim.trial_geometry(config.force, config.mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg)
+        _, n_total = sim.trial_geometry(priors, cfg)
         bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
         cli._enter_cell(priors, probe, tracker, bank, cfg, None)
         results = cli._score_trials(range(2))
@@ -653,15 +665,22 @@ class TestBounds:
                 assert np.all(np.diff(curve) < 0)
 
     def test_pass_solves_no_riccati_equation(self, tmp_path, riccati_solves):
-        rows, failed = cli.cmd_bounds(cli.reference_config(), out_path=tmp_path / "b.csv")
+        sim._tracker_model.cache_clear()
+        rows, failed = cli.cmd_bounds(
+            cli.reference_config(), out_path=tmp_path / "b.csv", n_points=cli.BOUNDS_POINTS
+        )
         assert failed == 0 and rows
         assert riccati_solves == []
+        # its 248 tracker builds share one discretized model: each calibration
+        # gets a fresh `PriorModel`, equal to the others
+        info = sim._tracker_model.cache_info()
+        assert (info.misses, info.hits) == (1, 247)
 
     def test_single_amplitude_is_one_point(self, tiny_config, tmp_path):
         # geomspace(a, a, n) has interior points an ulp off a, not new amplitudes
         config = replace(tiny_config, alpha_sqs=(1.02e6,))
         out = tmp_path / "bounds.csv"
-        rows, failed = cli.cmd_bounds(config, out_path=out)
+        rows, failed = cli.cmd_bounds(config, out_path=out, n_points=cli.BOUNDS_POINTS)
         assert failed == 0
         assert [(row["var"], row["alpha_sq"]) for row in rows] == [
             ("q", 1.02e6), ("p", 1.02e6), ("f", 1.02e6)

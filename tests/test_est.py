@@ -418,7 +418,7 @@ class TestSmoothing:
     def test_noiseless_channel_inversion(self, mirror, force, priors, smoothing_cfg):
         tight = ProbeState(1e28)
         f = sim.simulate_ou(force, smoothing_cfg, sim.trial_rng(80, 0), n=50_000)
-        pad = sim.trial_geometry(force, mirror, smoothing_cfg)[0]
+        pad = sim.trial_geometry(priors, smoothing_cfg)[0]
         q, _, phi = sim.mirror_response(f, mirror, smoothing_cfg, pad)
         bank = FilterBank.build(50_000, smoothing_cfg.dt, priors, tight)
         q_hat = smooth(phi, "q", bank)
@@ -459,9 +459,10 @@ class TestSmootherReach:
     def test_kernel_inside_margins(self, kind, alpha_sq):
         config = cli.reference_config()
         cfg = config.simulation
-        n_margin, n_total = sim.trial_geometry(config.force, config.mirror, cfg)
+        priors = config.priors()
+        n_margin, n_total = sim.trial_geometry(priors, cfg)
         probe = config.operating_point(kind, alpha_sq)
-        bank = FilterBank.build(n_total, cfg.dt, config.priors(), probe)
+        bank = FilterBank.build(n_total, cfg.dt, priors, probe)
         lag = np.arange(n_total)
         beyond = np.minimum(lag, n_total - lag) > n_margin
         for x in ("q", "p", "f"):

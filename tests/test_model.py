@@ -1,12 +1,14 @@
 """Mirror model: masses, motion functions, transfer functions, prior spectra."""
 
+import inspect
 import math
+import typing
 import warnings
 
 import numpy as np
 import pytest
 
-from mirrormotion import est, sim
+from mirrormotion import est, model, probe, sim
 from mirrormotion.errors import SingularityError
 from mirrormotion.model import (
     PRIOR_TAGS,
@@ -14,6 +16,7 @@ from mirrormotion.model import (
     ForceParams,
     MirrorParams,
     NominalTransferFunction,
+    PriorModel,
     TabulatedTransferFunction,
     effective_mass,
     force_gains,
@@ -88,7 +91,7 @@ class TestForceGains:
         assert g["p"][0] == 0.0
         assert np.array_equal(g["f"], np.ones(4))
 
-    def test_one_transfer_function_evaluation_per_call(self, mirror, force, priors, monkeypatch):
+    def test_one_transfer_function_evaluation_per_call(self, mirror, priors, monkeypatch):
         calls = []
         nominal = NominalTransferFunction.__call__
 
@@ -104,9 +107,9 @@ class TestForceGains:
             fn(*args)
             return len(calls)
 
-        assert evaluations(prior_psd, "f", w, force, mirror) == 0
+        assert evaluations(prior_psd, "f", w, priors) == 0
         for x in ("q", "p"):
-            assert evaluations(prior_psd, x, w, force, mirror) == 1
+            assert evaluations(prior_psd, x, w, priors) == 1
         assert evaluations(priors.information_kernel, w) == 1
         for x in PRIOR_TAGS:
             assert evaluations(est.optimal_filter, x, w, priors, ProbeState(1e6)) == 1
@@ -164,25 +167,25 @@ class TestMotionFunctions:
 
 
 class TestPriorPsd:
-    def test_force_dc(self, mirror, force):
-        s0 = prior_psd("f", 0.0, force, mirror)
+    def test_force_dc(self, priors):
+        s0 = prior_psd("f", 0.0, priors)
         assert s0 == pytest.approx(KAPPA / LAMBDA**2, rel=1e-12)
         assert s0 == pytest.approx(4.896e-7, rel=1e-3)
 
-    def test_lorentzian_half_width(self, mirror, force):
-        assert prior_psd("f", LAMBDA, force, mirror) == pytest.approx(
-            0.5 * prior_psd("f", 0.0, force, mirror), rel=1e-12
+    def test_lorentzian_half_width(self, priors):
+        assert prior_psd("f", LAMBDA, priors) == pytest.approx(
+            0.5 * prior_psd("f", 0.0, priors), rel=1e-12
         )
 
-    def test_momentum_dc_vanishes(self, mirror, force):
-        assert prior_psd("p", 0.0, force, mirror) == 0.0
+    def test_momentum_dc_vanishes(self, priors):
+        assert prior_psd("p", 0.0, priors) == 0.0
 
-    def test_even_and_nonnegative(self, mirror, force):
+    def test_even_and_nonnegative(self, priors):
         rng = np.random.default_rng(7)
         w = rng.uniform(1e1, 5e7, 200)
         for x in ("f", "q", "p"):
-            s_pos = prior_psd(x, w, force, mirror)
-            s_neg = prior_psd(x, -w, force, mirror)
+            s_pos = prior_psd(x, w, priors)
+            s_neg = prior_psd(x, -w, priors)
             assert np.all(s_pos >= 0.0)
             assert np.allclose(s_pos, s_neg, rtol=1e-14)
 
@@ -191,11 +194,11 @@ class TestPriorPsd:
         var = est.prior_variance("f", fine)
         assert var == pytest.approx(KAPPA / (2.0 * LAMBDA), rel=1e-6)
 
-    def test_momentum_factored_form(self, mirror, force):
+    def test_momentum_factored_form(self, mirror, priors):
         w = np.array([1e3, 1e5, 3e5])
         gqf = NominalTransferFunction(mirror)(w)
-        expected = (mirror.m * w) ** 2 * np.abs(gqf) ** 2 * prior_psd("f", w, force, mirror)
-        assert np.allclose(prior_psd("p", w, force, mirror), expected, rtol=1e-14)
+        expected = (mirror.m * w) ** 2 * np.abs(gqf) ** 2 * prior_psd("f", w, priors)
+        assert np.allclose(prior_psd("p", w, priors), expected, rtol=1e-14)
 
 
 class TestTabulatedTransferFunction:
@@ -292,3 +295,27 @@ def test_prior_model_information_kernel(priors):
     c = priors.params.phase_gain
     expected = c**2 * np.abs(NominalTransferFunction(priors.params)(w)) ** 2 * priors.psd("f", w)
     assert np.allclose(priors.information_kernel(w), expected, rtol=1e-14)
+
+
+def test_model_travels_as_one_prior_model():
+    """A signature that needs the mirror and the force takes them as one
+    `PriorModel`, so no caller can pair a mirror with another model's force."""
+
+    def signatures(module):
+        """The module's own functions and classes, and each class's methods."""
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__ or obj is PriorModel:
+                continue
+            yield obj
+            if inspect.isclass(obj):
+                methods = (getattr(attr, "__func__", attr) for attr in vars(obj).values())
+                yield from (fn for fn in methods if inspect.isfunction(inspect.unwrap(fn)))
+
+    both = {ForceParams, MirrorParams}
+    offenders = [
+        f"{module.__name__}.{obj.__qualname__}"
+        for module in (model, probe, sim, est)
+        for obj in signatures(module)
+        if callable(obj) and both <= set(typing.get_type_hints(inspect.unwrap(obj)).values())
+    ]
+    assert offenders == []

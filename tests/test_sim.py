@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mirrormotion import sim
 from mirrormotion.errors import RiccatiError
-from mirrormotion.model import ForceParams, MirrorParams, NominalTransferFunction
+from mirrormotion.model import ForceParams, MirrorParams, NominalTransferFunction, PriorModel
 from mirrormotion.probe import ProbeState, measurement_noise_psd
 
 import oracles
@@ -29,9 +29,9 @@ def cfg():
 
 
 @pytest.fixture(scope="module")
-def pad(mirror, force, cfg):
+def pad(priors, cfg):
     """Zero padding for mirror_response: the margin of a trial at `cfg`."""
-    return sim.trial_geometry(force, mirror, cfg)[0]
+    return sim.trial_geometry(priors, cfg)[0]
 
 
 def squeezed(alpha_sq, sigma_phi_sq=0.0):
@@ -60,19 +60,19 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="shorter than the data window"):
             sim.SimConfig(n_samples=100, feedback_delay_samples=100)
 
-    def test_short_trace_rejected(self, force, mirror):
+    def test_short_trace_rejected(self, priors):
         cfg = sim.SimConfig(dt=1e-7, n_samples=1000)
         with pytest.raises(ValueError, match="correlation times"):
-            sim.trial_geometry(force, mirror, cfg)
+            sim.trial_geometry(priors, cfg)
 
-    def test_trial_length_capped(self, force, mirror, cfg, monkeypatch):
+    def test_trial_length_capped(self, force, mirror, priors, cfg, monkeypatch):
         # damping 1/s puts 2e8 samples of margin on each side of the window;
         # the grid is refused before any array of that length exists
         slow = replace(mirror, gamma=1.0)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as refused:
-                sim.trial_geometry(force, slow, cfg)
+                sim.trial_geometry(PriorModel(slow, force), cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -82,12 +82,12 @@ class TestSimConfig:
         )
         assert peak < 1 << 20
         # the cap is inclusive: the reference grid passes at exactly its length
-        n_total = sim.trial_geometry(force, mirror, cfg)[1]
+        n_total = sim.trial_geometry(priors, cfg)[1]
         monkeypatch.setattr(sim, "MAX_TRIAL_SAMPLES", n_total)
-        assert sim.trial_geometry(force, mirror, cfg)[1] == n_total
+        assert sim.trial_geometry(priors, cfg)[1] == n_total
         monkeypatch.setattr(sim, "MAX_TRIAL_SAMPLES", n_total - 1)
         with pytest.raises(ValueError, match=f"a trial of {n_total} samples"):
-            sim.trial_geometry(force, mirror, cfg)
+            sim.trial_geometry(priors, cfg)
 
     @pytest.mark.parametrize("gamma", [1e-3, 1e-30, 1e-200])
     def test_extreme_damping_refused_before_padding(self, force, mirror, cfg, monkeypatch, gamma):
@@ -98,7 +98,7 @@ class TestSimConfig:
 
         monkeypatch.setattr(scipy.fft, "next_fast_len", unreachable)
         with pytest.raises(ValueError, match="exceeds 16777216 samples"):
-            sim.trial_geometry(force, replace(mirror, gamma=gamma), cfg)
+            sim.trial_geometry(PriorModel(replace(mirror, gamma=gamma), force), cfg)
 
 
 class TestTrialRng:
@@ -190,8 +190,8 @@ class TestMirrorResponse:
 
 
 class TestDiscretization:
-    def test_force_block_matches_ou_formulas(self, mirror, force, cfg):
-        tracker = sim.KalmanTracker(measurement_noise_psd(ProbeState(1e6)), force, mirror, cfg)
+    def test_force_block_matches_ou_formulas(self, priors, cfg):
+        tracker = sim.KalmanTracker(measurement_noise_psd(ProbeState(1e6)), priors, cfg)
         a = math.exp(-LAMBDA * cfg.dt)
         assert tracker.a_d[2, 2] == pytest.approx(a, rel=1e-12)
         assert np.allclose(tracker.a_d[2, :2], 0.0)
@@ -199,14 +199,14 @@ class TestDiscretization:
             KAPPA * (1 - a * a) / (2 * LAMBDA), rel=1e-10
         )
 
-    def test_stationary_covariance_consistency(self, mirror, force, cfg):
+    def test_stationary_covariance_consistency(self, mirror, force, priors, cfg):
         # discrete-time stationarity must reproduce the continuous Lyapunov solution
-        tracker = sim.KalmanTracker(measurement_noise_psd(ProbeState(1e6)), force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(ProbeState(1e6)), priors, cfg)
         p_disc = scipy.linalg.solve_discrete_lyapunov(tracker.a_d, tracker.q_d)
         p_cont = oracles.stationary_covariance(mirror, force)
         assert np.allclose(p_disc, p_cont, rtol=1e-8)
 
-    def test_cache_matches_fresh_van_loan(self, mirror, force, cfg):
+    def test_cache_matches_fresh_van_loan(self, mirror, force, priors, cfg):
         m = mirror.m
         a_c = np.array(
             [
@@ -216,27 +216,27 @@ class TestDiscretization:
             ]
         )
         a_d, q_d = sim._discretize(a_c, np.diag([0.0, 0.0, force.kappa]), cfg.dt)
-        tracker = sim.KalmanTracker(measurement_noise_psd(ProbeState(1e6)), force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(ProbeState(1e6)), priors, cfg)
         assert np.array_equal(tracker.a_d, a_d)
         assert np.array_equal(tracker.q_d, q_d)
         assert not tracker.a_d.flags.writeable and not tracker.q_d.flags.writeable
 
-    def test_cache_keyed_on_model_and_period(self, mirror, force, cfg):
-        cached = sim._tracker_model(mirror, force, cfg.dt)
-        # equal but distinct parameter objects share one entry, spectrum included
-        twin = sim._tracker_model(replace(mirror), replace(force), cfg.dt)
+    def test_cache_keyed_on_model_and_period(self, mirror, force, priors, cfg):
+        cached = sim._tracker_model(priors, cfg.dt)
+        # equal but distinct models share one entry, spectrum included
+        twin = sim._tracker_model(PriorModel(replace(mirror), replace(force)), cfg.dt)
         assert all(a is b for a, b in zip(twin, cached))
         a_d, q_d, c_vec, tables = cached
         assert not c_vec.flags.writeable
         assert not any(array.flags.writeable for table in tables for array in table)
-        other = sim._tracker_model(mirror, force, 2.0 * cfg.dt)
+        other = sim._tracker_model(priors, 2.0 * cfg.dt)
         assert other[0] is not a_d and other[3] is not tables
         assert not np.array_equal(other[0], a_d)
         assert not np.array_equal(other[3][0][1], tables[0][1])
 
 
-#: (params, force) of the reference mirror and force, as tracker_models draws them.
-REFERENCE_MODEL = (
+#: The reference mirror and force, as tracker_models draws them.
+REFERENCE_MODEL = PriorModel(
     MirrorParams(m=MASS, Omega=OMEGA, gamma=GAMMA, k0=2.0 * math.pi / WAVELENGTH, theta=THETA),
     ForceParams(lam=LAMBDA, kappa=KAPPA),
 )
@@ -244,7 +244,7 @@ REFERENCE_MODEL = (
 
 @st.composite
 def tracker_models(draw):
-    """(params, force) over test_stability_property's ranges."""
+    """A `PriorModel` over test_stability_property's ranges."""
     params = MirrorParams(
         m=MASS,
         Omega=10.0 ** draw(st.floats(4.5, 6.0)),
@@ -252,7 +252,7 @@ def tracker_models(draw):
         k0=2.0 * math.pi / WAVELENGTH,
         theta=THETA,
     )
-    return params, ForceParams(lam=10.0 ** draw(st.floats(3.5, 5.5)), kappa=KAPPA)
+    return PriorModel(params, ForceParams(lam=10.0 ** draw(st.floats(3.5, 5.5)), kappa=KAPPA))
 
 
 @st.composite
@@ -271,26 +271,26 @@ def tracker_probes(draw):
 
 
 class TestRiccatiTracking:
-    def test_noiseless_limit(self, mirror, force, cfg):
+    def test_noiseless_limit(self, priors, cfg):
         tight = sim.KalmanTracker(
-            measurement_noise_psd(ProbeState(1e18)), force, mirror, cfg
+            measurement_noise_psd(ProbeState(1e18)), priors, cfg
         ).sigma_phi_sq_posterior
         typical = sim.KalmanTracker(
-            measurement_noise_psd(ProbeState(1e6)), force, mirror, cfg
+            measurement_noise_psd(ProbeState(1e6)), priors, cfg
         ).sigma_phi_sq_posterior
         assert tight < 1e-6 * typical
 
-    def test_monotone_in_amplitude(self, mirror, force, cfg):
+    def test_monotone_in_amplitude(self, priors, cfg):
         values = [
             sim.KalmanTracker(
-                measurement_noise_psd(ProbeState(a, eta_det=ETA)), force, mirror, cfg
+                measurement_noise_psd(ProbeState(a, eta_det=ETA)), priors, cfg
             ).sigma_phi_sq_posterior
             for a in ALPHA_SQS
         ]
         assert np.all(np.diff(values) < 0)
 
-    def test_closed_loop_stable(self, mirror, force, cfg):
-        tracker = sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), force, mirror, cfg)
+    def test_closed_loop_stable(self, priors, cfg):
+        tracker = sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), priors, cfg)
         assert tracker.settle_samples > 0  # implies spectral radius < 1
 
     @pytest.mark.parametrize(
@@ -303,7 +303,7 @@ class TestRiccatiTracking:
         ],
         ids=["gain", "settle_samples", "predict_series", "sigma_phi_sq_feedback"],
     )
-    def test_unstable_closed_loop_raises_at_first_use(self, mirror, force, cfg, monkeypatch, use):
+    def test_unstable_closed_loop_raises_at_first_use(self, mirror, priors, cfg, monkeypatch, use):
         # a non-stabilizing Riccati "solution": its gain over-corrects the
         # position estimate, doubling it every step; every reader of the
         # stationary filter refuses it
@@ -311,17 +311,17 @@ class TestRiccatiTracking:
             return np.diag([-0.5 * r.item() / mirror.phase_gain**2, 0.0, 0.0])
 
         monkeypatch.setattr(scipy.linalg, "solve_discrete_are", non_stabilizing)
-        tracker = sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), priors, cfg)
         with pytest.raises(RiccatiError, match="unstable"):
             use(tracker)
 
-    def test_coarse_spectrum_fails_node_doubling(self, mirror, force, cfg, monkeypatch):
+    def test_coarse_spectrum_fails_node_doubling(self, priors, cfg, monkeypatch):
         # one panel cannot resolve the mechanical resonance
         monkeypatch.setattr(sim, "_phase_spectrum_panels", lambda *_: np.array([0.0, math.pi]))
         sim._tracker_model.cache_clear()
         try:
             with pytest.raises(RiccatiError, match="phase-spectrum integral not converged"):
-                sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), force, mirror, cfg)
+                sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), priors, cfg)
         finally:
             sim._tracker_model.cache_clear()  # drop the coarse tables
 
@@ -331,15 +331,15 @@ class TestRiccatiTracking:
         # ln(1 + S_phi/r) has no value
         fast = replace(force, lam=100.0 / cfg.dt)
         with pytest.raises(RiccatiError, match=r"the tracker's phase spectrum is negative \(min -"):
-            sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), fast, mirror, cfg)
+            sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), PriorModel(mirror, fast), cfg)
 
     @pytest.mark.parametrize(
         "noise_psd", [math.nan, math.inf, 0.0, -1e-12], ids=["nan", "inf", "zero", "negative"]
     )
-    def test_noise_level_must_be_positive_and_finite(self, mirror, force, cfg, noise_psd):
+    def test_noise_level_must_be_positive_and_finite(self, priors, cfg, noise_psd):
         # checked where it enters, not left to fail the spectral integral
         with pytest.raises(ValueError, match="noise_psd must be positive and finite"):
-            sim.KalmanTracker(noise_psd, force, mirror, cfg)
+            sim.KalmanTracker(noise_psd, priors, cfg)
 
     @settings(max_examples=100)
     @given(model=tracker_models(), probe=tracker_probes())
@@ -355,8 +355,7 @@ class TestRiccatiTracking:
         # the spectral phase errors against scipy's Riccati solution, to 1e-9
         # relative (seen: ~1e-13 at the reference cells, ~2e-11 over the
         # drawn models, the rest being rounding near the resonance)
-        params, force = model
-        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, params, sim.SimConfig())
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), model, sim.SimConfig())
         c_vec, r = tracker.c_vec, tracker.r
         p_pred = scipy.linalg.solve_discrete_are(tracker.a_d.T, c_vec[:, None], tracker.q_d, [[r]])
         prediction = float(c_vec @ p_pred @ c_vec)
@@ -369,16 +368,15 @@ class TestRiccatiTracking:
     @example(model=REFERENCE_MODEL)
     def test_measurement_row_measures_position_only(self, model):
         # the phase spectrum is that of the position: c_vec = [phase_gain, 0, 0] exactly
-        params, force = model
-        c_vec = sim._tracker_model(params, force, sim.SimConfig().dt)[2]
+        c_vec = sim._tracker_model(model, sim.SimConfig().dt)[2]
         assert c_vec.dtype == np.float64
-        assert c_vec.tolist() == [params.phase_gain, 0.0, 0.0]
+        assert c_vec.tolist() == [model.params.phase_gain, 0.0, 0.0]
         assert not np.signbit(c_vec[1:]).any()
         with pytest.raises(ValueError, match="read-only"):
             c_vec[1] = 1.0
 
-    def test_filter_built_on_first_use_matches_fresh_coefficients(self, mirror, force, cfg):
-        tracker = sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), force, mirror, cfg)
+    def test_filter_built_on_first_use_matches_fresh_coefficients(self, priors, cfg):
+        tracker = sim.KalmanTracker(measurement_noise_psd(squeezed(1.02e6)), priors, cfg)
         a_cl = tracker.a_d @ (np.eye(3) - np.outer(tracker.gain, tracker.c_vec))
         num, den = scipy.signal.ss2tf(
             a_cl, (tracker.a_d @ tracker.gain)[:, None], tracker.c_vec[None, :], np.zeros((1, 1))
@@ -412,8 +410,10 @@ class TestRiccatiTracking:
         # a stable loop, and the phase error grows from the posterior to the
         # one-step prediction to the prediction fed back d samples late; or,
         # where the fixed-point iteration reaches 1 rad^2, the named error
-        params = replace(mirror, Omega=10.0**log_omega, gamma=10.0**log_gamma)
-        force = ForceParams(lam=10.0**log_lam, kappa=KAPPA)
+        priors = PriorModel(
+            replace(mirror, Omega=10.0**log_omega, gamma=10.0**log_gamma),
+            ForceParams(lam=10.0**log_lam, kappa=KAPPA),
+        )
         cfg_d = sim.SimConfig(feedback_delay_samples=d)
         a = 10.0**log_alpha_sq
         if squeezing_db is None:
@@ -423,15 +423,15 @@ class TestRiccatiTracking:
                 a, squeezing_db, squeezing_db + extra_antisqueezing_db, eta_det=eta_det
             )
         try:
-            probe = sim.calibrate_tracking(template, force, params, cfg_d)
+            probe = sim.calibrate_tracking(template, priors, cfg_d)
         except RiccatiError as exc:
             # the one-probe-per-step oracle raises only on reaching 1 rad^2
             with pytest.raises(RiccatiError, match=r"^tracking loop cannot lock at ") as expected:
-                oracles.calibrate_tracking_reference(template, force, params, cfg_d)
+                oracles.calibrate_tracking_reference(template, priors, cfg_d)
             assert str(exc) == str(expected.value)
             assert str(exc).startswith(f"tracking loop cannot lock at alpha_sq={a:.4g}: ")
             return
-        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, params, cfg_d)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg_d)
         assert tracker.settle_samples > 0
         assert (
             tracker.sigma_phi_sq_posterior
@@ -452,30 +452,29 @@ class TestRiccatiTracking:
     def test_calibration_matches_one_probe_per_step(self, model, probe):
         # iterating sigma_phi^2 as a float gives the operating point of a
         # probe rebuilt at every step, bit for bit, or the same error
-        params, force = model
         cfg = sim.SimConfig()
         try:
-            expected = oracles.calibrate_tracking_reference(probe, force, params, cfg)
+            expected = oracles.calibrate_tracking_reference(probe, model, cfg)
         except RiccatiError as exc:
             with pytest.raises(RiccatiError) as raised:
-                sim.calibrate_tracking(probe, force, params, cfg)
+                sim.calibrate_tracking(probe, model, cfg)
             assert str(raised.value) == str(exc)
             return
-        assert sim.calibrate_tracking(probe, force, params, cfg) == expected
+        assert sim.calibrate_tracking(probe, model, cfg) == expected
 
-    def test_calibration_fixed_point(self, mirror, force, cfg):
-        probe = sim.calibrate_tracking(squeezed(1.02e6), force, mirror, cfg)
+    def test_calibration_fixed_point(self, priors, cfg):
+        probe = sim.calibrate_tracking(squeezed(1.02e6), priors, cfg)
         again = sim.KalmanTracker(
-            measurement_noise_psd(probe), force, mirror, cfg
+            measurement_noise_psd(probe), priors, cfg
         ).sigma_phi_sq_posterior
         assert again == pytest.approx(probe.sigma_phi_sq, rel=1e-8)
         # reproduces the reported operating band of the effective factor
         assert 0.003 < probe.sigma_phi_sq < 0.011
 
-    def test_empirical_consistency(self, mirror, force, cfg, pad):
+    def test_empirical_consistency(self, mirror, force, priors, cfg, pad):
         cfg0 = replace(cfg, feedback_delay_samples=0)
-        probe = sim.calibrate_tracking(squeezed(1.02e6), force, mirror, cfg0)
-        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg0)
+        probe = sim.calibrate_tracking(squeezed(1.02e6), priors, cfg0)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg0)
         emp = np.mean([
             sim.run_tracking(
                 sim.mirror_response(
@@ -488,10 +487,10 @@ class TestRiccatiTracking:
         ])
         assert emp == pytest.approx(tracker.sigma_phi_sq_posterior, rel=0.10)
 
-    def test_huge_amplitude_matches_prediction_variance(self, mirror, force, priors):
+    def test_huge_amplitude_matches_prediction_variance(self, priors):
         cfg0 = sim.SimConfig(dt=1e-7, n_samples=10_000, seed=3, feedback_delay_samples=0)
         probe = ProbeState(1e12)
-        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg0)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg0)
         emp = np.mean([
             sim.simulate_trial(priors, probe, tracker, cfg0, sim.trial_rng(11, i)).sigma_phi_sq
             for i in range(24)
@@ -499,13 +498,13 @@ class TestRiccatiTracking:
         assert emp == pytest.approx(tracker.sigma_phi_sq_prediction, rel=0.05)
 
     @pytest.mark.parametrize("mode, n_trials", [("linearized", 20), ("nonlinear", 8)])
-    def test_trials_track_with_feedback_error(self, mirror, force, priors, mode, n_trials):
+    def test_trials_track_with_feedback_error(self, priors, mode, n_trials):
         # the squeezed operating point is calibrated on the posterior error,
         # but the loop feeds back a prediction d samples late: the trials'
         # error is the feedback error, about 12% above the posterior here
         cfg_ref = sim.SimConfig(mode=mode)
-        probe = sim.calibrate_tracking(squeezed(6.24e6), force, mirror, cfg_ref)
-        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg_ref)
+        probe = sim.calibrate_tracking(squeezed(6.24e6), priors, cfg_ref)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg_ref)
         errors = [
             sim.simulate_trial(
                 priors, probe, tracker, cfg_ref, sim.trial_rng(cfg_ref.seed, i)
@@ -517,13 +516,13 @@ class TestRiccatiTracking:
         assert abs(mean - tracker.sigma_phi_sq_feedback()) < band
         assert abs(mean - tracker.sigma_phi_sq_posterior) > band
 
-    def test_delay_penalty_is_small(self, mirror, force, priors, cfg):
-        probe = sim.calibrate_tracking(squeezed(1.02e6), force, mirror, cfg)
+    def test_delay_penalty_is_small(self, priors, cfg):
+        probe = sim.calibrate_tracking(squeezed(1.02e6), priors, cfg)
         theory = {}
         empirical = {}
         for d in (0, 4):
             cfg_d = replace(cfg, feedback_delay_samples=d)
-            tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg_d)
+            tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg_d)
             theory[d] = tracker.sigma_phi_sq_feedback()
             empirical[d] = np.mean([
                 sim.simulate_trial(priors, probe, tracker, cfg_d, sim.trial_rng(31, i)).sigma_phi_sq
@@ -536,18 +535,18 @@ class TestRiccatiTracking:
 
 
 class TestRunTracking:
-    def test_linearized_noise_level(self, mirror, force, cfg, pad):
+    def test_linearized_noise_level(self, mirror, force, priors, cfg, pad):
         probe = ProbeState(1.02e6, eta_det=ETA)
-        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg)
         f = sim.simulate_ou(force, cfg, sim.trial_rng(50, 0), n=62_500)
         _, _, phi = sim.mirror_response(f, mirror, cfg, pad)
         y = sim.run_tracking(phi, probe, tracker, cfg, sim.trial_rng(51, 0))[0]
         z = y - phi
         assert np.var(z) == pytest.approx(measurement_noise_psd(probe) / cfg.dt, rel=2e-2)
 
-    def test_linearized_residual_is_white(self, mirror, force, cfg, pad):
+    def test_linearized_residual_is_white(self, mirror, force, priors, cfg, pad):
         probe = ProbeState(1.02e6, eta_det=ETA)
-        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg)
         # average the autocorrelation over trials so the 3/sqrt(N) bound has
         # headroom against single-trial 3-sigma fluctuations
         acf = np.zeros(20)
@@ -563,13 +562,13 @@ class TestRunTracking:
             acf += [float(np.dot(z[:-lag], z[lag:])) / denom for lag in range(1, 21)]
         assert np.all(np.abs(acf / n_trials) < 3.0 / math.sqrt(size))
 
-    def test_nonlinear_matches_linearized(self, mirror, force, priors, cfg):
+    def test_nonlinear_matches_linearized(self, priors, cfg):
         # paired seeds; quadratic-approximation regime
-        probe = sim.calibrate_tracking(squeezed(1.02e6), force, mirror, cfg)
+        probe = sim.calibrate_tracking(squeezed(1.02e6), priors, cfg)
         mse = {}
         for mode in ("linearized", "nonlinear"):
             cfg_m = replace(cfg, mode=mode)
-            tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg_m)
+            tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg_m)
             errs = []
             for i in range(12):
                 traj = sim.simulate_trial(priors, probe, tracker, cfg_m, sim.trial_rng(61, i))
@@ -578,22 +577,22 @@ class TestRunTracking:
             mse[mode] = np.mean(errs)
         assert mse["nonlinear"] == pytest.approx(mse["linearized"], rel=3e-2)
 
-    def test_nonlinear_divergence_flagged(self, mirror, force, cfg):
+    def test_nonlinear_divergence_flagged(self, priors, cfg):
         probe = ProbeState(1e9)
         cfg_n = replace(cfg, mode="nonlinear")
-        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg_n)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg_n)
         phi = np.full(5000, math.pi)  # step far outside the linear regime
         diverged = assert_tracks_like_oracle(phi, probe, tracker, cfg_n, 0)
         assert diverged
 
 
 @pytest.fixture(scope="module")
-def nonlinear_loop(mirror, force, pad):
+def nonlinear_loop(mirror, force, priors, pad):
     """Squeezed operating point at the top reference amplitude and a phase
     record long enough for three tracker blocks."""
     cfg_n = sim.SimConfig(dt=1e-7, n_samples=10_000, mode="nonlinear")
-    probe = sim.calibrate_tracking(squeezed(6.24e6), force, mirror, cfg_n)
-    tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg_n)
+    probe = sim.calibrate_tracking(squeezed(6.24e6), priors, cfg_n)
+    tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg_n)
     n = 3 * sim.TRACKER_BLOCK
     f = sim.simulate_ou(force, cfg_n, sim.trial_rng(81, 0), n=n)
     phi = sim.mirror_response(f, mirror, cfg_n, pad)[2]
@@ -655,9 +654,9 @@ class TestNonlinearTracker:
 
 
 class TestSimulateTrial:
-    def test_reproducible_and_consistent(self, mirror, force, priors, cfg):
+    def test_reproducible_and_consistent(self, mirror, priors, cfg):
         probe = ProbeState(2.87e6, eta_det=ETA)
-        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg)
         t1 = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(70, 3))
         t2 = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(70, 3))
         assert np.array_equal(t1.y, t2.y)
@@ -666,15 +665,15 @@ class TestSimulateTrial:
         assert t1.t[t1.data_start] == 0.0
         assert t1.data_slice.stop - t1.data_slice.start == cfg.n_samples
 
-    def test_margins_cover_correlations(self, mirror, force, cfg):
-        n_margin, n_total = sim.trial_geometry(force, mirror, cfg)
+    def test_margins_cover_correlations(self, mirror, priors, cfg):
+        n_margin, n_total = sim.trial_geometry(priors, cfg)
         tau_max = max(1.0 / LAMBDA, 2.0 / mirror.gamma)
         assert n_margin * cfg.dt >= 10.0 * tau_max
         assert n_total >= cfg.n_samples + 2 * n_margin
 
-    def test_trajectory_csv(self, mirror, force, priors, cfg, tmp_path):
+    def test_trajectory_csv(self, priors, cfg, tmp_path):
         probe = ProbeState(1.02e6)
-        tracker = sim.KalmanTracker(measurement_noise_psd(probe), force, mirror, cfg)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg)
         traj = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(71, 0))
         path = tmp_path / "trial.csv"
         traj.to_csv(path)
