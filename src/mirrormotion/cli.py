@@ -1,8 +1,9 @@
 """Batch harness: config files, amplitude sweeps, bound curves, diagnostics.
 
 Config files are flat `section.key = value` text whose keys are those of the
-`CONFIG_KEYS` table; `write-config` emits the canonical example with every key
-at its reference value.  Results are plain
+`CONFIG_KEYS` table; `write-config` writes the run's config, which is the
+canonical example, every key at its reference value, when no file or override
+is given.  Results are plain
 CSV so any plotting tool can consume them.  All commands are deterministic for
 a given config and seed, independent of the worker count.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import est, sim
 from .errors import RiccatiError, require_finite
-from .model import PRIOR_TAGS, ForceParams, MirrorParams, PriorModel
+from .model import PRIOR_TAGS, ForceParams, MirrorParams, PriorModel, effective_mass
 from .probe import (
     ProbeState,
     SqueezingBandwidth,
@@ -121,7 +122,7 @@ def reference_config() -> ExperimentConfig:
     mirror driven by an Ornstein-Uhlenbeck force."""
     return ExperimentConfig(
         mirror=MirrorParams(
-            m=5.88e-4,
+            m=effective_mass(0.444e-3, 0.432e-3),  # mirror on its PZT stack
             Omega=1.76e5,
             gamma=7.66e3,
             k0=2.0 * math.pi / 860e-9,
@@ -190,16 +191,20 @@ def write_config(config: ExperimentConfig, path) -> None:
     for key, (attr, _) in CONFIG_KEYS.items():
         value = attrgetter(attr)(config)
         text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        if text != text.strip() or len(f"{text}\n".splitlines()) > 1:  # `_read_values` strips, splits lines
+            raise ValueError(f"{key}: {text!r} would not read back from a config file")
         lines.append(f"{key} = {text}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_config(path) -> ExperimentConfig:
-    """Reference config with the file's keys applied; missing keys keep their
-    reference values."""
-    return _with_values(reference_config(), _read_values(path))
+def read_config(path, overrides: dict) -> ExperimentConfig:
+    """Reference config with the file's values (none when `path` is None) and
+    then `overrides` ({attribute path: value}) applied at once, so the config
+    is built and checked once; missing keys keep their reference values."""
+    values = _read_values(path) if path is not None else {}
+    return _with_values(reference_config(), {**values, **overrides})
 
 
 def _read_values(path) -> dict:
@@ -561,38 +566,17 @@ def cmd_simulate(
     config: ExperimentConfig,
     kind: str,
     alpha_sq: float,
-    dump_trajectories: bool = False,
+    dump_dir=None,
     workers: int = 1,
 ) -> SweepPoint:
-    """Run the Monte Carlo trials of one sweep cell, optionally dumping each
-    trajectory as CSV under `config.out_dir` (`_make_dump_dir`)."""
-    dump_dir = _make_dump_dir(config, kind, alpha_sq) if dump_trajectories else None
+    """Run the Monte Carlo trials of one sweep cell, writing each trajectory
+    as CSV into the existing directory `dump_dir` when one is given."""
     grid = est.SpectralGrid.build(config.priors())
     return run_sweep_point(config, kind, alpha_sq, grid=grid, workers=workers, dump_dir=dump_dir)
 
 
-def _make_dump_dir(config: ExperimentConfig, kind: str, alpha_sq: float) -> Path:
-    """The cell's trajectory-dump directory, made after `config.out_dir` (so
-    an `out_dir` that is a file reads "File exists", not "Not a directory")."""
-    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    dump_dir = Path(config.out_dir) / f"trajectories_{kind}_{alpha_sq:.3e}"
-    dump_dir.mkdir(exist_ok=True)
-    return dump_dir
-
-
 # ---------------------------------------------------------------------------
 # entry point
-
-
-def _load_config(args) -> ExperimentConfig:
-    """Reference config with the file's values and then the CLI overrides
-    applied at once, so the config is built and checked once."""
-    values = _read_values(args.config) if args.config else {}
-    overrides = {"simulation.seed": args.seed, "simulation.n_trials": args.trials, "out_dir": args.out}
-    if getattr(args, "alpha_sq", None) is not None:  # checked like a file's amplitudes
-        overrides["alpha_sqs"] = (args.alpha_sq,)
-    values.update((a, v) for a, v in overrides.items() if v is not None)
-    return _with_values(reference_config(), values)
 
 
 def main(argv=None) -> int:
@@ -614,27 +598,34 @@ def main(argv=None) -> int:
     p_sim.add_argument("--kind", choices=PROBE_KINDS, default="squeezed")
     p_sim.add_argument("--alpha-sq", type=float, default=None)
     p_sim.add_argument("--dump-trajectories", action="store_true")
-    p_cfg = sub.add_parser("write-config", help="write the canonical default config file")
+    p_cfg = sub.add_parser("write-config", help="write the run's config; with no --config, "
+                           "--seed, --trials or --out, the canonical file")
     p_cfg.add_argument("path")
 
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be at least 1")
 
-    failed = 0
+    overrides = {"simulation.seed": args.seed, "simulation.n_trials": args.trials, "out_dir": args.out}
+    if getattr(args, "alpha_sq", None) is not None:  # checked like a file's amplitudes
+        overrides["alpha_sqs"] = (args.alpha_sq,)
+    failed, dump_dir = 0, None
     try:  # the one usage-error boundary (exit 2); a cell reports its own failure
+        config = read_config(args.config, {a: v for a, v in overrides.items() if v is not None})
         if args.command == "write-config":
-            write_config(reference_config(), args.path)
+            write_config(config, args.path)
             print(f"wrote {args.path}")
             return 0
-        config = _load_config(args)
         out_path = Path(config.out_dir) / f"{args.command}.csv"
         if args.command == "sweep":
             rows, failed = cmd_sweep(config, out_path, args.workers)
         elif args.command == "bounds":
             rows, failed = cmd_bounds(config, out_path, BOUNDS_POINTS)
         elif args.command == "simulate" and args.dump_trajectories:
-            _make_dump_dir(config, args.kind, config.alpha_sqs[-1])
+            # `--out` first, so a file in its place reads "File exists", not "Not a directory"
+            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+            dump_dir = Path(config.out_dir) / f"trajectories_{args.kind}_{config.alpha_sqs[-1]:.3e}"
+            dump_dir.mkdir(exist_ok=True)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
     if args.command in ("sweep", "bounds"):
@@ -646,7 +637,7 @@ def main(argv=None) -> int:
         alpha_sq = config.alpha_sqs[-1]
         point = _try_cell(
             _point_label(args.kind, alpha_sq), cmd_simulate,
-            config, args.kind, alpha_sq, args.dump_trajectories, args.workers,
+            config, args.kind, alpha_sq, dump_dir, args.workers,
         )
         if point is None:
             return 1

@@ -77,26 +77,34 @@ def test_criterion_1_coherent_attainability(grid):
 
 
 def test_criterion_2_monte_carlo_consistency(sweep):
-    """Empirical MSE / analytic minimum in [0.95, 1.05] for every cell."""
-    ratios = {}
+    """Empirical MSE / analytic minimum in [0.95, 1.05] for every cell.
+
+    The line also prints the span and mean of z = (mse - mmse)/stderr over
+    the cells.  Trial i of every cell draws `sim.trial_rng(seed, i)`, so the
+    cells are one draw, not independent ones: at one seed their z move
+    together (at 424242 all read low).
+    """
+    ratios, z = {}, []
     for (kind, alpha), point in sweep.items():
         for x in VARS:
             ratios[x, kind, alpha] = point.mse[x] / point.mmse[x]
+            z.append((point.mse[x] - point.mmse[x]) / point.stderr[x])
     ok = all(0.95 <= r <= 1.05 for r in ratios.values())
     lo = min(ratios.values())
     hi = max(ratios.values())
     _report(2, "Monte Carlo consistency with the analytic minimum MSE", ok,
-            f"ratios span [{lo:.3f}, {hi:.3f}] over {len(ratios)} cells")
+            f"ratios span [{lo:.3f}, {hi:.3f}] over {len(ratios)} cells; "
+            f"z = (mse - mmse)/stderr spans [{min(z):.2f}, {max(z):.2f}], "
+            f"mean {np.mean(z):.2f}, one draw: every cell shares trial_rng(seed, i)")
 
 
 def test_criterion_3_quantum_enhancement(sweep):
     """Squeezed-probe MSEs beat the coherent bound by 5-25% for q and p.
 
+    The line prints each cell's Monte Carlo reading, 1 - mse/qcrb_coh, with
+    its analytic reading, 1 - mmse/qcrb_coh of the same cell, in brackets.
     The lower edge holds: squeezing helps at every amplitude.  The upper edge
-    does not.  At the four reference amplitudes the fixture reads q
-    24.6/28.4/31.0/34.9% and p 26.1/28.1/29.3/30.4%; the analytic ratios of
-    the same cells, 1 - mmse_sq/qcrb_coh, are q 22.5/26.3/28.9/32.9% and
-    p 24.3/26.1/27.3/28.6%.  Seven cells fail for two causes:
+    does not.  Seven cells fail for two causes:
 
     * the model: q and p at 1.88e6 /s and above lie beyond 25% analytically
       too.  Detection loss is the only modeled imperfection, while the
@@ -109,13 +117,12 @@ def test_criterion_3_quantum_enhancement(sweep):
     detail = []
     ok = True
     for x in ("q", "p"):
-        enh = [
-            1.0 - sweep["squeezed", alpha].mse[x] / sweep["squeezed", alpha].qcrb_coh[x]
-            for alpha in ALPHA_SQS
-        ]
+        points = [sweep["squeezed", alpha] for alpha in ALPHA_SQS]
+        enh = [1.0 - point.mse[x] / point.qcrb_coh[x] for point in points]
+        analytic = [1.0 - point.mmse[x] / point.qcrb_coh[x] for point in points]
         ok = ok and all(0.05 <= e <= 0.25 for e in enh)
-        detail.append(f"{x}: " + "/".join(f"{e*100:.1f}" for e in enh)
-                      + f"% (mean {np.mean(enh)*100:.1f}%)")
+        readings = " / ".join(f"{e*100:.1f} [{a*100:.1f}]" for e, a in zip(enh, analytic))
+        detail.append(f"{x}: {readings}% (mean {np.mean(enh)*100:.1f}%)")
     _report(3, "quantum enhancement within the reported 5-25% band", ok,
             "; ".join(detail))
 
@@ -123,11 +130,9 @@ def test_criterion_3_quantum_enhancement(sweep):
 def test_criterion_4_coherent_closeness(sweep):
     """Coherent MSEs exceed the coherent bound by 5-45% for q, p, f.
 
-    At the four reference amplitudes the fixture reads q 4.7/5.3/5.9/7.3%,
-    p 6.1/6.0/6.0/6.3% and f 1.7/3.0/3.9/4.9%; the analytic ratios of the
-    same cells, mmse_coh/qcrb_coh - 1, are q 7.0/8.2/9.1/10.7%,
-    p 8.0/8.5/8.9/9.3% and f 3.5/4.8/5.5/6.2%.  Momentum satisfies the
-    band; five cells fail for two causes:
+    The line prints each cell's Monte Carlo reading, mse/qcrb_coh - 1, with
+    its analytic reading, mmse/qcrb_coh - 1 of the same cell, in brackets.
+    Momentum satisfies the band; five cells fail for two causes:
 
     * the model: f at 1.02e6 and 1.88e6 /s lies below 5% analytically too.
       The force MSE is prior-dominated there, so detection loss (the only
@@ -140,13 +145,12 @@ def test_criterion_4_coherent_closeness(sweep):
     detail = []
     ok = True
     for x in VARS:
-        excess = [
-            sweep["coherent", alpha].mse[x] / sweep["coherent", alpha].qcrb_coh[x] - 1.0
-            for alpha in ALPHA_SQS
-        ]
+        points = [sweep["coherent", alpha] for alpha in ALPHA_SQS]
+        excess = [point.mse[x] / point.qcrb_coh[x] - 1.0 for point in points]
+        analytic = [point.mmse[x] / point.qcrb_coh[x] - 1.0 for point in points]
         ok = ok and all(0.05 <= e <= 0.45 for e in excess)
-        detail.append(f"{x}: " + "/".join(f"{e*100:.1f}" for e in excess)
-                      + f"% (mean {np.mean(excess)*100:.1f}%)")
+        readings = " / ".join(f"{e*100:.1f} [{a*100:.1f}]" for e, a in zip(excess, analytic))
+        detail.append(f"{x}: {readings}% (mean {np.mean(excess)*100:.1f}%)")
     _report(4, "coherent closeness within the reported 5-45% band", ok,
             "; ".join(detail))
 

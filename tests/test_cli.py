@@ -156,13 +156,13 @@ class TestConfigFile:
     def test_round_trip_property(self, tmp_path_factory, config):
         path = tmp_path_factory.mktemp("drawn") / "drawn.cfg"
         cli.write_config(config, path)
-        assert cli.read_config(path) == config
+        assert cli.read_config(path, {}) == config
 
     def test_round_trip(self, tmp_path):
         config = cli.reference_config()
         path = tmp_path / "default.cfg"
         cli.write_config(config, path)
-        assert cli.read_config(path) == config
+        assert cli.read_config(path, {}) == config
 
     def test_round_trip_after_edit(self, tmp_path):
         base = cli.reference_config()
@@ -175,13 +175,13 @@ class TestConfigFile:
         )
         path = tmp_path / "edited.cfg"
         cli.write_config(config, path)
-        assert cli.read_config(path) == config
+        assert cli.read_config(path, {}) == config
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("mirror.masss = 1.0\n")
         with pytest.raises(ValueError, match="unknown config keys"):
-            cli.read_config(path)
+            cli.read_config(path, {})
 
     @pytest.mark.parametrize(
         "key", ["mirror.sensitivity", "mirror.force_per_volt", "transfer.source"]
@@ -190,7 +190,7 @@ class TestConfigFile:
         path = tmp_path / "old.cfg"
         path.write_text(f"{key} = 1.0\n")
         with pytest.raises(ValueError, match="unknown config keys"):
-            cli.read_config(path)
+            cli.read_config(path, {})
 
     def test_key_table_covers_every_field_once(self):
         def leaves(obj, prefix=""):
@@ -208,19 +208,19 @@ class TestConfigFile:
         path = tmp_path / "nan.cfg"
         path.write_text("sim.dt = nan\n")
         with pytest.raises(ValueError, match="finite"):
-            cli.read_config(path)
+            cli.read_config(path, {})
 
     def test_unparsable_value_names_key(self, tmp_path):
         path = tmp_path / "typo.cfg"
         path.write_text("sim.samples = 10k\n")
         with pytest.raises(ValueError, match="sim.samples"):
-            cli.read_config(path)
+            cli.read_config(path, {})
 
     def test_fields_checked_after_whole_section(self, tmp_path):
         # a shorter window with a shorter delay is valid only once both apply
         path = tmp_path / "short.cfg"
         path.write_text("sim.samples = 4\nsim.delay_samples = 3\n")
-        config = cli.read_config(path)
+        config = cli.read_config(path, {})
         assert config.simulation.n_samples == 4
         assert config.simulation.feedback_delay_samples == 3
 
@@ -245,7 +245,7 @@ class TestConfigFile:
     def test_comments_and_defaults(self, tmp_path):
         path = tmp_path / "partial.cfg"
         path.write_text("# only override the seed\nsim.seed = 7\n")
-        config = cli.read_config(path)
+        config = cli.read_config(path, {})
         assert config.simulation.seed == 7
         assert config.mirror == cli.reference_config().mirror
 
@@ -816,7 +816,7 @@ class TestDiagnose:
         reference = cli.cmd_diagnose(replace(cli.reference_config(), alpha_sqs=(1.02e6,)))[0]
         labels = [line.split("=")[0] for line in reference.splitlines()[:-1]]
         assert [line.split("=")[0] for line in lines[:-1]] == labels
-        squeezed = cli.read_config(cfg_path).operating_point("squeezed", 1.02e6)
+        squeezed = cli.read_config(cfg_path, {}).operating_point("squeezed", 1.02e6)
         assert lines[3].endswith(f"= {squeezed.sigma_phi_sq:.4e} rad^2")
         assert lines[-1] == (
             "  finite-bandwidth / broadband qcrb_sq: undefined: "
@@ -825,21 +825,31 @@ class TestDiagnose:
 
 
 class TestSimulateCommand:
-    def test_dump_trajectories(self, tiny_config):
+    def test_dump_trajectories(self, tiny_config, tmp_path):
         config = replace(
             tiny_config, simulation=replace(tiny_config.simulation, n_trials=2)
         )
-        point = cli.cmd_simulate(
-            config, "coherent", 1.02e6, dump_trajectories=True
-        )
+        dump_dir = tmp_path / "dumps"
+        dump_dir.mkdir()
+        point = cli.cmd_simulate(config, "coherent", 1.02e6, dump_dir=dump_dir)
         assert point.n_diverged == 0
-        out = f"{config.out_dir}/trajectories_coherent_1.020e+06"
-        import os
-
-        files = sorted(os.listdir(out))
+        files = sorted(os.listdir(dump_dir))
         assert files == ["trial_0000.csv", "trial_0001.csv"]
-        header = Path(f"{out}/{files[0]}").read_text().splitlines()[0].strip()
+        header = (dump_dir / files[0]).read_text().splitlines()[0].strip()
         assert header == "t,f,q,p,phi,phi_fb,y"
+
+    def test_dump_directory_is_named_for_the_cell(self, tiny_config, tmp_path, capsys):
+        cfg_path = tmp_path / "tiny.cfg"
+        cli.write_config(tiny_config, cfg_path)
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg_path), "--trials", "2", "--out", str(out), "simulate",
+                "--kind", "coherent", "--alpha-sq", "1.02e6", "--dump-trajectories"]
+        assert cli.main(argv) == 0
+        assert [path.relative_to(out).as_posix() for path in sorted(out.rglob("*"))] == [
+            "trajectories_coherent_1.020e+06",
+            "trajectories_coherent_1.020e+06/trial_0000.csv",
+            "trajectories_coherent_1.020e+06/trial_0001.csv",
+        ]
 
     def test_workers_flag_reaches_the_pool(self, tiny_config, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "TRIALS_PER_TASK", 1)  # three tasks for two workers
@@ -917,7 +927,7 @@ class TestMainEntry:
     def test_write_config_and_diagnose(self, tmp_path, capsys):
         cfg_path = tmp_path / "canonical.cfg"
         assert cli.main(["write-config", str(cfg_path)]) == 0
-        assert cli.read_config(cfg_path) == cli.reference_config()
+        assert cli.read_config(cfg_path, {}) == cli.reference_config()
 
         assert (
             cli.main(
@@ -996,7 +1006,19 @@ class TestMainEntry:
     def test_write_config_creates_parent_directories(self, tmp_path, capsys):
         path = tmp_path / "new" / "dir" / "x.cfg"
         assert cli.main(["write-config", str(path)]) == 0
-        assert cli.read_config(path) == cli.reference_config()
+        assert cli.read_config(path, {}) == cli.reference_config()
+
+    def test_write_config_records_the_run(self, tmp_path, capsys):
+        # the file's values first, then the flags, as every command loads them
+        base = tmp_path / "base.cfg"
+        base.write_text("sim.seed = 9\nsim.samples = 4000\n")
+        path, out = tmp_path / "run.cfg", str(tmp_path / "elsewhere")
+        argv = ["--config", str(base), "--seed", "5", "--trials", "7", "--out", out,
+                "write-config", str(path)]
+        assert cli.main(argv) == 0
+        reference = cli.reference_config()
+        simulation = replace(reference.simulation, seed=5, n_trials=7, n_samples=4000)
+        assert cli.read_config(path, {}) == replace(reference, simulation=simulation, out_dir=out)
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1009,6 +1031,9 @@ class TestMainEntry:
             (["--config", "{one_sample}", "diagnose"], "need at least two samples"),
             (["--config", "{missing}", "diagnose"], "No such file"),
             (["write-config", "{bad}/x.cfg"], "File exists"),
+            (["--trials", "1", "write-config", "{written}"], "need at least two trials"),
+            (["--out", " x", "write-config", "{written}"], "out.dir: ' x' would not read back"),
+            (["--out", "x\ny", "write-config", "{written}"], "out.dir: 'x\\ny' would not read back"),
             (["--out", "{bad}", "bounds"], "File exists"),
             (["--out", "{bad}", "--trials", "2", "sweep"], "File exists"),
             (
@@ -1059,7 +1084,8 @@ class TestMainEntry:
         ids=[
             "zero-trials", "one-trial", "unparsable-value", "line-without-equals",
             "duplicate-key", "one-sample", "missing-config",
-            "config-under-a-file",
+            "config-under-a-file", "write-config-one-trial", "write-config-padded-out",
+            "write-config-two-line-out",
             "bounds-out-is-a-file", "sweep-out-is-a-file", "simulate-dump-out-is-a-file",
             "negative-amplitude",
             "zero-amplitude", "nan-amplitude", "infinite-amplitude", "removed-edge-discard-key",
@@ -1084,7 +1110,7 @@ class TestMainEntry:
         (dump_out / "trajectories_squeezed_6.240e+06").write_text("")
         paths = {
             "bad": bad, "missing": tmp_path / "missing.cfg", "removed_key": removed_key,
-            "long_delay": long_delay, "dump_out": dump_out,
+            "long_delay": long_delay, "dump_out": dump_out, "written": tmp_path / "written.cfg",
         }
         for name, text in (
             ("efficiency", "probe.efficiency = 1.5"),
@@ -1113,6 +1139,7 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("mirrormotion: error: ")
         assert message in err.splitlines()[-1]
+        assert not paths["written"].exists()
 
 
 def _fresh_interpreter(script: str) -> str:

@@ -1,9 +1,12 @@
 """The repository's measuring scripts under `tools/`."""
 
+import json
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 SOURCE_COUNTS = TOOLS / "source_counts.py"
@@ -133,3 +136,36 @@ class TestBenchPairs:
         assert ops["change"] is None
         last = bench_pairs.format_summary([ops])[-1]
         assert last.startswith("  new better in 1, base better in 0")
+
+
+class TestRunOnce:
+    METRICS = {"ops_per_s": {"value": 12.5, "unit": "1/s"}}
+
+    def fake_run(self, monkeypatch, returncode, correct):
+        """`subprocess.run` prints `perfbench/run.py`'s lines for a run whose
+        check passed or failed, and exits with `returncode`."""
+        stdout = "\n".join([
+            "workload bounds seed 424242 trace 0: 3 units",
+            *([] if correct else ["CHECK FAILED bounds: mmse_sq above mmse_coh"]),
+            "  ops_per_s  12.5 1/s",
+            json.dumps({"correct": correct, "attempted": 3, "failed": 0, "metrics": self.METRICS}),
+        ])
+
+        def run(cmd, **kwargs):
+            return subprocess.CompletedProcess(cmd, returncode, stdout=stdout, stderr="")
+
+        monkeypatch.setattr(subprocess, "run", run)
+
+    def test_correct_run_returns_its_metrics(self, monkeypatch, tmp_path):
+        self.fake_run(monkeypatch, 0, correct=True)
+        assert bench_pairs.run_once(tmp_path, "bounds", None) == self.METRICS
+
+    @pytest.mark.parametrize("returncode, correct", [(1, False), (0, False), (1, True)])
+    def test_incorrect_run_exits_naming_its_checks(self, monkeypatch, tmp_path, returncode, correct):
+        self.fake_run(monkeypatch, returncode, correct)
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.run_once(tmp_path, "bounds", None)
+        message = str(exit_info.value.code)
+        assert message.startswith(f"bench_pairs: bounds in {tmp_path} is not a correct run "
+                                  f"(exit {returncode}, correct {correct})")
+        assert ("CHECK FAILED bounds: mmse_sq above mmse_coh" in message) == (not correct)

@@ -9,7 +9,9 @@ alternates from pair to pair), so both sides run the same benchmark code on
 their own `src/`.  For every end-to-end metric of `BENCHMARK.json` it prints
 each side's median and quartiles, and in how many pairs each side was
 better by that metric's "better" direction; a tie counts for neither side.
-It exits non-zero when a run prints no JSON result line.
+It exits non-zero when a run prints no JSON result line, reports
+`"correct": false` (its outputs failed the workload's check) or exits
+non-zero.
 """
 
 from __future__ import annotations
@@ -82,18 +84,26 @@ def format_summary(summary) -> list[str]:
 
 
 def run_once(root: Path, workload: str, seconds) -> dict:
-    """The `metrics` object of one benchmark run in `root`."""
+    """The `metrics` object of one correct benchmark run in `root`."""
     cmd = [sys.executable, str(BENCH), "--workload", workload]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])["metrics"]
+        result = json.loads(lines[-1])
+        metrics, correct = result["metrics"], result["correct"]
     except (IndexError, ValueError, KeyError) as exc:
         raise SystemExit(
             f"bench_pairs: no result from {root} (exit {out.returncode}): {exc}\n{out.stderr}"
         ) from exc
+    if not correct or out.returncode != 0:
+        checks = [line for line in lines if line.startswith("CHECK FAILED")]
+        raise SystemExit(
+            f"bench_pairs: {workload} in {root} is not a correct run "
+            f"(exit {out.returncode}, correct {correct})\n" + "\n".join(checks + [out.stderr])
+        )
+    return metrics
 
 
 def main(argv=None) -> int:
