@@ -423,19 +423,27 @@ def _track_nonlinear(
     operations, in the same order, as numpy float64 scalars, several times
     faster), converted TRACKER_BLOCK samples at a time so the number of
     float objects alive stays bounded.
+
+    Each sample does only what the feedback needs.  The force row of a_d is
+    exactly [0, 0, a22], since f is its own AR(1), so the force update is
+    a22 x2p alone; a tracker whose row is not raises RiccatiError.  The
+    divergence test, |phi - phi_fb| > pi/2 at any sample, reads the finished
+    arrays, whose difference is the loop's own delta bit for bit.
     """
     n = phi.shape[0]
     y = np.empty(n)
     phi_fb = np.empty(n)
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = tracker.a_d.tolist()
+    if a20 != 0.0 or a21 != 0.0:
+        raise RiccatiError(
+            f"the tracker's force row [{a20!r}, {a21!r}, {a22!r}] is not [0, 0, a22]"
+        )
     k0, k1, k2 = tracker.gain.tolist()
     c = float(tracker.c_vec[0])
     ep, em = float(ep), float(em)
     sin, cos, sqrt = math.sin, math.cos, math.sqrt
-    half_pi = 0.5 * math.pi
     x0 = x1 = x2 = 0.0
     pending = deque([0.0] * d)  # predictions made but not yet fed back
-    diverged = False
     for j in range(0, n, TRACKER_BLOCK):
         block = slice(j, j + TRACKER_BLOCK)
         ys = []
@@ -446,8 +454,6 @@ def _track_nonlinear(
             fb = pending.popleft()
             fbs.append(fb)
             delta = phi_k - fb
-            if abs(delta) > half_pi:
-                diverged = True
             s = sin(delta)
             co = cos(delta)
             yk = s + w * sqrt(s * s * ep + co * co * em) + fb
@@ -458,9 +464,10 @@ def _track_nonlinear(
             x2p = x2 + k2 * innov
             x0 = a00 * x0p + a01 * x1p + a02 * x2p
             x1 = a10 * x0p + a11 * x1p + a12 * x2p
-            x2 = a20 * x0p + a21 * x1p + a22 * x2p
+            x2 = a22 * x2p
         y[block] = ys
         phi_fb[block] = fbs
+    diverged = bool(np.any(np.abs(phi - phi_fb) > 0.5 * math.pi))
     return y, phi_fb, diverged
 
 

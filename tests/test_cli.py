@@ -44,25 +44,35 @@ def tiny_config(tmp_path):
     )
 
 
-def flag_diverged(monkeypatch, n_trials, diverges):
+def flag_diverged(monkeypatch, n_trials, diverges, canned=False):
     """Flag the trials of every cell whose 1-based position `diverges(k)` as
     diverged: a serial cell makes n_trials calls of `sim.simulate_trial`, in
-    trial order."""
+    trial order.  With `canned`, every call returns the records of the first
+    trial simulated, which keeps cells of hundreds of trials fast."""
     simulate_trial = sim.simulate_trial
-    calls = []
+    calls, last = [], []
 
     def patched(*args):
-        traj = simulate_trial(*args)
+        if not (canned and last):
+            last[:] = [simulate_trial(*args)]
         calls.append(None)
-        return replace(traj, diverged=diverges((len(calls) - 1) % n_trials + 1))
+        return replace(last[0], diverged=diverges((len(calls) - 1) % n_trials + 1))
 
     monkeypatch.setattr(sim, "simulate_trial", patched)
 
 
 @pytest.fixture()
-def second_trial_diverges(tiny_config, monkeypatch):
-    """Flag the second trial of every `tiny_config` cell as diverged."""
-    flag_diverged(monkeypatch, tiny_config.simulation.n_trials, lambda k: k == 2)
+def lossy_config(tiny_config):
+    """`tiny_config` with the fewest trials of which a cell admits one
+    diverged (`cli.MAX_DIVERGED_FRACTION`)."""
+    n_trials = round(1.0 / cli.MAX_DIVERGED_FRACTION)
+    return replace(tiny_config, simulation=replace(tiny_config.simulation, n_trials=n_trials))
+
+
+@pytest.fixture()
+def second_trial_diverges(lossy_config, monkeypatch):
+    """Flag the second trial of every `lossy_config` cell as diverged."""
+    flag_diverged(monkeypatch, lossy_config.simulation.n_trials, lambda k: k == 2)
 
 
 @pytest.fixture()
@@ -316,8 +326,8 @@ class TestSweep:
         with pytest.raises(ValueError, match="the spectral grid's priors are not the config's"):
             cli.run_sweep_point(replace(tiny_config, mirror=mirror), "squeezed", 1.02e6, grid=grid)
 
-    def test_diverged_trials_reported(self, tiny_config, second_trial_diverges, capsys):
-        config = replace(tiny_config, alpha_sqs=(1.02e6,))
+    def test_diverged_trials_reported(self, lossy_config, second_trial_diverges, capsys):
+        config = replace(lossy_config, alpha_sqs=(1.02e6,))
         rows, failed = cli.cmd_sweep(config, out_path=Path(config.out_dir) / "sweep.csv", workers=1)
         assert failed == 0
         assert len(rows) == 6
@@ -325,9 +335,30 @@ class TestSweep:
         assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
         assert len(lines) == 1 + len(rows)
         assert capsys.readouterr().err.splitlines() == [
-            f"sweep point (kind={kind}, alpha_sq=1.02e+06): 1 of 3 trials diverged "
+            f"sweep point (kind={kind}, alpha_sq=1.02e+06): 1 of 20 trials diverged "
             "and were left out"
             for kind in cli.PROBE_KINDS
+        ]
+
+    @pytest.mark.parametrize("n_diverged", [15, 16])
+    def test_cell_fails_past_the_diverged_fraction(
+        self, tiny_config, monkeypatch, capsys, n_diverged
+    ):
+        # 15 of 300 is MAX_DIVERGED_FRACTION: the cell scores the other 285
+        # and says so; one more fails it, where leaving them out would bias
+        # its MSEs low
+        simulation = replace(tiny_config.simulation, n_trials=300)
+        config = replace(tiny_config, simulation=simulation, alpha_sqs=(1.02e6,))
+        flag_diverged(monkeypatch, 300, lambda k: k <= n_diverged, canned=True)
+        rows, failed = cli.cmd_sweep(config, out_path=Path(config.out_dir) / "sweep.csv", workers=1)
+        if n_diverged == 15:
+            assert (len(rows), failed) == (6, 0)
+            note = ": 15 of 300 trials diverged and were left out"
+        else:
+            assert (len(rows), failed) == (0, 2)
+            note = " failed: 16 of 300 trials diverged; a cell admits at most 5% of its trials"
+        assert capsys.readouterr().err.splitlines() == [
+            f"sweep point (kind={kind}, alpha_sq=1.02e+06){note}" for kind in cli.PROBE_KINDS
         ]
 
     def test_nonlinear_cell_that_cannot_lock_fails_before_its_trials(
@@ -457,13 +488,13 @@ class TestTasks:
         assert all(outcome == outcomes[0] for outcome in outcomes)
 
     def test_diverged_trial_inside_a_multi_task_cell(
-        self, tiny_config, second_trial_diverges, monkeypatch
+        self, lossy_config, second_trial_diverges, monkeypatch
     ):
-        grid = est.SpectralGrid.build(tiny_config.priors())
+        grid = est.SpectralGrid.build(lossy_config.priors())
         outcomes = []
-        for size in (1, tiny_config.simulation.n_trials):
+        for size in (1, lossy_config.simulation.n_trials):
             monkeypatch.setattr(cli, "TRIALS_PER_TASK", size)
-            outcomes.append(self.scored(tiny_config, grid))
+            outcomes.append(self.scored(lossy_config, grid))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][3] == 1
 
@@ -867,16 +898,16 @@ class TestSimulateCommand:
         assert outputs["1"] == outputs["2"]
 
     def test_reports_trial_counts_and_tracking_error(
-        self, tiny_config, tmp_path, second_trial_diverges, capsys
+        self, lossy_config, tmp_path, second_trial_diverges, capsys
     ):
         cfg_path = tmp_path / "tiny.cfg"
-        cli.write_config(tiny_config, cfg_path)
+        cli.write_config(lossy_config, cfg_path)
         argv = ["--config", str(cfg_path), "simulate", "--kind", "coherent", "--alpha-sq", "1.02e6"]
         assert cli.main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
-        point = cli.cmd_simulate(tiny_config, "coherent", 1.02e6)
+        point = cli.cmd_simulate(lossy_config, "coherent", 1.02e6)
         assert point.n_diverged == 1
-        assert lines[3] == "trials: 3 run, 2 kept, 1 diverged"
+        assert lines[3] == "trials: 20 run, 19 kept, 1 diverged"
         tracker = point.tracker
         assert lines[4] == (
             f"tracking sigma_phi^2: empirical feedback error = {point.sigma_phi_sq_emp:.4e} "
@@ -903,7 +934,7 @@ class TestSimulateCommand:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [
             "sweep point (kind=coherent, alpha_sq=1.02e+06) failed: "
-            "2 of 3 trials diverged; a cell needs two kept trials"
+            "2 of 3 trials diverged; a cell admits at most 5% of its trials"
         ]
 
     def test_workers_below_one_rejected(self, tmp_path):
@@ -971,6 +1002,7 @@ class TestMainEntry:
         "diagnose": "956d84ba2b89864ee9d8c56d9f1f28e4878eaf6d5f22031babe32766e7888d21",
         "simulate": "6dbaf488524df9cd68e3d85ea358e3d2bfacc5c9bae2667023b96f3cbe2880ea",
         "dumps": "31fb866ab7f792f65185b7ab4db22f31e971ef02fad3c3ae03ee70d5dff8d53a",
+        "nonlinear dumps": "d39e444b10ced8075fea558976d3015d1a0779e2b07ec436b8e87f494f703fa2",
     }
 
     def test_fixed_seed_outputs_match_digests(self, tmp_path, capsys):
@@ -992,14 +1024,27 @@ class TestMainEntry:
         assert cli.main([*argv, "simulate", "--dump-trajectories"]) == 0
         dumps = sorted(dump_out.rglob("*.csv"), key=lambda path: path.name)
         assert [path.name for path in dumps] == ["trial_0000.csv", "trial_0001.csv"]
+        simulate = capsys.readouterr().out
+        # the nonlinear loop's y and phi_fb, end to end
+        nonlinear = tmp_path / "nonlinear.cfg"
+        nonlinear.write_text("sim.mode = nonlinear\n")
+        nonlinear_out = tmp_path / "nonlinear"
+        argv = ["--config", str(nonlinear), "--trials", "2", "--seed", "11",
+                "--out", str(nonlinear_out), "simulate", "--dump-trajectories"]
+        assert cli.main(argv) == 0
+        nonlinear_dumps = sorted(nonlinear_out.rglob("*.csv"), key=lambda path: path.name)
+        assert len(nonlinear_dumps) == 2
         digests = {
             "config": hashlib.sha256(canonical.read_bytes()).hexdigest(),
             "serial sweep": hashlib.sha256(serial_sweep).hexdigest(),
             "sweep": hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest(),
             "bounds": hashlib.sha256((out / "bounds.csv").read_bytes()).hexdigest(),
             "diagnose": hashlib.sha256(diagnose.encode()).hexdigest(),
-            "simulate": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+            "simulate": hashlib.sha256(simulate.encode()).hexdigest(),
             "dumps": hashlib.sha256(b"".join(path.read_bytes() for path in dumps)).hexdigest(),
+            "nonlinear dumps": hashlib.sha256(
+                b"".join(path.read_bytes() for path in nonlinear_dumps)
+            ).hexdigest(),
         }
         assert digests == {"serial sweep": self.DIGESTS["sweep"], **self.DIGESTS}
 

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -194,7 +195,8 @@ class TestDiscretization:
         tracker = sim.KalmanTracker(measurement_noise_psd(ProbeState(1e6)), priors, cfg)
         a = math.exp(-LAMBDA * cfg.dt)
         assert tracker.a_d[2, 2] == pytest.approx(a, rel=1e-12)
-        assert np.allclose(tracker.a_d[2, :2], 0.0)
+        # exact: `_track_nonlinear` updates the force as a22 x2p alone
+        assert tracker.a_d[2, :2].tolist() == [0.0, 0.0]
         assert tracker.q_d[2, 2] == pytest.approx(
             KAPPA * (1 - a * a) / (2 * LAMBDA), rel=1e-10
         )
@@ -651,6 +653,39 @@ class TestNonlinearTracker:
         cfg_d = replace(cfg_n, feedback_delay_samples=d)
         n = full_blocks * sim.TRACKER_BLOCK + tail
         assert_tracks_like_oracle(10.0**log_amplitude * phi[:n], probe, tracker, cfg_d, seed)
+
+    @pytest.mark.parametrize(
+        "step, diverged", [(0.5 * math.pi, False), (np.nextafter(0.5 * math.pi, 4.0), True)],
+        ids=["at-half-pi", "past-half-pi"],
+    )
+    def test_divergence_is_a_sample_past_half_pi(self, nonlinear_loop, step, diverged):
+        # noiseless and at rest, the loop feeds back exactly 0 until the
+        # one-sample step reaches it, so the step's own delta is the step
+        probe, tracker, _, _ = nonlinear_loop
+        phi = np.zeros(100)
+        phi[50] = step
+        moments = probe.detected_moments()
+        _, phi_fb, flag = sim._track_nonlinear(phi, np.zeros(100), tracker, 4, *moments)
+        assert phi_fb[50] == 0.0
+        assert flag is diverged
+
+    @settings(max_examples=50)
+    @given(model=tracker_models(), dt=st.floats(1e-9, 5e-7))
+    @example(model=REFERENCE_MODEL, dt=1e-7)
+    def test_force_row_is_exactly_ar1(self, model, dt):
+        # f drives q and p but nothing drives f, so the Van Loan exponential
+        # leaves exact zeros in the force row, which the loop skips
+        a_d = sim._tracker_model(model, dt)[0]
+        assert a_d[2, :2].tolist() == [0.0, 0.0]
+
+    def test_inexact_force_row_refused(self, nonlinear_loop):
+        probe, tracker, cfg_n, phi = nonlinear_loop
+        a_d = tracker.a_d.copy()
+        a_d[2, 0] = 1e-30
+        stand_in = SimpleNamespace(a_d=a_d, gain=tracker.gain, c_vec=tracker.c_vec)
+        noise_scale = np.zeros(phi.shape[0])
+        with pytest.raises(RiccatiError, match=r"^the tracker's force row \[1e-30, 0\.0, "):
+            sim._track_nonlinear(phi, noise_scale, stand_in, 4, *probe.detected_moments())
 
 
 class TestSimulateTrial:

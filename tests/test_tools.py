@@ -108,8 +108,8 @@ def runs(**values):
 
 class TestBenchPairs:
     METRICS = [
-        {"name": "ops_per_s", "better": "higher"},
-        {"name": "peak_rss_mb", "better": "lower"},
+        {"name": "ops_per_s", "better": "higher", "bound": 0.2},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.2},
     ]
 
     def test_wins_follow_each_metrics_direction_and_ties_count_for_neither(self):
@@ -134,8 +134,41 @@ class TestBenchPairs:
         [ops] = bench_pairs.summarize(base, new, self.METRICS[:1])
         assert ops["base"] == (0.0, 0.0, 0.0)
         assert ops["change"] is None
-        last = bench_pairs.format_summary([ops])[-1]
-        assert last.startswith("  new better in 1, base better in 0")
+        *_, counts, verdict = bench_pairs.format_summary([ops])
+        assert counts.startswith("  new better in 1, base better in 0")
+        assert verdict == "  verdict: within bound"  # a gain, but one pair claims none
+
+    # base quartiles 100.25 .. 101.75 (interquartile range 1.5), median 101
+    BASE = [99, 100, 100, 101, 101, 101, 101, 102, 102, 103]
+
+    @pytest.mark.parametrize("base_wins, verdict", [(1, "claim met"), (2, "within bound")],
+                             ids=["9-of-10", "8-of-10"])
+    def test_claim_needs_nine_of_ten_pairs(self, base_wins, verdict):
+        new = [b + 5 for b in self.BASE]  # a median gain of 5
+        for i in range(base_wins):
+            new[i] = self.BASE[i] - 1
+        base = runs(ops_per_s=self.BASE)
+        [ops] = bench_pairs.summarize(base, runs(ops_per_s=new), self.METRICS[:1])
+        assert (ops["new_wins"], ops["base_wins"]) == (10 - base_wins, base_wins)
+        assert ops["new"][1] - ops["base"][1] > ops["base"][2] - ops["base"][0]
+        assert ops["verdict"] == verdict
+
+    def test_claim_needs_a_gap_beyond_the_base_interquartile_range(self):
+        new = [b + 1 for b in self.BASE]  # 10 of 10 pairs, a median gain of 1 < 1.5
+        base = runs(ops_per_s=self.BASE)
+        [ops] = bench_pairs.summarize(base, runs(ops_per_s=new), self.METRICS[:1])
+        assert ops["new_wins"] == 10
+        assert ops["verdict"] == "within bound"
+
+    @pytest.mark.parametrize("factor, verdict", [(1.19, "within bound"), (1.21, "REGRESSION")])
+    def test_regression_past_the_bound(self, factor, verdict):
+        # peak_rss_mb is better lower; its bound is 20% of the base median
+        base = runs(peak_rss_mb=[100.0] * 10)
+        new = runs(peak_rss_mb=[100.0 * factor] * 10)
+        [rss] = bench_pairs.summarize(base, new, self.METRICS[1:])
+        assert rss["base_wins"] == 10
+        assert rss["verdict"] == verdict
+        assert bench_pairs.format_summary([rss])[-1] == f"  verdict: {verdict}"
 
 
 class TestRunOnce:

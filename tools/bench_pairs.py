@@ -9,6 +9,11 @@ alternates from pair to pair), so both sides run the same benchmark code on
 their own `src/`.  For every end-to-end metric of `BENCHMARK.json` it prints
 each side's median and quartiles, and in how many pairs each side was
 better by that metric's "better" direction; a tie counts for neither side.
+Each metric's verdict is "claim met" when at least CLAIM_PAIRS pairs ran,
+the new side was better in at least 9 of every 10 of them and its median
+gain exceeds the base interquartile range; "REGRESSION" when the new
+median is worse than the base median by more than the metric's relative
+`bound`; and "within bound" otherwise.
 It exits non-zero when a run prints no JSON result line, reports
 `"correct": false` (its outputs failed the workload's check) or exits
 non-zero.
@@ -26,6 +31,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench" / "run.py"
 
+#: Fewest pairs a gain may be claimed on.
+CLAIM_PAIRS = 10
+
 
 def quartiles(values) -> tuple[float, float, float]:
     """(first quartile, median, third quartile), inclusive method."""
@@ -41,10 +49,10 @@ def summarize(base_runs, new_runs, metrics) -> list[dict]:
     `base_runs` and `new_runs` are the `metrics` objects of the runs'
     JSON lines ({name: {"value": v, ...}}), pair i being
     (base_runs[i], new_runs[i]); `metrics` are BENCHMARK.json's
-    `end_to_end` entries ({"name", "better", ...}).  Each summary holds the
-    name, the direction, both sides' (q1, median, q3), the pair counts
-    `new_wins`, `base_wins` and `ties`, and the median change relative to
-    the base median."""
+    `end_to_end` entries ({"name", "better", "bound", ...}).  Each summary
+    holds the name, the direction, both sides' (q1, median, q3), the pair
+    counts `new_wins`, `base_wins` and `ties`, the median change relative to
+    the base median, and the verdict."""
     out = []
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -53,16 +61,25 @@ def summarize(base_runs, new_runs, metrics) -> list[dict]:
         new_wins = sum((n > b) if higher else (n < b) for b, n in zip(base, new))
         ties = sum(n == b for b, n in zip(base, new))
         base_q, new_q = quartiles(base), quartiles(new)
+        pairs, iqr = len(base), base_q[2] - base_q[0]
+        gain = new_q[1] - base_q[1] if higher else base_q[1] - new_q[1]
+        if pairs >= CLAIM_PAIRS and 10 * new_wins >= 9 * pairs and gain > iqr:
+            verdict = "claim met"
+        elif -gain > metric["bound"] * abs(base_q[1]):
+            verdict = "REGRESSION"
+        else:
+            verdict = "within bound"
         out.append({
             "name": name,
             "better": metric["better"],
-            "pairs": len(base),
+            "pairs": pairs,
             "base": base_q,
             "new": new_q,
             "new_wins": new_wins,
-            "base_wins": len(base) - new_wins - ties,
+            "base_wins": pairs - new_wins - ties,
             "ties": ties,
             "change": (new_q[1] - base_q[1]) / base_q[1] if base_q[1] else None,
+            "verdict": verdict,
         })
     return out
 
@@ -80,6 +97,7 @@ def format_summary(summary) -> list[str]:
             f"ties {s['ties']}; median change {change}, "
             f"base interquartile range {s['base'][2] - s['base'][0]:.6g}"
         )
+        lines.append(f"  verdict: {s['verdict']}")
     return lines
 
 
