@@ -46,6 +46,7 @@ MAX_EXPECTED_SLIPS = 1e-2
 #: A cell fails when more than this fraction of its trials diverged: the
 #: lock rule admits only cells expected to slip less than MAX_EXPECTED_SLIPS
 #: times per record, and leaving out more trials would bias its MSEs low.
+#: It stops running trials at the diverged trial that exceeds the fraction.
 MAX_DIVERGED_FRACTION = 0.05
 
 #: Geometrically spaced amplitudes of a `bounds` table (`cmd_bounds`).
@@ -336,7 +337,10 @@ def run_sweep_point(
     one per task and per CPU, and each task's windows are scored as the task
     returns.  The process that runs the trials enters the cell once
     (`_enter_cell`), so a task carries only trial indices; the parent keeps
-    no cell past its tasks."""
+    no cell past its tasks.  Scores are folded in trial order, and the cell
+    fails as soon as more than `MAX_DIVERGED_FRACTION` of its trials have
+    diverged, whatever its later trials would give: it runs no further
+    task, and a pool cancels the tasks it has not started."""
     global _cell
     if workers < 1:
         raise ValueError("need at least one worker")
@@ -367,12 +371,26 @@ def run_sweep_point(
     scores = {}  # trial index -> (sigma_phi_sq, q, p, f errors), None if diverged
 
     def fold(parts):
+        """Score the tasks' trials in trial order; raises ValueError at the
+        first diverged trial past `MAX_DIVERGED_FRACTION` of the cell's."""
+        n_diverged = 0
         for part in parts:
             for idx, payload in part.items():
-                scores[idx] = None if payload is None else (
-                    payload["sigma_phi_sq"],
-                    *(est.trial_mse(*payload[x]) for x in PRIOR_TAGS),
-                )
+                if payload is not None:
+                    scores[idx] = (
+                        payload["sigma_phi_sq"],
+                        *(est.trial_mse(*payload[x]) for x in PRIOR_TAGS),
+                    )
+                    continue
+                scores[idx] = None
+                n_diverged += 1
+                if n_diverged > MAX_DIVERGED_FRACTION * cfg.n_trials:  # 2 or more keep 2 or more
+                    n_run = idx + 1  # trials 0 .. idx, in order
+                    run = n_run if n_run == cfg.n_trials else f"the first {n_run} of {cfg.n_trials}"
+                    raise ValueError(
+                        f"{n_diverged} of {run} trials diverged; a cell admits at most "
+                        f"{MAX_DIVERGED_FRACTION:.0%} of its trials"
+                    )
             part = payload = None  # this task's windows go before the next runs
 
     if workers > 1:
@@ -383,7 +401,11 @@ def run_sweep_point(
         tracker.gain
         size = min(workers, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size, initializer=_enter_cell, initargs=cell) as pool:
-            fold(pool.map(_score_trials, tasks))
+            try:
+                fold(pool.map(_score_trials, tasks))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # a failed cell starts no more tasks
+                raise
     else:
         _enter_cell(*cell)
         try:
@@ -395,11 +417,6 @@ def run_sweep_point(
     # pool and task sizes
     kept = [scores[i] for i in sorted(scores) if scores[i] is not None]
     n_diverged = len(scores) - len(kept)
-    if n_diverged > MAX_DIVERGED_FRACTION * len(scores):  # so 2 or more trials keep 2 or more
-        raise ValueError(
-            f"{n_diverged} of {len(scores)} trials diverged; a cell admits at most "
-            f"{MAX_DIVERGED_FRACTION:.0%} of its trials"
-        )
     sigma_emp = [score[0] for score in kept]
     mse, stderr = {}, {}
     for k, x in enumerate(PRIOR_TAGS, start=1):

@@ -40,6 +40,11 @@ MAX_DOUBLINGS = 60
 #: many leave the reference integral unchanged.
 N_PER_PANEL = 16
 
+#: Constant-nu tables 1 + nu K a SpectralGrid keeps (`SpectralGrid.denominator`):
+#: a `bounds` point reads four (two probes' minimum MSEs and quantum bounds),
+#: each for q, p and f.
+KEPT_DENOMINATORS = 8
+
 
 # ---------------------------------------------------------------------------
 # spectral quadrature
@@ -74,7 +79,8 @@ class SpectralGrid:
     omega_max until the prior force-spectrum integral (the slowest-decaying
     integrand in the toolkit, tail ~ 1/w^2) has converged to `PRIOR_RTOL`.  The
     integrands of every MSE and bound are built from the tables of
-    `integrands`, evaluated once per grid.
+    `integrands`, evaluated once per grid, and a constant nu's denominator
+    1 + nu K (`denominator`), evaluated once per grid and nu.
     """
 
     nodes: np.ndarray
@@ -82,8 +88,8 @@ class SpectralGrid:
     omega_max: float
     priors: PriorModel
 
-    def integrate(self, values) -> float:
-        return float(self.weights @ np.asarray(values, dtype=float))
+    def integrate(self, values: np.ndarray) -> float:
+        return float(np.dot(self.weights, values))
 
     def doubled(self) -> "SpectralGrid":
         """The grid on [0, 2 omega_max]: built on the first call, the same
@@ -104,6 +110,25 @@ class SpectralGrid:
         for table in tables.values():
             table.flags.writeable = False
         return tables
+
+    def denominator(self, nu: float) -> np.ndarray:
+        """Read-only 1 + nu K on the grid's nodes for a constant nu, computed
+        on the first call for nu; the grid keeps the last `KEPT_DENOMINATORS`
+        it computed, so the q, p and f integrals of one probe share one."""
+        memo = self._denominators
+        table = memo.get(nu)
+        if table is None:
+            table = np.multiply(nu, self.integrands["K"])
+            table += 1.0
+            table.flags.writeable = False
+            if len(memo) == KEPT_DENOMINATORS:
+                del memo[next(iter(memo))]  # the oldest
+            memo[nu] = table
+        return table
+
+    @functools.cached_property
+    def _denominators(self) -> dict:
+        return {}
 
     @classmethod
     def build(cls, priors: PriorModel) -> "SpectralGrid":
@@ -152,23 +177,30 @@ def _raw_grid(priors: PriorModel, omega_max: float, n_per_panel: int) -> Spectra
 
 
 def _weighted_integral(x: str, g: SpectralGrid, nu) -> float:
-    """g.integrate(S_x / (1.0 + nu(g.nodes) * K)) / pi, evaluated in one
-    buffer: the same operations, in the same order."""
+    """g.integrate(S_x / (1.0 + nu * K)) / pi, the same operations in the
+    same order: a constant nu reads the grid's kept denominator
+    (`SpectralGrid.denominator`), and a function nu(w) is evaluated at the
+    grid's nodes into a fresh one."""
     tables = g.integrands
-    buf = np.multiply(nu(g.nodes), tables["K"])
-    buf += 1.0
-    np.divide(tables[x], buf, out=buf)
+    if callable(nu):
+        buf = np.multiply(nu(g.nodes), tables["K"])
+        buf += 1.0
+        np.divide(tables[x], buf, out=buf)
+    else:
+        buf = np.divide(tables[x], g.denominator(nu))
     return g.integrate(buf) / np.pi
 
 
 def _information_integral(x: str, grid: SpectralGrid, nu, label: str) -> float:
-    """Integral dw/2pi S_x / (1 + nu(w) K), K the information kernel of the
-    grid's priors, on `grid` and on its doubled twin; `nu` is called once per
-    grid, with its nodes.  Raises TailAccuracyError when the two differ by
-    more than TAIL_RTOL, or when either is NaN."""
+    """Integral dw/2pi S_x / (1 + nu K), K the information kernel of the
+    grid's priors, on `grid` and on its doubled twin; `nu` is a constant, or
+    a function of w called once per grid, with its nodes.  Raises
+    TailAccuracyError when the two differ by more than TAIL_RTOL, or when
+    either is NaN."""
     if x not in PRIOR_TAGS:
         raise ValueError(f"unknown variable tag {x!r}")
-    value, refined = (_weighted_integral(x, g, nu) for g in (grid, grid.doubled()))
+    value = _weighted_integral(x, grid, nu)
+    refined = _weighted_integral(x, grid.doubled(), nu)
     if not abs(refined - value) <= TAIL_RTOL * abs(refined):  # a NaN fails too
         raise TailAccuracyError(
             f"{label}[{x}]: tail estimate {abs(refined - value):.3e} exceeds "
@@ -180,16 +212,14 @@ def _information_integral(x: str, grid: SpectralGrid, nu, label: str) -> float:
 def analytic_mmse(x: str, probe: ProbeState, grid: SpectralGrid) -> float:
     """Minimum mean-square smoothing error for x in {q, p, f} under the
     grid's priors: Integral dw/2pi S_x / (1 + K/S_z)."""
-    nu = 1.0 / measurement_noise_psd(probe)
-    return _information_integral(x, grid, lambda w: nu, "analytic_mmse")
+    return _information_integral(x, grid, 1.0 / measurement_noise_psd(probe), "analytic_mmse")
 
 
 def qcrb(x: str, probe: ProbeState, grid: SpectralGrid) -> float:
     """Waveform estimation bound for x in {q, p, f} under the grid's priors:
     Integral dw/2pi S_x / (1 + 4 S_dI K), using the broadband photon-flux
     spectrum of the lossless beam."""
-    nu = 4.0 * photon_flux_psd_broadband(probe)
-    return _information_integral(x, grid, lambda w: nu, "qcrb")
+    return _information_integral(x, grid, 4.0 * photon_flux_psd_broadband(probe), "qcrb")
 
 
 def qcrb_finite_bandwidth(
@@ -207,7 +237,7 @@ def qcrb_finite_bandwidth(
 def prior_variance(x: str, grid: SpectralGrid) -> float:
     """Stationary variance of x under the grid's priors, Integral S_x dw/2pi:
     the information integral with no information (nu = 0)."""
-    return _information_integral(x, grid, lambda w: 0.0, "prior_variance")
+    return _information_integral(x, grid, 0.0, "prior_variance")
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,8 @@ def _phase_spectrum_panels(priors: PriorModel, dt: float) -> np.ndarray:
 def _phase_spectrum(
     a_d: np.ndarray, q_d: np.ndarray, c: float, edges: np.ndarray, nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (weights, S_phi) at the `nodes`-point Gauss-Legendre nodes
-    theta of every panel between `edges`: the discrete phase spectrum
+    """(weights, S_phi) at the `nodes`-point Gauss-Legendre nodes theta of
+    every panel between `edges`: the discrete phase spectrum
     S_phi = c^2 [G q_d G^H]_00 of the tracker's model, G = (e^{i theta} I - a_d)^-1."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     lo, half = edges[:-1, None], np.diff(edges)[:, None] / 2
@@ -225,15 +225,19 @@ def _phase_spectrum(
     s_phi = c * c * np.einsum("ni,ij,nj->n", g, q_d, g.conj()).real
     if s_phi.min() < 0.0:  # ln(1 + S_phi/r) needs S_phi >= 0
         raise RiccatiError(f"the tracker's phase spectrum is negative (min {s_phi.min():.3g})")
-    weights.flags.writeable = s_phi.flags.writeable = False
     return weights, s_phi
 
 
 @functools.lru_cache(maxsize=64)
-def _tracker_model(priors: PriorModel, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+def _tracker_model(
+    priors: PriorModel, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Read-only discretized (a_d, q_d) of the tracker's state model (q, p, f),
     its measurement row c_vec and its phase spectrum (`_phase_spectrum`) on
-    `SPECTRAL_NODES` and twice as many nodes per panel.
+    `SPECTRAL_NODES` and twice as many nodes per panel, as
+    (weights, fine weights, S_phi): one S_phi array holds the coarse table
+    and then the fine one, so a tracker takes the logarithm of both in one
+    pass.
 
     None of them depends on the probe, so every tracker of equal `PriorModel`s
     and one sample period (all the steps of `calibrate_tracking`, every cell
@@ -254,13 +258,15 @@ def _tracker_model(priors: PriorModel, dt: float) -> tuple[np.ndarray, np.ndarra
     q_c = np.diag([0.0, 0.0, force.kappa])
     a_d, q_d = _discretize(a_c, q_c, dt)
     c_vec = np.array([params.phase_gain, 0.0, 0.0])
-    a_d.flags.writeable = q_d.flags.writeable = c_vec.flags.writeable = False
     edges = _phase_spectrum_panels(priors, dt)
-    tables = tuple(
+    (w, s_phi), (w_fine, s_phi_fine) = (
         _phase_spectrum(a_d, q_d, params.phase_gain, edges, nodes)
         for nodes in (SPECTRAL_NODES, 2 * SPECTRAL_NODES)
     )
-    return a_d, q_d, c_vec, tables
+    spectrum = (w, w_fine, np.concatenate((s_phi, s_phi_fine)))
+    for array in (a_d, q_d, c_vec, *spectrum):
+        array.flags.writeable = False
+    return a_d, q_d, c_vec, spectrum
 
 
 class KalmanTracker:
@@ -286,11 +292,12 @@ class KalmanTracker:
         if not 0.0 < noise_psd < math.inf:  # a NaN fails too
             raise ValueError(f"noise_psd must be positive and finite, got {noise_psd!r}")
         self.cfg = cfg
-        self.a_d, self.q_d, self.c_vec, tables = _tracker_model(priors, cfg.dt)
+        self.a_d, self.q_d, self.c_vec, (w, w_fine, s_phi) = _tracker_model(priors, cfg.dt)
         self.r = noise_psd / cfg.dt
-        (w, s_phi), (w_fine, s_phi_fine) = tables
-        big_l = np.dot(w, np.log1p(s_phi / self.r)) / math.pi
-        check = np.dot(w_fine, np.log1p(s_phi_fine / self.r)) / math.pi
+        log_term = s_phi / self.r  # ln(1 + S_phi/r), coarse then fine nodes
+        np.log1p(log_term, out=log_term)
+        big_l = np.dot(w, log_term[: w.size]) / math.pi
+        check = np.dot(w_fine, log_term[w.size :]) / math.pi
         if not abs(check - big_l) <= SPECTRAL_RTOL * check:
             raise RiccatiError(
                 "phase-spectrum integral not converged: doubling its nodes moves it "

@@ -9,8 +9,10 @@ frequency-domain results validates that whole path at once.
 
 The tracker oracles are the nonlinear feedback loop written one array
 element at a time, the form the fast scalar loop of `sim.run_tracking` must
-match, and the tracking calibration written with one probe per fixed-point
-step, which `sim.calibrate_tracking` must match.
+match, the tracking calibration written with one probe per fixed-point
+step, which `sim.calibrate_tracking` must match, and a tracker's log
+innovation variance computed on each Gauss-Legendre rule's table apart,
+which `sim.KalmanTracker` must match.
 """
 
 import math
@@ -165,3 +167,26 @@ def calibrate_tracking_reference(probe, priors, cfg):
             return state
         value = new
     raise RiccatiError("tracking operating point did not converge")
+
+
+def log_innovation_reference(noise_psd, priors, cfg) -> float:
+    """L = (1/pi) int_0^pi ln(1 + S_phi/r) dtheta of `sim.KalmanTracker`,
+    r = noise_psd/dt, with each rule's phase-spectrum table divided and
+    logged on its own: the `sim.SPECTRAL_NODES` rule gives L, and twice as
+    many nodes give the check that raises the tracker's RiccatiError.
+    `sim.KalmanTracker._log_innovation` must equal it bit for bit."""
+    a_d, q_d, c_vec, _ = sim._tracker_model(priors, cfg.dt)
+    edges = sim._phase_spectrum_panels(priors, cfg.dt)
+    r = noise_psd / cfg.dt
+    (w, s_phi), (w_fine, s_phi_fine) = (
+        sim._phase_spectrum(a_d, q_d, priors.params.phase_gain, edges, nodes)
+        for nodes in (sim.SPECTRAL_NODES, 2 * sim.SPECTRAL_NODES)
+    )
+    big_l = np.dot(w, np.log1p(s_phi / r)) / math.pi
+    check = np.dot(w_fine, np.log1p(s_phi_fine / r)) / math.pi
+    if not abs(check - big_l) <= sim.SPECTRAL_RTOL * check:
+        raise RiccatiError(
+            "phase-spectrum integral not converged: doubling its nodes moves it "
+            f"by {abs(check - big_l) / check:.1e}"
+        )
+    return big_l

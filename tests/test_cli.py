@@ -44,19 +44,24 @@ def tiny_config(tmp_path):
     )
 
 
-def flag_diverged(monkeypatch, n_trials, diverges, canned=False):
-    """Flag the trials of every cell whose 1-based position `diverges(k)` as
-    diverged: a serial cell makes n_trials calls of `sim.simulate_trial`, in
-    trial order.  With `canned`, every call returns the records of the first
-    trial simulated, which keeps cells of hundreds of trials fast."""
+def flag_diverged(monkeypatch, diverges, canned=False, log=None):
+    """Flag the trials of every cell whose 1-based position `diverges(k)`
+    (trial index k - 1, read from the trial's `sim.trial_rng` stream) as
+    diverged.  With `canned`, every call in a process returns the records of
+    the first trial it simulated, which keeps cells of hundreds of trials
+    fast.  With a `log` path, every call appends its trial index to that
+    file, from whichever process runs it."""
     simulate_trial = sim.simulate_trial
-    calls, last = [], []
+    last = []
 
     def patched(*args):
         if not (canned and last):
             last[:] = [simulate_trial(*args)]
-        calls.append(None)
-        return replace(last[0], diverged=diverges((len(calls) - 1) % n_trials + 1))
+        (idx,) = args[-1].bit_generator.seed_seq.spawn_key
+        if log is not None:
+            with open(log, "a") as fh:
+                fh.write(f"{idx}\n")
+        return replace(last[0], diverged=diverges(idx + 1))
 
     monkeypatch.setattr(sim, "simulate_trial", patched)
 
@@ -72,13 +77,13 @@ def lossy_config(tiny_config):
 @pytest.fixture()
 def second_trial_diverges(lossy_config, monkeypatch):
     """Flag the second trial of every `lossy_config` cell as diverged."""
-    flag_diverged(monkeypatch, lossy_config.simulation.n_trials, lambda k: k == 2)
+    flag_diverged(monkeypatch, lambda k: k == 2)
 
 
 @pytest.fixture()
 def one_trial_kept(tiny_config, monkeypatch):
     """Flag every trial of a `tiny_config` cell but the first as diverged."""
-    flag_diverged(monkeypatch, tiny_config.simulation.n_trials, lambda k: k > 1)
+    flag_diverged(monkeypatch, lambda k: k > 1)
 
 
 @pytest.fixture()
@@ -345,21 +350,43 @@ class TestSweep:
         self, tiny_config, monkeypatch, capsys, n_diverged
     ):
         # 15 of 300 is MAX_DIVERGED_FRACTION: the cell scores the other 285
-        # and says so; one more fails it, where leaving them out would bias
-        # its MSEs low
+        # and says so; one more fails it at the 16th trial, where leaving
+        # them out would bias its MSEs low
         simulation = replace(tiny_config.simulation, n_trials=300)
         config = replace(tiny_config, simulation=simulation, alpha_sqs=(1.02e6,))
-        flag_diverged(monkeypatch, 300, lambda k: k <= n_diverged, canned=True)
+        flag_diverged(monkeypatch, lambda k: k <= n_diverged, canned=True)
         rows, failed = cli.cmd_sweep(config, out_path=Path(config.out_dir) / "sweep.csv", workers=1)
         if n_diverged == 15:
             assert (len(rows), failed) == (6, 0)
             note = ": 15 of 300 trials diverged and were left out"
         else:
             assert (len(rows), failed) == (0, 2)
-            note = " failed: 16 of 300 trials diverged; a cell admits at most 5% of its trials"
+            note = (" failed: 16 of the first 16 of 300 trials diverged; "
+                    "a cell admits at most 5% of its trials")
         assert capsys.readouterr().err.splitlines() == [
             f"sweep point (kind={kind}, alpha_sq=1.02e+06){note}" for kind in cli.PROBE_KINDS
         ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_cell_stops_at_the_trial_past_the_fraction(
+        self, tiny_config, monkeypatch, tmp_path, workers
+    ):
+        # the 16th diverged trial of 300 fails the cell whatever the other
+        # 284 give: the cell runs no further task, and a pool cancels those
+        # it has not started, with the same message at any worker count
+        simulation = replace(tiny_config.simulation, n_trials=300)
+        config = replace(tiny_config, simulation=simulation)
+        grid = est.SpectralGrid.build(config.priors())
+        log = tmp_path / "trials.log"
+        flag_diverged(monkeypatch, lambda k: k % 10 == 0, canned=True, log=log)
+        with pytest.raises(ValueError) as raised:
+            cli.run_sweep_point(config, "squeezed", 1.02e6, grid=grid, workers=workers)
+        assert str(raised.value) == (
+            "16 of the first 160 of 300 trials diverged; a cell admits at most 5% of its trials"
+        )
+        ran = sorted(map(int, log.read_text().split()))
+        assert len(ran) == len(set(ran)) < 300
+        assert set(range(160)) <= set(ran)
 
     def test_nonlinear_cell_that_cannot_lock_fails_before_its_trials(
         self, tiny_config, tmp_path, monkeypatch, capsys
@@ -934,7 +961,7 @@ class TestSimulateCommand:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [
             "sweep point (kind=coherent, alpha_sq=1.02e+06) failed: "
-            "2 of 3 trials diverged; a cell admits at most 5% of its trials"
+            "1 of the first 2 of 3 trials diverged; a cell admits at most 5% of its trials"
         ]
 
     def test_workers_below_one_rejected(self, tmp_path):

@@ -291,6 +291,61 @@ class TestInformationIntegral:
     def test_zero_nu(self, grid, x):
         assert prior_variance(x, grid) == self.direct(x, grid, lambda w: 0.0)
 
+    def test_kept_denominators_in_any_call_order(self, priors):
+        # 16 constant nu (two integrals of eight probes), twice the tables a
+        # grid keeps: every value is a fresh S_x / (1 + nu K) bit for bit,
+        # whichever variables and probes came before it
+        probes = [squeezed(a, eta_det=ETA) for a in ALPHA_SQS]
+        probes += [ProbeState(a, eta_det=ETA) for a in ALPHA_SQS]
+        calls = [(fn, x, probe) for fn in (analytic_mmse, qcrb) for probe in probes for x in "qpf"]
+        nu = {
+            analytic_mmse: lambda probe: 1.0 / measurement_noise_psd(probe),
+            qcrb: lambda probe: 4.0 * photon_flux_psd_broadband(probe),
+        }
+        reference = SpectralGrid.build(priors)
+        expected = [
+            self.direct(x, reference, lambda w, v=nu[fn](probe): v) for fn, x, probe in calls
+        ]
+        order = np.random.default_rng(3).permutation(len(calls))
+        for sequence in (range(len(calls)), reversed(range(len(calls))), order):
+            grid = SpectralGrid.build(priors)  # nothing kept yet
+            for i in sequence:
+                fn, x, probe = calls[i]
+                assert fn(x, probe, grid) == expected[i]
+            for g in (grid, grid.doubled()):
+                kept = g._denominators
+                assert len(kept) == est.KEPT_DENOMINATORS
+                assert not any(table.flags.writeable for table in kept.values())
+
+    def test_kept_denominator_shared_by_one_probes_integrals(self, priors):
+        grid = SpectralGrid.build(priors)
+        probe = squeezed(ALPHA_SQS[0], eta_det=ETA)
+        nu = 1.0 / measurement_noise_psd(probe)
+        analytic_mmse("q", probe, grid)
+        table = grid.denominator(nu)
+        analytic_mmse("p", probe, grid)
+        analytic_mmse("f", probe, grid)
+        assert grid.denominator(nu) is table
+        assert list(grid._denominators) == [nu]
+        assert np.array_equal(table, 1.0 + nu * grid.integrands["K"])
+
+    def test_frequency_dependent_nu_evaluated_on_every_call(self, priors, monkeypatch):
+        # nu(w) is no constant to keep a table for
+        grid = SpectralGrid.build(priors)
+        probe = squeezed(ALPHA_SQS[0])
+        bw = SqueezingBandwidth.standard(probe, BANDWIDTH_10_OMEGA)
+        evaluated = []
+
+        def flux(w, *args):
+            evaluated.append(w.size)
+            return photon_flux_psd_exact(w, *args)
+
+        monkeypatch.setattr(est, "photon_flux_psd_exact", flux)
+        first = qcrb_finite_bandwidth("q", probe, bw, grid)
+        assert qcrb_finite_bandwidth("q", probe, bw, grid) == first
+        assert evaluated == [grid.nodes.size, grid.doubled().nodes.size] * 2
+        assert all("_denominators" not in vars(g) for g in (grid, grid.doubled()))
+
 
 class TestGoldenBounds:
     """`bounds` values at the four reference amplitudes, computed with the

@@ -228,13 +228,18 @@ class TestDiscretization:
         # equal but distinct models share one entry, spectrum included
         twin = sim._tracker_model(PriorModel(replace(mirror), replace(force)), cfg.dt)
         assert all(a is b for a, b in zip(twin, cached))
-        a_d, q_d, c_vec, tables = cached
-        assert not c_vec.flags.writeable
-        assert not any(array.flags.writeable for table in tables for array in table)
+        a_d, q_d, c_vec, spectrum = cached
+        w, w_fine, s_phi = spectrum
+        assert w_fine.size == 2 * w.size
+        assert s_phi.shape == (w.size + w_fine.size,)  # coarse nodes, then fine
+        for array in (a_d, q_d, c_vec, w, w_fine, s_phi):
+            assert array.ndim >= 1
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
         other = sim._tracker_model(priors, 2.0 * cfg.dt)
-        assert other[0] is not a_d and other[3] is not tables
+        assert other[0] is not a_d and other[3] is not spectrum
         assert not np.array_equal(other[0], a_d)
-        assert not np.array_equal(other[3][0][1], tables[0][1])
+        assert not np.array_equal(other[3][2], s_phi)
 
 
 #: The reference mirror and force, as tracker_models draws them.
@@ -463,6 +468,25 @@ class TestRiccatiTracking:
             assert str(raised.value) == str(exc)
             return
         assert sim.calibrate_tracking(probe, model, cfg) == expected
+
+    @settings(max_examples=100)
+    @given(model=tracker_models(), probe=tracker_probes(), scale=st.sampled_from([1.0, 1e-6, 1e6]))
+    @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[0]), scale=1.0)
+    @example(model=REFERENCE_MODEL, probe=squeezed(ALPHA_SQS[3]), scale=1.0)
+    def test_log_innovation_matches_two_rule_reference(self, model, probe, scale):
+        # one divide and one log1p over both rules' nodes give each rule's
+        # own L bit for bit, or the same error; `scale` moves the noise level
+        # decades past the probes' range
+        noise_psd = scale * measurement_noise_psd(probe)
+        cfg = sim.SimConfig()
+        try:
+            expected = oracles.log_innovation_reference(noise_psd, model, cfg)
+        except RiccatiError as exc:
+            with pytest.raises(RiccatiError) as raised:
+                sim.KalmanTracker(noise_psd, model, cfg)
+            assert str(raised.value) == str(exc)
+            return
+        assert sim.KalmanTracker(noise_psd, model, cfg)._log_innovation == expected
 
     def test_calibration_fixed_point(self, priors, cfg):
         probe = sim.calibrate_tracking(squeezed(1.02e6), priors, cfg)

@@ -171,6 +171,66 @@ class TestBenchPairs:
         assert bench_pairs.format_summary([rss])[-1] == f"  verdict: {verdict}"
 
 
+class TestTrace:
+    """`--trace`: both sides run traced, summarized per layer, no verdict."""
+
+    PER_LAYER = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())["per_layer"]
+
+    def test_per_layer_metrics_have_no_verdict(self):
+        metrics = [{"name": "sim.calibrate_tracking.ms", "unit": "ms", "better": "lower"}]
+        base = runs(**{"sim.calibrate_tracking.ms": [0.40, 0.42, 0.41, 0.43]})
+        new = runs(**{"sim.calibrate_tracking.ms": [0.36, 0.37, 0.44, 0.35]})
+        [layer] = bench_pairs.summarize(base, new, metrics)
+        assert (layer["new_wins"], layer["base_wins"], layer["ties"]) == (3, 1, 0)
+        assert layer["base"] == pytest.approx((0.4075, 0.415, 0.4225))
+        assert layer["new"] == pytest.approx((0.3575, 0.365, 0.3875))
+        assert layer["verdict"] is None
+        lines = bench_pairs.format_summary([layer])
+        assert lines[0] == "sim.calibrate_tracking.ms (lower is better, 4 pairs)"
+        assert len(lines) == 4 and not any("verdict" in line for line in lines)
+
+    def test_main_runs_both_sides_traced_and_prints_every_layer(self, monkeypatch, capsys):
+        names = [m["name"] for m in self.PER_LAYER]
+        calls = []
+
+        def run_once(root, workload, seconds, trace):
+            calls.append((root.name, workload, seconds, trace))
+            value = 2.0 if root.name == "new" else 3.0
+            return {name: {"value": value, "unit": "u"} for name in names}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        argv = ["base", "new", "--workload", "bounds", "--pairs", "2", "--seconds", "5", "--trace"]
+        assert bench_pairs.main(argv) == 0
+        assert calls == [
+            ("base", "bounds", 5, True), ("new", "bounds", 5, True),
+            ("new", "bounds", 5, True), ("base", "bounds", 5, True),
+        ]
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "workload bounds: base base, new new"
+        headers = [line for line in out if not line.startswith(" ")]
+        assert headers[1:] == [
+            f"{m['name']} ({m['better']} is better, 2 pairs)" for m in self.PER_LAYER
+        ]
+        assert not any("verdict" in line for line in out)
+
+    def test_run_once_passes_the_trace_flag(self, monkeypatch, tmp_path):
+        commands = []
+        metrics = {"est.qcrb.ms": {"value": 0.01, "unit": "ms"}}
+
+        def run(cmd, **kwargs):
+            commands.append(cmd)
+            line = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics})
+            return subprocess.CompletedProcess(cmd, 0, stdout=line, stderr="")
+
+        monkeypatch.setattr(subprocess, "run", run)
+        assert bench_pairs.run_once(tmp_path, "bounds", None, trace=True) == metrics
+        bench_pairs.run_once(tmp_path, "bounds", 3)
+        assert [cmd[2:] for cmd in commands] == [
+            ["--workload", "bounds", "--trace", "1"],
+            ["--workload", "bounds", "--trace", "0", "--seconds", "3"],
+        ]
+
+
 class TestRunOnce:
     METRICS = {"ops_per_s": {"value": 12.5, "unit": "1/s"}}
 

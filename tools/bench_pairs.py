@@ -1,6 +1,6 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
-    python tools/bench_pairs.py BASE NEW --workload NAME [--pairs 10] [--seconds S]
+    python tools/bench_pairs.py BASE NEW --workload NAME [--pairs 10] [--seconds S] [--trace]
 
 BASE and NEW are repository roots, for example a `git worktree` of the
 parent commit and the working tree.  Each pair runs `perfbench/run.py` of
@@ -14,6 +14,10 @@ the new side was better in at least 9 of every 10 of them and its median
 gain exceeds the base interquartile range; "REGRESSION" when the new
 median is worse than the base median by more than the metric's relative
 `bound`; and "within bound" otherwise.
+With `--trace` both sides run with `--trace 1` and it prints the same
+summary for each `per_layer` metric of `BENCHMARK.json`, without a
+verdict: per-layer metrics have no bound, and they show which layer a
+change moved (`sim.calibrate_tracking.ms`, `est.qcrb.ms`, ...).
 It exits non-zero when a run prints no JSON result line, reports
 `"correct": false` (its outputs failed the workload's check) or exits
 non-zero.
@@ -49,10 +53,11 @@ def summarize(base_runs, new_runs, metrics) -> list[dict]:
     `base_runs` and `new_runs` are the `metrics` objects of the runs'
     JSON lines ({name: {"value": v, ...}}), pair i being
     (base_runs[i], new_runs[i]); `metrics` are BENCHMARK.json's
-    `end_to_end` entries ({"name", "better", "bound", ...}).  Each summary
-    holds the name, the direction, both sides' (q1, median, q3), the pair
-    counts `new_wins`, `base_wins` and `ties`, the median change relative to
-    the base median, and the verdict."""
+    `end_to_end` entries ({"name", "better", "bound", ...}) or its
+    `per_layer` ones, which have no bound.  Each summary holds the name,
+    the direction, both sides' (q1, median, q3), the pair counts `new_wins`,
+    `base_wins` and `ties`, the median change relative to the base median,
+    and the verdict, None for a metric without a bound."""
     out = []
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -63,7 +68,9 @@ def summarize(base_runs, new_runs, metrics) -> list[dict]:
         base_q, new_q = quartiles(base), quartiles(new)
         pairs, iqr = len(base), base_q[2] - base_q[0]
         gain = new_q[1] - base_q[1] if higher else base_q[1] - new_q[1]
-        if pairs >= CLAIM_PAIRS and 10 * new_wins >= 9 * pairs and gain > iqr:
+        if "bound" not in metric:
+            verdict = None
+        elif pairs >= CLAIM_PAIRS and 10 * new_wins >= 9 * pairs and gain > iqr:
             verdict = "claim met"
         elif -gain > metric["bound"] * abs(base_q[1]):
             verdict = "REGRESSION"
@@ -97,13 +104,15 @@ def format_summary(summary) -> list[str]:
             f"ties {s['ties']}; median change {change}, "
             f"base interquartile range {s['base'][2] - s['base'][0]:.6g}"
         )
-        lines.append(f"  verdict: {s['verdict']}")
+        if s["verdict"] is not None:
+            lines.append(f"  verdict: {s['verdict']}")
     return lines
 
 
-def run_once(root: Path, workload: str, seconds) -> dict:
-    """The `metrics` object of one correct benchmark run in `root`."""
-    cmd = [sys.executable, str(BENCH), "--workload", workload]
+def run_once(root: Path, workload: str, seconds, trace: bool = False) -> dict:
+    """The `metrics` object of one correct benchmark run in `root`, traced
+    (`--trace 1`, per-layer metrics) or not (end-to-end metrics)."""
+    cmd = [sys.executable, str(BENCH), "--workload", workload, "--trace", str(int(trace))]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -131,6 +140,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, help="run length (default: run.py's)")
+    parser.add_argument("--trace", action="store_true",
+                        help="run traced and summarize the per-layer metrics, with no verdict")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -139,10 +150,13 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = ("base", "new") if i % 2 == 0 else ("new", "base")
         for side in order:
-            runs[side].append(run_once(getattr(args, side), args.workload, args.seconds))
+            runs[side].append(
+                run_once(getattr(args, side), args.workload, args.seconds, args.trace)
+            )
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = declared["per_layer" if args.trace else "end_to_end"]
     print(f"workload {args.workload}: base {args.base}, new {args.new}")
     print("\n".join(format_summary(summarize(runs["base"], runs["new"], metrics))))
     return 0
