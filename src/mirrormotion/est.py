@@ -261,38 +261,56 @@ def optimal_filter(x: str, omega, priors: PriorModel, probe: ProbeState):
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Optimal filters sampled on the rfft grid of a simulation record.
+    """Optimal filters for records of `n` samples, sampled on the rfft grid
+    of `n_fft`, the fast real-FFT length `scipy.fft.next_fast_len(n,
+    real=True)` >= n (62,500 for the reference 62,370-sample record, whose
+    factors 7 and 11 pocketfft's real transforms lack).
 
     Only the nonnegative half-spectrum is stored; Hermitian symmetry (hence a
     real smoothed output) is guaranteed by the rfft/irfft pair.
     """
 
-    n_fft: int
+    n: int
     filters: dict
 
+    @property
+    def n_fft(self) -> int:
+        return _real_fft_length(self.n)
+
     @classmethod
-    def build(cls, n_fft: int, dt: float, priors: PriorModel, probe: ProbeState):
-        omega = 2.0 * np.pi * np.fft.rfftfreq(n_fft, dt)
+    def build(cls, n: int, dt: float, priors: PriorModel, probe: ProbeState):
+        omega = 2.0 * np.pi * np.fft.rfftfreq(_real_fft_length(n), dt)
         filters = {x: optimal_filter(x, omega, priors, probe) for x in PRIOR_TAGS}
-        return cls(n_fft=n_fft, filters=filters)
+        return cls(n=n, filters=filters)
+
+
+def _real_fft_length(n: int) -> int:
+    import scipy.fft
+
+    return scipy.fft.next_fast_len(n, real=True)
 
 
 def smooth(y, x: str, bank: FilterBank):
     """Apply the optimal smoother for x to measurement record(s) y.
 
-    y may be one record or a (trials, samples) batch on the grid the bank was
-    built for; the result is the real non-causal estimate x'(t).
+    y may be one record or a (trials, samples) batch of the bank's `n`
+    samples; the result is the real non-causal estimate x'(t), `n` samples
+    per record.  Each record is zero-padded to the bank's `n_fft` and
+    filtered there, so the kernel's ends fall on the padding instead of
+    wrapping around the record; the trial margins (`sim.trial_geometry`)
+    keep the scored window out of reach of either.
     """
     import scipy.fft  # deferred: only a trial smooths, and bounds never does
 
     y = np.asarray(y, dtype=float)
-    if y.shape[-1] != bank.n_fft:
+    if y.shape[-1] != bank.n:
         raise GridMismatchError(
-            f"record length {y.shape[-1]} does not match filter grid {bank.n_fft}"
+            f"record length {y.shape[-1]} does not match the filter bank's {bank.n}"
         )
-    spectrum = scipy.fft.rfft(y, axis=-1)
+    n_fft = bank.n_fft
+    spectrum = scipy.fft.rfft(y, n_fft, axis=-1)
     spectrum *= bank.filters[x]
-    return scipy.fft.irfft(spectrum, n=bank.n_fft, axis=-1)
+    return scipy.fft.irfft(spectrum, n_fft, axis=-1)[..., : bank.n]
 
 
 def trial_mse(estimate, truth) -> float:

@@ -97,9 +97,10 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 def trial_geometry(priors: PriorModel, cfg: SimConfig) -> tuple[int, int]:
     """(n_margin, n_total): samples of margin on each side of the data window,
-    and the FFT-friendly length of the whole extended grid.  The data window
-    must span at least ten force correlation times, and the grid must hold
-    at most MAX_TRIAL_SAMPLES samples."""
+    and the length of the whole extended grid, a fast complex-FFT length
+    (`scipy.fft.next_fast_len`; `est.FilterBank` pads it to a fast real-FFT
+    length).  The data window must span at least ten force correlation
+    times, and the grid must hold at most MAX_TRIAL_SAMPLES samples."""
     import scipy.fft
 
     force = priors.force

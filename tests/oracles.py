@@ -13,15 +13,20 @@ match, the tracking calibration written with one probe per fixed-point
 step, which `sim.calibrate_tracking` must match, and a tracker's log
 innovation variance computed on each Gauss-Legendre rule's table apart,
 which `sim.KalmanTracker` must match.
+
+The smoothing oracle is the circular smoother: the optimal filter applied
+by rfft and irfft at the record's own length, which `est.smooth` must equal
+wherever that length is already a fast real-FFT length.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
-from mirrormotion import sim
+from mirrormotion import est, sim
 from mirrormotion.errors import RiccatiError
 from mirrormotion.probe import measurement_noise_psd
 
@@ -93,6 +98,18 @@ def wiener_weights(x: str, mirror, force, probe, n: int, dt: float) -> np.ndarra
     estimate of x; their sum is the DC gain of the discrete smoother."""
     _, cov_xy, cov_yy = _joint_covariances(x, mirror, force, probe, n, dt)
     return scipy.linalg.solve(cov_yy, cov_xy[n // 2], assume_a="pos")
+
+
+def smooth_circular(y, x: str, dt: float, priors, probe) -> np.ndarray:
+    """The optimal smoother for x on the rfft grid of the records' own
+    length n: rfft, multiply by `est.optimal_filter`, irfft at n, so the
+    kernel's ends wrap around each record.  `y` is one record or a
+    (trials, n) batch."""
+    y = np.asarray(y, dtype=float)
+    n = y.shape[-1]
+    spectrum = scipy.fft.rfft(y, axis=-1)
+    spectrum *= est.optimal_filter(x, 2.0 * np.pi * np.fft.rfftfreq(n, dt), priors, probe)
+    return scipy.fft.irfft(spectrum, n=n, axis=-1)
 
 
 def run_tracking_nonlinear(phi, probe, tracker, cfg, rng) -> tuple:

@@ -1024,7 +1024,7 @@ class TestMainEntry:
     # updates them and says why.
     DIGESTS = {
         "config": "f496db94f59bcfcf39304cc20fbe1ddf134fd6f63b137c6d9cadae3527d6ac63",
-        "sweep": "f7e3f25effe11595622457513bf74566fb1a2a85a46990cf13f89f01c6d3dd89",
+        "sweep": "89a5bd651b00a60660cd59121085821b48845be1a9a32ffb1a1c54d77f6374ff",
         "bounds": "99f7aea68ed1d89f81f08a7e3638e694af91f76d3fc1506b5168f394a8f1d76e",
         "diagnose": "956d84ba2b89864ee9d8c56d9f1f28e4878eaf6d5f22031babe32766e7888d21",
         "simulate": "6dbaf488524df9cd68e3d85ea358e3d2bfacc5c9bae2667023b96f3cbe2880ea",

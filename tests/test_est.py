@@ -499,15 +499,82 @@ class TestSmoothing:
 
     def test_grid_mismatch_raises(self, priors, smoothing_cfg):
         bank = FilterBank.build(4096, smoothing_cfg.dt, priors, ProbeState(1e6))
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(GridMismatchError, match="record length 4095 .* bank's 4096"):
             smooth(np.zeros(4095), "q", bank)
+        # the padded length is not the record's either
+        with pytest.raises(GridMismatchError, match="record length 62500 .* bank's 62370"):
+            smooth(np.zeros(62_500), "q", FilterBank.build(62_370, 1e-7, priors, ProbeState(1e6)))
+
+
+class TestPaddedSmoother:
+    """`est.smooth` filters each record on the rfft grid of the bank's
+    `n_fft = next_fast_len(n, real=True)`, zero-padded, where the circular
+    smoother (`oracles.smooth_circular`) filters at the record's own n.  Where
+    the two lengths agree they are the same operations; elsewhere they differ
+    on the scored window by FFT rounding only: measured <= 6.5e-15 of the
+    window's rms over every reference cell (both probes, four amplitudes,
+    q, p and f, two trials each) at 62,370 = 2 3^4 5 7 11 and at
+    59,290 = 2 5 7^2 11^2 samples; the tolerance is 1e-13."""
+
+    GAP_RTOL = 1e-13
+
+    @pytest.mark.parametrize("n", [4096, 62_500])
+    def test_circular_bit_for_bit_at_a_real_fft_length(self, priors, n):
+        probe = squeezed(1.02e6, sigma_phi_sq=5e-3, eta_det=ETA)
+        bank = FilterBank.build(n, 1e-7, priors, probe)
+        assert bank.n_fft == n
+        y = np.random.default_rng(n).normal(size=(2, n))
+        for x in ("q", "p", "f"):
+            expected = oracles.smooth_circular(y, x, 1e-7, priors, probe)
+            assert np.array_equal(smooth(y, x, bank), expected)
+
+    @pytest.mark.parametrize(
+        "n_samples, n_total, n_fft", [(10_000, 62_370, 62_500), (7_000, 59_290, 60_000)]
+    )
+    def test_scored_window_matches_circular(self, n_samples, n_total, n_fft):
+        config = cli.reference_config()
+        cfg = replace(config.simulation, n_samples=n_samples)
+        priors = config.priors()
+        assert sim.trial_geometry(priors, cfg)[1] == n_total
+        probe = config.operating_point("squeezed", config.alpha_sqs[0])
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg)
+        traj = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(5, 0))
+        bank = FilterBank.build(n_total, cfg.dt, priors, probe)
+        assert bank.n_fft == n_fft
+        window = traj.data_slice
+        for x in ("q", "p", "f"):
+            circular = oracles.smooth_circular(traj.y, x, cfg.dt, priors, probe)[window]
+            gap = np.max(np.abs(smooth(traj.y, x, bank)[window] - circular))
+            assert gap <= self.GAP_RTOL * np.sqrt(np.mean(circular**2)), x
+
+    def test_record_and_batch_keep_n_samples(self, priors):
+        n = 6930  # 2 3^2 5 7 11, padded to 7200
+        bank = FilterBank.build(n, 1e-7, priors, ProbeState(1e6))
+        assert bank.n_fft == 7200
+        batch = np.random.default_rng(4).normal(size=(3, n))
+        one = smooth(batch[1], "p", bank)
+        many = smooth(batch, "p", bank)
+        assert one.shape == (n,) and many.shape == (3, n)
+        assert np.array_equal(many[1], one)
+
+    @pytest.mark.parametrize("n", [2, 77, 4095, 6930, 62_370, 88_704, 999_983])
+    def test_n_fft_is_five_smooth_and_covers_the_record(self, n):
+        n_fft = FilterBank(n, {}).n_fft
+        assert n_fft >= n
+        rest = n_fft
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1, n_fft
 
 
 class TestSmootherReach:
     """Every sample of the data window is scored, so each scored estimate must
-    draw only on data inside the trial's record: the smoother's kernel has to
-    vanish at circular lags beyond the margin, where it would reach across the
-    record's ends (measured <= 3e-28 of its energy at the reference cells)."""
+    draw only on data inside the trial's record: the smoother's kernel on its
+    `n_fft` grid has to vanish at circular lags beyond the margin, where it
+    would reach the zero padding or across the record's ends (measured
+    <= 3.1e-28 of its energy beyond the margin of 10 correlation times, and
+    <= 1.2e-23 beyond 5, at the reference cells)."""
 
     @pytest.mark.parametrize("alpha_sq", ALPHA_SQS)
     @pytest.mark.parametrize("kind", ["coherent", "squeezed"])
@@ -518,10 +585,11 @@ class TestSmootherReach:
         n_margin, n_total = sim.trial_geometry(priors, cfg)
         probe = config.operating_point(kind, alpha_sq)
         bank = FilterBank.build(n_total, cfg.dt, priors, probe)
-        lag = np.arange(n_total)
-        beyond = np.minimum(lag, n_total - lag) > n_margin
+        n_fft = bank.n_fft
+        lag = np.arange(n_fft)
+        beyond = np.minimum(lag, n_fft - lag) > n_margin
         for x in ("q", "p", "f"):
-            energy = scipy.fft.irfft(bank.filters[x], n_total) ** 2
+            energy = scipy.fft.irfft(bank.filters[x], n_fft) ** 2
             assert np.sum(energy[beyond]) <= 1e-20 * np.sum(energy), x
 
 

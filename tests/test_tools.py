@@ -196,7 +196,7 @@ class TestTrace:
         def run_once(root, workload, seconds, trace):
             calls.append((root.name, workload, seconds, trace))
             value = 2.0 if root.name == "new" else 3.0
-            return {name: {"value": value, "unit": "u"} for name in names}
+            return {name: {"value": value, "unit": "u"} for name in names}, {}
 
         monkeypatch.setattr(bench_pairs, "run_once", run_once)
         argv = ["base", "new", "--workload", "bounds", "--pairs", "2", "--seconds", "5", "--trace"]
@@ -206,9 +206,9 @@ class TestTrace:
             ("new", "bounds", 5, True), ("base", "bounds", 5, True),
         ]
         out = capsys.readouterr().out.splitlines()
-        assert out[0] == "workload bounds: base base, new new"
+        assert out[:2] == ["workload bounds: base base, new new", "outputs: not compared"]
         headers = [line for line in out if not line.startswith(" ")]
-        assert headers[1:] == [
+        assert headers[2:] == [
             f"{m['name']} ({m['better']} is better, 2 pairs)" for m in self.PER_LAYER
         ]
         assert not any("verdict" in line for line in out)
@@ -223,7 +223,7 @@ class TestTrace:
             return subprocess.CompletedProcess(cmd, 0, stdout=line, stderr="")
 
         monkeypatch.setattr(subprocess, "run", run)
-        assert bench_pairs.run_once(tmp_path, "bounds", None, trace=True) == metrics
+        assert bench_pairs.run_once(tmp_path, "bounds", None, trace=True) == (metrics, {})
         bench_pairs.run_once(tmp_path, "bounds", 3)
         assert [cmd[2:] for cmd in commands] == [
             ["--workload", "bounds", "--trace", "1"],
@@ -251,7 +251,7 @@ class TestRunOnce:
 
     def test_correct_run_returns_its_metrics(self, monkeypatch, tmp_path):
         self.fake_run(monkeypatch, 0, correct=True)
-        assert bench_pairs.run_once(tmp_path, "bounds", None) == self.METRICS
+        assert bench_pairs.run_once(tmp_path, "bounds", None) == (self.METRICS, {})
 
     @pytest.mark.parametrize("returncode, correct", [(1, False), (0, False), (1, True)])
     def test_incorrect_run_exits_naming_its_checks(self, monkeypatch, tmp_path, returncode, correct):
@@ -262,3 +262,68 @@ class TestRunOnce:
         assert message.startswith(f"bench_pairs: bounds in {tmp_path} is not a correct run "
                                   f"(exit {returncode}, correct {correct})")
         assert ("CHECK FAILED bounds: mmse_sq above mmse_coh" in message) == (not correct)
+
+
+def sweep_stdout(*digests, traced=False):
+    """`perfbench/run.py` stdout of a sweep run whose unit k wrote the CSV
+    of `digests[k]`, each unit traced and untraced with `traced`."""
+    lines = ["workload sweep_acceptance seed 424242 trace 0: 3 units"]
+    for k, digest in enumerate(digests):
+        for suffix in ([" traced", ""] if traced else [""]):
+            lines.append(f"unit {k}{suffix}: 5.170 s alpha_sq=1.02e+06 "
+                         f"sim_seed={424242 + k} csv_sha256={digest}")
+    return lines + ["  ops_per_s  58.0 1/s", json.dumps({"correct": True, "metrics": {}})]
+
+
+class TestOutputs:
+    """Both sides of a pair run the same seed, so the same unit writes the
+    same CSV unless the change moved its bits."""
+
+    A, B, C = "a" * 64, "b" * 64, "c" * 64
+
+    def test_unit_digests_reads_traced_and_untraced_lines(self):
+        digests = bench_pairs.unit_digests(sweep_stdout(self.A, self.B, traced=True))
+        assert digests == {0: {self.A}, 1: {self.B}}
+
+    def test_units_without_a_digest_are_not_compared(self):
+        nonlinear = [
+            "unit 0: 2.201 s sim_seed=424242 diverged=0 q:mse/mmse=0.9712 p:mse/mmse=1.0043",
+            "unit 1 traced: 2.310 s sim_seed=424243 diverged=0 q:mse/mmse=1.0101",
+        ]
+        assert bench_pairs.unit_digests(nonlinear) == {}
+        assert bench_pairs.compare_outputs({}, {}) == "outputs: not compared"
+
+    def test_identical_shared_units(self):
+        # the faster side ran a third unit; only units both ran count
+        base = bench_pairs.unit_digests(sweep_stdout(self.A, self.B))
+        new = bench_pairs.unit_digests(sweep_stdout(self.A, self.B, self.C))
+        assert bench_pairs.compare_outputs(base, new) == "outputs: identical in 2 of 2 shared units"
+
+    def test_differing_units_name_the_first(self):
+        base = bench_pairs.unit_digests(sweep_stdout(self.A, self.B, self.C))
+        new = bench_pairs.unit_digests(sweep_stdout(self.A, self.C, self.B))
+        assert bench_pairs.compare_outputs(base, new) == "outputs: differ in 2 of 3 (first: unit 1)"
+
+    def test_a_side_that_disagrees_with_itself_differs(self):
+        # two runs of one side wrote different bits for unit 0
+        base = {0: {self.A, self.B}}
+        assert bench_pairs.compare_outputs(base, {0: {self.A}}) == (
+            "outputs: differ in 1 of 1 (first: unit 0)"
+        )
+
+    def test_main_merges_every_run_of_a_side(self, monkeypatch, capsys):
+        outputs = {"base": iter([{0: {self.A}}, {0: {self.A}, 1: {self.B}}]),
+                   "new": iter([{0: {self.A}, 1: {self.B}}, {0: {self.A}}])}
+
+        def run_once(root, workload, seconds, trace):
+            return {"ops_per_s": {"value": 1.0, "unit": "1/s"}}, next(outputs[root.name])
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        monkeypatch.setattr(bench_pairs, "format_summary", lambda summary: [])
+        monkeypatch.setattr(bench_pairs, "summarize", lambda *args: [])
+        argv = ["base", "new", "--workload", "sweep_acceptance", "--pairs", "2"]
+        assert bench_pairs.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "workload sweep_acceptance: base base, new new",
+            "outputs: identical in 2 of 2 shared units",
+        ]

@@ -18,6 +18,11 @@ With `--trace` both sides run with `--trace 1` and it prints the same
 summary for each `per_layer` metric of `BENCHMARK.json`, without a
 verdict: per-layer metrics have no bound, and they show which layer a
 change moved (`sim.calibrate_tracking.ms`, `est.qcrb.ms`, ...).
+Both sides run the same seed, so each unit has the same inputs on both:
+it prints whether the units both sides ran wrote the same CSV, by the
+`csv_sha256=` digest of each unit's line (`outputs: identical in N of N
+shared units`, or `outputs: differ in k of N (first: unit j)`).  Units that
+print no digest (the nonlinear cell) give `outputs: not compared`.
 It exits non-zero when a run prints no JSON result line, reports
 `"correct": false` (its outputs failed the workload's check) or exits
 non-zero.
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -37,6 +43,9 @@ BENCH = ROOT / "perfbench" / "run.py"
 
 #: Fewest pairs a gain may be claimed on.
 CLAIM_PAIRS = 10
+
+#: A `perfbench/run.py` unit line with the digest of the CSV the unit wrote.
+UNIT_DIGEST = re.compile(r"unit (\d+)(?: traced)?: .*\bcsv_sha256=([0-9a-f]+)")
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -109,9 +118,35 @@ def format_summary(summary) -> list[str]:
     return lines
 
 
-def run_once(root: Path, workload: str, seconds, trace: bool = False) -> dict:
+def unit_digests(lines) -> dict[int, set]:
+    """{unit index: the CSV digests its lines printed} of one run's stdout
+    lines, traced and untraced passes of a unit together; units that print
+    no digest are left out."""
+    digests = {}
+    for line in lines:
+        match = UNIT_DIGEST.match(line)
+        if match:
+            digests.setdefault(int(match[1]), set()).add(match[2])
+    return digests
+
+
+def compare_outputs(base, new) -> str:
+    """The `outputs:` line for two sides' {unit index: set of digests}, each
+    merged over the side's runs.  A unit both sides ran is identical when
+    every run of it, on either side, printed the one same digest."""
+    shared = sorted(base.keys() & new.keys())
+    if not shared:
+        return "outputs: not compared"
+    differ = [k for k in shared if len(base[k] | new[k]) != 1]
+    if not differ:
+        return f"outputs: identical in {len(shared)} of {len(shared)} shared units"
+    return f"outputs: differ in {len(differ)} of {len(shared)} (first: unit {differ[0]})"
+
+
+def run_once(root: Path, workload: str, seconds, trace: bool = False) -> tuple[dict, dict]:
     """The `metrics` object of one correct benchmark run in `root`, traced
-    (`--trace 1`, per-layer metrics) or not (end-to-end metrics)."""
+    (`--trace 1`, per-layer metrics) or not (end-to-end metrics), and its
+    units' CSV digests (`unit_digests`)."""
     cmd = [sys.executable, str(BENCH), "--workload", workload, "--trace", str(int(trace))]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
@@ -130,7 +165,7 @@ def run_once(root: Path, workload: str, seconds, trace: bool = False) -> dict:
             f"bench_pairs: {workload} in {root} is not a correct run "
             f"(exit {out.returncode}, correct {correct})\n" + "\n".join(checks + [out.stderr])
         )
-    return metrics
+    return metrics, unit_digests(lines)
 
 
 def main(argv=None) -> int:
@@ -147,17 +182,20 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     runs = {"base": [], "new": []}
+    digests = {"base": {}, "new": {}}
     for i in range(args.pairs):
         order = ("base", "new") if i % 2 == 0 else ("new", "base")
         for side in order:
-            runs[side].append(
-                run_once(getattr(args, side), args.workload, args.seconds, args.trace)
-            )
+            metrics, units = run_once(getattr(args, side), args.workload, args.seconds, args.trace)
+            runs[side].append(metrics)
+            for k, seen in units.items():
+                digests[side].setdefault(k, set()).update(seen)
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = declared["per_layer" if args.trace else "end_to_end"]
     print(f"workload {args.workload}: base {args.base}, new {args.new}")
+    print(compare_outputs(digests["base"], digests["new"]))
     print("\n".join(format_summary(summarize(runs["base"], runs["new"], metrics))))
     return 0
 
