@@ -246,11 +246,12 @@ def _read_values(path) -> dict:
 
 def _score_trials(trial_indices):
     """Run trials of the entered cell (`_enter_cell`); returns {index:
-    payload} with None marking diverged trials.  Each payload's scored windows
-    are copies, so a kept trial holds 6 x `n_samples` floats, not its
-    full-length records.  With the cell's `dump_dir`, every trial is also
-    written there as CSV."""
-    priors, probe, tracker, bank, cfg, dump_dir = _cell
+    payload} with None marking diverged trials.  The cell's bank smooths the
+    `bank.n` samples of `y` from its `start`, the stretch the scored window
+    can see.  Each payload's scored windows are copies, so a kept trial
+    holds 6 x `n_samples` floats, not its full-length records.  With the
+    cell's `dump_dir`, every trial is also written there as CSV."""
+    priors, probe, tracker, bank, start, cfg, dump_dir = _cell
     results = {}
     for idx in trial_indices:
         traj = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(cfg.seed, idx))
@@ -260,10 +261,12 @@ def _score_trials(trial_indices):
             results[idx] = None
             continue
         window = traj.data_slice
+        seen = traj.y[start : start + bank.n]
+        scored = slice(window.start - start, window.stop - start)  # the window in `seen`
         payload = {"sigma_phi_sq": traj.sigma_phi_sq}
         for x in PRIOR_TAGS:
-            estimate = est.smooth(traj.y, x, bank)
-            payload[x] = (estimate[window].copy(), getattr(traj, x)[window].copy())
+            estimate = est.smooth(seen, x, bank)
+            payload[x] = (estimate[scored].copy(), getattr(traj, x)[window].copy())
         results[idx] = payload
     return results
 
@@ -307,15 +310,16 @@ def _reuse_freed_heap() -> None:
     mallopt(m_trim_threshold, 64 << 20)
 
 
-#: The sweep cell this process scores, `(priors, probe, tracker, bank, cfg,
-#: dump_dir)`, set by `_enter_cell`.
+#: The sweep cell this process scores, `(priors, probe, tracker, bank, start,
+#: cfg, dump_dir)`, set by `_enter_cell`.
 _cell = None
 
 
 def _enter_cell(*cell) -> None:
     """Keep the cell this process scores: a serial cell enters it in the
     parent, and a pool runs this as each process's initializer, so each
-    task sends only its trial indices (a reference `FilterBank` is ~1.5 MB)."""
+    task sends only its trial indices (a reference cell's `FilterBank` is
+    0.45 to 0.79 MB)."""
     global _cell
     _reuse_freed_heap()  # inherited under fork; spawned processes need it
     _cell = cell
@@ -349,7 +353,7 @@ def run_sweep_point(
         raise ValueError("the spectral grid's priors are not the config's mirror and force")
     cfg = config.simulation
 
-    _, n_total = sim.trial_geometry(priors, cfg)  # fails a short trace first
+    n_margin, n_total = sim.trial_geometry(priors, cfg)  # fails a short trace first
     probe = config.operating_point(kind, alpha_sq)
     tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg)
     if cfg.mode == sim.MODE_NONLINEAR:
@@ -363,8 +367,15 @@ def run_sweep_point(
                 f"sigma_phi^2 = {sigma_sq:.4g} rad^2 puts {slips:.3g} of the "
                 f"{n_total} samples per record past pi/2 on average"
             )
+    # the smoother reads the L samples on either side of the window its
+    # kernel reaches (`est.smoother_reach`), or the whole record when L is
+    # the margin or more
     bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
-    cell = (priors, probe, tracker, bank, cfg, dump_dir)
+    start, reach = 0, est.smoother_reach(bank)
+    if reach < n_margin:
+        bank = est.FilterBank.build(cfg.n_samples + 2 * reach, cfg.dt, priors, probe)
+        start = n_margin - reach
+    cell = (priors, probe, tracker, bank, start, cfg, dump_dir)
 
     trials = range(cfg.n_trials)
     tasks = [trials[i : i + TRIALS_PER_TASK] for i in range(0, len(trials), TRIALS_PER_TASK)]

@@ -45,6 +45,10 @@ N_PER_PANEL = 16
 #: each for q, p and f.
 KEPT_DENOMINATORS = 8
 
+#: Largest share of its energy a smoothing kernel may hold at lags a cell's
+#: smoother does not reach (`smoother_reach`).
+REACH_ENERGY = 1e-20
+
 
 # ---------------------------------------------------------------------------
 # spectral quadrature
@@ -264,7 +268,8 @@ class FilterBank:
     """Optimal filters for records of `n` samples, sampled on the rfft grid
     of `n_fft`, the fast real-FFT length `scipy.fft.next_fast_len(n,
     real=True)` >= n (62,500 for the reference 62,370-sample record, whose
-    factors 7 and 11 pocketfft's real transforms lack).
+    factors 7 and 11 pocketfft's real transforms lack; 18,750 to 32,768 for
+    the stretches the reference cells smooth).
 
     Only the nonnegative half-spectrum is stored; Hermitian symmetry (hence a
     real smoothed output) is guaranteed by the rfft/irfft pair.
@@ -290,6 +295,30 @@ def _real_fft_length(n: int) -> int:
     return scipy.fft.next_fast_len(n, real=True)
 
 
+def smoother_reach(bank: FilterBank) -> int:
+    """The smallest lag L at which each of the bank's q, p and f kernels,
+    irfft(J_x, n_fft), holds at most `REACH_ENERGY` of its energy at
+    circular lags >= L; n_fft // 2 + 1 when one never does.
+
+    An estimate that reads only the record within L samples of its own
+    sample leaves out the taps at lags >= L, and only those: what lies
+    beyond the record, the zero padding and the kernel's circular aliases
+    all sit there.
+    """
+    import scipy.fft
+
+    n_fft = bank.n_fft
+    reach = 0
+    for x in PRIOR_TAGS:
+        energy = scipy.fft.irfft(bank.filters[x], n_fft)
+        energy *= energy
+        by_lag = energy[: n_fft // 2 + 1]  # circular lag d: taps d and n_fft - d
+        by_lag[1 : (n_fft + 1) // 2] += energy[: n_fft // 2 : -1]
+        beyond = np.cumsum(by_lag[::-1])[::-1]  # energy at lags >= d, smallest first
+        reach = max(reach, int(np.count_nonzero(beyond > REACH_ENERGY * beyond[0])))
+    return reach
+
+
 def smooth(y, x: str, bank: FilterBank):
     """Apply the optimal smoother for x to measurement record(s) y.
 
@@ -297,8 +326,9 @@ def smooth(y, x: str, bank: FilterBank):
     samples; the result is the real non-causal estimate x'(t), `n` samples
     per record.  Each record is zero-padded to the bank's `n_fft` and
     filtered there, so the kernel's ends fall on the padding instead of
-    wrapping around the record; the trial margins (`sim.trial_geometry`)
-    keep the scored window out of reach of either.
+    wrapping around the record; a sweep cell smooths the scored window and
+    `smoother_reach` samples on either side (`cli.run_sweep_point`), so the
+    padding and the wrap-around lie past the window's reach.
     """
     import scipy.fft  # deferred: only a trial smooths, and bounds never does
 
@@ -317,8 +347,8 @@ def trial_mse(estimate, truth) -> float:
     """Time-averaged squared error of one trial over its data window.
 
     `estimate` and `truth` are one trial's records on the data window (the
-    last axis).  Every sample is scored: the trial's margins already give
-    the smoother two-sided data (`sim.trial_geometry`).
+    last axis).  Every sample is scored: the smoother reads two-sided data
+    as far as its kernel reaches (`smoother_reach`).
     """
     e = np.asarray(estimate, dtype=float)
     t = np.asarray(truth, dtype=float)

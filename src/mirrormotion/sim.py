@@ -3,10 +3,13 @@
 A trial lives on an extended grid: the scored data window plus stationary
 force-bearing margins of PAD_CORRELATION_TIMES times the longest correlation
 time of the problem (max of the force time 1/lam and the mechanical ringdown
-2/gamma) on each side.  The margins serve three purposes at once: they give
-the smoother real two-sided data around every scored sample, they let the
-feedback tracker converge before the data window starts, and they push FFT
-wrap-around effects exp(-PAD_CORRELATION_TIMES) below the Monte Carlo noise.
+2/gamma) on each side.  The margins serve the truth and the tracker: they
+push the wrap-around of `mirror_response`'s FFT convolution,
+exp(-PAD_CORRELATION_TIMES), below the Monte Carlo noise, and they let the
+feedback tracker converge before the data window starts.  The smoother
+reads only its reach on either side of the window (`est.smoother_reach`,
+`cli.run_sweep_point`), the whole record only when its reach is the margin
+or more.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import RiccatiError, require_finite
-from .model import ForceParams, MirrorParams, PriorModel, force_gains
+from .model import ForceParams, MirrorParams, NominalTransferFunction, PriorModel
 from .probe import ProbeState, measurement_noise_psd, noise_psd_at_tracking_error
 
 MODE_LINEARIZED = "linearized"
@@ -98,9 +101,9 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 def trial_geometry(priors: PriorModel, cfg: SimConfig) -> tuple[int, int]:
     """(n_margin, n_total): samples of margin on each side of the data window,
     and the length of the whole extended grid, a fast complex-FFT length
-    (`scipy.fft.next_fast_len`; `est.FilterBank` pads it to a fast real-FFT
-    length).  The data window must span at least ten force correlation
-    times, and the grid must hold at most MAX_TRIAL_SAMPLES samples."""
+    (`scipy.fft.next_fast_len`).  The data window must span at least ten
+    force correlation times, and the grid must hold at most
+    MAX_TRIAL_SAMPLES samples."""
     import scipy.fft
 
     force = priors.force
@@ -151,7 +154,8 @@ def mirror_response(
     f: np.ndarray, params: MirrorParams, cfg: SimConfig, pad_samples: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mechanical response (q, p, phi) to a force record via FFT convolution
-    with the force-referred gains g_qf and g_pf of `model.force_gains`.
+    with the force-referred gains g_qf and g_pf = i m w g_qf (as
+    `model.force_gains` builds them, the phi and f gains left out).
 
     The transform grid is zero-padded by `pad_samples` (the margin of
     `trial_geometry`) so the circular wrap-around of the response kernel is
@@ -166,9 +170,10 @@ def mirror_response(
     # force spectrum before the gain table: the other order leaves heap holes
     # that raised a 300-trial serial sweep's peak RSS by ~12%
     spectrum = scipy.fft.rfft(f, n_fft, axis=-1)
-    gains = force_gains(2.0 * np.pi * np.fft.rfftfreq(n_fft, cfg.dt), params)
-    q_spec, p_spec = gains["q"], gains["p"]  # the phi and f gains go with the dict
-    del gains
+    w = 2.0 * np.pi * np.fft.rfftfreq(n_fft, cfg.dt)
+    q_spec = NominalTransferFunction(params)(w)
+    p_spec = 1j * params.m * w * q_spec
+    del w
     q_spec *= spectrum  # each gain becomes its response spectrum in place
     p_spec *= spectrum
     del spectrum

@@ -435,12 +435,12 @@ class TestSweep:
 
     # (probe, var): (mse_emp, mse_stderr) of `tiny_config` at alpha_sq = 6.24e6
     GOLDEN = {
-        ("coherent", "q"): (1.8645697657426216e-17, 2.822766903291343e-19),
-        ("coherent", "p"): (1.2134133770826183e-13, 1.489223295862673e-14),
-        ("coherent", "f"): (0.00523751737403856, 0.00038401671207627164),
-        ("squeezed", "q"): (1.1585817769585206e-17, 1.322989298727485e-19),
-        ("squeezed", "p"): (8.290071056959692e-14, 1.1477850073684691e-14),
-        ("squeezed", "f"): (0.003976258065490346, 0.00021100424449834845),
+        ("coherent", "q"): (1.8645697657246048e-17, 2.822766904663636e-19),
+        ("coherent", "p"): (1.2134133770671266e-13, 1.4892232959008757e-14),
+        ("coherent", "f"): (0.0052375173740321366, 0.0003840167120861837),
+        ("squeezed", "q"): (1.1585817769551758e-17, 1.322989299785244e-19),
+        ("squeezed", "p"): (8.29007105685586e-14, 1.1477850074132446e-14),
+        ("squeezed", "f"): (0.003976258065460782, 0.00021100424450778296),
     }
 
     def test_matches_golden(self, tiny_config):
@@ -683,7 +683,7 @@ class TestScoreTrials:
         tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg)
         _, n_total = sim.trial_geometry(priors, cfg)
         bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
-        cli._enter_cell(priors, probe, tracker, bank, cfg, None)
+        cli._enter_cell(priors, probe, tracker, bank, 0, cfg, None)
         cli._score_trials(range(1))  # warm-up
         tracemalloc.start()
         try:
@@ -701,7 +701,7 @@ class TestScoreTrials:
         tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg)
         _, n_total = sim.trial_geometry(priors, cfg)
         bank = est.FilterBank.build(n_total, cfg.dt, priors, probe)
-        cli._enter_cell(priors, probe, tracker, bank, cfg, None)
+        cli._enter_cell(priors, probe, tracker, bank, 0, cfg, None)
         results = cli._score_trials(range(2))
         for payload in results.values():
             arrays = [a for x in ("q", "p", "f") for a in payload[x]]
@@ -1024,7 +1024,7 @@ class TestMainEntry:
     # updates them and says why.
     DIGESTS = {
         "config": "f496db94f59bcfcf39304cc20fbe1ddf134fd6f63b137c6d9cadae3527d6ac63",
-        "sweep": "89a5bd651b00a60660cd59121085821b48845be1a9a32ffb1a1c54d77f6374ff",
+        "sweep": "48b4b7a952c932de82dd5e43faa707342e62fee85e342129832f70eef4065aa5",
         "bounds": "99f7aea68ed1d89f81f08a7e3638e694af91f76d3fc1506b5168f394a8f1d76e",
         "diagnose": "956d84ba2b89864ee9d8c56d9f1f28e4878eaf6d5f22031babe32766e7888d21",
         "simulate": "6dbaf488524df9cd68e3d85ea358e3d2bfacc5c9bae2667023b96f3cbe2880ea",

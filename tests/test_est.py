@@ -1,5 +1,6 @@
 """Estimation path: quadrature, analytic MSEs, bounds, filters, smoothing."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -590,7 +591,122 @@ class TestSmootherReach:
         beyond = np.minimum(lag, n_fft - lag) > n_margin
         for x in ("q", "p", "f"):
             energy = scipy.fft.irfft(bank.filters[x], n_fft) ** 2
-            assert np.sum(energy[beyond]) <= 1e-20 * np.sum(energy), x
+            assert np.sum(energy[beyond]) <= est.REACH_ENERGY * np.sum(energy), x
+
+    @pytest.mark.parametrize("alpha_sq", (1e5,) + ALPHA_SQS)
+    @pytest.mark.parametrize("kind", ["coherent", "squeezed"])
+    def test_reach_is_the_smallest_lag_within_the_bar(self, kind, alpha_sq):
+        """`est.smoother_reach` against the kernels' energy at circular lags
+        >= L, summed over a mask: within `REACH_ENERGY` for q, p and f at
+        L, past it for one of them at L - 1."""
+        config = cli.reference_config()
+        cfg = config.simulation
+        _, n_total = sim.trial_geometry(config.priors(), cfg)
+        probe = config.operating_point(kind, alpha_sq)
+        bank = FilterBank.build(n_total, cfg.dt, config.priors(), probe)
+        reach = est.smoother_reach(bank)
+        lag = np.arange(bank.n_fft)
+        lag = np.minimum(lag, bank.n_fft - lag)
+        kernels = [scipy.fft.irfft(bank.filters[x], bank.n_fft) ** 2 for x in ("q", "p", "f")]
+
+        def worst(at):
+            return max(np.sum(energy[lag >= at]) / np.sum(energy) for energy in kernels)
+
+        assert worst(reach) <= est.REACH_ENERGY < worst(reach - 1)
+
+
+@functools.cache
+def entered_cell(kind, alpha_sq):
+    """The cell `cli.run_sweep_point` enters for a two-trial cell of the
+    reference config: (priors, probe, tracker, bank, start, cfg, dump_dir)."""
+    base = cli.reference_config()
+    config = replace(base, simulation=replace(base.simulation, n_trials=2))
+    cells = []
+    enter = cli._enter_cell
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_enter_cell", lambda *cell: (cells.append(cell), enter(*cell)))
+        cli.run_sweep_point(config, kind, alpha_sq, est.SpectralGrid.build(config.priors()))
+    [cell] = cells
+    return cell
+
+
+class TestWindowedSmoother:
+    """A cell smooths only the stretch of `y` its scored window can see: the
+    window and `est.smoother_reach` samples L on either side, on a bank for
+    that many samples, or the whole record when L is the margin or more.
+    Every difference from the whole-record estimate comes from kernel taps
+    at lags >= L, which hold at most `est.REACH_ENERGY` of the energy.
+    Measured on the 8 reference cells (q, p and f, two trials each): L is
+    4,251 to 11,349 samples, set by p, and the scored windows differ from
+    the whole-record estimates by <= 1.8e-10 of their rms; the tolerance is
+    1e-9."""
+
+    GAP_RTOL = 1e-9
+
+    @staticmethod
+    def whole_record_windows(cell, indices):
+        """{trial: {x: the scored window of the whole-record estimate}}."""
+        priors, probe, tracker, _, _, cfg, _ = cell
+        _, n_total = sim.trial_geometry(priors, cfg)
+        bank = FilterBank.build(n_total, cfg.dt, priors, probe)
+        out = {}
+        for idx in indices:
+            traj = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(cfg.seed, idx))
+            out[idx] = {x: smooth(traj.y, x, bank)[traj.data_slice] for x in ("q", "p", "f")}
+        return out
+
+    @pytest.mark.parametrize("alpha_sq", ALPHA_SQS)
+    @pytest.mark.parametrize("kind", ["coherent", "squeezed"])
+    def test_kernel_past_the_reach_on_the_bank_used(self, kind, alpha_sq):
+        priors, _, _, bank, start, cfg, _ = entered_cell(kind, alpha_sq)
+        n_margin, _ = sim.trial_geometry(priors, cfg)
+        reach = n_margin - start
+        assert start > 0 and bank.n == cfg.n_samples + 2 * reach
+        n_fft = bank.n_fft
+        lag = np.arange(n_fft)
+        beyond = np.minimum(lag, n_fft - lag) >= reach
+        for x in ("q", "p", "f"):
+            energy = scipy.fft.irfft(bank.filters[x], n_fft) ** 2
+            assert np.sum(energy[beyond]) <= est.REACH_ENERGY * np.sum(energy), x
+
+    @pytest.mark.parametrize("alpha_sq", ALPHA_SQS)
+    @pytest.mark.parametrize("kind", ["coherent", "squeezed"])
+    def test_scored_window_matches_whole_record(self, kind, alpha_sq, monkeypatch):
+        monkeypatch.setattr(cli, "_cell", None)  # drops the entered cell at teardown
+        cell = entered_cell(kind, alpha_sq)
+        cli._enter_cell(*cell)
+        payloads = cli._score_trials(range(2))
+        for idx, expected in self.whole_record_windows(cell, range(2)).items():
+            for x, whole in expected.items():
+                gap = np.max(np.abs(payloads[idx][x][0] - whole))
+                assert gap <= self.GAP_RTOL * np.sqrt(np.mean(whole**2)), (idx, x)
+
+    def test_reach_past_the_margin_smooths_the_whole_record(self, monkeypatch):
+        monkeypatch.setattr(cli, "_cell", None)  # drops the entered cell at teardown
+        cell = entered_cell("coherent", 1e5)
+        priors, probe, _, bank, start, cfg, _ = cell
+        n_margin, n_total = sim.trial_geometry(priors, cfg)
+        assert est.smoother_reach(bank) >= n_margin
+        assert (start, bank.n) == (0, n_total)
+        cli._enter_cell(*cell)
+        payloads = cli._score_trials(range(2))
+        for idx, expected in self.whole_record_windows(cell, range(2)).items():
+            for x, whole in expected.items():
+                assert np.array_equal(payloads[idx][x][0], whole), (idx, x)
+
+    @pytest.mark.parametrize("n_fft, kernel, reach", [
+        (8, [1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5], 2),
+        (8, [1.0, 0.0, 0.0, 0.0, 1e-9, 0.0, 0.0, 0.0], 5),
+        (9, [1.0, 0.0, 0.0, 0.0, 0.0, 1e-9, 0.0, 0.0, 0.0], 5),
+        (9, [1.0, 0.0, 0.0, 0.0, 0.0, 1e-11, 0.0, 0.0, 0.0], 1),
+    ])
+    def test_reach_of_synthetic_kernels(self, n_fft, kernel, reach):
+        """Lag d holds taps d and n_fft - d (one tap at d = n_fft / 2); a
+        tap of 1e-22 of the energy is within the bar, one of 1e-18 is not,
+        and a kernel that never falls within it reaches n_fft // 2 + 1."""
+        spectrum = scipy.fft.rfft(kernel)
+        bank = FilterBank(n_fft, {x: spectrum for x in ("q", "p", "f")})
+        assert est.smoother_reach(bank) == reach
 
 
 class TestEmpiricalMse:

@@ -1,6 +1,7 @@
 """The repository's measuring scripts under `tools/`."""
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -327,3 +328,87 @@ class TestOutputs:
             "workload sweep_acceptance: base base, new new",
             "outputs: identical in 2 of 2 shared units",
         ]
+
+
+def write_run(root, workload, *tables, seed=424242, trace=0):
+    """A `perfbench/run.py` output directory in `root` whose unit k wrote
+    the `sweep` CSV of `tables[k]`, a list of rows of `cli.SWEEP_COLUMNS`."""
+    out = root / ".perfbench_out" / f"{workload}-seed{seed}-trace{trace}"
+    out.mkdir(parents=True, exist_ok=True)
+    header = "var,probe,alpha_sq,mse_emp,mse_stderr,mmse,qcrb_coh,qcrb_sq"
+    for k, rows in enumerate(tables):
+        lines = [header] + [",".join(map(str, row)) for row in rows]
+        (out / f"sweep-{k}.csv").write_text("\n".join(lines) + "\n")
+    (out / "result.json").write_text("{}")
+    return out
+
+
+class TestColumnChanges:
+    """After each pair, the largest relative change of each numeric column
+    over the units both sides wrote."""
+
+    ROW = ["q", "coherent", 1.02e6, 2.0e-17, 4.0e-19, 1.9e-17, 1.8e-17, 1.5e-17]
+
+    def moved(self, **changes):
+        """ROW with the named columns multiplied by (1 + change)."""
+        columns = ["var", "probe", "alpha_sq", "mse_emp", "mse_stderr", "mmse", "qcrb_coh",
+                   "qcrb_sq"]
+        return [v * (1 + changes[c]) if c in changes else v for c, v in zip(columns, self.ROW)]
+
+    def test_largest_change_per_numeric_column_over_shared_units(self, tmp_path):
+        write_run(tmp_path / "base", "sweep_acceptance", [self.ROW, self.ROW], [self.ROW])
+        write_run(tmp_path / "new", "sweep_acceptance",
+                  [self.moved(mse_emp=1e-12), self.moved(mse_emp=3e-12, mse_stderr=2e-11)],
+                  [self.moved(mse_emp=2e-12)],
+                  [self.moved(mmse=0.5)])  # a unit only the new side ran
+        base, new = (bench_pairs.unit_tables(tmp_path / side, "sweep_acceptance", False)
+                     for side in ("base", "new"))
+        assert sorted(base) == [0, 1] and sorted(new) == [0, 1, 2]
+        changes = bench_pairs.column_changes(base, new)
+        assert list(changes) == ["alpha_sq", "mse_emp", "mse_stderr", "mmse", "qcrb_coh", "qcrb_sq"]
+        assert changes["mse_emp"] == pytest.approx(3e-12, rel=1e-3)
+        assert changes["mse_stderr"] == pytest.approx(2e-11, rel=1e-3)
+        assert changes["alpha_sq"] == changes["mmse"] == changes["qcrb_sq"] == 0.0
+        assert bench_pairs.changes_line(base, new) == (
+            "largest relative change over 2 shared units: alpha_sq 0, mse_emp 3e-12, "
+            "mse_stderr 2e-11, mmse 0, qcrb_coh 0, qcrb_sq 0"
+        )
+
+    def test_a_change_from_zero_is_infinite(self):
+        base = {0: [{"var": "p", "mmse": "0.0"}]}
+        new = {0: [{"var": "p", "mmse": "1e-30"}]}
+        assert bench_pairs.column_changes(base, new) == {"mmse": float("inf")}
+
+    def test_reads_the_latest_run_of_the_workload(self, tmp_path):
+        old = write_run(tmp_path, "sweep_acceptance", [self.moved(mmse=1.0)], seed=7)
+        write_run(tmp_path, "sweep_acceptance", [self.ROW], [self.ROW])
+        write_run(tmp_path, "sweep_acceptance", [self.moved(mmse=2.0)], trace=1)
+        newest = (old / "result.json").stat().st_mtime + 60.0
+        os.utime(old / "result.json", (newest, newest))  # the seed-7 run ran last
+        tables = bench_pairs.unit_tables(tmp_path, "sweep_acceptance", False)
+        assert list(tables) == [0] and float(tables[0][0]["mmse"]) == 2 * self.ROW[5]
+        assert bench_pairs.unit_tables(tmp_path, "bounds", False) == {}
+
+    def test_main_prints_the_changes_after_each_pair(self, tmp_path, monkeypatch, capsys):
+        bumps = iter([1e-12, 4e-12])  # the new side's mse_emp change in pairs 1 and 2
+
+        def run_once(root, workload, seconds, trace):
+            bump = next(bumps) if root.name == "new" else 0.0
+            write_run(root, workload, [self.moved(mse_emp=bump)])
+            return {"ops_per_s": {"value": 1.0, "unit": "1/s"}}, {}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        monkeypatch.setattr(bench_pairs, "summarize", lambda *args: [])
+        argv = [str(tmp_path / "base"), str(tmp_path / "new"), "--workload", "sweep_acceptance",
+                "--pairs", "2"]
+        assert bench_pairs.main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "pair 1/2 done; largest relative change over 1 shared units: alpha_sq 0, "
+            "mse_emp 1e-12, mse_stderr 0, mmse 0, qcrb_coh 0, qcrb_sq 0",
+            "pair 2/2 done; largest relative change over 1 shared units: alpha_sq 0, "
+            "mse_emp 4e-12, mse_stderr 0, mmse 0, qcrb_coh 0, qcrb_sq 0",
+        ]
+
+    def test_units_without_a_csv_are_not_compared(self, tmp_path):
+        tables = bench_pairs.unit_tables(tmp_path, "cell_nonlinear", False)
+        assert bench_pairs.changes_line(tables, tables) == "columns: not compared"

@@ -23,6 +23,12 @@ it prints whether the units both sides ran wrote the same CSV, by the
 `csv_sha256=` digest of each unit's line (`outputs: identical in N of N
 shared units`, or `outputs: differ in k of N (first: unit j)`).  Units that
 print no digest (the nonlinear cell) give `outputs: not compared`.
+After each pair it prints, beside the pair's progress line on stderr, the
+largest relative change of each numeric column over the units both sides'
+runs wrote (`largest relative change over N shared units: mse_emp 2.8e-12,
+...`, from the `<command>-<unit>.csv` files of each run's
+`.perfbench_out/` directory), so a change that moves bits by rounding shows
+their size; units that write no CSV give `columns: not compared`.
 It exits non-zero when a run prints no JSON result line, reports
 `"correct": false` (its outputs failed the workload's check) or exits
 non-zero.
@@ -31,7 +37,9 @@ non-zero.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import re
 import statistics
 import subprocess
@@ -46,6 +54,9 @@ CLAIM_PAIRS = 10
 
 #: A `perfbench/run.py` unit line with the digest of the CSV the unit wrote.
 UNIT_DIGEST = re.compile(r"unit (\d+)(?: traced)?: .*\bcsv_sha256=([0-9a-f]+)")
+
+#: The CSV a `perfbench/run.py` unit writes, `<command>-<unit index>.csv`.
+UNIT_CSV = re.compile(r"[a-z]+-(\d+)\.csv")
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -143,6 +154,48 @@ def compare_outputs(base, new) -> str:
     return f"outputs: differ in {len(differ)} of {len(shared)} (first: unit {differ[0]})"
 
 
+def unit_tables(root: Path, workload: str, trace: bool) -> dict[int, list[dict]]:
+    """{unit index: the rows of the CSV it wrote} of the latest run of
+    `workload` in `root`: the `perfbench/run.py` output directory whose
+    `result.json` is newest.  Empty when no run left one."""
+    results = (root / ".perfbench_out").glob(f"{workload}-seed*-trace{int(trace)}/result.json")
+    latest = max(results, key=lambda path: path.stat().st_mtime, default=None)
+    tables = {}
+    for path in () if latest is None else latest.parent.glob("*.csv"):
+        match = UNIT_CSV.fullmatch(path.name)
+        if match:
+            with open(path, newline="") as fh:
+                tables[int(match[1])] = list(csv.DictReader(fh))
+    return tables
+
+
+def column_changes(base, new) -> dict[str, float]:
+    """{column: largest |new - base| / |base|} over the rows, paired in
+    order, of the units in both {unit index: rows} tables; a column counts
+    where both values read as numbers, and a change from 0 is inf."""
+    changes = {}
+    for k in sorted(base.keys() & new.keys()):
+        for base_row, new_row in zip(base[k], new[k]):
+            for column, text in base_row.items():
+                try:
+                    b, n = float(text), float(new_row[column])
+                except (KeyError, TypeError, ValueError):
+                    continue
+                change = 0.0 if n == b else abs(n - b) / abs(b) if b else math.inf
+                changes[column] = max(changes.get(column, 0.0), change)
+    return changes
+
+
+def changes_line(base, new) -> str:
+    """The `column_changes` of two sides' unit tables as one line."""
+    changes = column_changes(base, new)
+    if not changes:
+        return "columns: not compared"
+    shared = len(base.keys() & new.keys())
+    listed = ", ".join(f"{column} {change:.2g}" for column, change in changes.items())
+    return f"largest relative change over {shared} shared units: {listed}"
+
+
 def run_once(root: Path, workload: str, seconds, trace: bool = False) -> tuple[dict, dict]:
     """The `metrics` object of one correct benchmark run in `root`, traced
     (`--trace 1`, per-layer metrics) or not (end-to-end metrics), and its
@@ -190,7 +243,9 @@ def main(argv=None) -> int:
             runs[side].append(metrics)
             for k, seen in units.items():
                 digests[side].setdefault(k, set()).update(seen)
-        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+        tables = [unit_tables(getattr(args, side), args.workload, args.trace)
+                  for side in ("base", "new")]
+        print(f"pair {i + 1}/{args.pairs} done; {changes_line(*tables)}", file=sys.stderr)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = declared["per_layer" if args.trace else "end_to_end"]
