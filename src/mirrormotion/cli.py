@@ -52,8 +52,8 @@ MAX_DIVERGED_FRACTION = 0.05
 #: Geometrically spaced amplitudes of a `bounds` table (`cmd_bounds`).
 BOUNDS_POINTS = 25
 
-#: Trials per task of a sweep cell.  A cell keeps only four floats per kept
-#: trial; its scored windows live for one task.
+#: Trials per task of a sweep cell run alone (`run_sweep_point`).  A cell
+#: keeps only four floats per kept trial; its scored windows live for one task.
 TRIALS_PER_TASK = 5
 
 
@@ -317,37 +317,23 @@ _cell = None
 
 def _enter_cell(*cell) -> None:
     """Keep the cell this process scores: a serial cell enters it in the
-    parent, and a pool runs this as each process's initializer, so each
-    task sends only its trial indices (a reference cell's `FilterBank` is
-    0.45 to 0.79 MB)."""
+    parent (a serial sweep enters each live cell for each trial,
+    `_run_trial_major`), and a pool runs this as each process's
+    initializer, so each task sends only its trial indices (a reference
+    cell's `FilterBank` is 0.45 to 0.79 MB)."""
     global _cell
     _reuse_freed_heap()  # inherited under fork; spawned processes need it
     _cell = cell
 
 
-def run_sweep_point(
-    config: ExperimentConfig,
-    kind: str,
-    alpha_sq: float,
-    grid: est.SpectralGrid,
-    workers: int = 1,
-    dump_dir=None,
-) -> SweepPoint:
-    """Calibrate, simulate and score one (probe kind, amplitude) cell on the
-    caller's `grid`, a `est.SpectralGrid` of `config.priors()`, the one model
-    of the cell's trials, tracker and bounds; a grid of other priors is
-    refused before the cell calibrates.  The trials run as tasks of
-    `TRIALS_PER_TASK`, serially or on a pool of at most `workers` processes,
-    one per task and per CPU, and each task's windows are scored as the task
-    returns.  The process that runs the trials enters the cell once
-    (`_enter_cell`), so a task carries only trial indices; the parent keeps
-    no cell past its tasks.  Scores are folded in trial order, and the cell
-    fails as soon as more than `MAX_DIVERGED_FRACTION` of its trials have
-    diverged, whatever its later trials would give: it runs no further
-    task, and a pool cancels the tasks it has not started."""
-    global _cell
-    if workers < 1:
-        raise ValueError("need at least one worker")
+def _set_up_cell(
+    config: ExperimentConfig, kind: str, alpha_sq: float, grid: est.SpectralGrid, dump_dir
+) -> tuple:
+    """The cell `_enter_cell` takes for the (probe kind, amplitude) `kind`,
+    `alpha_sq` on the caller's `grid`, a `est.SpectralGrid` of
+    `config.priors()`, the one model of the cell's trials, tracker and
+    bounds; a grid of other priors is refused before the cell calibrates.
+    A nonlinear cell whose loop cannot lock fails here, before its trials."""
     priors = grid.priors
     if priors != config.priors():
         raise ValueError("the spectral grid's priors are not the config's mirror and force")
@@ -375,59 +361,42 @@ def run_sweep_point(
     if reach < n_margin:
         bank = est.FilterBank.build(cfg.n_samples + 2 * reach, cfg.dt, priors, probe)
         start = n_margin - reach
-    cell = (priors, probe, tracker, bank, start, cfg, dump_dir)
+    return priors, probe, tracker, bank, start, cfg, dump_dir
 
-    trials = range(cfg.n_trials)
-    tasks = [trials[i : i + TRIALS_PER_TASK] for i in range(0, len(trials), TRIALS_PER_TASK)]
-    scores = {}  # trial index -> (sigma_phi_sq, q, p, f errors), None if diverged
 
-    def fold(parts):
-        """Score the tasks' trials in trial order; raises ValueError at the
-        first diverged trial past `MAX_DIVERGED_FRACTION` of the cell's."""
-        n_diverged = 0
-        for part in parts:
-            for idx, payload in part.items():
-                if payload is not None:
-                    scores[idx] = (
-                        payload["sigma_phi_sq"],
-                        *(est.trial_mse(*payload[x]) for x in PRIOR_TAGS),
-                    )
-                    continue
-                scores[idx] = None
-                n_diverged += 1
-                if n_diverged > MAX_DIVERGED_FRACTION * cfg.n_trials:  # 2 or more keep 2 or more
-                    n_run = idx + 1  # trials 0 .. idx, in order
-                    run = n_run if n_run == cfg.n_trials else f"the first {n_run} of {cfg.n_trials}"
-                    raise ValueError(
-                        f"{n_diverged} of {run} trials diverged; a cell admits at most "
-                        f"{MAX_DIVERGED_FRACTION:.0%} of its trials"
-                    )
-            part = payload = None  # this task's windows go before the next runs
+def _fold(scores: dict, parts, n_trials: int) -> None:
+    """Score the trials of a cell's `_score_trials` results `parts` into
+    `scores` ({trial index: (sigma_phi_sq, q, p, f errors), None if
+    diverged}) in trial order; raises ValueError at the first diverged
+    trial past `MAX_DIVERGED_FRACTION` of the cell's `n_trials`."""
+    for part in parts:
+        for idx, payload in part.items():
+            if payload is not None:
+                scores[idx] = (
+                    payload["sigma_phi_sq"],
+                    *(est.trial_mse(*payload[x]) for x in PRIOR_TAGS),
+                )
+                continue
+            scores[idx] = None
+            n_diverged = list(scores.values()).count(None)
+            if n_diverged > MAX_DIVERGED_FRACTION * n_trials:  # 2 or more keep 2 or more
+                n_run = idx + 1  # trials 0 .. idx, in order
+                run = n_run if n_run == n_trials else f"the first {n_run} of {n_trials}"
+                raise ValueError(
+                    f"{n_diverged} of {run} trials diverged; a cell admits at most "
+                    f"{MAX_DIVERGED_FRACTION:.0%} of its trials"
+                )
+        part = payload = None  # these windows go before the next part runs
 
-    if workers > 1:
-        # build the tracker's filter before forking: it loads scipy.linalg and
-        # scipy.signal (`trial_geometry` loaded scipy.fft) for the workers to
-        # inherit, and a forked worker that first calls scipy's BLAS starts
-        # BLAS threads, which spin
-        tracker.gain
-        size = min(workers, len(tasks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=size, initializer=_enter_cell, initargs=cell) as pool:
-            try:
-                fold(pool.map(_score_trials, tasks))
-            except BaseException:
-                pool.shutdown(cancel_futures=True)  # a failed cell starts no more tasks
-                raise
-    else:
-        _enter_cell(*cell)
-        try:
-            fold(map(_score_trials, tasks))
-        finally:
-            _cell = None
 
-    # reduction keyed by trial index, so the outcome is independent of the
-    # pool and task sizes
+def _sweep_point(
+    config: ExperimentConfig, alpha_sq: float, grid: est.SpectralGrid, cell: tuple, scores: dict
+) -> SweepPoint:
+    """The `SweepPoint` of a set-up `cell` whose trials were folded into
+    `scores` (`_fold`).  The reduction is keyed by trial index, so it does
+    not depend on the pool, the task sizes or the order the cells ran in."""
+    _, probe, tracker, *_ = cell
     kept = [scores[i] for i in sorted(scores) if scores[i] is not None]
-    n_diverged = len(scores) - len(kept)
     sigma_emp = [score[0] for score in kept]
     mse, stderr = {}, {}
     for k, x in enumerate(PRIOR_TAGS, start=1):
@@ -443,8 +412,95 @@ def run_sweep_point(
         qcrb_coh={x: est.qcrb(x, coh, grid) for x in PRIOR_TAGS},
         qcrb_sq={x: est.qcrb(x, sq, grid) for x in PRIOR_TAGS},
         sigma_phi_sq_emp=float(np.mean(sigma_emp)),
-        n_diverged=n_diverged,
+        n_diverged=len(scores) - len(kept),
     )
+
+
+def run_sweep_point(
+    config: ExperimentConfig,
+    kind: str,
+    alpha_sq: float,
+    grid: est.SpectralGrid,
+    workers: int = 1,
+    dump_dir=None,
+) -> SweepPoint:
+    """Set up (`_set_up_cell`), simulate and score one (probe kind,
+    amplitude) cell on the caller's `grid`.  The trials run as tasks of
+    `TRIALS_PER_TASK`, serially or on a pool of at most `workers`
+    processes, one per task and per CPU, and each task's windows are scored
+    as the task returns.  The process that runs the trials enters the cell
+    once (`_enter_cell`), so a task carries only trial indices; the parent
+    keeps no cell past its tasks.  Scores are folded in trial order, and the
+    cell fails as soon as more than `MAX_DIVERGED_FRACTION` of its trials
+    have diverged, whatever its later trials would give: it runs no further
+    task, and a pool cancels the tasks it has not started."""
+    global _cell
+    if workers < 1:
+        raise ValueError("need at least one worker")
+    cell = _set_up_cell(config, kind, alpha_sq, grid, dump_dir)
+    tracker, cfg = cell[2], config.simulation
+
+    trials = range(cfg.n_trials)
+    tasks = [trials[i : i + TRIALS_PER_TASK] for i in range(0, len(trials), TRIALS_PER_TASK)]
+    scores = {}
+    if workers > 1:
+        # build the tracker's filter before forking: it loads scipy.linalg and
+        # scipy.signal (`trial_geometry` loaded scipy.fft) for the workers to
+        # inherit, and a forked worker that first calls scipy's BLAS starts
+        # BLAS threads, which spin
+        tracker.gain
+        size = min(workers, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size, initializer=_enter_cell, initargs=cell) as pool:
+            try:
+                _fold(scores, pool.map(_score_trials, tasks), cfg.n_trials)
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # a failed cell starts no more tasks
+                raise
+    else:
+        _enter_cell(*cell)
+        try:
+            _fold(scores, map(_score_trials, tasks), cfg.n_trials)
+        finally:
+            _cell = None
+    return _sweep_point(config, alpha_sq, grid, cell, scores)
+
+
+def _run_trial_major(config: ExperimentConfig, cells: list, grid: est.SpectralGrid) -> list:
+    """Run the sweep `cells`, (probe kind, amplitude) pairs, in this
+    process, trial-major: trial i of every live cell before trial i + 1 of
+    any, so the cells share each trial's truth (`sim.simulate_trial`).
+    Every cell is set up first (`_set_up_cell`), and a cell leaves the run
+    when it fails, at set-up or at its diverged trial past
+    `MAX_DIVERGED_FRACTION`.  Returns, per cell in order, a function that
+    gives its `SweepPoint` or raises what failed it."""
+    global _cell
+    n_trials = config.simulation.n_trials
+    failed, live = {}, {}  # cell position -> exception; -> (cell, scores)
+    for i, (kind, alpha_sq) in enumerate(cells):
+        try:
+            live[i] = _set_up_cell(config, kind, alpha_sq, grid, None), {}
+        except Exception as exc:  # reported in cell order, with the rows
+            failed[i] = exc
+    try:
+        for idx in range(n_trials):
+            for i, (cell, scores) in list(live.items()):
+                _enter_cell(*cell)
+                try:
+                    _fold(scores, [_score_trials((idx,))], n_trials)
+                except Exception as exc:
+                    failed[i] = exc
+                    del live[i]
+    finally:
+        _cell = None
+    return [
+        functools.partial(_raise, failed[i]) if i in failed
+        else functools.partial(_sweep_point, config, alpha_sq, grid, *live[i])
+        for i, (_, alpha_sq) in enumerate(cells)
+    ]
+
+
+def _raise(exc: Exception):
+    raise exc
 
 
 def _point_label(kind: str, alpha_sq: float) -> str:
@@ -489,13 +545,29 @@ def _write_table(path, columns, cells, rows_of) -> tuple[list[dict], int]:
 def cmd_sweep(config: ExperimentConfig, out_path, workers: int) -> tuple[list[dict], int]:
     """Full amplitude sweep; one CSV row per (variable, probe kind, amplitude).
     A cell with diverged trials, at most `MAX_DIVERGED_FRACTION` of them,
-    scores only the others and says so on stderr.
+    scores only the others and says so on stderr.  With one worker the
+    cells run trial-major (`_run_trial_major`) once the table's header is
+    written, and their rows and failures follow in cell order when the
+    trials end; with more, each cell runs on its own pool in turn
+    (`run_sweep_point`) and writes its rows when its trials end.
     Returns the rows and the number of cells that failed (and wrote none)."""
     grid = est.SpectralGrid.build(config.priors())
+    cells = [(kind, alpha_sq) for alpha_sq in config.alpha_sqs for kind in PROBE_KINDS]
+
+    def labeled():
+        """(label, (kind, alpha_sq, function giving the cell's SweepPoint))
+        per cell, in order."""
+        if workers > 1:
+            points = [functools.partial(run_sweep_point, config, kind, alpha_sq, grid, workers)
+                      for kind, alpha_sq in cells]
+        else:
+            points = _run_trial_major(config, cells, grid)
+        for (kind, alpha_sq), point in zip(cells, points):
+            yield _point_label(kind, alpha_sq), (kind, alpha_sq, point)
 
     def rows_of(cell):
-        kind, alpha_sq = cell
-        point = run_sweep_point(config, kind, alpha_sq, grid=grid, workers=workers)
+        kind, alpha_sq, point = cell
+        point = point()
         if point.n_diverged:
             print(
                 f"{_point_label(kind, alpha_sq)}: {point.n_diverged} of "
@@ -516,12 +588,7 @@ def cmd_sweep(config: ExperimentConfig, out_path, workers: int) -> tuple[list[di
             for x in PRIOR_TAGS
         ]
 
-    cells = [
-        (_point_label(kind, alpha_sq), (kind, alpha_sq))
-        for alpha_sq in config.alpha_sqs
-        for kind in PROBE_KINDS
-    ]
-    return _write_table(out_path, SWEEP_COLUMNS, cells, rows_of)
+    return _write_table(out_path, SWEEP_COLUMNS, labeled(), rows_of)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@ feedback tracker converge before the data window starts.  The smoother
 reads only its reach on either side of the window (`est.smoother_reach`,
 `cli.run_sweep_point`), the whole record only when its reach is the margin
 or more.
+
+A trial's force, mirror response and unit measurement noise depend on its
+generator, not on the probe, and every cell of a sweep draws trial i from
+the same `trial_rng(seed, i)`.  So `simulate_trial` keeps the last trial's
+draws, read-only, and a serial sweep, which runs trial i of every cell
+before trial i + 1 (`cli.cmd_sweep`), draws each trial's truth once.
 """
 
 from __future__ import annotations
@@ -489,15 +495,19 @@ def run_tracking(
     probe: ProbeState,
     tracker: KalmanTracker,
     cfg: SimConfig,
-    rng: np.random.Generator,
+    z: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float, bool]:
     """Synthesize the homodyne record and the real-time feedback phase:
-    (y, phi_fb, sigma_phi_sq, diverged).
+    (y, phi_fb, sigma_phi_sq, diverged), from unit normals `z` (one per
+    sample of `phi`).
 
-    Linearized mode: y = phi + z with z white of per-sample variance S_z/dt.
-    Nonlinear mode: the normalized homodyne output sin(phi - phi') plus
-    phase-dependent quadrature noise, offset back by the feedback phase; a
-    trial is flagged diverged when |phi - phi'| exceeds pi/2.
+    Linearized mode: y = phi + s z, white noise of per-sample variance
+    s^2 = S_z/dt.  Nonlinear mode: the normalized homodyne output
+    sin(phi - phi') plus phase-dependent quadrature noise of scale
+    z / (2 sqrt(eta alpha^2 dt)), offset back by the feedback phase; a
+    trial is flagged diverged when |phi - phi'| exceeds pi/2.  With
+    z = rng.standard_normal(n), s z is rng.normal(0, s, n) and the nonlinear
+    scale is rng.normal(0, 1, n) / (2 sqrt(eta alpha^2 dt)), bit for bit.
 
     The empirical sigma_phi^2 is averaged over the steady-state region (after
     the closed-loop transient has settled).
@@ -508,15 +518,13 @@ def run_tracking(
     diverged = False
 
     if cfg.mode == MODE_LINEARIZED:
-        # y = phi + z, built on the noise draw (IEEE addition commutes)
-        y = rng.normal(0.0, math.sqrt(measurement_noise_psd(probe) / cfg.dt), n)
+        # y = phi + s z, built on the noise (IEEE addition commutes)
+        y = z * math.sqrt(measurement_noise_psd(probe) / cfg.dt)
         y += phi
         phi_fb = _delayed(tracker.predict_series(y), d)
     else:
         ep, em = probe.detected_moments()
-        noise_scale = rng.normal(0.0, 1.0, n) / (
-            2.0 * math.sqrt(probe.eta_det * probe.alpha_sq * cfg.dt)
-        )
+        noise_scale = z / (2.0 * math.sqrt(probe.eta_det * probe.alpha_sq * cfg.dt))
         y, phi_fb, diverged = _track_nonlinear(phi, noise_scale, tracker, d, ep, em)
 
     start = min(tracker.settle_samples, n // 2)
@@ -564,6 +572,40 @@ class Trajectory:
         np.savetxt(path, table, delimiter=",", header=header, comments="")
 
 
+#: The last trial's probe-independent draws: (key, draws, generator state
+#: after them), see `_trial_truth`.
+_last_truth = None
+
+
+def _trial_truth(priors: PriorModel, cfg: SimConfig, rng: np.random.Generator) -> tuple:
+    """(n_margin, f, q, p, phi, z) of a trial: its margin, force, mirror
+    response and the unit normals of its measurement noise, drawn in that
+    order.  None of them depends on the probe.
+
+    The last call's draws are kept, read-only, under the key (priors, cfg,
+    generator state before the draws).  A call with an equal key returns
+    them and moves `rng` to the state the draws left it in, so its caller
+    sees what a fresh draw would give, bit for bit; any other call frees
+    them before it draws its own.
+    """
+    global _last_truth
+    key = (priors, cfg, rng.bit_generator.state)
+    if _last_truth is not None and _last_truth[0] == key:
+        _, draws, state = _last_truth
+        rng.bit_generator.state = state
+        return draws
+    _last_truth = None
+    n_margin, n_total = trial_geometry(priors, cfg)
+    f = simulate_ou(priors.force, cfg, rng, n=n_total)
+    q, p, phi = mirror_response(f, priors.params, cfg, pad_samples=n_margin)
+    z = rng.standard_normal(n_total)
+    for array in (f, q, p, phi, z):
+        array.flags.writeable = False
+    draws = (n_margin, f, q, p, phi, z)
+    _last_truth = key, draws, rng.bit_generator.state
+    return draws
+
+
 def simulate_trial(
     priors: PriorModel,
     probe: ProbeState,
@@ -571,11 +613,11 @@ def simulate_trial(
     cfg: SimConfig,
     rng: np.random.Generator,
 ) -> Trajectory:
-    """Generate one force/motion/measurement trial on the extended grid."""
-    n_margin, n_total = trial_geometry(priors, cfg)
-    f = simulate_ou(priors.force, cfg, rng, n=n_total)
-    q, p, phi = mirror_response(f, priors.params, cfg, pad_samples=n_margin)
-    y, phi_fb, sigma_phi_sq, diverged = run_tracking(phi, probe, tracker, cfg, rng)
+    """Generate one force/motion/measurement trial on the extended grid.
+    Its f, q, p and phi are read-only: they may be the last trial's draws
+    (`_trial_truth`)."""
+    n_margin, f, q, p, phi, z = _trial_truth(priors, cfg, rng)
+    y, phi_fb, sigma_phi_sq, diverged = run_tracking(phi, probe, tracker, cfg, z)
     return Trajectory(
         f, q, p, phi, phi_fb, y, n_margin, cfg.n_samples, cfg.dt, sigma_phi_sq, diverged
     )

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import settings
 
-from mirrormotion import est
+from mirrormotion import est, sim
 from mirrormotion.model import ForceParams, MirrorParams, PriorModel
 from mirrormotion.probe import ProbeState
 
@@ -27,6 +27,13 @@ ANTISQUEEZING_DB = 6.00
 ETA = 0.871
 ALPHA_SQS = (1.02e6, 1.88e6, 2.87e6, 6.24e6)
 BANDWIDTH_10_OMEGA = 10.0 * OMEGA
+
+
+@pytest.fixture(autouse=True)
+def no_kept_truth(monkeypatch):
+    """Each test starts, and leaves, without a kept trial truth
+    (`sim._trial_truth`), so a test that patches a layer sees it called."""
+    monkeypatch.setattr(sim, "_last_truth", None)
 
 
 @pytest.fixture(scope="session")

@@ -313,6 +313,65 @@ class TestSweep:
         cli.cmd_sweep(config, out_path=pooled, workers=2)
         assert serial.read_bytes() == pooled.read_bytes()
 
+    def test_serial_sweep_draws_each_trial_once(self, tiny_config, monkeypatch):
+        # a serial sweep runs trial i of every cell before trial i + 1, so its
+        # cells share each trial's force and response; a cell run alone draws
+        # every trial
+        calls = {"simulate_ou": 0, "mirror_response": 0}
+
+        def counter(name):
+            layer = getattr(sim, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return layer(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(sim, name, counter(name))
+        n_trials = tiny_config.simulation.n_trials
+        rows, failed = cli.cmd_sweep(tiny_config, Path(tiny_config.out_dir) / "s.csv", workers=1)
+        assert (len(rows) // 3, failed) == (2 * len(tiny_config.alpha_sqs), 0)
+        assert calls == {"simulate_ou": n_trials, "mirror_response": n_trials}
+        grid = est.SpectralGrid.build(tiny_config.priors())
+        for kind in cli.PROBE_KINDS:
+            cli.run_sweep_point(tiny_config, kind, 1.02e6, grid=grid)
+        assert calls == {"simulate_ou": 3 * n_trials, "mirror_response": 3 * n_trials}
+
+    def test_serial_and_pooled_sweeps_report_alike(
+        self, lossy_config, second_trial_diverges, monkeypatch, tmp_path, capsys
+    ):
+        # each squeezed cell fails at set-up, after the coherent cell of its
+        # amplitude, which loses its second trial: both sweeps report every
+        # cell in cell order, though the serial one sets up every cell first
+        real = cli._set_up_cell
+
+        def flaky(config, kind, alpha_sq, grid, dump_dir):
+            if kind == "squeezed":
+                raise RuntimeError("synthetic set-up failure")
+            return real(config, kind, alpha_sq, grid, dump_dir)
+
+        monkeypatch.setattr(cli, "_set_up_cell", flaky)
+        config = replace(lossy_config, alpha_sqs=(1.02e6, 6.24e6))
+        tables, reports = [], []
+        for workers in (1, 2):
+            out = tmp_path / f"sweep-{workers}.csv"
+            rows, failed = cli.cmd_sweep(config, out_path=out, workers=workers)
+            assert (len(rows), failed) == (6, 2)
+            tables.append(out.read_bytes())
+            reports.append(capsys.readouterr().err.splitlines())
+        assert tables[0] == tables[1]
+        assert reports[0] == reports[1] == [
+            line
+            for alpha in ("1.02e+06", "6.24e+06")
+            for line in (
+                f"sweep point (kind=coherent, alpha_sq={alpha}): 1 of 20 trials diverged "
+                "and were left out",
+                f"sweep point (kind=squeezed, alpha_sq={alpha}) failed: synthetic set-up failure",
+            )
+        ]
+
     def test_serial_cell_solves_one_riccati_equation(self, tiny_config, riccati_solves):
         # calibration uses the phase spectrum; only the filtering tracker solves
         grid = est.SpectralGrid.build(tiny_config.priors())
@@ -464,14 +523,14 @@ class TestSweep:
         assert out1.read_bytes() != out2.read_bytes()
 
     def test_failed_point_keeps_partial_csv(self, tiny_config, tmp_path, monkeypatch, capsys):
-        real = cli.run_sweep_point
+        real = cli._set_up_cell
 
-        def flaky(config, kind, alpha_sq, grid=None, workers=1):
+        def flaky(config, kind, alpha_sq, grid, dump_dir):
             if kind == "squeezed" and alpha_sq == tiny_config.alpha_sqs[0]:
                 raise RuntimeError("synthetic point failure")
-            return real(config, kind, alpha_sq, grid=grid, workers=workers)
+            return real(config, kind, alpha_sq, grid, dump_dir)
 
-        monkeypatch.setattr(cli, "run_sweep_point", flaky)
+        monkeypatch.setattr(cli, "_set_up_cell", flaky)
         out = tmp_path / "partial.csv"
         rows, failed = cli.cmd_sweep(tiny_config, out_path=out, workers=1)
         assert failed == 1
@@ -480,14 +539,14 @@ class TestSweep:
         assert len(out.read_text().splitlines()) == 1 + len(rows)
 
     def test_failed_point_exits_nonzero(self, tiny_config, tmp_path, monkeypatch, capsys):
-        real = cli.run_sweep_point
+        real = cli._set_up_cell
 
-        def flaky(config, kind, alpha_sq, grid=None, workers=1):
+        def flaky(config, kind, alpha_sq, grid, dump_dir):
             if kind == "squeezed":
                 raise RuntimeError("synthetic point failure")
-            return real(config, kind, alpha_sq, grid=grid, workers=workers)
+            return real(config, kind, alpha_sq, grid, dump_dir)
 
-        monkeypatch.setattr(cli, "run_sweep_point", flaky)
+        monkeypatch.setattr(cli, "_set_up_cell", flaky)
         cfg_path = tmp_path / "tiny.cfg"
         cli.write_config(replace(tiny_config, alpha_sqs=(1.02e6,)), cfg_path)
         out = tmp_path / "out"

@@ -507,7 +507,7 @@ class TestRiccatiTracking:
                     sim.simulate_ou(force, cfg0, sim.trial_rng(21, i), n=62_500),
                     mirror, cfg0, pad,
                 )[2],
-                probe, tracker, cfg0, sim.trial_rng(9021, i),
+                probe, tracker, cfg0, sim.trial_rng(9021, i).standard_normal(62_500),
             )[2]  # sigma_phi_sq
             for i in range(30)
         ])
@@ -566,7 +566,8 @@ class TestRunTracking:
         tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg)
         f = sim.simulate_ou(force, cfg, sim.trial_rng(50, 0), n=62_500)
         _, _, phi = sim.mirror_response(f, mirror, cfg, pad)
-        y = sim.run_tracking(phi, probe, tracker, cfg, sim.trial_rng(51, 0))[0]
+        normals = sim.trial_rng(51, 0).standard_normal(62_500)
+        y = sim.run_tracking(phi, probe, tracker, cfg, normals)[0]
         z = y - phi
         assert np.var(z) == pytest.approx(measurement_noise_psd(probe) / cfg.dt, rel=2e-2)
 
@@ -580,7 +581,8 @@ class TestRunTracking:
         for i in range(n_trials):
             f = sim.simulate_ou(force, cfg, sim.trial_rng(52, i), n=62_500)
             _, _, phi = sim.mirror_response(f, mirror, cfg, pad)
-            y = sim.run_tracking(phi, probe, tracker, cfg, sim.trial_rng(53, i))[0]
+            normals = sim.trial_rng(53, i).standard_normal(62_500)
+            y = sim.run_tracking(phi, probe, tracker, cfg, normals)[0]
             z = y - phi
             z = z - z.mean()
             denom = float(np.dot(z, z))
@@ -627,10 +629,11 @@ def nonlinear_loop(mirror, force, priors, pad):
 
 def assert_tracks_like_oracle(phi, probe, tracker, cfg, seed):
     """Both loops give the same (y, phi_fb, sigma_phi_sq, diverged) bit for
-    bit; returns the divergence flag."""
-    y, phi_fb, sigma_phi_sq, diverged = sim.run_tracking(
-        phi, probe, tracker, cfg, np.random.default_rng(seed)
-    )
+    bit, the oracle drawing its noise as `rng.normal(0, 1, n)` and the loop
+    dividing the same stream's `standard_normal(n)`; returns the divergence
+    flag."""
+    z = np.random.default_rng(seed).standard_normal(phi.shape[0])
+    y, phi_fb, sigma_phi_sq, diverged = sim.run_tracking(phi, probe, tracker, cfg, z)
     y_ref, phi_fb_ref, sigma_phi_sq_ref, diverged_ref = oracles.run_tracking_nonlinear(
         phi, probe, tracker, cfg, np.random.default_rng(seed)
     )
@@ -710,6 +713,106 @@ class TestNonlinearTracker:
         noise_scale = np.zeros(phi.shape[0])
         with pytest.raises(RiccatiError, match=r"^the tracker's force row \[1e-30, 0\.0, "):
             sim._track_nonlinear(phi, noise_scale, stand_in, 4, *probe.detected_moments())
+
+
+class TestNoiseBits:
+    """`run_tracking` scales unit normals where it used to draw scaled ones:
+    `s * standard_normal(n)` is `normal(0, s, n)` and `standard_normal(n) / c`
+    is `normal(0, 1, n) / c` bit for bit, at the scales of the 8 reference
+    cells (linearized: s = sqrt(S_z / dt); nonlinear: c = 2 sqrt(eta
+    alpha^2 dt))."""
+
+    @pytest.fixture(scope="class")
+    def scales(self, priors):
+        cfg_ref = sim.SimConfig()
+        out = []
+        for alpha_sq in ALPHA_SQS:
+            for probe in (ProbeState(alpha_sq, eta_det=ETA), squeezed(alpha_sq)):
+                probe = sim.calibrate_tracking(probe, priors, cfg_ref)
+                out.append((
+                    math.sqrt(measurement_noise_psd(probe) / cfg_ref.dt),
+                    2.0 * math.sqrt(probe.eta_det * probe.alpha_sq * cfg_ref.dt),
+                ))
+        return cfg_ref, out
+
+    @pytest.mark.parametrize("seed", [424242, 7])
+    def test_scaled_unit_normals_are_the_drawn_ones(self, priors, scales, seed):
+        cfg_ref, cells = scales
+        n = sim.trial_geometry(priors, cfg_ref)[1]
+        assert len(cells) == 8
+        for k, (s, c) in enumerate(cells):
+            z = sim.trial_rng(seed, k).standard_normal(n)
+            assert (z * s).tobytes() == sim.trial_rng(seed, k).normal(0.0, s, n).tobytes()
+            assert (z / c).tobytes() == (sim.trial_rng(seed, k).normal(0.0, 1.0, n) / c).tobytes()
+
+
+class TestTrialTruth:
+    """`sim._trial_truth` keeps the last trial's probe-independent draws, so
+    a trial drawn again from an equal generator reuses them bit for bit."""
+
+    @pytest.fixture()
+    def drawn(self, monkeypatch):
+        """The `mirror_response` calls of the test."""
+        response, calls = sim.mirror_response, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return response(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "mirror_response", counted)
+        return calls
+
+    def test_hit_is_a_miss_bit_for_bit(self, priors, cfg, drawn, monkeypatch):
+        rng = sim.trial_rng(70, 5)
+        miss = sim._trial_truth(priors, cfg, rng)
+        after_miss = rng.bit_generator.state
+        rng = sim.trial_rng(70, 5)
+        hit = sim._trial_truth(priors, cfg, rng)
+        assert len(drawn) == 1
+        assert rng.bit_generator.state == after_miss
+        assert hit[0] == miss[0]
+        for a, b in zip(hit[1:], miss[1:]):
+            assert a.tobytes() == b.tobytes()
+        # and both are what the layers draw from a fresh stream
+        monkeypatch.setattr(sim, "_last_truth", None)
+        fresh = sim.trial_rng(70, 5)
+        n_margin, n_total = sim.trial_geometry(priors, cfg)
+        f = sim.simulate_ou(priors.force, cfg, fresh, n=n_total)
+        q, p, phi = sim.mirror_response(f, priors.params, cfg, pad_samples=n_margin)
+        z = fresh.standard_normal(n_total)
+        assert hit[0] == n_margin
+        for a, b in zip(hit[1:], (f, q, p, phi, z)):
+            assert a.tobytes() == b.tobytes()
+        assert fresh.bit_generator.state == after_miss
+
+    def test_shared_draws_are_read_only(self, priors, cfg, drawn):
+        probe = ProbeState(1.02e6, eta_det=ETA)
+        tracker = sim.KalmanTracker(measurement_noise_psd(probe), priors, cfg)
+        traj = sim.simulate_trial(priors, probe, tracker, cfg, sim.trial_rng(72, 0))
+        for array in (traj.f, traj.q, traj.p, traj.phi, *sim._trial_truth(
+            priors, cfg, sim.trial_rng(72, 0)
+        )[1:]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert len(drawn) == 1
+        traj.y[0] = 0.0  # the probe's own records stay writable
+        traj.phi_fb[0] = 0.0
+
+    def test_other_generators_and_models_miss(self, priors, cfg, drawn):
+        advanced = sim.trial_rng(73, 0)
+        advanced.standard_normal()
+        heavier = PriorModel(replace(priors.params, m=2.0 * priors.params.m), priors.force)
+        for model, cfg_k, rng in [
+            (priors, cfg, advanced),
+            (priors, replace(cfg, n_trials=cfg.n_trials + 1), sim.trial_rng(73, 0)),
+            (heavier, cfg, sim.trial_rng(73, 0)),
+        ]:
+            sim._trial_truth(priors, cfg, sim.trial_rng(73, 0))  # the kept draws
+            before = len(drawn)
+            sim._trial_truth(priors, cfg, sim.trial_rng(73, 0))
+            assert len(drawn) == before
+            sim._trial_truth(model, cfg_k, rng)
+            assert len(drawn) == before + 1
 
 
 class TestSimulateTrial:

@@ -194,7 +194,7 @@ class TestTrace:
         names = [m["name"] for m in self.PER_LAYER]
         calls = []
 
-        def run_once(root, workload, seconds, trace):
+        def run_once(root, workload, seconds, trace, seed):
             calls.append((root.name, workload, seconds, trace))
             value = 2.0 if root.name == "new" else 3.0
             return {name: {"value": value, "unit": "u"} for name in names}, {}
@@ -265,6 +265,43 @@ class TestRunOnce:
         assert ("CHECK FAILED bounds: mmse_sq above mmse_coh" in message) == (not correct)
 
 
+class TestSeed:
+    """`--seed N` runs every `perfbench/run.py` of both sides at seed N, for
+    a check on a held-out seed; without it they run run.py's default."""
+
+    def test_run_once_passes_the_seed(self, monkeypatch, tmp_path):
+        commands = []
+
+        def run(cmd, **kwargs):
+            commands.append(cmd)
+            line = json.dumps({"correct": True, "metrics": {}})
+            return subprocess.CompletedProcess(cmd, 0, stdout=line, stderr="")
+
+        monkeypatch.setattr(subprocess, "run", run)
+        bench_pairs.run_once(tmp_path, "sweep_acceptance", 22, seed=7)
+        bench_pairs.run_once(tmp_path, "sweep_acceptance", None, trace=True, seed=0)
+        bench_pairs.run_once(tmp_path, "sweep_acceptance", None)
+        assert [cmd[2:] for cmd in commands] == [
+            ["--workload", "sweep_acceptance", "--trace", "0", "--seconds", "22", "--seed", "7"],
+            ["--workload", "sweep_acceptance", "--trace", "1", "--seed", "0"],
+            ["--workload", "sweep_acceptance", "--trace", "0"],
+        ]
+
+    @pytest.mark.parametrize("flag, seed", [([], None), (["--seed", "7"], 7)])
+    def test_main_runs_both_sides_at_the_seed(self, monkeypatch, flag, seed):
+        seeds = []
+
+        def run_once(root, workload, seconds, trace, seed):
+            seeds.append((root.name, seed))
+            return {"ops_per_s": {"value": 1.0, "unit": "1/s"}}, {}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        monkeypatch.setattr(bench_pairs, "summarize", lambda *args: [])
+        argv = ["base", "new", "--workload", "sweep_acceptance", "--pairs", "2", *flag]
+        assert bench_pairs.main(argv) == 0
+        assert seeds == [("base", seed), ("new", seed), ("new", seed), ("base", seed)]
+
+
 def sweep_stdout(*digests, traced=False):
     """`perfbench/run.py` stdout of a sweep run whose unit k wrote the CSV
     of `digests[k]`, each unit traced and untraced with `traced`."""
@@ -316,7 +353,7 @@ class TestOutputs:
         outputs = {"base": iter([{0: {self.A}}, {0: {self.A}, 1: {self.B}}]),
                    "new": iter([{0: {self.A}, 1: {self.B}}, {0: {self.A}}])}
 
-        def run_once(root, workload, seconds, trace):
+        def run_once(root, workload, seconds, trace, seed):
             return {"ops_per_s": {"value": 1.0, "unit": "1/s"}}, next(outputs[root.name])
 
         monkeypatch.setattr(bench_pairs, "run_once", run_once)
@@ -392,7 +429,7 @@ class TestColumnChanges:
     def test_main_prints_the_changes_after_each_pair(self, tmp_path, monkeypatch, capsys):
         bumps = iter([1e-12, 4e-12])  # the new side's mse_emp change in pairs 1 and 2
 
-        def run_once(root, workload, seconds, trace):
+        def run_once(root, workload, seconds, trace, seed):
             bump = next(bumps) if root.name == "new" else 0.0
             write_run(root, workload, [self.moved(mse_emp=bump)])
             return {"ops_per_s": {"value": 1.0, "unit": "1/s"}}, {}

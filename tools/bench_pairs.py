@@ -1,6 +1,6 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
-    python tools/bench_pairs.py BASE NEW --workload NAME [--pairs 10] [--seconds S] [--trace]
+    python tools/bench_pairs.py BASE NEW --workload NAME [--pairs 10] [--seconds S] [--seed N] [--trace]
 
 BASE and NEW are repository roots, for example a `git worktree` of the
 parent commit and the working tree.  Each pair runs `perfbench/run.py` of
@@ -18,7 +18,8 @@ With `--trace` both sides run with `--trace 1` and it prints the same
 summary for each `per_layer` metric of `BENCHMARK.json`, without a
 verdict: per-layer metrics have no bound, and they show which layer a
 change moved (`sim.calibrate_tracking.ms`, `est.qcrb.ms`, ...).
-Both sides run the same seed, so each unit has the same inputs on both:
+Both sides run the same seed, `--seed N` or `perfbench/run.py`'s default
+424242 without it, so each unit has the same inputs on both:
 it prints whether the units both sides ran wrote the same CSV, by the
 `csv_sha256=` digest of each unit's line (`outputs: identical in N of N
 shared units`, or `outputs: differ in k of N (first: unit j)`).  Units that
@@ -196,13 +197,18 @@ def changes_line(base, new) -> str:
     return f"largest relative change over {shared} shared units: {listed}"
 
 
-def run_once(root: Path, workload: str, seconds, trace: bool = False) -> tuple[dict, dict]:
+def run_once(
+    root: Path, workload: str, seconds, trace: bool = False, seed=None
+) -> tuple[dict, dict]:
     """The `metrics` object of one correct benchmark run in `root`, traced
     (`--trace 1`, per-layer metrics) or not (end-to-end metrics), and its
-    units' CSV digests (`unit_digests`)."""
+    units' CSV digests (`unit_digests`).  `seconds` and `seed` are passed
+    to `perfbench/run.py` unless None."""
     cmd = [sys.executable, str(BENCH), "--workload", workload, "--trace", str(int(trace))]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
+    if seed is not None:
+        cmd += ["--seed", str(seed)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     try:
@@ -228,6 +234,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, help="run length (default: run.py's)")
+    parser.add_argument("--seed", type=int, help="workload seed of every run (default: run.py's)")
     parser.add_argument("--trace", action="store_true",
                         help="run traced and summarize the per-layer metrics, with no verdict")
     args = parser.parse_args(argv)
@@ -239,7 +246,9 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = ("base", "new") if i % 2 == 0 else ("new", "base")
         for side in order:
-            metrics, units = run_once(getattr(args, side), args.workload, args.seconds, args.trace)
+            metrics, units = run_once(
+                getattr(args, side), args.workload, args.seconds, args.trace, args.seed
+            )
             runs[side].append(metrics)
             for k, seen in units.items():
                 digests[side].setdefault(k, set()).update(seen)
